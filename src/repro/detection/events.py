@@ -70,12 +70,17 @@ class InstallLog:
         self._events: List[DeviceInstallEvent] = []
         self._by_package: Dict[str, List[DeviceInstallEvent]] = defaultdict(list)
         self._by_device: Dict[str, List[DeviceInstallEvent]] = defaultdict(list)
+        #: Device ids in first-seen order (append-only), so incremental
+        #: consumers read only the devices added since their last look.
+        self._first_seen: List[str] = []
         for event in events or ():
             self.add(event)
 
     def add(self, event: DeviceInstallEvent) -> None:
         self._events.append(event)
         self._by_package[event.package].append(event)
+        if event.device_id not in self._by_device:
+            self._first_seen.append(event.device_id)
         self._by_device[event.device_id].append(event)
 
     def __len__(self) -> int:
@@ -89,6 +94,17 @@ class InstallLog:
 
     def devices(self) -> List[str]:
         return sorted(self._by_device)
+
+    def device_count(self) -> int:
+        return len(self._first_seen)
+
+    def has_device(self, device_id: str) -> bool:
+        return device_id in self._by_device
+
+    def devices_since(self, start: int) -> List[str]:
+        """Devices first seen after the first ``start`` (first-seen
+        order)."""
+        return self._first_seen[start:]
 
     def events_for_package(self, package: str) -> List[DeviceInstallEvent]:
         return sorted(self._by_package.get(package, ()),

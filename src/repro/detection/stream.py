@@ -165,6 +165,9 @@ class OnlineLockstepDetector:
         self._watermark = float("-inf")
         self._participation: Counter = Counter()
         self._flagged: Set[str] = set()
+        #: ``_flagged`` in flagging order (append-only), so incremental
+        #: consumers read only the devices flagged since their last look.
+        self._flag_order: List[str] = []
         self._finalized = False
 
     # -- streaming interface -------------------------------------------------
@@ -173,6 +176,17 @@ class OnlineLockstepDetector:
     def flagged_devices(self) -> Set[str]:
         """Devices flagged so far (grows monotonically)."""
         return set(self._flagged)
+
+    @property
+    def flagged_count(self) -> int:
+        return len(self._flag_order)
+
+    def is_flagged(self, device_id: str) -> bool:
+        return device_id in self._flagged
+
+    def flagged_since(self, start: int) -> List[str]:
+        """Devices flagged after the first ``start`` (flagging order)."""
+        return self._flag_order[start:]
 
     @property
     def watermark_hours(self) -> float:
@@ -247,6 +261,7 @@ class OnlineLockstepDetector:
             self._participation[device_id] = before + weight
             if before < threshold <= before + weight:
                 self._flagged.add(device_id)
+                self._flag_order.append(device_id)
                 newly_flagged += 1
         if newly_flagged:
             self.obs.metrics.inc("detection.flagged_devices", newly_flagged)
@@ -285,7 +300,8 @@ class OnlineLockstepDetector:
                                       for item in events]
         self._participation = Counter(
             {str(k): v for k, v in state["participation"].items()})  # type: ignore[union-attr]
-        self._flagged = set(state["flagged"])  # type: ignore[arg-type]
+        self._flag_order = list(state["flagged"])  # type: ignore[arg-type]
+        self._flagged = set(self._flag_order)
 
     # -- queries -------------------------------------------------------------
 

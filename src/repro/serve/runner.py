@@ -209,7 +209,7 @@ def run_serve(config: ServeRunConfig,
                 start_day - 1, limit=int(service_state["watermark"])):
             event = DeviceInstallEvent.from_dict(record["event"])
             if record["incentivized"]:
-                service.incentivized.add(event.device_id)
+                service.label_incentivized((event.device_id,))
             service.bus.publish(event)
         service.load_state(service_state)
         fleet.load_state(restored["fleet"])
@@ -310,7 +310,7 @@ def run_serve(config: ServeRunConfig,
         "detection": {
             "events": len(service.log),
             "watermark": service.watermark,
-            "devices": len(service.log.devices()),
+            "devices": service.log.device_count(),
             "incentivized": len(service.incentivized),
             "clusters": len(service.online.clusters),
             "flagged": len(flagged),

@@ -27,11 +27,12 @@ When a :class:`~repro.recovery.checkpoint.RecoveryContext` is attached,
 every admitted ingest batch is appended to the context's write-ahead
 log *before* it is published onto the bus, and ``submit`` exposes the
 ``serve.request`` crash point.  The streaming detection state (install
-log, online detector, its ``version`` token) is deliberately *not*
-checkpointed: a resumed run reconstructs it exactly by replaying the
-WAL through the bus, then restores the cheap scalar state
-(:meth:`DetectionService.load_state`) and finally the observability
-snapshot, which overwrites any counters the replay double-ticked.
+log, online detector, its ``version`` token, the running scoring fold
+behind ``evaluate_now``) is deliberately *not* checkpointed: a resumed
+run reconstructs it exactly by replaying the WAL through the bus, then
+restores the cheap scalar state (:meth:`DetectionService.load_state`)
+and finally the observability snapshot, which overwrites any counters
+the replay double-ticked.
 
 Ingestion-time stamping
 -----------------------
@@ -53,10 +54,11 @@ queueing visible in the percentiles.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from dataclasses import dataclass, field
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set)
 
-from repro.detection.evaluation import DetectionReport, evaluate_detector
+from repro.detection.evaluation import DetectionReport
 from repro.detection.events import DeviceInstallEvent, InstallLog
 from repro.detection.lockstep import DetectorConfig
 from repro.detection.stream import InstallEventBus, OnlineLockstepDetector
@@ -198,6 +200,14 @@ class FrontdoorChaos:
 class DetectionService:
     """The long-lived service: state, frontdoor, workers, handlers."""
 
+    #: Attributes deliberately left out of :meth:`state_dict`, with why.
+    _TRANSIENT = dict.fromkeys(
+        ("_fold_devices", "_fold_flagged", "_fold_labels",
+         "_seen_incentivized", "_flagged_incentivized"),
+        "derived state of the evaluate_now fold: a resume rebuilds the "
+        "log and detector by WAL replay and the labels by load_state, "
+        "then the fold refills from cursor 0")
+
     def __init__(self, vclock: VirtualClock,
                  clock: Optional[SimulationClock] = None,
                  obs: Optional[Observability] = None,
@@ -216,6 +226,10 @@ class DetectionService:
         self.bus.subscribe(self.log.add)
         self.bus.subscribe(self.online.ingest)
         self.incentivized: Set[str] = set()
+        #: ``incentivized`` in labelling order (append-only); written
+        #: only through :meth:`label_incentivized`.
+        self._label_order: List[str] = []
+        self._reset_fold()
         #: Count of ingested events: the cache key's freshness axis.
         self.watermark = 0
         self.admission = AdmissionController(
@@ -394,15 +408,19 @@ class DetectionService:
 
     # -- handlers (atomic: no awaits) ----------------------------------------
 
-    def _stamp(self, event: DeviceInstallEvent) -> DeviceInstallEvent:
-        return replace(event, day=self.vclock.day,
-                       hour=self.vclock.hour_of_day)
+    def _stamp(self, event: DeviceInstallEvent, day: int,
+               hour: float) -> DeviceInstallEvent:
+        return DeviceInstallEvent(
+            event.device_id, event.package, day, hour, event.ip_slash24,
+            event.ssid_hash, event.opened, event.engagement_seconds)
 
     def _handle_ingest(self, params: Mapping[str, object]) -> Dict[str, object]:
         events: Sequence[DeviceInstallEvent] = params.get("events", ())  # type: ignore[assignment]
-        stamped = [self._stamp(event) for event in events]
+        day, hour = self.vclock.day, self.vclock.hour_of_day
+        stamped = [self._stamp(event, day, hour) for event in events]
         self._sync_day()
-        incentivized = set(params.get("incentivized", ()))  # type: ignore[arg-type]
+        labels: Sequence[str] = params.get("incentivized", ())  # type: ignore[assignment]
+        incentivized = set(labels)
         if self.recovery is not None:
             # Write-ahead: the batch is durable before any detector
             # state changes, so a crash between the two replays it.
@@ -413,7 +431,7 @@ class DetectionService:
                 })
         self.bus.publish_all(stamped)
         self.watermark += len(stamped)
-        self.incentivized.update(incentivized)
+        self.label_incentivized(labels)
         return {"ingested": len(stamped), "watermark": self.watermark}
 
     def _handle_flagged(self, params: Mapping[str, object]) -> Dict[str, object]:
@@ -455,7 +473,7 @@ class DetectionService:
         return {
             "watermark": self.watermark,
             "events": len(self.log),
-            "flagged": len(self.online.flagged_devices),
+            "flagged": self.online.flagged_count,
             "precision": round(report.precision, 4),
             "recall": round(report.recall, 4),
             "false_positive_rate": round(report.false_positive_rate, 4),
@@ -464,15 +482,67 @@ class DetectionService:
             "shed": self.admission.shed,
         }
 
-    # -- end-of-run queries --------------------------------------------------
+    # -- ground truth and scoring -------------------------------------------
+
+    def label_incentivized(self, device_ids: Iterable[str]) -> None:
+        """Record ground-truth incentivized devices (the one writer of
+        ``incentivized``, so the scoring fold sees every new label)."""
+        for device_id in device_ids:
+            if device_id not in self.incentivized:
+                self.incentivized.add(device_id)
+                self._label_order.append(device_id)
+
+    def _reset_fold(self) -> None:
+        #: Cursors into the log's first-seen devices, the detector's
+        #: flag order and ``_label_order``: how much the fold has read.
+        self._fold_devices = 0
+        self._fold_flagged = 0
+        self._fold_labels = 0
+        #: Labelled devices the log has seen / the detector has flagged.
+        self._seen_incentivized: Set[str] = set()
+        self._flagged_incentivized: Set[str] = set()
 
     def evaluate_now(self) -> DetectionReport:
         """Score the flagged-so-far set against ground truth observed so
         far.  Unlike ``LiveDetection.evaluate`` this never finalizes the
-        online detector, so it is safe to serve mid-run."""
-        universe = set(self.log.devices())
-        return evaluate_detector(self.online.flagged_devices,
-                                 self.incentivized & universe, universe)
+        online detector, so it is safe to serve mid-run.
+
+        Equals ``evaluate_detector(flagged, incentivized & universe,
+        universe)`` with the log's devices as the universe, computed as
+        a running fold: the three inputs only grow, so each call reads
+        only the ids added since the last one and updates the two
+        intersections that involve the labels.
+        """
+        log, online, incentivized = self.log, self.online, self.incentivized
+        seen = log.devices_since(self._fold_devices)
+        for device_id in seen:
+            if device_id in incentivized:
+                self._seen_incentivized.add(device_id)
+        self._fold_devices += len(seen)
+        flagged_new = online.flagged_since(self._fold_flagged)
+        for device_id in flagged_new:
+            if not log.has_device(device_id):
+                raise ValueError("flagged set contains unknown devices")
+            if device_id in incentivized:
+                self._flagged_incentivized.add(device_id)
+        self._fold_flagged += len(flagged_new)
+        labels = self._label_order[self._fold_labels:]
+        for device_id in labels:
+            if log.has_device(device_id):
+                self._seen_incentivized.add(device_id)
+            if online.is_flagged(device_id):
+                self._flagged_incentivized.add(device_id)
+        self._fold_labels += len(labels)
+        universe = log.device_count()
+        flagged = online.flagged_count
+        positives = len(self._seen_incentivized)
+        tp = len(self._flagged_incentivized)
+        return DetectionReport(
+            true_positives=tp, false_positives=flagged - tp,
+            false_negatives=positives - tp,
+            true_negatives=universe - flagged - positives + tp)
+
+    # -- end-of-run queries --------------------------------------------------
 
     def finalize(self) -> Set[str]:
         """Flush pending windows; only meaningful once ingest stopped."""
@@ -503,7 +573,10 @@ class DetectionService:
         the watermark-adjacent counters via the bus) and *before* the
         observability snapshot restore that makes the counters exact."""
         self.watermark = int(state["watermark"])  # type: ignore[arg-type]
-        self.incentivized = set(state["incentivized"])  # type: ignore[arg-type]
+        self.incentivized = set()
+        self._label_order = []
+        self.label_incentivized(state["incentivized"])  # type: ignore[arg-type]
+        self._reset_fold()
         self._started_at = float(state["started_at"])  # type: ignore[arg-type]
         self._restored = True
         day = int(state["clock_day"])  # type: ignore[arg-type]

@@ -27,6 +27,7 @@ from repro.net.chaos import ChaosScenario
 from repro.obs import Observability, to_json
 from repro.recovery import CrashPlan, RecoveryContext, SimulatedCrash
 from repro.serve.runner import ServeRunConfig, run_serve
+from repro.serve.service import DetectionService
 from repro.simulation.scenarios import WildScenario, WildScenarioConfig
 from repro.simulation.world import World
 
@@ -159,6 +160,46 @@ class TestServeResume:
                                               with_wal=True)
             resumed = self.run_once(profile, resuming)
             assert resumed == base, f"diverged after {stage}:{day}:{seq}"
+
+    def test_metrics_fold_is_rebuilt_after_a_mid_request_crash(
+            self, tmp_path, monkeypatch):
+        # The evaluate_now fold is not checkpointed; WAL replay plus
+        # load_state must rebuild it to serve the same metrics bodies.
+        bodies, evaluations = [], []
+        submit = DetectionService.submit
+        evaluate_now = DetectionService.evaluate_now
+
+        async def recording_submit(service, request):
+            day = service.vclock.day
+            response = await submit(service, request)
+            if request.endpoint == "metrics":
+                bodies.append((day, response.status, dict(response.body)))
+            return response
+
+        def recording_evaluate(service):
+            evaluations.append(evaluate_now(service))
+            return evaluations[-1]
+
+        monkeypatch.setattr(DetectionService, "submit", recording_submit)
+        monkeypatch.setattr(DetectionService, "evaluate_now",
+                            recording_evaluate)
+
+        base = self.run_once("paper")
+        base_bodies, base_final = list(bodies), evaluations[-1]
+        assert base_final.true_positives and base_final.false_negatives
+
+        root = tmp_path / "crash"
+        with pytest.raises(SimulatedCrash):
+            self.run_once("paper", RecoveryContext.create(
+                root, "serve", crash=CrashPlan.at("serve.request", 1, seq=25),
+                with_wal=True))
+        del bodies[:]
+        resumed = self.run_once("paper", RecoveryContext.create(
+            root, "serve", resume=True, with_wal=True))
+        assert resumed == base
+        assert bodies == [entry for entry in base_bodies if entry[0] >= 1]
+        assert any(status == 200 for _, status, _ in bodies)
+        assert evaluations[-1] == base_final
 
     def test_recovery_counters_stay_out_of_the_pipeline_export(self,
                                                                tmp_path):
