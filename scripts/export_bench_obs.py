@@ -40,7 +40,6 @@ import argparse
 import os
 import resource
 import time
-import timeit
 from pathlib import Path
 
 from obs_export import (
@@ -62,9 +61,7 @@ SEED = int(os.environ.get("REPRO_BENCH_SEED", "2019"))
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
 DAYS = int(os.environ.get("REPRO_BENCH_DAYS", "110"))
 SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "1"))
-BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "thread")
 HONEY_INSTALLS = int(os.environ.get("REPRO_BENCH_HONEY_INSTALLS", "500"))
-HONEY_SHARDS = int(os.environ.get("REPRO_BENCH_HONEY_SHARDS", "1"))
 
 STAGE_HISTOGRAMS = ("wild.milk_ops", "wild.crawl_ops", "wild.analyse_ops")
 HONEY_STAGE_HISTOGRAMS = ("honey.campaign_ops", "honey.analysis_ops")
@@ -82,8 +79,7 @@ def run_wild(crawl_cache: bool) -> tuple:
         scale=SCALE, measurement_days=DAYS))
     scenario.build()
     measurement = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, shards=SHARDS, backend=BACKEND,
-        crawl_cache=crawl_cache))
+        measurement_days=DAYS, shards=SHARDS, crawl_cache=crawl_cache))
     started = time.monotonic()
     results = measurement.run()
     elapsed = time.monotonic() - started
@@ -93,7 +89,6 @@ def run_wild(crawl_cache: bool) -> tuple:
 def run_honey(tls_resumption: bool) -> tuple:
     world = World(seed=SEED)
     experiment = HoneyAppExperiment(world, installs_per_iip=HONEY_INSTALLS,
-                                    shards=HONEY_SHARDS,
                                     tls_resumption=tls_resumption)
     started = time.monotonic()
     results = experiment.run()
@@ -107,7 +102,7 @@ def stage_quantiles(world, names=STAGE_HISTOGRAMS) -> dict:
 
 def peak_rss_mb() -> dict:
     """Peak resident set size so far, in MB.  ``children`` covers
-    reaped process-backend workers (zero on in-process backends)."""
+    reaped worker processes (zero when ``shards == 1``)."""
     kb = 1024.0
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / kb
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / kb
@@ -115,24 +110,6 @@ def peak_rss_mb() -> dict:
         "self": round(own, 1),
         "children": round(children, 1),
         "total": round(own + children, 1),
-    }
-
-
-def scheduler_microbench() -> dict:
-    """Time the scheduler's routing hash: ``shard_of`` is memoised
-    per-run, so steady-state task routing is a dict hit, not a sha256."""
-    from repro.parallel import ShardScheduler
-
-    scheduler = ShardScheduler(4)
-    keys = [f"com.example.app{i}" for i in range(64)]
-    calls = 100_000
-    elapsed = timeit.timeit(
-        lambda: [scheduler.shard_of(key) for key in keys], number=calls // 64)
-    return {
-        "memoised_calls_per_sec": int(calls / elapsed),
-        "note": "shard_of memoises the sha256-derived bucket per key for "
-                "the scheduler's lifetime; routing the same package on "
-                "every crawl day costs a dict lookup after day one",
     }
 
 
@@ -155,7 +132,6 @@ def build_report() -> dict:
             "scale": SCALE,
             "days": DAYS,
             "shards": SHARDS,
-            "backend": BACKEND,
         },
         "fabric": {
             "requests": requests,
@@ -188,7 +164,6 @@ def build_report() -> dict:
         "baseline_uncached": round(base_results.milk_runs / base_elapsed, 2),
     }
     report["peak_rss_mb"] = peak_rss_mb()
-    report["scheduler"] = scheduler_microbench()
     return report
 
 
@@ -208,7 +183,6 @@ def build_honey_report() -> dict:
         "run": {
             "seed": SEED,
             "installs_per_iip": HONEY_INSTALLS,
-            "shards": HONEY_SHARDS,
         },
         "fabric": {
             "round_trips": round_trips,

@@ -78,7 +78,7 @@ def run_honey_source() -> tuple:
     hook = world.detection_hook("honey", config=HONEY_DETECTOR_CONFIG)
     started = time.monotonic()
     HoneyAppExperiment(world, installs_per_iip=HONEY_INSTALLS,
-                       shards=SHARDS, detection=hook).run()
+                       detection=hook).run()
     return world, hook, time.monotonic() - started
 
 
@@ -103,7 +103,7 @@ def run_honey_evasive() -> tuple:
         obs=world.obs, source="honey", config=HONEY_DETECTOR_CONFIG)
     started = time.monotonic()
     HoneyAppExperiment(world, installs_per_iip=HONEY_INSTALLS,
-                       shards=SHARDS, detection=hook).run()
+                       detection=hook).run()
     return world, hook, time.monotonic() - started
 
 

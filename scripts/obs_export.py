@@ -44,7 +44,7 @@ def render(snapshot: dict) -> str:
 #: throughput, microbench rates — and so never belong in a committed
 #: snapshot.
 HOST_DEPENDENT_SECTIONS = frozenset(
-    {"wall_seconds", "devices_per_sec", "peak_rss_mb", "scheduler"})
+    {"wall_seconds", "devices_per_sec", "peak_rss_mb"})
 
 
 def deterministic_subset(report: dict) -> dict:

@@ -54,20 +54,11 @@ def _add_chaos_flags(parser) -> None:
 
 
 def _add_shards_flag(parser, what: str) -> None:
-    """The ``--shards`` flag with the shared determinism promise."""
+    """The ``--shards`` flag of the wild pipeline (wild, detect)."""
     parser.add_argument("--shards", type=int, default=1,
-                        help=f"worker shards for {what}; any value yields "
-                             "byte-identical results at the same seed "
-                             "(default: 1, serial)")
-
-
-def _add_backend_flag(parser) -> None:
-    """The ``--backend`` flag shared by the sharded pipelines."""
-    parser.add_argument("--backend", default="thread",
-                        choices=("thread", "serial", "process"),
-                        help="shard execution backend: in-process threads "
-                             "(default), inline serial, or spawned worker "
-                             "processes; every backend yields byte-identical "
+                        help=f"{what}: 1 runs inline (default); N > 1 "
+                             "runs on min(N, cores) spawned worker "
+                             "processes; any value yields byte-identical "
                              "results at the same seed")
 
 
@@ -85,8 +76,8 @@ def _add_scenario_flag(parser) -> None:
                              "separated: naive (default), evasive, "
                              "fake-reviews, download-fraud; profiles "
                              "compose, and every choice stays byte-"
-                             "identical at the same seed across shards, "
-                             "backends, and chaos profiles")
+                             "identical at the same seed across shard "
+                             "counts and chaos profiles")
 
 
 def _scenario_pack(args):
@@ -171,16 +162,10 @@ def _add_recovery_flags(parser, stages: str) -> None:
                             "(defaults to --seed)")
 
 
-def _recovery_context(args, kind: str, with_wal: bool = False,
-                      allow_process: bool = False):
+def _recovery_context(args, kind: str, with_wal: bool = False):
     """Build the :class:`RecoveryContext` the recovery flags describe,
     ``None`` when recovery is off.  Exits with a usage error when a
     recovery flag is given without ``--checkpoint-dir``.
-
-    ``allow_process`` is set by pipelines whose checkpoints carry
-    worker-replica state (wild): their ``--backend process`` runs can
-    checkpoint and resume.  The others reject the combination here
-    rather than fail deep inside the run.
     """
     wants = (args.resume or args.crash_at or args.crash_rate > 0.0
              or args.crash_seed is not None)
@@ -190,11 +175,6 @@ def _recovery_context(args, kind: str, with_wal: bool = False,
                   file=sys.stderr)
             raise SystemExit(2)
         return None
-    if not allow_process and getattr(args, "backend", None) == "process":
-        print("error: --checkpoint-dir/--resume require an in-process "
-              "backend (serial or thread), not --backend process",
-              file=sys.stderr)
-        raise SystemExit(2)
     from repro.recovery import CrashPlan, RecoveryContext, parse_kill_point
     crash = None
     if args.crash_at or args.crash_rate > 0.0:
@@ -227,8 +207,6 @@ def _add_honey(subparsers) -> None:
     parser.add_argument("--installs-per-iip", type=int, default=None,
                         help="installs to purchase from each IIP "
                              "(default: the paper's 500)")
-    _add_shards_flag(parser, "the three IIP campaigns")
-    _add_backend_flag(parser)
     parser.add_argument("--no-tls-resumption", action="store_true",
                         help="disable the TLS session cache (every "
                              "telemetry upload pays a full handshake)")
@@ -265,7 +243,6 @@ def _add_wild(subparsers) -> None:
     _add_scenario_flag(parser)
     _add_chaos_flags(parser)
     _add_shards_flag(parser, "milking and crawling")
-    _add_backend_flag(parser)
     _add_recovery_flags(parser, "wild.day, wild.milk, wild.checkpoint")
 
 
@@ -288,7 +265,7 @@ def _add_detect(subparsers) -> None:
                         help="event source: the synthetic labelled corpus, "
                              "the Section-3 honey telemetry, or the "
                              "Section-4 wild monitor (default: corpus)")
-    _add_shards_flag(parser, "the source pipeline")
+    _add_shards_flag(parser, "wild source milking and crawling")
     parser.add_argument("--scale", type=float, default=0.05,
                         help="wild source: fraction of the paper's 922 "
                              "advertised apps (default: 0.05)")
@@ -297,7 +274,6 @@ def _add_detect(subparsers) -> None:
     parser.add_argument("--installs-per-iip", type=int, default=None,
                         help="honey source: installs to purchase from each "
                              "IIP (default: the paper's 500)")
-    _add_backend_flag(parser)
     _add_scenario_flag(parser)
     _add_chaos_flags(parser)
 
@@ -330,7 +306,10 @@ def _add_serve(subparsers) -> None:
                         help="response-cache invalidation: per-entry "
                              "freshness tokens (keyed, default) or "
                              "clear-all-on-ingest (wholesale)")
-    _add_shards_flag(parser, "the service's request workers")
+    parser.add_argument("--shards", type=int, default=1,
+                        help="the service's request worker tasks; any "
+                             "value yields byte-identical results at the "
+                             "same seed (default: 1)")
     _add_chaos_flags(parser)
     _add_recovery_flags(parser,
                         "serve.day, serve.request, serve.checkpoint")
@@ -391,7 +370,7 @@ def _maybe_dump_metrics(args, obs) -> int:
     except OSError as exc:
         print(f"error: cannot write metrics snapshot: {exc}", file=sys.stderr)
         return 1
-    print(f"\nmetrics snapshot written to {path}")
+    print(f"metrics snapshot written to {path}", file=sys.stderr)
     return 0
 
 
@@ -415,8 +394,7 @@ def _cmd_honey(args) -> int:
     installs = (args.installs_per_iip if args.installs_per_iip is not None
                 else paperdata.HONEY_INSTALLS_PURCHASED)
     experiment = HoneyAppExperiment(
-        world, installs_per_iip=installs, shards=args.shards,
-        backend=args.backend,
+        world, installs_per_iip=installs,
         tls_resumption=not args.no_tls_resumption)
     recovery = _recovery_context(args, "honey")
     try:
@@ -456,9 +434,9 @@ def _cmd_wild(args) -> int:
     scenario.build()
     measurement = WildMeasurement(world, scenario, WildMeasurementConfig(
         measurement_days=args.days, shards=args.shards,
-        backend=args.backend, batch_devices=args.batch_devices,
+        batch_devices=args.batch_devices,
         spill_dir=args.spill_dir))
-    recovery = _recovery_context(args, "wild", allow_process=True)
+    recovery = _recovery_context(args, "wild")
     try:
         results = measurement.run(recovery=recovery)
     except SimulatedCrash as exc:
@@ -546,6 +524,10 @@ def _cmd_detect(args) -> int:
 
     pack = _scenario_pack(args)
     chaos = _chaos_scenario(args)
+    if args.shards != 1 and args.source != "wild":
+        print("error: --shards applies to the wild source only",
+              file=sys.stderr)
+        return 2
     scenario = None
     world = None
     if args.source == "corpus":
@@ -580,9 +562,7 @@ def _cmd_detect(args) -> int:
         kwargs = {}
         if args.installs_per_iip is not None:
             kwargs["installs_per_iip"] = args.installs_per_iip
-        HoneyAppExperiment(world, shards=args.shards,
-                           backend=args.backend, detection=hook,
-                           **kwargs).run()
+        HoneyAppExperiment(world, detection=hook, **kwargs).run()
     else:
         from repro.simulation.world import World
         from repro.simulation.scenarios import (WildScenario,
@@ -596,8 +576,7 @@ def _cmd_detect(args) -> int:
             scale=args.scale, measurement_days=args.days, scenario=pack))
         scenario.build()
         WildMeasurement(world, scenario, WildMeasurementConfig(
-            measurement_days=args.days, shards=args.shards,
-            backend=args.backend),
+            measurement_days=args.days, shards=args.shards),
             detection=hook).run()
     flagged = hook.finalize()
     report = hook.evaluate()

@@ -8,16 +8,14 @@ populations work the offers.  Every open/click travels as real HTTPS
 telemetry to the collection server; the analysis then joins telemetry
 with developer-console analytics exactly as the paper does.
 
-The three campaigns run as :class:`~repro.parallel.ShardScheduler`
-task specs keyed by IIP name (``("campaign", iip_name)`` payloads, so
-any backend — serial, thread, or process — can execute them).  Each
-campaign owns a *cell* — its derived RNG streams, its namespaced
-:class:`PopulationBuilder`, and its TLS session cache — plus a
-task-local observability context, so campaigns share nothing mutable
-but the locked ledgers.  Results, obs, and (for process workers) the
-shared-domain deltas are merged post-barrier in ``_CAMPAIGN_ORDER``,
-which keeps ``repro honey --shards N`` byte-identical to the serial
-run at the same seed on every backend.
+The three campaigns run one at a time in ``_CAMPAIGN_ORDER``, the
+order of their non-overlapping windows.  Each campaign owns a *cell* —
+its derived RNG streams, its namespaced :class:`PopulationBuilder`, and
+its TLS session cache — plus a task-local observability context; a
+campaign runs, then merges into the world, then (in recovery mode)
+checkpoints, before the next one starts.  That one schedule is why a
+plain run, a recovery-mode run, and a crash+resume run are
+byte-identical at the same seed.
 """
 
 from __future__ import annotations
@@ -34,14 +32,7 @@ from repro.iip.offers import OfferCategory, tasks_for
 from repro.iip.platform import DeveloperCredentials
 from repro.net.client import TlsSessionCache
 from repro.obs import Observability
-from repro.parallel import (
-    ShardScheduler,
-    apply_domain_deltas,
-    apply_world_deltas,
-    derive_rng,
-    flow_scope,
-    unwrap_result,
-)
+from repro.parallel import derive_rng, flow_scope
 from repro.playstore.catalog import AppListing, Developer
 from repro.playstore.ledger import InstallSource
 from repro.playstore.policy import CampaignSignals
@@ -160,47 +151,22 @@ class HoneyExperimentResults:
 class HoneyAppExperiment:
     """Runs the whole Section-3 experiment inside a world.
 
-    ``shards`` fans the three IIP campaigns across workers (1 = serial
-    in-thread; any value is byte-identical at the same seed).
-    ``backend`` picks how shards execute: ``thread`` (default),
-    ``serial``, or ``process`` (spawned world replicas that ship their
-    effects home as domain deltas; see :mod:`repro.core.honey_worker`).
     ``tls_resumption`` gives each campaign cell a TLS session cache so
     repeat telemetry uploads skip the handshake round trips.
     """
 
     def __init__(self, world: World,
                  installs_per_iip: int = paperdata.HONEY_INSTALLS_PURCHASED,
-                 shards: int = 1,
-                 backend: str = "thread",
                  tls_resumption: bool = True,
                  detection: Optional[LiveDetection] = None,
-                 collect_install_events: bool = False,
                  ) -> None:
         self.world = world
         self.installs_per_iip = installs_per_iip
         #: Live detection hook; when set, every delivered install also
-        #: becomes a DeviceInstallEvent (published post-barrier, in
-        #: campaign order, with its ground-truth label).  The adapter is
+        #: becomes a DeviceInstallEvent (published after its campaign
+        #: finishes, with its ground-truth label).  The adapter is
         #: RNG-free, so attaching it never perturbs the campaign runs.
         self.detection = detection
-        #: Build install events even without a detection hook.  Process
-        #: workers set this so a detection-less replica still returns
-        #: the events the parent's hook needs (event building is
-        #: RNG-free, so the flag never changes campaign behaviour).
-        self._wants_events = detection is not None or collect_install_events
-        self.shards = shards
-        self.backend = backend
-        worker_host = None
-        if backend == "process":
-            # Imported here to avoid a cycle (the worker module builds
-            # replica experiments).
-            from repro.core.honey_worker import honey_worker_spec
-            worker_host = honey_worker_spec(
-                world, installs_per_iip, tls_resumption,
-                collect_events=self._wants_events)
-        self._scheduler = ShardScheduler(shards, backend=backend,
-                                         worker_host=worker_host)
         self._cells = {iip_name: _CampaignCell(world, iip_name, tls_resumption)
                        for iip_name in _CAMPAIGN_ORDER}
         self._declare_stage_histograms()
@@ -232,27 +198,18 @@ class HoneyAppExperiment:
         :class:`repro.recovery.RecoveryContext`) arms per-campaign
         checkpointing, crash injection, and resume.
 
-        Without recovery the three campaigns run as one scheduler batch
-        (the historical schedule).  With recovery each campaign runs,
-        merges, and checkpoints before the next one starts, so every
-        checkpoint is quiescent: it contains exactly the finished
-        campaigns' effects and nothing from campaigns still to run.
-        (Campaign wire traffic ticks the world op counter server-side,
-        so a checkpoint taken while a later batch has already executed
-        would double those ops on resume.)  The sequential schedule
-        shifts trace span *coordinates* relative to the concurrent
-        schedule — metric totals, reports, and flagged sets are
-        identical — so the byte-identity invariant is crash+resume
-        versus an uninterrupted run with recovery enabled.  Resume
-        restores the shared ledgers, the telemetry collector, the
-        accumulated per-campaign outcomes, and observability (last),
+        Each campaign runs, merges, and (with recovery) checkpoints
+        before the next one starts, so every checkpoint is quiescent:
+        it contains exactly the finished campaigns' effects and nothing
+        from campaigns still to run.  Recovery adds no work to that
+        schedule, so a plain run, a recovery-mode run, and a
+        crash+resume run are byte-identical.  Resume restores the
+        shared ledgers, the telemetry collector, the accumulated
+        per-campaign outcomes, and observability (last),
         then runs only the remaining campaigns: cells derive their RNG
         streams from their own keys, so skipping finished campaigns
         cannot perturb the rest.
         """
-        if recovery is not None and self.backend == "process":
-            raise ValueError("recovery requires an in-process backend "
-                             "(serial or thread), not process")
         store = self.world.store
         tracer = self.world.obs.tracer
         records: List[HoneyCampaignRecord] = []
@@ -274,12 +231,9 @@ class HoneyAppExperiment:
         before = store.displayed_installs(HONEY_PACKAGE, 0)
         run_span = (tracer.adopt(adopted_span) if adopted_span is not None
                     else tracer.span("honey.run"))
-        try:
-            return self._run_campaigns(
-                run_span, start_index, recovery, records, windows,
-                console_installs, install_days, before)
-        finally:
-            self._scheduler.close()
+        return self._run_campaigns(
+            run_span, start_index, recovery, records, windows,
+            console_installs, install_days, before)
 
     def _run_campaigns(self, run_span, start_index: int, recovery,
                        records: List[HoneyCampaignRecord],
@@ -291,32 +245,15 @@ class HoneyAppExperiment:
         tracer = self.world.obs.tracer
         metrics = self.world.obs.metrics
         with run_span:
-            if recovery is None:
-                # Merge in canonical campaign order: all world-side
-                # recording deltas first (process envelopes; in-process
-                # backends wrote the live world already), then domain
-                # deltas, then per-campaign task obs and roll-ups — no
-                # trace of shard timing survives the barrier.
-                specs = [(iip_name, ("campaign", iip_name))
-                         for iip_name in _CAMPAIGN_ORDER]
-                batch = self._scheduler.run_specs(
-                    specs, self.run_campaign_payload, salt="honey")
-                apply_world_deltas(self.world.obs, batch)
-                apply_domain_deltas(self.world, batch)
-                for iip_name, item in zip(_CAMPAIGN_ORDER, batch):
-                    outcome = unwrap_result(self.world.obs, item)
-                    self._merge_outcome(iip_name, outcome, records, windows,
-                                        console_installs, install_days)
-            else:
-                for index in range(start_index, len(_CAMPAIGN_ORDER)):
-                    iip_name = _CAMPAIGN_ORDER[index]
+            for index in range(start_index, len(_CAMPAIGN_ORDER)):
+                iip_name = _CAMPAIGN_ORDER[index]
+                if recovery is not None:
                     recovery.crash_point("honey.campaign", index)
-                    batch = self._scheduler.run_specs(
-                        [(iip_name, ("campaign", iip_name))],
-                        self.run_campaign_payload, salt="honey")
-                    outcome = unwrap_result(self.world.obs, batch[0])
-                    self._merge_outcome(iip_name, outcome, records, windows,
-                                        console_installs, install_days)
+                outcome, task_obs = self.run_campaign_payload(iip_name)
+                self.world.obs.merge(task_obs)
+                self._merge_outcome(iip_name, outcome, records, windows,
+                                    console_installs, install_days)
+                if recovery is not None:
                     recovery.store.write(index, self._checkpoint_state(
                         records, console_installs, install_days))
                     recovery.crash_point("honey.checkpoint", index)
@@ -346,15 +283,13 @@ class HoneyAppExperiment:
                        install_days: Dict[str, List[Tuple[int, float]]],
                        ) -> None:
         """Fold one finished campaign into the world: publish its
-        install events and roll up its metrics.  The task obs was
-        already merged by ``unwrap_result`` (canonical order), and any
-        process-backend world/domain deltas were applied before the
-        merge loop began."""
+        install events and roll up its metrics.  The caller has already
+        merged the campaign's task obs."""
         metrics = self.world.obs.metrics
         record, timestamps, events, campaign_ops = outcome
         if self.detection is not None:
-            # Campaign windows don't overlap and merge order is
-            # chronological, so the stream stays time-ordered.
+            # Campaign windows don't overlap and campaigns run in
+            # window order, so the stream stays time-ordered.
             self.detection.record_incentivized(
                 event.device_id for event in events)
             self.detection.publish_batch(events)
@@ -448,17 +383,13 @@ class HoneyAppExperiment:
 
     # ------------------------------------------------------------------
 
-    def run_campaign_payload(self, payload) -> Tuple[Tuple, Observability]:
-        """Execute one ``("campaign", iip_name)`` spec payload: a
-        self-contained campaign run with its own cell, observability
-        context, and chaos flow scope.
+    def run_campaign_payload(self, iip_name: str
+                             ) -> Tuple[Tuple, Observability]:
+        """Run one IIP's campaign: a self-contained run with its own
+        cell, observability context, and chaos flow scope.
 
-        This is both the scheduler's local runner (serial/thread
-        backends) and what a process-backend worker host calls against
-        its replica experiment — one code path for every backend.
         Returns ``((record, timestamps, events, campaign_ops),
-        task_obs)``; the caller merges the task obs post-barrier."""
-        _kind, iip_name = payload
+        task_obs)``; the caller merges the task obs."""
         cell = self._cells[iip_name]
         task_obs = Observability(clock=self.world.clock.now)
         with flow_scope(f"honey:{iip_name}"):
@@ -528,7 +459,7 @@ class HoneyAppExperiment:
                                            InstallSource.INCENTIVIZED,
                                            campaign_id=campaign.campaign_id)
                 timestamps.append((day, hour))
-                if self._wants_events:
+                if self.detection is not None:
                     events.append(honey_install_event(
                         worker.device, HONEY_PACKAGE, day, hour,
                         result.opened, result.engaged_beyond_task,

@@ -71,14 +71,11 @@ class WildMeasurementConfig:
     countries_per_milk_day: int = 2
     baseline_window: Tuple[int, int] = (
         0, paperdata.AVERAGE_CAMPAIGN_DURATION_DAYS)
-    #: Shard count for the milk/crawl schedulers; 1 = serial in-thread.
-    #: Any value produces byte-identical exports at the same seed.
+    #: Milk/crawl execution: 1 runs every task inline (serial); N > 1
+    #: runs them on ``min(N, cores)`` spawn workers that rebuild the
+    #: world from the seed (see repro.core.wild_worker).  Any value
+    #: produces byte-identical exports at the same seed.
     shards: int = 1
-    #: Scheduler backend: ``thread`` (default), ``serial``, or
-    #: ``process`` (each occupied shard runs in a spawn worker that
-    #: rebuilds the world from the seed — see repro.core.wild_worker).
-    #: Every backend produces byte-identical exports at the same seed.
-    backend: str = "thread"
     #: Crawl every charted app's profile too (the paper archived the
     #: top-chart apps alongside the tracked set); the request cache
     #: absorbs the overlap with the tracked packages.
@@ -197,9 +194,9 @@ class WildMeasurement:
     """Owns the measurement infrastructure and runs the day loop.
 
     The milk and crawl phases run on a :class:`ShardScheduler`.  Milking
-    shards by VPN country: each country gets its own *cell* (mitm proxy,
-    milker RNG stream, circuit breaker), all of a country's runs
-    serialise inside one shard bucket, and the shared phone trusts every
+    is keyed by VPN country: each country gets its own *cell* (mitm
+    proxy, milker RNG stream, circuit breaker), all of a country's runs
+    execute in order on one worker, and the shared phone trusts every
     cell's CA.  Results and per-task observability contexts are merged
     back in canonical ``(app, country)`` order, so exports stay
     byte-identical across shard counts — see DESIGN.md.
@@ -212,14 +209,13 @@ class WildMeasurement:
         self.scenario = scenario
         self.config = config or WildMeasurementConfig()
         worker_host = None
-        if self.config.backend == "process":
+        if self.config.shards > 1:
             # Imported lazily: wild_worker imports this module back for
-            # the replica bootstrap, and non-process runs never need it.
+            # the replica bootstrap, and inline runs never need it.
             from repro.core.wild_worker import wild_worker_spec
             worker_host = wild_worker_spec(world, scenario.config,
                                            self.config)
         self._scheduler = ShardScheduler(self.config.shards,
-                                         backend=self.config.backend,
                                          worker_host=worker_host)
         #: Live detection hook; when set, each milk day's merged offer
         #: stream is bridged into install events.  The bridge derives
@@ -237,11 +233,11 @@ class WildMeasurement:
         # and crawler retried flaky fetches rather than losing the day.
         self.retry_policy = RetryPolicy()
         # One milk cell per country: the mitm proxy and breaker are
-        # per-country mutable state, so two countries can milk
-        # concurrently without sharing anything but the fabric.  Each
-        # breaker runs on its own internal call counter — a country's
-        # runs always execute in the same order inside their bucket, so
-        # recovery windows are shard-count-invariant.
+        # per-country mutable state, so two countries can milk on
+        # different workers without sharing anything but the fabric.
+        # Each breaker runs on its own internal call counter — a
+        # country's runs always execute in the same order on one
+        # worker, so recovery windows are shard-count-invariant.
         phone_trust = world.device_trust_store()
         self.cells: Dict[str, Milker] = {}
         mitms = {}
@@ -328,7 +324,7 @@ class WildMeasurement:
                 day, state = loaded
                 start_day = day + 1
                 workers_state = state.get("workers")
-                if config.backend == "process":
+                if self._scheduler.uses_processes:
                     # Arm the replica warm-up before the pool exists:
                     # workers restore their pinned cells' mid-run state
                     # at bootstrap (see WildWorkerHost.adopt_checkpoint)
@@ -337,9 +333,9 @@ class WildMeasurement:
                     # would route cells to different replicas.
                     if workers_state is None:
                         raise ValueError(
-                            "checkpoint was written by an in-process "
-                            "backend; resume with --backend serial or "
-                            "thread (or re-run from scratch)")
+                            "checkpoint was written by a --shards 1 "
+                            "run; resume with --shards 1 (or re-run "
+                            "from scratch)")
                     self._scheduler.adopt_workers(
                         int(workers_state["count"]),
                         {str(key): int(index) for key, index
@@ -347,8 +343,8 @@ class WildMeasurement:
                         checkpoint_dir=str(recovery.store.root))
                 elif workers_state is not None:
                     raise ValueError(
-                        "checkpoint was written by a --backend process "
-                        "run; resume with --backend process")
+                        "checkpoint was written by a --shards N > 1 "
+                        "run; resume with --shards N > 1")
                 for replay_day in range(start_day):
                     self.scenario.run_day(replay_day)
                     self.world.clock.advance()
@@ -375,7 +371,7 @@ class WildMeasurement:
                 with tracer.span("wild.scenario", day=day):
                     self.scenario.run_day(day)
                 # Keep process workers' replica worlds in day lockstep
-                # (no-op on in-process backends).
+                # (no-op inline).
                 self._scheduler.broadcast(("day", day))
                 if day % config.milk_cadence_days == 0:
                     if recovery is not None:
@@ -413,7 +409,7 @@ class WildMeasurement:
         so its op counter covers every state-gathering read above it
         (the reads cost no ops; the invariant is about ordering).
 
-        Under the process backend the checkpoint additionally carries a
+        With worker processes the checkpoint additionally carries a
         ``workers`` section — the scheduler's worker count and pinning
         map plus each worker replica's wire-facing state — so a resumed
         pool warms its replicas instead of starting them pristine."""
@@ -440,7 +436,7 @@ class WildMeasurement:
                 "bridge": self._detection_bridge.state_dict(),
             }),
         }
-        if self.config.backend == "process":
+        if self._scheduler.uses_processes:
             state["workers"] = {
                 "count": self._scheduler.workers,
                 "pins": dict(self._scheduler.pins),
@@ -485,9 +481,9 @@ class WildMeasurement:
         chaos flow scope; the cell's mitm/breaker/RNG are touched by no
         other country.
 
-        This is both the scheduler's local runner (serial/thread
-        backends) and what a process-backend worker host calls against
-        its replica measurement — one code path for every backend.
+        This is both the scheduler's inline runner and what a worker
+        process calls against its replica measurement — one code path
+        for every shard count.
         """
         _kind, day, country, package = payload
         cell = self.cells[country]
@@ -498,7 +494,7 @@ class WildMeasurement:
         return run, task_obs
 
     def _milk(self, day: int) -> None:
-        """Milk every (app, country) pair for the day, sharded by
+        """Milk every (app, country) pair for the day, keyed by
         country, then merge results in canonical (app, country) order so
         the dataset and the obs export never depend on shard timing."""
         pairs = [(country, spec)
@@ -506,12 +502,11 @@ class WildMeasurement:
                  for spec in AFFILIATE_SPECS.values()]
         specs = [(country, ("milk", day, country, spec.package))
                  for country, spec in pairs]
-        results = self._scheduler.run_specs(specs, self.run_milk_payload,
-                                            salt=f"milk:{day}")
+        results = self._scheduler.run_specs(specs, self.run_milk_payload)
         merged = sorted(
             zip(pairs, results),
             key=lambda item: (item[0][1].package, item[0][0]))
-        # Process-backend envelopes ship world-side recording deltas;
+        # Worker-process envelopes ship world-side recording deltas;
         # apply them all before any task-obs merge, mirroring the serial
         # order (world ticks land during the task, before the barrier).
         apply_world_deltas(self.world.obs, [item for _, item in merged])

@@ -1,6 +1,6 @@
 """The wild pipeline's process-backend worker host.
 
-A ``--backend process`` run splits the Section-4 pipeline across
+A ``--shards N`` (N > 1) run splits the Section-4 pipeline across
 worker processes without sharing any memory: each worker rebuilds the
 **whole deterministic world** from ``(seed, vpn_countries, chaos)``,
 replays the scenario days in lockstep with the parent (the scenario is
@@ -22,8 +22,8 @@ Why split-brain replicas preserve export byte-identity:
   fixed-width TLS ``server_random`` values, which never influence
   payload semantics or any exported counter.
 
-Task execution goes through the exact same entry points the serial and
-thread backends use — ``WildMeasurement.run_milk_payload`` and
+Task execution goes through the exact same entry points the inline
+path uses — ``WildMeasurement.run_milk_payload`` and
 ``PlayStoreCrawler.run_fetch_payload`` — bracketed with
 ``Observability.begin_delta``/``collect_delta`` to capture the world
 replica's recordings.  What ships back per task is an *envelope* (see
@@ -44,12 +44,11 @@ def wild_worker_spec(world, scenario_config,
                      measurement_config) -> WorkerHostSpec:
     """The picklable bootstrap recipe for one wild shard worker."""
     import dataclasses
-    # Replicas never accumulate observations or archive profiles (those
-    # side effects are parent-side), so streaming/spill settings are
-    # stripped along with the backend.
+    # Replicas run their tasks inline and never accumulate observations
+    # or archive profiles (those side effects are parent-side), so the
+    # shard count and streaming/spill settings are stripped.
     replica_config = dataclasses.replace(
-        measurement_config, backend="serial", shards=1,
-        batch_devices=0, spill_dir=None)
+        measurement_config, shards=1, batch_devices=0, spill_dir=None)
     return WorkerHostSpec(
         factory="repro.core.wild_worker:build_wild_worker",
         config={
@@ -158,8 +157,8 @@ class WildWorkerHost:
         workers_state = state.get("workers")
         if workers_state is None:
             raise ValueError(
-                "checkpoint carries no worker states (written by an "
-                "in-process backend?); cannot warm a process replica")
+                "checkpoint carries no worker states (written by a "
+                "--shards 1 run?); cannot warm a process replica")
         states = workers_state["states"]
         if worker_index >= len(states):
             raise ValueError(
@@ -196,7 +195,7 @@ class WildWorkerHost:
         raise ValueError(f"unknown task {kind!r}")
 
     def _envelope(self, runner: Callable, payload: Tuple) -> Dict[str, object]:
-        """Run one payload through the shared (backend-agnostic) runner,
+        """Run one payload through the shared (inline-path) runner,
         capturing the replica world's recordings as a shippable delta."""
         token = self.world.obs.begin_delta()
         try:

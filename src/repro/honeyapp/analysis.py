@@ -123,9 +123,8 @@ class HoneyExperimentAnalysis:
         """Attribute each telemetry device to the window of its first event.
 
         Events are walked in canonical ``(day, hour, device, event)``
-        order, not server arrival order: concurrent campaign shards
-        interleave uploads nondeterministically, and the analysis must
-        not depend on which shard's packet landed first.
+        order, not server arrival order, so the analysis never depends
+        on the order in which uploads happened to land.
         """
         first_event: Dict[str, StoredEvent] = {}
         ordered = sorted(

@@ -91,33 +91,6 @@ class TelemetryServer:
             )
             for item in state["events"]]  # type: ignore[union-attr]
 
-    # -- domain deltas (process-backend replicas) -----------------------------
-
-    def delta_cursor(self) -> int:
-        return len(self.events)
-
-    def collect_delta(self, cursor: int) -> List[Dict[str, object]]:
-        return [
-            {"payload": stored.payload.to_json(),
-             "source_asn": stored.source_asn,
-             "source_asn_kind": stored.source_asn_kind,
-             "source_country": stored.source_country}
-            for stored in self.events[cursor:]]
-
-    def apply_delta(self, delta: List[Dict[str, object]]) -> None:
-        """Adopt events a replica collector ingested; the HTTP-side
-        metrics already travelled in the observability delta."""
-        for item in delta:
-            self.events.append(StoredEvent(
-                payload=TelemetryPayload.from_json(item["payload"]),
-                source_asn=(None if item["source_asn"] is None
-                            else int(item["source_asn"])),
-                source_asn_kind=(None if item["source_asn_kind"] is None
-                                 else str(item["source_asn_kind"])),
-                source_country=(None if item["source_country"] is None
-                                else str(item["source_country"])),
-            ))
-
     # -- convenience queries -------------------------------------------------
 
     def events_of(self, event: str) -> List[StoredEvent]:

@@ -9,7 +9,6 @@ exactly that waterfall and the tests assert conservation.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -60,23 +59,13 @@ class Disbursement:
 
 
 class MoneyLedger:
-    """All wallets plus an append-only transfer log.
-
-    Transfers are serialised under a lock: campaign cells running on
-    different shards share the developer and mediator wallets, and
-    balances are float read-modify-writes.
-    """
+    """All wallets plus an append-only transfer log."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._wallets: Dict[str, Wallet] = {}
         self.entries: List[LedgerEntry] = []
 
     def wallet(self, owner: str) -> Wallet:
-        with self._lock:
-            return self._wallet_locked(owner)
-
-    def _wallet_locked(self, owner: str) -> Wallet:
         found = self._wallets.get(owner)
         if found is None:
             found = Wallet(owner=owner)
@@ -85,72 +74,44 @@ class MoneyLedger:
 
     def mint(self, owner: str, amount: float, day: int, memo: str = "external deposit") -> None:
         """Money entering the system from outside (developer's bank)."""
-        with self._lock:
-            self._wallet_locked(owner).deposit(amount)
-            self.entries.append(LedgerEntry(day=day, source="<external>",
-                                            destination=owner,
-                                            amount_usd=amount, memo=memo))
+        self.wallet(owner).deposit(amount)
+        self.entries.append(LedgerEntry(day=day, source="<external>",
+                                        destination=owner,
+                                        amount_usd=amount, memo=memo))
 
     def transfer(self, source: str, destination: str, amount: float,
                  day: int, memo: str) -> None:
         if amount < 0:
             raise ValueError("negative transfer")
-        with self._lock:
-            self._wallet_locked(source).withdraw(amount)
-            self._wallet_locked(destination).deposit(amount)
-            self.entries.append(LedgerEntry(day=day, source=source,
-                                            destination=destination,
-                                            amount_usd=amount, memo=memo))
+        self.wallet(source).withdraw(amount)
+        self.wallet(destination).deposit(amount)
+        self.entries.append(LedgerEntry(day=day, source=source,
+                                        destination=destination,
+                                        amount_usd=amount, memo=memo))
 
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "wallets": {owner: wallet.balance_usd
-                            for owner, wallet in sorted(self._wallets.items())},
-                "entries": [
-                    [entry.day, entry.source, entry.destination,
-                     entry.amount_usd, entry.memo]
-                    for entry in self.entries],
-            }
+        return {
+            "wallets": {owner: wallet.balance_usd
+                        for owner, wallet in sorted(self._wallets.items())},
+            "entries": [
+                [entry.day, entry.source, entry.destination,
+                 entry.amount_usd, entry.memo]
+                for entry in self.entries],
+        }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        with self._lock:
-            self._wallets = {
-                str(owner): Wallet(owner=str(owner),
-                                   balance_usd=float(balance))
-                for owner, balance in state["wallets"].items()}  # type: ignore[union-attr]
-            self.entries = [
-                LedgerEntry(day=int(day), source=str(source),
-                            destination=str(destination),
-                            amount_usd=float(amount), memo=str(memo))
-                for day, source, destination, amount, memo in (
-                    state["entries"])]  # type: ignore[union-attr]
-
-    # -- domain deltas (process-backend replicas) -----------------------------
-
-    def delta_cursor(self) -> int:
-        with self._lock:
-            return len(self.entries)
-
-    def collect_delta(self, cursor: int) -> List[List[object]]:
-        with self._lock:
-            return [[entry.day, entry.source, entry.destination,
-                     entry.amount_usd, entry.memo]
-                    for entry in self.entries[cursor:]]
-
-    def apply_delta(self, delta: List[List[object]]) -> None:
-        """Replay a replica's transfers in order.  Every balance change
-        goes through mint/transfer, so replaying the entry log rebuilds
-        the wallets exactly."""
-        for day, source, destination, amount, memo in delta:
-            if source == "<external>":
-                self.mint(str(destination), float(amount), day=int(day),
-                          memo=str(memo))
-            else:
-                self.transfer(str(source), str(destination), float(amount),
-                              int(day), str(memo))
+        self._wallets = {
+            str(owner): Wallet(owner=str(owner),
+                               balance_usd=float(balance))
+            for owner, balance in state["wallets"].items()}  # type: ignore[union-attr]
+        self.entries = [
+            LedgerEntry(day=int(day), source=str(source),
+                        destination=str(destination),
+                        amount_usd=float(amount), memo=str(memo))
+            for day, source, destination, amount, memo in (
+                state["entries"])]  # type: ignore[union-attr]
 
     def total_received(self, owner: str) -> float:
         return sum(entry.amount_usd for entry in self.entries

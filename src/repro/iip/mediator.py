@@ -9,7 +9,6 @@ the default fee here.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -33,67 +32,40 @@ class AttributionMediator:
                  fee_per_user_usd: float = DEFAULT_FEE_PER_USER_USD) -> None:
         self.name = name
         self.fee_per_user_usd = fee_per_user_usd
-        self._lock = threading.Lock()
         self._conversions: List[Conversion] = []
         self._seen: Set[Tuple[str, str]] = set()  # (offer, device) dedup
 
     def report_completion(self, offer_id: str, device_id: str, day: int,
                           tasks_completed: Tuple[str, ...]) -> Optional[Conversion]:
         """SDK postback.  Duplicate (offer, device) pairs are rejected --
-        attribution services dedup so one device cannot be paid twice.
-        The check-then-add runs under a lock: postbacks arrive from
-        concurrent campaign shards."""
+        attribution services dedup so one device cannot be paid twice."""
         key = (offer_id, device_id)
-        with self._lock:
-            if key in self._seen:
-                return None
-            self._seen.add(key)
-            conversion = Conversion(offer_id=offer_id, device_id=device_id,
-                                    day=day, tasks_completed=tasks_completed)
-            self._conversions.append(conversion)
+        if key in self._seen:
+            return None
+        self._seen.add(key)
+        conversion = Conversion(offer_id=offer_id, device_id=device_id,
+                                day=day, tasks_completed=tasks_completed)
+        self._conversions.append(conversion)
         return conversion
 
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "conversions": [
-                    [c.offer_id, c.device_id, c.day, list(c.tasks_completed)]
-                    for c in self._conversions],
-            }
+        return {
+            "conversions": [
+                [c.offer_id, c.device_id, c.day, list(c.tasks_completed)]
+                for c in self._conversions],
+        }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        with self._lock:
-            self._conversions = [
-                Conversion(offer_id=str(offer_id), device_id=str(device_id),
-                           day=int(day),
-                           tasks_completed=tuple(str(t) for t in tasks))
-                for offer_id, device_id, day, tasks in (
-                    state["conversions"])]  # type: ignore[union-attr]
-            self._seen = {(c.offer_id, c.device_id)
-                          for c in self._conversions}
-
-    # -- domain deltas (process-backend replicas) -----------------------------
-
-    def delta_cursor(self) -> int:
-        with self._lock:
-            return len(self._conversions)
-
-    def collect_delta(self, cursor: int) -> List[List[object]]:
-        with self._lock:
-            return [[c.offer_id, c.device_id, c.day, list(c.tasks_completed)]
-                    for c in self._conversions[cursor:]]
-
-    def apply_delta(self, delta: List[List[object]]) -> None:
-        with self._lock:
-            for offer_id, device_id, day, tasks in delta:
-                conversion = Conversion(
-                    offer_id=str(offer_id), device_id=str(device_id),
-                    day=int(day),
-                    tasks_completed=tuple(str(t) for t in tasks))
-                self._conversions.append(conversion)
-                self._seen.add((conversion.offer_id, conversion.device_id))
+        self._conversions = [
+            Conversion(offer_id=str(offer_id), device_id=str(device_id),
+                       day=int(day),
+                       tasks_completed=tuple(str(t) for t in tasks))
+            for offer_id, device_id, day, tasks in (
+                state["conversions"])]  # type: ignore[union-attr]
+        self._seen = {(c.offer_id, c.device_id)
+                      for c in self._conversions}
 
     def certify(self, offer_id: str, device_id: str) -> bool:
         return (offer_id, device_id) in self._seen

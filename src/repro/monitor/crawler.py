@@ -445,8 +445,8 @@ class PlayStoreCrawler:
     :class:`~repro.parallel.ShardScheduler`, each profile fetch runs as
     a self-contained task (own derived RNG, own task-local client and
     observability context, own chaos flow scope) and all side effects —
-    archive writes, retry queue, counters, obs merge — are applied on
-    the calling thread in queue order, keeping exports byte-identical
+    archive writes, retry queue, counters, obs merge — are applied by
+    the caller in queue order, keeping exports byte-identical
     across shard counts.
     """
 
@@ -600,7 +600,7 @@ class PlayStoreCrawler:
 
     def _apply_profile_outcome(self, package: str, outcome: FetchOutcome,
                                is_retry: bool) -> Optional[ProfileSnapshot]:
-        """Apply one fetch's side effects (always on the calling thread)."""
+        """Apply one fetch's side effects (always in the caller)."""
         snapshot, failure, retryable = outcome
         if snapshot is None:
             self.failures += 1
@@ -637,7 +637,7 @@ class PlayStoreCrawler:
         never-repeating flow) resume instead of re-handshaking.
 
         The prime always runs in the calling (parent) interpreter, so
-        its one handshake is counted identically under every backend;
+        its one handshake is counted identically at every shard count;
         process workers receive the resulting ticket by broadcast and
         seed it into their replica store-front session table.  Priming
         is opportunistic — on failure the day simply runs on full
@@ -663,10 +663,9 @@ class PlayStoreCrawler:
         self-contained profile fetch with its own derived RNG, task-local
         client/observability, and chaos flow scope.
 
-        This is both the scheduler's local runner (serial/thread
-        backends) and what a process-backend worker host calls against
-        its replica crawler — one code path, so the backends cannot
-        drift apart behaviourally.
+        This is both the scheduler's inline runner and what a worker
+        process calls against its replica crawler — one code path, so
+        the two cannot drift apart behaviourally.
         """
         _kind, day, package = payload
         rng = derive_rng(self._task_seed, "crawl", package, day)
@@ -764,9 +763,8 @@ class PlayStoreCrawler:
             return best_day
         specs = [(package, ("crawl", day, package))
                  for package, _ in to_fetch]
-        results = scheduler.run_specs(specs, self.run_fetch_payload,
-                                      salt=f"crawl:{day}")
-        # Process-backend envelopes carry world-side recording deltas;
+        results = scheduler.run_specs(specs, self.run_fetch_payload)
+        # Worker-process envelopes carry world-side recording deltas;
         # apply them all before any task-obs merge, mirroring the serial
         # order (world ticks land during the task, pre-merge barrier).
         apply_world_deltas(self.obs, results)

@@ -27,7 +27,6 @@ Design:
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -157,7 +156,7 @@ class FaultPlan:
     (:func:`repro.parallel.flow.current_flow`).  Sharded pipelines run
     each task inside its own flow scope, so a fault decision is a pure
     function of ``(seed, class, flow, host, day, within-flow seq)`` —
-    never of the order in which concurrent shards reached the fabric.
+    never of the order in which tasks reached the fabric.
     Outside any flow scope the flow is empty and is omitted from the
     hash, reproducing the pre-flow schedule bit for bit.
     """
@@ -168,7 +167,6 @@ class FaultPlan:
         self._clock = clock or (lambda: 0)
         self._static: Dict[Tuple[str, int], FaultFactory] = {}
         self._vpn_exits: List[str] = []
-        self._lock = threading.Lock()
         self._connect_seq: Dict[Tuple[str, str, int], int] = {}
         self._http_seq: Dict[Tuple[str, str], int] = {}
         self._frame_seq: Dict[Tuple[str, str], int] = {}
@@ -229,8 +227,7 @@ class FaultPlan:
         return self._roll(self.scenario.seed, *parts) < rate
 
     def _count(self, kind: str) -> None:
-        with self._lock:
-            self.decisions[kind] = self.decisions.get(kind, 0) + 1
+        self.decisions[kind] = self.decisions.get(kind, 0) + 1
 
     def _flow_parts(self, flow: str) -> Tuple[str, ...]:
         """Hash material for the flow (empty flow stays absent, keeping
@@ -238,9 +235,8 @@ class FaultPlan:
         return (flow,) if flow else ()
 
     def _next_seq(self, table: Dict, key) -> int:
-        with self._lock:
-            seq = table.get(key, 0)
-            table[key] = seq + 1
+        seq = table.get(key, 0)
+        table[key] = seq + 1
         return seq
 
     # -- decisions ------------------------------------------------------------
@@ -331,32 +327,30 @@ class FaultPlan:
 
     def state_dict(self) -> Dict[str, object]:
         from repro.recovery.state import join_key
-        with self._lock:
-            return {
-                "connect_seq": {join_key(*key): seq
-                                for key, seq in self._connect_seq.items()},
-                "http_seq": {join_key(*key): seq
-                             for key, seq in self._http_seq.items()},
-                "frame_seq": {join_key(*key): seq
-                              for key, seq in self._frame_seq.items()},
-                "decisions": dict(self.decisions),
-            }
+        return {
+            "connect_seq": {join_key(*key): seq
+                            for key, seq in self._connect_seq.items()},
+            "http_seq": {join_key(*key): seq
+                         for key, seq in self._http_seq.items()},
+            "frame_seq": {join_key(*key): seq
+                          for key, seq in self._frame_seq.items()},
+            "decisions": dict(self.decisions),
+        }
 
     def load_state(self, state: Dict[str, object]) -> None:
         from repro.recovery.state import split_key
-        with self._lock:
-            self._connect_seq = {}
-            for key, seq in state["connect_seq"].items():  # type: ignore[union-attr]
-                flow, hostname, port = split_key(key)
-                self._connect_seq[(flow, hostname, int(port))] = int(seq)
-            self._http_seq = {
-                tuple(split_key(key)): int(seq)  # type: ignore[misc]
-                for key, seq in state["http_seq"].items()}  # type: ignore[union-attr]
-            self._frame_seq = {
-                tuple(split_key(key)): int(seq)  # type: ignore[misc]
-                for key, seq in state["frame_seq"].items()}  # type: ignore[union-attr]
-            self.decisions = {str(k): int(v)
-                              for k, v in state["decisions"].items()}  # type: ignore[union-attr]
+        self._connect_seq = {}
+        for key, seq in state["connect_seq"].items():  # type: ignore[union-attr]
+            flow, hostname, port = split_key(key)
+            self._connect_seq[(flow, hostname, int(port))] = int(seq)
+        self._http_seq = {
+            tuple(split_key(key)): int(seq)  # type: ignore[misc]
+            for key, seq in state["http_seq"].items()}  # type: ignore[union-attr]
+        self._frame_seq = {
+            tuple(split_key(key)): int(seq)  # type: ignore[misc]
+            for key, seq in state["frame_seq"].items()}  # type: ignore[union-attr]
+        self.decisions = {str(k): int(v)
+                          for k, v in state["decisions"].items()}  # type: ignore[union-attr]
 
 
 __all__ = [

@@ -15,7 +15,6 @@ off, so un-wired call sites behave exactly as before.
 from __future__ import annotations
 
 import random
-import threading
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.net.errors import (
@@ -199,7 +198,6 @@ class TlsSessionCache:
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._entries: Dict[Tuple[str, str], _SessionEntry] = {}
 
     def checkout(self, host: str, day: int,
@@ -210,56 +208,49 @@ class TlsSessionCache:
         returns ``None`` so the caller re-handshakes.
         """
         key = (host, flow)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            if entry.day != day:
-                del self._entries[key]
-                return None
-            entry.uses += 1
-            return (entry.ticket, entry.enc_key, entry.mac_key, entry.uses)
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        if entry.day != day:
+            del self._entries[key]
+            return None
+        entry.uses += 1
+        return (entry.ticket, entry.enc_key, entry.mac_key, entry.uses)
 
     def store(self, host: str, day: int, flow: str, ticket: bytes,
               enc_key: bytes, mac_key: bytes) -> None:
-        with self._lock:
-            self._entries[(host, flow)] = _SessionEntry(
-                day, ticket, enc_key, mac_key)
+        self._entries[(host, flow)] = _SessionEntry(
+            day, ticket, enc_key, mac_key)
 
     def invalidate(self, host: str, flow: str) -> None:
-        with self._lock:
-            self._entries.pop((host, flow), None)
+        self._entries.pop((host, flow), None)
 
     def invalidate_host(self, host: str) -> None:
-        with self._lock:
-            for key in [k for k in self._entries if k[0] == host]:
-                del self._entries[key]
+        for key in [k for k in self._entries if k[0] == host]:
+            del self._entries[key]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "entries": [
-                    [host, flow, entry.day, entry.ticket.hex(),
-                     entry.enc_key.hex(), entry.mac_key.hex(), entry.uses]
-                    for (host, flow), entry in sorted(self._entries.items())],
-            }
+        return {
+            "entries": [
+                [host, flow, entry.day, entry.ticket.hex(),
+                 entry.enc_key.hex(), entry.mac_key.hex(), entry.uses]
+                for (host, flow), entry in sorted(self._entries.items())],
+        }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        with self._lock:
-            self._entries = {}
-            for host, flow, day, ticket, enc_key, mac_key, uses in (
-                    state["entries"]):  # type: ignore[union-attr]
-                entry = _SessionEntry(int(day), bytes.fromhex(ticket),
-                                      bytes.fromhex(enc_key),
-                                      bytes.fromhex(mac_key))
-                entry.uses = int(uses)
-                self._entries[(str(host), str(flow))] = entry
+        self._entries = {}
+        for host, flow, day, ticket, enc_key, mac_key, uses in (
+                state["entries"]):  # type: ignore[union-attr]
+            entry = _SessionEntry(int(day), bytes.fromhex(ticket),
+                                  bytes.fromhex(enc_key),
+                                  bytes.fromhex(mac_key))
+            entry.uses = int(uses)
+            self._entries[(str(host), str(flow))] = entry
 
 
 class HttpClient:

@@ -14,7 +14,6 @@ to verify that offer-wall traffic really is encrypted on the wire), and
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -140,9 +139,6 @@ class NetworkFabric:
         self.obs = obs or NULL_OBS
         self._dns: Dict[str, IPv4Address] = {}
         self._listeners: Dict[Tuple[str, int], _Listener] = {}
-        #: Guards listener accept counters; shard workers connect
-        #: concurrently and an unlocked ``+= 1`` can lose counts.
-        self._accept_lock = threading.Lock()
         self._taps: List[TapCallback] = []
         #: The chaos fault plan.  Always present (inert by default);
         #: ``inject_fault`` and the chaos CLI both schedule through it.
@@ -208,8 +204,7 @@ class NetworkFabric:
             server_host=hostname,
             server_port=port,
         )
-        with self._accept_lock:
-            listener.connections_accepted += 1
+        listener.connections_accepted += 1
         self.obs.metrics.inc("net.fabric.connections", host=hostname)
         handler = listener.factory(info)
         return Connection(self, handler, info)

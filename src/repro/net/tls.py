@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import random
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -325,42 +324,35 @@ def _resumption_keys(enc_key: bytes, mac_key: bytes,
 class ServerSessionStore:
     """Server-side ticket table: ticket -> base record keys.
 
-    One store per listening server; shared across connections (and
-    threads, in sharded runs), hence the lock.
+    One store per listening server, shared across its connections.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._tickets: Dict[bytes, Tuple[bytes, bytes]] = {}
 
     def put(self, ticket: bytes, enc_key: bytes, mac_key: bytes) -> None:
-        with self._lock:
-            self._tickets[ticket] = (enc_key, mac_key)
+        self._tickets[ticket] = (enc_key, mac_key)
 
     def get(self, ticket: bytes) -> Optional[Tuple[bytes, bytes]]:
-        with self._lock:
-            return self._tickets.get(ticket)
+        return self._tickets.get(ticket)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._tickets)
+        return len(self._tickets)
 
     def state_dict(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "tickets": [
-                    [ticket.hex(), enc_key.hex(), mac_key.hex()]
-                    for ticket, (enc_key, mac_key) in sorted(
-                        self._tickets.items())],
-            }
+        return {
+            "tickets": [
+                [ticket.hex(), enc_key.hex(), mac_key.hex()]
+                for ticket, (enc_key, mac_key) in sorted(
+                    self._tickets.items())],
+        }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        with self._lock:
-            self._tickets = {
-                bytes.fromhex(ticket): (bytes.fromhex(enc_key),
-                                        bytes.fromhex(mac_key))
-                for ticket, enc_key, mac_key in (
-                    state["tickets"])}  # type: ignore[union-attr]
+        self._tickets = {
+            bytes.fromhex(ticket): (bytes.fromhex(enc_key),
+                                    bytes.fromhex(mac_key))
+            for ticket, enc_key, mac_key in (
+                state["tickets"])}  # type: ignore[union-attr]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ nothing and never fail.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -49,38 +48,29 @@ class OpCounter:
     recorded metric and every span boundary ticks it, so a span's
     ``(end_op - start_op)`` is the number of instrumented operations
     that happened inside it — a deterministic stand-in for duration.
-
-    Ticks are guarded by a lock: during a sharded phase the fabric and
-    the servers still record into the world's shared context from
-    worker threads, and a lost update would make the op total depend on
-    thread interleaving.
     """
 
     def __init__(self) -> None:
         self._value = 0
-        self._lock = threading.Lock()
 
     @property
     def value(self) -> int:
         return self._value
 
     def tick(self) -> int:
-        with self._lock:
-            self._value += 1
-            return self._value
+        self._value += 1
+        return self._value
 
     def advance(self, amount: int) -> int:
         """Absorb ``amount`` ticks recorded by a merged context."""
         if amount < 0:
             raise ValueError("cannot advance the op counter backwards")
-        with self._lock:
-            self._value += amount
-            return self._value
+        self._value += amount
+        return self._value
 
     def reset(self, value: int) -> None:
         """Set the counter outright (checkpoint restore only)."""
-        with self._lock:
-            self._value = value
+        self._value = value
 
 
 def render_key(name: str, labels: LabelItems) -> str:
@@ -220,10 +210,6 @@ class MetricsRegistry:
 
     def __init__(self, counter: Optional[OpCounter] = None) -> None:
         self._counter = counter
-        #: Guards read-modify-write updates: shard workers record into
-        #: the shared world registry (fabric/server/proxy counters), and
-        #: an unlocked ``dict.get``+store pair can lose increments.
-        self._lock = threading.Lock()
         self._counters: Dict[str, Dict[LabelItems, Number]] = {}
         self._gauges: Dict[str, Dict[LabelItems, Number]] = {}
         self._histograms: Dict[str, Dict[LabelItems, HistogramState]] = {}
@@ -242,9 +228,8 @@ class MetricsRegistry:
     def inc(self, name: str, value: Number = 1, **labels: object) -> None:
         self._tick()
         key = label_key(labels)
-        with self._lock:
-            series = self._counters.setdefault(name, {})
-            series[key] = series.get(key, 0) + value
+        series = self._counters.setdefault(name, {})
+        series[key] = series.get(key, 0) + value
 
     def inc_keyed(self, name: str, key: LabelItems, value: Number = 1) -> None:
         """`inc` with a pre-computed :func:`label_key` tuple.
@@ -254,32 +239,28 @@ class MetricsRegistry:
         kwargs dict and sorting it on every call.
         """
         self._tick()
-        with self._lock:
-            series = self._counters.setdefault(name, {})
-            series[key] = series.get(key, 0) + value
+        series = self._counters.setdefault(name, {})
+        series[key] = series.get(key, 0) + value
 
     def set_gauge(self, name: str, value: Number, **labels: object) -> None:
         self._tick()
-        with self._lock:
-            self._gauges.setdefault(name, {})[label_key(labels)] = value
+        self._gauges.setdefault(name, {})[label_key(labels)] = value
 
     def declare_histogram(self, name: str, bounds: Tuple[float, ...]) -> None:
         """Set custom bucket bounds for ``name`` (before first observe)."""
-        with self._lock:
-            if name in self._histograms:
-                raise ValueError(f"histogram {name!r} already has observations")
-            self._histogram_bounds[name] = tuple(bounds)
+        if name in self._histograms:
+            raise ValueError(f"histogram {name!r} already has observations")
+        self._histogram_bounds[name] = tuple(bounds)
 
     def observe(self, name: str, value: Number, **labels: object) -> None:
         self._tick()
         key = label_key(labels)
-        with self._lock:
-            series = self._histograms.setdefault(name, {})
-            state = series.get(key)
-            if state is None:
-                bounds = self._histogram_bounds.get(name, DEFAULT_BUCKETS)
-                state = series[key] = HistogramState(bounds=bounds)
-            state.observe(value)
+        series = self._histograms.setdefault(name, {})
+        state = series.get(key)
+        if state is None:
+            bounds = self._histogram_bounds.get(name, DEFAULT_BUCKETS)
+            state = series[key] = HistogramState(bounds=bounds)
+        state.observe(value)
 
     # -- merging -------------------------------------------------------------
 
@@ -295,22 +276,21 @@ class MetricsRegistry:
         """
         if not other.enabled:
             return
-        with self._lock:
-            for name, series in other._counters.items():
-                mine = self._counters.setdefault(name, {})
-                for key, value in series.items():
-                    mine[key] = mine.get(key, 0) + value
-            for name, series in other._gauges.items():
-                self._gauges.setdefault(name, {}).update(series)
-            for name, bounds in other._histogram_bounds.items():
-                self._histogram_bounds.setdefault(name, bounds)
-            for name, series in other._histograms.items():
-                mine_hist = self._histograms.setdefault(name, {})
-                for key, state in series.items():
-                    if key in mine_hist:
-                        mine_hist[key].merge(state)
-                    else:
-                        mine_hist[key] = state.copy()
+        for name, series in other._counters.items():
+            mine = self._counters.setdefault(name, {})
+            for key, value in series.items():
+                mine[key] = mine.get(key, 0) + value
+        for name, series in other._gauges.items():
+            self._gauges.setdefault(name, {}).update(series)
+        for name, bounds in other._histogram_bounds.items():
+            self._histogram_bounds.setdefault(name, bounds)
+        for name, series in other._histograms.items():
+            mine_hist = self._histograms.setdefault(name, {})
+            for key, state in series.items():
+                if key in mine_hist:
+                    mine_hist[key].merge(state)
+                else:
+                    mine_hist[key] = state.copy()
 
     # -- queries -------------------------------------------------------------
 
@@ -374,24 +354,23 @@ class MetricsRegistry:
     # dict keeps labels structured as ``[[k, v], ...]`` lists.
 
     def state_dict(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "counters": {
-                    name: [[list(map(list, key)), value]
-                           for key, value in sorted(series.items())]
-                    for name, series in self._counters.items()},
-                "gauges": {
-                    name: [[list(map(list, key)), value]
-                           for key, value in sorted(series.items())]
-                    for name, series in self._gauges.items()},
-                "histograms": {
-                    name: [[list(map(list, key)), state.to_dict()]
-                           for key, state in sorted(series.items())]
-                    for name, series in self._histograms.items()},
-                "histogram_bounds": {
-                    name: list(bounds)
-                    for name, bounds in self._histogram_bounds.items()},
-            }
+        return {
+            "counters": {
+                name: [[list(map(list, key)), value]
+                       for key, value in sorted(series.items())]
+                for name, series in self._counters.items()},
+            "gauges": {
+                name: [[list(map(list, key)), value]
+                       for key, value in sorted(series.items())]
+                for name, series in self._gauges.items()},
+            "histograms": {
+                name: [[list(map(list, key)), state.to_dict()]
+                       for key, state in sorted(series.items())]
+                for name, series in self._histograms.items()},
+            "histogram_bounds": {
+                name: list(bounds)
+                for name, bounds in self._histogram_bounds.items()},
+        }
 
     @staticmethod
     def _series_key(raw: List) -> LabelItems:
@@ -399,20 +378,19 @@ class MetricsRegistry:
 
     def load_state(self, state: Mapping[str, object]) -> None:
         """Replace every series with the checkpointed ones."""
-        with self._lock:
-            self._counters = {
-                name: {self._series_key(key): value for key, value in series}
-                for name, series in state["counters"].items()}  # type: ignore[union-attr]
-            self._gauges = {
-                name: {self._series_key(key): value for key, value in series}
-                for name, series in state["gauges"].items()}  # type: ignore[union-attr]
-            self._histograms = {
-                name: {self._series_key(key): HistogramState.from_dict(data)
-                       for key, data in series}
-                for name, series in state["histograms"].items()}  # type: ignore[union-attr]
-            self._histogram_bounds = {
-                name: tuple(bounds)
-                for name, bounds in state["histogram_bounds"].items()}  # type: ignore[union-attr]
+        self._counters = {
+            name: {self._series_key(key): value for key, value in series}
+            for name, series in state["counters"].items()}  # type: ignore[union-attr]
+        self._gauges = {
+            name: {self._series_key(key): value for key, value in series}
+            for name, series in state["gauges"].items()}  # type: ignore[union-attr]
+        self._histograms = {
+            name: {self._series_key(key): HistogramState.from_dict(data)
+                   for key, data in series}
+            for name, series in state["histograms"].items()}  # type: ignore[union-attr]
+        self._histogram_bounds = {
+            name: tuple(bounds)
+            for name, bounds in state["histogram_bounds"].items()}  # type: ignore[union-attr]
 
 
 class NullMetricsRegistry(MetricsRegistry):

@@ -2,12 +2,11 @@
 
 The shard scheduler lets the Section-4 pipeline fan its per-day
 workload (affiliate app x country milk runs, profile-fetch queues)
-across a thread pool while keeping every export byte-identical to the
-serial run:
+across worker processes while keeping every export byte-identical to
+the inline (``shards == 1``) run:
 
-* work is partitioned by a **stable hash** of each task's shard key
-  (same SHA-256 scheme the chaos engine uses for fault decisions), so
-  the same key always lands on the same shard;
+* tasks are **pinned** to workers by shard key in first-seen order, so
+  every task sharing a key runs on one worker in input order;
 * each task derives its own RNG from ``(seed, *key parts)`` instead of
   drawing from a shared stream, so TLS nonces and key material do not
   depend on cross-task interleaving;
@@ -21,7 +20,6 @@ serial run:
 """
 
 from repro.parallel.envelope import (
-    apply_domain_deltas,
     apply_world_deltas,
     is_envelope,
     unwrap_result,
@@ -33,15 +31,13 @@ from repro.parallel.procpool import (
     WorkerHostSpec,
     WorkerTaskError,
 )
-from repro.parallel.scheduler import BACKENDS, ShardScheduler
+from repro.parallel.scheduler import ShardScheduler
 
 __all__ = [
-    "BACKENDS",
     "ProcessWorkerPool",
     "ShardScheduler",
     "WorkerHostSpec",
     "WorkerTaskError",
-    "apply_domain_deltas",
     "apply_world_deltas",
     "current_flow",
     "derive_rng",

@@ -1,8 +1,8 @@
 """Result envelopes: merging sharded task output back into a context.
 
-Serial and thread backends hand results back as live
+Inline (``shards == 1``) tasks hand results back as live
 ``(result, Observability)`` tuples — the task-local context is merged
-directly.  The process backend ships an *envelope* dict instead:
+directly.  Worker processes ship an *envelope* dict instead:
 
 ``{"result": ..., "task_obs": <state>, "world": <delta>}``
 
@@ -11,10 +11,10 @@ where ``task_obs`` is the task-local context's ``state_dict`` and
 ``Observability.begin_delta``/``collect_delta`` (fabric/server counters
 plus op ticks the parent world never saw).
 
-Merge discipline — why two passes: on the in-process backends every
-world-side tick lands *during* task execution, i.e. before the caller
-merges any task context at the post-barrier merge point.  So the
-process-backend parent must apply **all** world deltas first, then
+Merge discipline — why two passes: inline, every world-side tick
+lands *during* task execution, i.e. before the caller merges any task
+context at the post-barrier merge point.  So a parent of worker
+processes must apply **all** world deltas first, then
 merge **all** task contexts, both in the caller's canonical order.
 Counter merges and op advances are commutative, so this reproduces the
 serial op totals (and therefore the span/export bytes) exactly.
@@ -28,7 +28,7 @@ from repro.obs import Observability
 
 
 def is_envelope(item: object) -> bool:
-    """True for a process-backend result envelope."""
+    """True for a worker-process result envelope."""
     return isinstance(item, dict) and "task_obs" in item and "world" in item
 
 
@@ -38,19 +38,8 @@ def apply_world_deltas(obs: Observability, items: Iterable[object]) -> None:
     for item in items:
         if is_envelope(item):
             obs.apply_delta(item["world"])  # type: ignore[index]
-    # In-process backends recorded world-side state directly; nothing
-    # shipped, nothing to apply.
-
-
-def apply_domain_deltas(world, items: Iterable[object]) -> None:
-    """Fold every envelope's shared-domain delta (installs, telemetry,
-    money, …) into ``world``, in the caller's canonical order.  Only
-    pipelines whose tasks *write* shared domain state (the honey
-    campaigns) ship these; wild envelopes carry no ``domain`` key, and
-    in-process tuple results wrote the live world directly."""
-    for item in items:
-        if is_envelope(item) and "domain" in item:
-            world.apply_domain_delta(item["domain"])  # type: ignore[index]
+    # Inline tasks recorded world-side state directly; nothing shipped,
+    # nothing to apply.
 
 
 def unwrap_result(obs: Observability, item: object):

@@ -1,6 +1,6 @@
 """Persistent spawn-context worker processes for the shard scheduler.
 
-The process backend cannot ship closures: a worker is bootstrapped once
+Worker processes cannot receive closures: a worker is bootstrapped once
 from a picklable :class:`WorkerHostSpec` naming a module-level factory,
 which builds a *host* object inside the worker (typically a full world
 replica plus the measurement cells).  After that the parent only sends
@@ -13,13 +13,12 @@ plain payloads:
 ``("batch", [(input_index, payload), ...])``
     Run the payloads in order through ``host.run_task``; the reply is
     ``("done", [(index, result), ...], [(index, exc_state), ...])``.
-    A raising task aborts the rest of its batch, mirroring how a
-    raising thunk aborts its thread-backend bucket.
+    A raising task aborts the rest of its batch.
 ``("collect",)``
     Gather the host's resumable state (``host.collect_state()``); the
     reply is ``("state", state_dict)``.  The wild pipeline folds each
-    worker's state into its per-day checkpoint so a ``--backend
-    process`` run can resume.
+    worker's state into its per-day checkpoint so a ``--shards N``
+    run can resume.
 ``("stop",)``
     Clean shutdown.
 
@@ -90,23 +89,6 @@ def _exception_state(exc: BaseException) -> Tuple[str, str, str]:
 def worker_main(connection, spec: WorkerHostSpec,
                 worker_index: int = 0) -> None:
     """Entry point of one worker process (module-level: spawn-picklable)."""
-    import os
-    profile_to = os.environ.get("REPRO_WORKER_PROFILE")
-    if profile_to:
-        import cProfile
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            _worker_loop(connection, spec, worker_index)
-        finally:
-            profiler.disable()
-            profiler.dump_stats(f"{profile_to}.{os.getpid()}")
-        return
-    _worker_loop(connection, spec, worker_index)
-
-
-def _worker_loop(connection, spec: WorkerHostSpec,
-                 worker_index: int = 0) -> None:
     broadcast_failure: Optional[Tuple[str, str, str]] = None
     try:
         host = spec.build()

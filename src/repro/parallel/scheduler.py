@@ -1,25 +1,19 @@
 """The deterministic shard scheduler.
 
-``ShardScheduler.run`` takes ``(shard_key, thunk)`` pairs, partitions
-them into ``shards`` buckets by :func:`stable_hash` of the key, runs
-each bucket's thunks **in input order**, and returns the results in
-input order.  ``run_specs`` is the payload-based twin that every
-backend supports (closures cannot cross a process boundary).
+``ShardScheduler.run_specs`` takes ``(shard_key, payload)`` pairs and
+returns one result per pair, in input order.  ``shards`` is the one
+execution knob:
 
-Backends:
-
-``serial``
-    Everything runs inline on the calling thread, in input order.
-``thread``
-    Buckets run concurrently on a ``ThreadPoolExecutor`` (the default;
-    shards=1 degenerates to serial).
-``process``
-    Each task's payload ships to a persistent spawn-context worker
-    process (see :mod:`repro.parallel.procpool`).  Keys are *pinned*
-    first-seen round-robin: all tasks with one key run on one worker,
-    in input order, for the scheduler's whole lifetime — so stateful
-    cells (a milk country's RNG/breaker/mitm) evolve exactly as they
-    would inline.  Workers are bootstrapped from a picklable
+``shards == 1``
+    Every payload runs inline through the caller's ``local_runner``, in
+    input order.
+``shards > 1``
+    Each payload ships to a persistent spawn-context worker process
+    (see :mod:`repro.parallel.procpool`).  Keys are *pinned* first-seen
+    round-robin: all tasks with one key run on one worker, in input
+    order, for the scheduler's whole lifetime — so stateful cells (a
+    milk country's RNG/breaker/mitm) evolve exactly as they would
+    inline.  Workers are bootstrapped from a picklable
     :class:`~repro.parallel.procpool.WorkerHostSpec`, and results come
     back as plain pickled state merged post-barrier in input order.
     The pool holds ``min(shards, cores)`` processes: replicas are
@@ -27,41 +21,32 @@ Backends:
     merging make results worker-count-invariant, shrinking the pool
     never changes a byte of output.
 
-Determinism contract — why a sharded run equals the serial run:
+Determinism contract — why a process run equals the inline run:
 
-* shard assignment is a pure function of the key, so the *set* of
-  tasks sharing a bucket never depends on the shard count being 1 or N
-  — only on which keys exist;
 * tasks that share mutable state (e.g. all milk runs through one
-  country's mitm cell) must share a shard key, which serialises them
-  in input order exactly as the serial fallback would;
+  country's mitm cell) must share a shard key, which pins them to one
+  worker in input order exactly as the inline path runs them;
 * tasks that do not share state must be self-contained: own RNG
   (:func:`repro.parallel.hashing.derive_rng`), own client, own
   per-task ``Observability`` — the caller merges those in canonical
-  order after ``run`` returns, at which point thread or process
-  interleaving has no surviving trace.
+  order after ``run_specs`` returns, at which point process timing has
+  no surviving trace.
 
-Error contract: a raising task aborts the rest of its bucket; once
-every bucket has drained, the exception from the **lowest task input
-index** is raised, with any other buckets' failures chained onto it via
-``__context__`` (deterministic regardless of which bucket finished
-first).
+Error contract: a raising task aborts the rest of its worker's batch;
+once every worker has replied, the exception from the **lowest task
+input index** is raised, with the other failures chained onto it via
+``__context__`` (deterministic regardless of which worker finished
+first).  Inline, the first raising task simply propagates.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.parallel.hashing import stable_hash
 from repro.parallel.procpool import ProcessWorkerPool, WorkerHostSpec
 
 T = TypeVar("T")
-
-Task = Tuple[object, Callable[[], T]]
-
-BACKENDS = ("serial", "thread", "process")
 
 
 def _raise_chained(failures: List[Tuple[int, BaseException]]) -> None:
@@ -74,51 +59,36 @@ def _raise_chained(failures: List[Tuple[int, BaseException]]) -> None:
 
 
 class ShardScheduler:
-    """Partitions keyed tasks into stable-hash shards and runs them."""
+    """Runs keyed task specs inline (1 shard) or on pinned processes."""
 
-    def __init__(self, shards: int = 1, backend: str = "thread",
+    def __init__(self, shards: int = 1,
                  worker_host: Optional[WorkerHostSpec] = None,
                  workers: Optional[int] = None) -> None:
         if shards < 1:
             raise ValueError("shards must be at least 1")
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; "
-                             f"expected one of {BACKENDS}")
-        if backend == "process" and worker_host is None:
-            raise ValueError("process backend requires a worker_host spec")
+        if shards > 1 and worker_host is None:
+            raise ValueError("shards > 1 requires a worker_host spec")
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
         self.shards = shards
-        self.backend = backend
-        #: Physical process count.  Shards are the *logical* determinism
-        #: unit; a worker replica's bootstrap (world rebuild + scenario
-        #: replay) is pure overhead, so by default the pool never exceeds
-        #: the machine's cores.  Results are worker-count-invariant:
-        #: pinning keeps every key's task stream in input order on one
-        #: worker regardless of how many workers exist, and the merge
-        #: runs in canonical input order either way.
+        #: Physical process count.  A worker replica's bootstrap (world
+        #: rebuild + scenario replay) is pure overhead, so by default
+        #: the pool never exceeds the machine's cores.  Results are
+        #: worker-count-invariant: pinning keeps every key's task stream
+        #: in input order on one worker regardless of how many workers
+        #: exist, and the merge runs in canonical input order either way.
         self.workers = workers or min(shards, os.cpu_count() or 1)
         self._worker_host = worker_host
         self._pool: Optional[ProcessWorkerPool] = None
-        #: ``(salt, key) -> shard`` memo: keys repeat run after run
-        #: (same countries every milk day, same packages every crawl),
-        #: so the stable hash is computed once per distinct key.
-        self._shard_cache: Dict[Tuple[str, object], int] = {}
-        #: ``key -> worker index`` pins (process backend), first-seen
-        #: round-robin.  Input order is deterministic, so the pinning —
-        #: and therefore each worker's task stream — is too.
+        #: ``key -> worker index`` pins, first-seen round-robin.  Input
+        #: order is deterministic, so the pinning — and therefore each
+        #: worker's task stream — is too.
         self._pins: Dict[object, int] = {}
 
-    def shard_of(self, key: object, salt: str = "") -> int:
-        """The shard index a key lands on (stable across runs)."""
-        cache_key = (salt, key)
-        shard = self._shard_cache.get(cache_key)
-        if shard is None:
-            shard = stable_hash("shard", salt, key) % self.shards
-            self._shard_cache[cache_key] = shard
-        return shard
-
-    # -- process-backend plumbing ---------------------------------------------
+    @property
+    def uses_processes(self) -> bool:
+        """True when tasks run on worker processes (``shards > 1``)."""
+        return self.shards > 1
 
     def _worker_of(self, key: object) -> int:
         worker = self._pins.get(key)
@@ -134,34 +104,33 @@ class ShardScheduler:
         return self._pool
 
     def broadcast(self, payload: object) -> None:
-        """Advance every process worker's host state (e.g. a new
-        scenario day).  No-op for in-process backends, which see the
-        caller's state directly."""
-        if self.backend == "process":
+        """Advance every worker's host state (e.g. a new scenario day).
+        No-op inline, where tasks see the caller's state directly."""
+        if self.uses_processes:
             self._ensure_pool().broadcast(payload)
 
     @property
     def pins(self) -> Dict[object, int]:
-        """The key -> worker-index pinning map (process backend), for
-        checkpointing: a resumed pool must reuse the original pinning —
-        re-deriving it first-seen from a later day's key order would
-        route keys to different replicas than the original run."""
+        """The key -> worker-index pinning map, for checkpointing: a
+        resumed pool must reuse the original pinning — re-deriving it
+        first-seen from a later day's key order would route keys to
+        different replicas than the original run."""
         return dict(self._pins)
 
     def collect_states(self) -> List[object]:
-        """Every process worker host's resumable state, in worker-index
-        order (empty for in-process backends)."""
-        if self.backend != "process":
+        """Every worker host's resumable state, in worker-index order
+        (empty inline)."""
+        if not self.uses_processes:
             return []
         return self._ensure_pool().collect_states()
 
     def adopt_workers(self, workers: int, pins: Dict[object, int],
                       checkpoint_dir: Optional[str] = None) -> None:
-        """Arm a process-backend resume: fix the worker count and the
-        pinning map to the checkpointed values, and point the host spec
-        at the checkpoint directory so each worker warms its replica
-        via ``adopt_checkpoint`` at bootstrap.  Must run before the
-        pool starts."""
+        """Arm a process resume: fix the worker count and the pinning
+        map to the checkpointed values, and point the host spec at the
+        checkpoint directory so each worker warms its replica via
+        ``adopt_checkpoint`` at bootstrap.  Must run before the pool
+        starts."""
         if self._pool is not None:
             raise RuntimeError("cannot adopt worker state after the "
                                "pool has started")
@@ -175,71 +144,24 @@ class ShardScheduler:
                 self._worker_host, checkpoint_dir=str(checkpoint_dir))
 
     def close(self) -> None:
-        """Shut down worker processes (no-op for in-process backends)."""
+        """Shut down worker processes (no-op inline)."""
         if self._pool is not None:
             self._pool.close()
             self._pool = None
 
-    # -- execution ------------------------------------------------------------
-
-    def run(self, tasks: Sequence[Task], salt: str = "") -> List[T]:
-        """Execute closure tasks; results come back in input order.
-
-        Closures cannot cross a process boundary, so the process
-        backend rejects this entry point — callers there go through
-        :meth:`run_specs` with picklable payloads.
-        """
-        if self.backend == "process":
-            raise ValueError(
-                "the process backend cannot run closures; use run_specs")
-        results: List[T] = [None] * len(tasks)  # type: ignore[list-item]
-
-        if self.backend == "serial" or self.shards == 1 or len(tasks) <= 1:
-            for index, (_, thunk) in enumerate(tasks):
-                results[index] = thunk()
-            return results
-
-        buckets: List[List[Tuple[int, Callable[[], T]]]] = [
-            [] for _ in range(self.shards)]
-        for index, (key, thunk) in enumerate(tasks):
-            buckets[self.shard_of(key, salt)].append((index, thunk))
-
-        failures: List[Tuple[int, BaseException]] = []
-
-        def drain(bucket: List[Tuple[int, Callable[[], T]]]) -> None:
-            for index, thunk in bucket:
-                try:
-                    results[index] = thunk()
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    failures.append((index, exc))
-                    return  # abort the rest of this bucket
-
-        occupied = [bucket for bucket in buckets if bucket]
-        with ThreadPoolExecutor(max_workers=self.shards) as pool:
-            for future in [pool.submit(drain, bucket) for bucket in occupied]:
-                future.result()
-        if failures:
-            _raise_chained(failures)
-        return results
-
     def run_specs(self, specs: Sequence[Tuple[object, object]],
-                  local_runner: Callable[[object], T],
-                  salt: str = "") -> List[T]:
+                  local_runner: Callable[[object], T]) -> List[T]:
         """Execute ``(shard_key, payload)`` specs; results in input order.
 
         ``local_runner`` executes one payload against the caller's own
-        state (serial and thread backends).  The process backend ships
-        payloads to the pinned workers instead, where the worker host
-        interprets them against its replica state — so the two paths
-        must be written to be behaviourally identical (the determinism
-        tests enforce it end to end).
+        state (``shards == 1``).  With processes the payloads ship to
+        the pinned workers instead, where the worker host interprets
+        them against its replica state — so the two paths must be
+        written to be behaviourally identical (the determinism tests
+        enforce it end to end).
         """
-        if self.backend != "process":
-            tasks: List[Task] = [
-                (key, (lambda payload=payload: local_runner(payload)))
-                for key, payload in specs]
-            return self.run(tasks, salt=salt)
-
+        if not self.uses_processes:
+            return [local_runner(payload) for _, payload in specs]
         results: List[T] = [None] * len(specs)  # type: ignore[list-item]
         if not specs:
             return results

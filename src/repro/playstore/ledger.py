@@ -15,7 +15,6 @@ eligible app) stay O(days) per query instead of O(total batches).
 from __future__ import annotations
 
 import enum
-import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -50,11 +49,6 @@ class InstallLedger:
     """Append-only record of install batches plus enforcement removals."""
 
     def __init__(self) -> None:
-        # Writes are serialised: campaign shards record installs of the
-        # same package concurrently, and the nested defaultdicts are not
-        # safe to grow from two threads.  Queries stay lock-free — they
-        # run post-barrier in the deterministic merge phase.
-        self._lock = threading.Lock()
         self._batches: List[InstallBatch] = []
         # package -> day -> source -> count
         self._daily: Dict[str, Dict[int, Dict[InstallSource, int]]] = (
@@ -73,13 +67,12 @@ class InstallLedger:
     # -- recording -----------------------------------------------------------
 
     def record(self, batch: InstallBatch) -> None:
-        with self._lock:
-            self._batches.append(batch)
-            self._daily[batch.package][batch.day][batch.source] += batch.count
-            self._gross[batch.package][batch.day] += batch.count
-            if batch.campaign_id is not None:
-                self._campaign_totals[batch.campaign_id] += batch.count
-                self._campaign_batches[batch.campaign_id].append(batch)
+        self._batches.append(batch)
+        self._daily[batch.package][batch.day][batch.source] += batch.count
+        self._gross[batch.package][batch.day] += batch.count
+        if batch.campaign_id is not None:
+            self._campaign_totals[batch.campaign_id] += batch.count
+            self._campaign_batches[batch.campaign_id].append(batch)
 
     def record_install(self, package: str, day: int, source: InstallSource,
                        campaign_id: Optional[str] = None) -> None:
@@ -90,9 +83,8 @@ class InstallLedger:
         """Enforcement: filter ``count`` installs effective on ``day``."""
         if count <= 0:
             raise ValueError("removal count must be positive")
-        with self._lock:
-            self._removed[(package, day)] += count
-            self._removed_by_package[package][day] += count
+        self._removed[(package, day)] += count
+        self._removed_by_package[package][day] += count
 
     # -- checkpoint/restore ---------------------------------------------------
 
@@ -100,16 +92,15 @@ class InstallLedger:
         """Batches in append order plus removals; the daily/campaign
         indexes are derived, so restore rebuilds them via ``record``."""
         from repro.recovery.state import join_key
-        with self._lock:
-            return {
-                "batches": [
-                    [batch.package, batch.day, batch.source.value,
-                     batch.count, batch.campaign_id]
-                    for batch in self._batches],
-                "removed": {
-                    join_key(package, str(day)): count
-                    for (package, day), count in sorted(self._removed.items())},
-            }
+        return {
+            "batches": [
+                [batch.package, batch.day, batch.source.value,
+                 batch.count, batch.campaign_id]
+                for batch in self._batches],
+            "removed": {
+                join_key(package, str(day)): count
+                for (package, day), count in sorted(self._removed.items())},
+        }
 
     def load_state(self, state: Dict[str, object]) -> None:
         from repro.recovery.state import split_key
@@ -121,53 +112,10 @@ class InstallLedger:
                 source=InstallSource(source), count=int(count),
                 campaign_id=(None if campaign_id is None
                              else str(campaign_id))))
-        with self._lock:
-            for key, count in state["removed"].items():  # type: ignore[union-attr]
-                package, day = split_key(key)
-                self._removed[(package, int(day))] = int(count)
-                self._removed_by_package[package][int(day)] = int(count)
-
-    # -- domain deltas (process-backend replicas) -----------------------------
-
-    def delta_cursor(self) -> Tuple[int, Dict[Tuple[str, int], int]]:
-        """A cursor into the append-only logs; see :meth:`collect_delta`."""
-        with self._lock:
-            return len(self._batches), dict(self._removed)
-
-    def collect_delta(self, cursor) -> Dict[str, object]:
-        """Everything recorded since ``cursor``, in the ``state_dict``
-        wire format.  Removal counts only ever grow, so the removal
-        delta is a per-key difference."""
-        from repro.recovery.state import join_key
-        count, removed_before = cursor
-        with self._lock:
-            return {
-                "batches": [
-                    [batch.package, batch.day, batch.source.value,
-                     batch.count, batch.campaign_id]
-                    for batch in self._batches[count:]],
-                "removed": {
-                    join_key(package, str(day)):
-                        total - removed_before.get((package, day), 0)
-                    for (package, day), total in sorted(self._removed.items())
-                    if total != removed_before.get((package, day), 0)},
-            }
-
-    def apply_delta(self, delta: Dict[str, object]) -> None:
-        """Replay a replica's delta; appends commute with local appends,
-        so applying campaign deltas in canonical order reproduces the
-        serial ledger exactly."""
-        from repro.recovery.state import split_key
-        for package, day, source, count, campaign_id in (
-                delta["batches"]):  # type: ignore[union-attr]
-            self.record(InstallBatch(
-                package=str(package), day=int(day),
-                source=InstallSource(source), count=int(count),
-                campaign_id=(None if campaign_id is None
-                             else str(campaign_id))))
-        for key, count in delta["removed"].items():  # type: ignore[union-attr]
+        for key, count in state["removed"].items():  # type: ignore[union-attr]
             package, day = split_key(key)
-            self.remove_installs(package, int(day), int(count))
+            self._removed[(package, int(day))] = int(count)
+            self._removed_by_package[package][int(day)] = int(count)
 
     # -- queries -----------------------------------------------------------
 

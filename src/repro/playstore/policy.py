@@ -101,32 +101,6 @@ class EnforcementEngine:
     def actions_for(self, package: str) -> List[EnforcementAction]:
         return [action for action in self.actions if action.package == package]
 
-    # -- domain deltas (process-backend replicas) -----------------------------
-
-    def delta_cursor(self):
-        return len(self.actions), set(self._reviewed)
-
-    def collect_delta(self, cursor) -> dict:
-        count, reviewed_before = cursor
-        return {
-            "actions": [
-                [action.campaign_id, action.package, action.day,
-                 action.installs_removed]
-                for action in self.actions[count:]],
-            "reviewed": sorted(self._reviewed - reviewed_before),
-        }
-
-    def apply_delta(self, delta: dict) -> None:
-        """Replay a replica's actions.  Only the action log and the
-        reviewed set are touched here — the install removals themselves
-        travel in the :class:`InstallLedger` delta, so applying both
-        never double-removes."""
-        for campaign_id, package, day, removed in delta["actions"]:
-            self.actions.append(EnforcementAction(
-                campaign_id=str(campaign_id), package=str(package),
-                day=int(day), installs_removed=int(removed)))
-        self._reviewed.update(str(item) for item in delta["reviewed"])
-
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> dict:

@@ -80,7 +80,7 @@ class World:
 
         self.telemetry = TelemetryServer(self.fabric, self.root_ca,
                                          self.seeds.rng("telemetry"))
-        #: Kept verbatim (order included): process-backend shard workers
+        #: Kept verbatim (order included): process-backend wild workers
         #: rebuild the world from ``(seed, vpn_countries, chaos)`` and
         #: exit-pool address allocation follows this order.
         self.vpn_countries = tuple(vpn_countries)
@@ -125,41 +125,6 @@ class World:
         return HttpClient(self.fabric, Endpoint(address=address),
                           self.public_trust, crawler_rng,
                           retry_policy=retry_policy)
-
-    def domain_cursor(self) -> Dict[str, object]:
-        """Cursors into every shared append-only domain log a pipeline
-        task may write (installs, enforcement, telemetry, money,
-        attribution).  A process-backend worker takes a cursor before a
-        task, collects the delta after, and ships it home — the parent
-        replays deltas in canonical task order, reconstructing exactly
-        the domain state a serial run would have."""
-        return {
-            "ledger": self.store.ledger.delta_cursor(),
-            "enforcement": self.store.enforcement.delta_cursor(),
-            "telemetry": self.telemetry.delta_cursor(),
-            "money": self.money.delta_cursor(),
-            "mediator": self.mediator.delta_cursor(),
-        }
-
-    def collect_domain_delta(self, cursor: Dict[str, object]) -> Dict[str, object]:
-        """Everything the domain logs recorded since ``cursor``
-        (picklable; see :meth:`domain_cursor`)."""
-        return {
-            "ledger": self.store.ledger.collect_delta(cursor["ledger"]),
-            "enforcement": self.store.enforcement.collect_delta(
-                cursor["enforcement"]),
-            "telemetry": self.telemetry.collect_delta(cursor["telemetry"]),
-            "money": self.money.collect_delta(cursor["money"]),
-            "mediator": self.mediator.collect_delta(cursor["mediator"]),
-        }
-
-    def apply_domain_delta(self, delta: Dict[str, object]) -> None:
-        """Replay a replica's domain delta into this world."""
-        self.store.ledger.apply_delta(delta["ledger"])
-        self.store.enforcement.apply_delta(delta["enforcement"])
-        self.telemetry.apply_delta(delta["telemetry"])
-        self.money.apply_delta(delta["money"])
-        self.mediator.apply_delta(delta["mediator"])
 
     def detection_hook(self, source: str, config=None):
         """A :class:`~repro.detection.live.LiveDetection` hook bound to

@@ -67,6 +67,22 @@ class TestParser:
         assert args.batch_devices == 0
         assert args.spill_dir is None
 
+    @pytest.mark.parametrize("argv", [
+        ["wild", "--backend", "process"],
+        ["honey", "--backend", "serial"],
+        ["detect", "--backend", "thread"],
+        ["honey", "--shards", "2"],
+    ])
+    def test_removed_execution_flags_are_unknown(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_detect_shards_apply_to_the_wild_source_only(self, capsys):
+        assert main(["detect", "--source", "honey", "--shards", "2"]) == 2
+        assert "wild source only" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_tables(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.honey_experiment import HoneyAppExperiment
 from repro.core.reports import render_honey_report
 from repro.honeyapp.app import HONEY_PACKAGE
+from repro.obs import Observability
 from repro.simulation.world import World
 
 
@@ -157,7 +158,29 @@ class TestZeroDeliveredCampaigns:
         assert world.telemetry.events == []
         assert experiment_results.enforcement_actions == 0
 
-    def test_zero_installs_run_completes_sharded(self):
-        world = World(seed=2019)
-        experiment = HoneyAppExperiment(world, installs_per_iip=0, shards=4)
-        assert experiment.run().total_installs() == 0
+
+class TestTlsResumption:
+    """Session resumption changes only TLS wire bytes, never the HTTP
+    payloads the analysis sees."""
+
+    @staticmethod
+    def run_honey(tls_resumption):
+        world = World(seed=11, obs=Observability())
+        results = HoneyAppExperiment(world, installs_per_iip=120,
+                                     tls_resumption=tls_resumption).run()
+        return world, results
+
+    def test_resumption_does_not_change_results(self):
+        _, results_on = self.run_honey(tls_resumption=True)
+        _, results_off = self.run_honey(tls_resumption=False)
+        assert (render_honey_report(results_on)
+                == render_honey_report(results_off))
+
+    def test_resumption_reduces_fabric_traffic(self):
+        world_on, _ = self.run_honey(tls_resumption=True)
+        world_off, _ = self.run_honey(tls_resumption=False)
+        frames_on = world_on.obs.metrics.counter_total("net.fabric.frames")
+        frames_off = world_off.obs.metrics.counter_total("net.fabric.frames")
+        assert frames_on < frames_off
+        assert world_on.obs.metrics.counter_total(
+            "net.client.tls_resumptions") > 0

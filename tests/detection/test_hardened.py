@@ -65,7 +65,7 @@ class TestFromHoney:
     def run_honey(self, installs):
         world = World(seed=2019)
         hook = world.detection_hook("honey", config=HONEY_DETECTOR_CONFIG)
-        HoneyAppExperiment(world, installs_per_iip=installs, shards=1,
+        HoneyAppExperiment(world, installs_per_iip=installs,
                            detection=hook).run()
         return hook
 

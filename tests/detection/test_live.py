@@ -18,11 +18,10 @@ WILD_DAYS = 8
 WILD_SCALE = 0.03
 
 
-def run_honey(seed=11, shards=1, obs=None):
+def run_honey(seed=11, obs=None):
     world = World(seed=seed, obs=obs)
     hook = world.detection_hook("honey", config=HONEY_DETECTOR_CONFIG)
-    HoneyAppExperiment(world, installs_per_iip=120, shards=shards,
-                       detection=hook).run()
+    HoneyAppExperiment(world, installs_per_iip=120, detection=hook).run()
     return world, hook
 
 
@@ -103,6 +102,8 @@ class TestWildSource:
         assert hook_a.incentivized == hook_b.incentivized
 
     def test_sharded_run_byte_identical(self):
+        # Serial vs worker processes: the bridge sees the same merged
+        # offer stream either way.
         obs_a, obs_b = Observability(), Observability()
         _wa, hook_a = run_wild(seed=7, shards=1, obs=obs_a)
         _wb, hook_b = run_wild(seed=7, shards=3, obs=obs_b)

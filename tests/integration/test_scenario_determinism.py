@@ -1,8 +1,8 @@
 """Adversarial scenarios keep every determinism guarantee.
 
-Two pins per profile: (1) sharded and process-backend runs match the
-serial run byte for byte — scenario state (review pools, boost plans,
-spike draws) must replay identically in worker replicas; (2) switching
+Two pins: (1) a process run of the composed profile matches the serial
+run byte for byte — scenario state (review pools, boost plans, spike
+draws) must replay identically in worker replicas; (2) switching
 a scenario *on* leaves the naive RNG prefix untouched, so the frozen
 naive exports never move when adversarial code is merely present.
 """
@@ -19,11 +19,8 @@ SCALE = 0.03
 DAYS = 10
 SEED = 11
 
-PROFILES = ("evasive", "fake-reviews", "download-fraud",
-            "evasive,fake-reviews,download-fraud")
 
-
-def run_wild(profile: str, shards: int, backend: str = "thread"):
+def run_wild(profile: str, shards: int = 1):
     world = World(seed=SEED, obs=Observability())
     scenario = WildScenario(world, WildScenarioConfig(
         scale=SCALE, measurement_days=DAYS,
@@ -31,7 +28,7 @@ def run_wild(profile: str, shards: int, backend: str = "thread"):
     scenario.build()
     hook = world.detection_hook("wild")
     results = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, shards=shards, backend=backend),
+        measurement_days=DAYS, shards=shards),
         detection=hook).run()
     return world, scenario, results, hook
 
@@ -53,19 +50,12 @@ def fingerprint(world, scenario, results, hook):
 
 
 class TestScenarioShardedDeterminism:
-    @pytest.mark.parametrize("profile", PROFILES)
-    def test_shards_2_matches_serial(self, profile):
-        serial = fingerprint(*run_wild(profile, shards=1, backend="serial"))
-        sharded = fingerprint(*run_wild(profile, shards=2))
-        assert sharded == serial
-
     def test_process_backend_matches_serial(self):
         # The composed profile exercises every scenario subsystem in
         # the spawned worker replicas at once.
         profile = "evasive,fake-reviews,download-fraud"
-        serial = fingerprint(*run_wild(profile, shards=1, backend="serial"))
-        process = fingerprint(*run_wild(profile, shards=2,
-                                        backend="process"))
+        serial = fingerprint(*run_wild(profile))
+        process = fingerprint(*run_wild(profile, shards=2))
         assert process == serial
 
 
@@ -78,15 +68,15 @@ class TestNaivePrefixUnchanged:
         # Scenario randomness comes from dedicated streams keyed off
         # the "adversarial-scenario" seed; evasion and reviews change
         # detection events and store state, never the offer corpus.
-        _, _, naive_results, _ = run_wild("naive", shards=1)
-        _, _, adv_results, _ = run_wild("evasive,fake-reviews", shards=1)
+        _, _, naive_results, _ = run_wild("naive")
+        _, _, adv_results, _ = run_wild("evasive,fake-reviews")
         assert self.offers(adv_results) == self.offers(naive_results)
 
     def test_fraud_only_adds_offers(self):
         # Boost campaigns are real campaigns, so they surface as extra
         # offers — but every naive offer survives unchanged.
-        _, _, naive_results, _ = run_wild("naive", shards=1)
-        _, _, fraud_results, _ = run_wild("download-fraud", shards=1)
+        _, _, naive_results, _ = run_wild("naive")
+        _, _, fraud_results, _ = run_wild("download-fraud")
         naive_offers = self.offers(naive_results)
         fraud_offers = self.offers(fraud_results)
         assert set(naive_offers) < set(fraud_offers)

@@ -1,11 +1,13 @@
-"""Sharded vs serial wild runs must be byte-identical.
+"""Process vs serial wild runs must be byte-identical.
 
 The tentpole guarantee of ``repro.parallel``: running the milk/crawl
-phases on 1 shard or N shards at the same seed — on any backend
-(serial, thread, or spawned worker processes) — produces the same
-dataset, the same archive, and the same observability export, byte for
-byte — including under an active chaos profile, where fault decisions
-are flow-scoped rather than arrival-ordered.
+phases inline (1 shard) or on spawned worker processes (N shards) at
+the same seed produces the same dataset, the same archive, and the
+same observability export, byte for byte — including under an active
+chaos profile, where fault decisions are flow-scoped rather than
+arrival-ordered.  The process path is structurally different —
+split-brain world replicas, pickled result envelopes, post-barrier
+world-delta merges (DESIGN.md §8) — so these pins are end to end.
 """
 
 import pytest
@@ -21,14 +23,13 @@ DAYS = 16
 SEED = 11
 
 
-def run_wild(shards: int, chaos: ChaosScenario = None,
-             backend: str = "thread"):
+def run_wild(shards: int, chaos: ChaosScenario = None):
     world = World(seed=SEED, obs=Observability(), chaos=chaos)
     scenario = WildScenario(world, WildScenarioConfig(
         scale=SCALE, measurement_days=DAYS))
     scenario.build()
     results = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, shards=shards, backend=backend)).run()
+        measurement_days=DAYS, shards=shards)).run()
     return world, results
 
 
@@ -62,45 +63,9 @@ class TestShardedDeterminism:
         assert loss_1.faults_injected > 0  # chaos actually fired
 
     def test_odd_shard_count_also_matches(self):
+        # A different pool size pins keys to workers differently; the
+        # merge is in canonical order, so output cannot move.
         world_1, results_1 = run_wild(1)
         world_3, results_3 = run_wild(3)
         assert to_json(world_3.obs) == to_json(world_1.obs)
         assert offers_key(results_3) == offers_key(results_1)
-
-
-class TestBackendMatrix:
-    """Serial, thread, and process backends agree byte for byte.
-
-    The process backend takes a structurally different path — spawned
-    split-brain world replicas, pickled result envelopes, post-barrier
-    world-delta merges (DESIGN.md §8) — so it gets its own end-to-end
-    equivalence pin against the in-process backends."""
-
-    def test_serial_backend_matches_thread(self):
-        world_t, results_t = run_wild(4, backend="thread")
-        world_s, results_s = run_wild(4, backend="serial")
-        assert to_json(world_s.obs) == to_json(world_t.obs)
-        assert offers_key(results_s) == offers_key(results_t)
-
-    def test_process_backend_matches_serial_byte_for_byte(self):
-        world_1, results_1 = run_wild(1, backend="serial")
-        world_p, results_p = run_wild(4, backend="process")
-        assert to_json(world_p.obs) == to_json(world_1.obs)
-        assert offers_key(results_p) == offers_key(results_1)
-        assert (results_p.dataset.offer_count()
-                == results_1.dataset.offer_count())
-        assert results_p.crawl_requests == results_1.crawl_requests
-        assert results_p.milk_runs == results_1.milk_runs
-
-    @pytest.mark.chaos
-    def test_process_backend_matches_serial_under_chaos(self):
-        world_1, results_1 = run_wild(
-            1, chaos=ChaosScenario.profile("paper", seed=7),
-            backend="serial")
-        world_p, results_p = run_wild(
-            4, chaos=ChaosScenario.profile("paper", seed=7),
-            backend="process")
-        assert to_json(world_p.obs) == to_json(world_1.obs)
-        assert offers_key(results_p) == offers_key(results_1)
-        assert results_p.coverage_loss == results_1.coverage_loss
-        assert results_1.coverage_loss.faults_injected > 0

@@ -188,37 +188,3 @@ class TestCrawlEverything:
         assert total("monitor.crawl_retry_drained") == 1
         assert total("monitor.crawl_retry_recovered") == 1
         assert crawler.archive.profile("com.app.alpha", 2) is not None
-
-    def test_sharded_visit_matches_serial_counters(self, fabric, root_ca,
-                                                   rng, trust_store):
-        from repro.parallel import ShardScheduler
-
-        def build(shards):
-            import random as _random
-            from repro.net.fabric import NetworkFabric
-            from repro.net.tls import CertificateAuthority, TrustStore
-            local_rng = _random.Random(1234)
-            local_fabric = NetworkFabric()
-            ca = CertificateAuthority("Example Root CA", local_rng)
-            trust = TrustStore()
-            trust.add_root(ca.self_certificate())
-            store = PlayStore()
-            developer = Developer(developer_id="d", name="D", country="US")
-            for i in range(6):
-                store.publish(AppListing(
-                    package=f"com.app.{i}", title=f"app{i}", genre="Tools",
-                    developer=developer, release_day=0))
-            PlayStoreFrontend(local_fabric, store, ca, local_rng,
-                              current_day=lambda: 0)
-            crawler = PlayStoreCrawler(
-                make_client(local_fabric, trust, local_rng), PLAY_HOST,
-                obs=Observability(), task_seed=99)
-            crawler.crawl_everything([f"com.app.{i}" for i in range(6)],
-                                     day=0, scheduler=ShardScheduler(shards))
-            return crawler
-
-        serial, sharded = build(1), build(4)
-        assert serial.requests_made == sharded.requests_made
-        assert serial.failures == sharded.failures
-        assert (serial.obs.metrics.counters()
-                == sharded.obs.metrics.counters())

@@ -9,15 +9,17 @@ class TestMetricsOut:
     def test_honey_dumps_snapshot(self, tmp_path, capsys):
         path = tmp_path / "metrics.json"
         assert main(["--metrics-out", str(path), "honey", "--seed", "5"]) == 0
-        out = capsys.readouterr().out
-        assert f"metrics snapshot written to {path}" in out
+        captured = capsys.readouterr()
+        assert f"metrics snapshot written to {path}" in captured.err
+        assert "metrics snapshot" not in captured.out
         document = json.loads(path.read_text())
         assert document["metrics"]["counters"]
         assert any(span["name"] == "honey.run" for span in document["spans"])
 
     def test_honey_without_flag_writes_nothing(self, tmp_path, capsys):
         assert main(["honey", "--seed", "5"]) == 0
-        assert "metrics snapshot" not in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "metrics snapshot" not in captured.out + captured.err
 
 
 class TestObsCommand:

@@ -1,10 +1,11 @@
-"""The process worker pool and the scheduler's process backend.
+"""The process worker pool behind ``ShardScheduler(shards > 1)``.
 
-End-to-end pipeline equivalence is pinned by the integration backend
-matrix; these tests pin the plumbing: payloads route to pinned workers
-and come back in input order, broadcasts advance worker state, and
-failures (task, broadcast, bootstrap) cross the process boundary as
-clean :class:`WorkerTaskError` values at deterministic input indexes.
+End-to-end pipeline equivalence is pinned by the integration
+serial-vs-process tests; these tests pin the plumbing: payloads route
+to pinned workers and come back in input order, broadcasts advance
+worker state, and failures (task, broadcast, bootstrap) cross the
+process boundary as clean :class:`WorkerTaskError` values at
+deterministic input indexes.
 """
 
 import pytest
@@ -19,8 +20,7 @@ BROKEN = WorkerHostSpec(factory="tests.parallel.hosts:broken_factory")
 
 
 def scheduler(shards=4, spec=HOST, workers=None):
-    return ShardScheduler(shards, backend="process", worker_host=spec,
-                          workers=workers)
+    return ShardScheduler(shards, worker_host=spec, workers=workers)
 
 
 def local_square(payload):
@@ -39,7 +39,7 @@ class TestProcessBackend:
 
     def test_worker_count_never_exceeds_cores_by_default(self):
         import os
-        sched = ShardScheduler(64, backend="process", worker_host=HOST)
+        sched = ShardScheduler(64, worker_host=HOST)
         assert sched.workers == min(64, os.cpu_count() or 1)
 
     def test_explicit_worker_count_is_honoured(self):
@@ -117,11 +117,6 @@ class TestProcessBackend:
             finally:
                 sched.close()
 
-    def test_closures_are_rejected(self):
-        sched = scheduler()
-        with pytest.raises(ValueError, match="cannot run closures"):
-            sched.run([("k", lambda: 1)])
-
     def test_process_backend_requires_worker_host(self):
         with pytest.raises(ValueError, match="worker_host"):
-            ShardScheduler(4, backend="process")
+            ShardScheduler(4)

@@ -1,13 +1,11 @@
 """The shard scheduler's determinism contract.
 
-Sharded pipelines only stay byte-identical to serial ones if (a) shard
-assignment is a pure function of the key, (b) results come back in
-input order no matter which thread produced them, and (c) tasks that
-share a key serialise in input order.  These tests pin each leg.
+Sharded pipelines only stay byte-identical to serial ones if (a) task
+RNG streams are pure functions of their keys, (b) results come back in
+input order, and (c) tasks that share a key run in input order.  These
+tests pin each leg inline; tests/parallel/test_procpool.py pins the
+worker-process side.
 """
-
-import threading
-import time
 
 import pytest
 
@@ -19,6 +17,9 @@ from repro.parallel import (
     flow_scope,
     stable_hash,
 )
+from repro.parallel.procpool import WorkerHostSpec
+
+HOST = WorkerHostSpec(factory="tests.parallel.hosts:build_host")
 
 
 class TestStableHash:
@@ -31,7 +32,7 @@ class TestStableHash:
 
     def test_known_value_pinned(self):
         # Guards against anyone "improving" the hash: a new scheme would
-        # silently reshuffle every shard assignment and RNG stream.
+        # silently reshuffle every derived RNG stream and fault schedule.
         import hashlib
         digest = hashlib.sha256(b"x:1").digest()
         assert stable_hash("x", 1) == int.from_bytes(digest[:8], "big")
@@ -51,17 +52,6 @@ class TestStableHash:
 
 
 class TestShardAssignment:
-    def test_shard_of_is_stable(self):
-        scheduler = ShardScheduler(4)
-        assert scheduler.shard_of("US") == scheduler.shard_of("US")
-        assert 0 <= scheduler.shard_of("US") < 4
-
-    def test_salt_changes_assignment_space(self):
-        scheduler = ShardScheduler(64)
-        spread = {scheduler.shard_of("US", salt=f"day:{d}")
-                  for d in range(32)}
-        assert len(spread) > 1
-
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
             ShardScheduler(0)
@@ -69,86 +59,30 @@ class TestShardAssignment:
 
 class TestRun:
     def test_results_in_input_order(self):
-        scheduler = ShardScheduler(4)
-        tasks = [(f"k{i}", (lambda i=i: i * i)) for i in range(50)]
-        assert scheduler.run(tasks) == [i * i for i in range(50)]
+        specs = [(f"k{i}", i) for i in range(50)]
+        assert (ShardScheduler(1).run_specs(specs, lambda i: i * i)
+                == [i * i for i in range(50)])
 
     def test_serial_fallback_matches_sharded(self):
-        tasks = lambda: [(f"k{i}", (lambda i=i: i + 100)) for i in range(20)]
-        assert ShardScheduler(1).run(tasks()) == ShardScheduler(5).run(tasks())
+        # Inline and worker-process runs of the same specs agree.
+        specs = [(f"k{i}", ("square", i)) for i in range(20)]
+        square = lambda payload: payload[1] * payload[1]  # noqa: E731
+        inline = ShardScheduler(1).run_specs(specs, square)
+        sharded = ShardScheduler(5, worker_host=HOST, workers=2)
+        try:
+            assert sharded.run_specs(specs, square) == inline
+        finally:
+            sharded.close()
 
     def test_same_key_serialises_in_input_order(self):
-        # All tasks share one key, hence one bucket and one thread: the
-        # append order must be the input order even with 8 shards.
         seen = []
-        tasks = [("US", (lambda i=i: seen.append(i))) for i in range(30)]
-        ShardScheduler(8).run(tasks)
+        specs = [("US", i) for i in range(30)]
+        ShardScheduler(1).run_specs(specs, seen.append)
         assert seen == list(range(30))
 
-    def test_distinct_keys_run_concurrently(self):
-        # Two tasks in different buckets must overlap: the first blocks
-        # until the second has started, which only works off-thread.
-        started = threading.Event()
-        scheduler = ShardScheduler(8)
-        key_a, key_b = "a", "b"
-        assert scheduler.shard_of(key_a) != scheduler.shard_of(key_b)
-
-        def waiter():
-            assert started.wait(timeout=5.0)
-            return "waited"
-
-        def starter():
-            started.set()
-            return "started"
-
-        assert scheduler.run([(key_a, waiter), (key_b, starter)]) == \
-            ["waited", "started"]
-
-    def test_exception_propagates_after_drain(self):
-        finished = []
-
-        def boom():
-            raise RuntimeError("shard died")
-
-        tasks = [("a", boom), ("b", lambda: finished.append(1))]
-        with pytest.raises(RuntimeError, match="shard died"):
-            ShardScheduler(8).run(tasks)
-        assert finished == [1]
-
     def test_empty_and_single(self):
-        assert ShardScheduler(4).run([]) == []
-        assert ShardScheduler(4).run([("k", lambda: 9)]) == [9]
-
-    def test_two_failing_buckets_raise_lowest_input_index(self):
-        # Both buckets fail; the raised exception must be the one from
-        # the lowest task input index — deterministically, even though
-        # the higher-index bucket finishes (and fails) first — with the
-        # other bucket's failure chained on via __context__.
-        scheduler = ShardScheduler(8)
-        assert scheduler.shard_of("a") != scheduler.shard_of("b")
-
-        def slow_boom():
-            time.sleep(0.05)
-            raise RuntimeError("first by input index")
-
-        def fast_boom():
-            raise KeyError("second by input index")
-
-        with pytest.raises(RuntimeError,
-                           match="first by input index") as excinfo:
-            scheduler.run([("a", slow_boom), ("b", fast_boom)])
-        chained = excinfo.value.__context__
-        assert isinstance(chained, KeyError)
-        assert "second by input index" in str(chained)
-
-    def test_shard_of_is_memoised_per_scheduler(self):
-        # Keys repeat run after run (same countries, same packages), so
-        # the stable hash is computed once per distinct (salt, key).
-        scheduler = ShardScheduler(4)
-        first = scheduler.shard_of("US", salt="day:0")
-        assert ("day:0", "US") in scheduler._shard_cache
-        scheduler._shard_cache[("day:0", "US")] = (first + 1) % 4
-        assert scheduler.shard_of("US", salt="day:0") == (first + 1) % 4
+        assert ShardScheduler(1).run_specs([], abs) == []
+        assert ShardScheduler(1).run_specs([("k", -9)], abs) == [9]
 
 
 class TestFlowScope:
@@ -162,16 +96,3 @@ class TestFlowScope:
                 assert current_flow() == "inner"
             assert current_flow() == "milk:0:US:com.app"
         assert current_flow() == ""
-
-    def test_flows_are_thread_local(self):
-        observed = {}
-
-        def task(name):
-            def run():
-                with flow_scope(name):
-                    time.sleep(0.01)
-                    observed[name] = current_flow()
-            return run
-
-        ShardScheduler(4).run([("a", task("flow-a")), ("b", task("flow-b"))])
-        assert observed == {"flow-a": "flow-a", "flow-b": "flow-b"}

@@ -82,7 +82,7 @@ class TestHoneyResume:
         world = World(seed=11, chaos=chaos)
         hook = world.detection_hook("honey", config=HONEY_DETECTOR_CONFIG)
         experiment = HoneyAppExperiment(world, installs_per_iip=40,
-                                        shards=1, detection=hook)
+                                        detection=hook)
         return world, experiment, hook
 
     def summarize(self, world, results, hook):
@@ -104,12 +104,9 @@ class TestHoneyResume:
             experiment.run(recovery=RecoveryContext.create(
                 clean_root, "honey")),
             hook)
-        # Aggregates match the plain concurrent schedule exactly; only
-        # trace-span coordinates may differ (quiescent barriers).
-        assert clean[1:] == plain[1:]
-        assert world.obs.metrics.snapshot() == \
-            plain_world.obs.metrics.snapshot()
-        assert world.obs.ops.value == plain_world.obs.ops.value
+        # One schedule: recovery mode adds no work, so the plain run's
+        # obs export, report and flagged set all match byte for byte.
+        assert clean == plain
 
         for stage, index in [("honey.campaign", 1),
                              ("honey.checkpoint", 0)]:
@@ -123,7 +120,7 @@ class TestHoneyResume:
             resuming = RecoveryContext.create(root, "honey", resume=True)
             resumed = self.summarize(
                 world, experiment.run(recovery=resuming), hook)
-            assert resumed == clean, f"diverged after {stage}:{index}"
+            assert resumed == plain, f"diverged after {stage}:{index}"
 
 
 class TestServeResume:

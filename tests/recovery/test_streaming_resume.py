@@ -7,13 +7,13 @@ a same-seed uninterrupted run:
   markers for the spilled observation/archive logs; resume truncates
   the spill files back to the checkpointed offsets (the WAL contract)
   and the rest of the run replays byte-identically;
-* a ``--backend process`` run's checkpoint embeds every worker
+* a ``--shards N`` (N > 1) run's checkpoint embeds every worker
   replica's wire-facing state plus the scheduler's pinning map; resume
   warms a fresh pool from the checkpoint (``adopt_checkpoint``) instead
-  of requiring an in-process backend.
+  of requiring an inline run.
 
 Mode mismatches (streamed checkpoint resumed materialised, process
-checkpoint resumed in-process, and vice versa) must fail loudly, not
+checkpoint resumed inline, and vice versa) must fail loudly, not
 corrupt the run.
 """
 
@@ -31,16 +31,14 @@ SCALE = 0.04
 SEED = 11
 
 
-def build(profile="off", batch=0, spill_dir=None, backend="thread",
-          shards=1):
+def build(profile="off", batch=0, spill_dir=None, shards=1):
     chaos = ChaosScenario.profile(profile, seed=7)
     world = World(seed=SEED, chaos=chaos)
     scenario = WildScenario(world, WildScenarioConfig(
         scale=SCALE, measurement_days=DAYS))
     scenario.build()
     measurement = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, shards=shards, backend=backend,
-        batch_devices=batch,
+        measurement_days=DAYS, shards=shards, batch_devices=batch,
         spill_dir=str(spill_dir) if spill_dir else None))
     return world, measurement
 
@@ -97,19 +95,17 @@ class TestStreamedResume:
 class TestProcessBackendResume:
     @pytest.mark.parametrize("profile", ["off", "paper"])
     def test_process_crash_resume_equals_plain(self, tmp_path, profile):
-        world, measurement = build(profile, backend="process", shards=2)
+        world, measurement = build(profile, shards=2)
         base = summarize(world, measurement.run())
 
         for stage, day in [("wild.day", 2), ("wild.checkpoint", 3)]:
             root = tmp_path / f"{stage}-{day}"
-            world, measurement = build(profile, backend="process",
-                                       shards=2)
+            world, measurement = build(profile, shards=2)
             crashing = RecoveryContext.create(
                 root, "wild", crash=CrashPlan.at(stage, day))
             with pytest.raises(SimulatedCrash):
                 measurement.run(recovery=crashing)
-            world, measurement = build(profile, backend="process",
-                                       shards=2)
+            world, measurement = build(profile, shards=2)
             resuming = RecoveryContext.create(root, "wild", resume=True)
             resumed = summarize(world, measurement.run(recovery=resuming))
             assert resumed == base, f"diverged after {stage}:{day}"
@@ -117,27 +113,27 @@ class TestProcessBackendResume:
     def test_process_checkpoint_rejected_by_in_process_resume(
             self, tmp_path):
         root = tmp_path / "ckpt"
-        world, measurement = build(backend="process", shards=2)
+        world, measurement = build(shards=2)
         crashing = RecoveryContext.create(
             root, "wild", crash=CrashPlan.at("wild.day", 2))
         with pytest.raises(SimulatedCrash):
             measurement.run(recovery=crashing)
-        world, measurement = build(backend="thread")
+        world, measurement = build()
         resuming = RecoveryContext.create(root, "wild", resume=True)
-        with pytest.raises(ValueError, match="process"):
+        with pytest.raises(ValueError, match="--shards N > 1"):
             measurement.run(recovery=resuming)
 
     def test_in_process_checkpoint_rejected_by_process_resume(
             self, tmp_path):
         root = tmp_path / "ckpt"
-        world, measurement = build(backend="thread")
+        world, measurement = build()
         crashing = RecoveryContext.create(
             root, "wild", crash=CrashPlan.at("wild.day", 2))
         with pytest.raises(SimulatedCrash):
             measurement.run(recovery=crashing)
-        world, measurement = build(backend="process", shards=2)
+        world, measurement = build(shards=2)
         resuming = RecoveryContext.create(root, "wild", resume=True)
-        with pytest.raises(ValueError, match="serial or thread"):
+        with pytest.raises(ValueError, match="--shards 1"):
             measurement.run(recovery=resuming)
 
     def test_streamed_process_crash_resume_equals_plain(self, tmp_path):
@@ -145,19 +141,19 @@ class TestProcessBackendResume:
         crash mid-run, resume, byte-identical."""
         world, measurement = build(
             "paper", batch=7, spill_dir=tmp_path / "spill-base",
-            backend="process", shards=2)
+            shards=2)
         base = summarize(world, measurement.run())
 
         root = tmp_path / "ckpt"
         spill = tmp_path / "spill-resume"
         world, measurement = build("paper", batch=7, spill_dir=spill,
-                                   backend="process", shards=2)
+                                   shards=2)
         crashing = RecoveryContext.create(
             root, "wild", crash=CrashPlan.at("wild.day", 2))
         with pytest.raises(SimulatedCrash):
             measurement.run(recovery=crashing)
         world, measurement = build("paper", batch=7, spill_dir=spill,
-                                   backend="process", shards=2)
+                                   shards=2)
         resuming = RecoveryContext.create(root, "wild", resume=True)
         resumed = summarize(world, measurement.run(recovery=resuming))
         assert resumed == base
