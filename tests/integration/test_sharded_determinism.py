@@ -14,6 +14,7 @@ import pytest
 
 from repro import World, WildScenario, WildScenarioConfig
 from repro.core import WildMeasurement, WildMeasurementConfig
+from repro.monitor.storage import save_archive, save_dataset
 from repro.net.chaos import ChaosScenario
 from repro.obs import Observability
 from repro.obs.export import to_json
@@ -36,6 +37,14 @@ def run_wild(shards: int, chaos: ChaosScenario = None):
 def offers_key(results):
     return [(o.offer_id, o.package, o.country, o.day)
             for o in results.observations]
+
+
+def release_bytes(results, tmp_path, tag):
+    offers = tmp_path / f"offers-{tag}.json"
+    archive = tmp_path / f"archive-{tag}.json"
+    save_dataset(results.dataset, offers)
+    save_archive(results.archive, archive)
+    return offers.read_bytes(), archive.read_bytes()
 
 
 class TestShardedDeterminism:
@@ -69,3 +78,31 @@ class TestShardedDeterminism:
         world_3, results_3 = run_wild(3)
         assert to_json(world_3.obs) == to_json(world_1.obs)
         assert offers_key(results_3) == offers_key(results_1)
+
+
+class TestBackendMatrix:
+    """Inline and worker-process execution agree on what leaves the run.
+
+    The shards=4 pins above compare the observability export and the
+    offer log; these pin the serialised data release itself and a
+    second chaos profile on a two-shard pool."""
+
+    def test_process_backend_matches_serial_byte_for_byte(self, tmp_path):
+        world_1, results_1 = run_wild(1)
+        world_p, results_p = run_wild(2)
+        assert to_json(world_p.obs) == to_json(world_1.obs)
+        assert (release_bytes(results_p, tmp_path, "process")
+                == release_bytes(results_1, tmp_path, "serial"))
+        assert results_p.crawl_requests == results_1.crawl_requests
+        assert results_p.milk_runs == results_1.milk_runs
+
+    @pytest.mark.chaos
+    def test_process_backend_matches_serial_under_chaos(self):
+        world_1, results_1 = run_wild(
+            1, chaos=ChaosScenario.profile("mild", seed=3))
+        world_p, results_p = run_wild(
+            2, chaos=ChaosScenario.profile("mild", seed=3))
+        assert to_json(world_p.obs) == to_json(world_1.obs)
+        assert offers_key(results_p) == offers_key(results_1)
+        assert results_p.coverage_loss == results_1.coverage_loss
+        assert results_1.coverage_loss.faults_injected > 0

@@ -73,6 +73,22 @@ class TestStreamedEqualsMaterialised:
         assert (export_bytes(results_s, tmp_path, "streamed")
                 == export_bytes(results_m, tmp_path, "materialised"))
 
+    @pytest.mark.chaos
+    def test_streamed_shards_4_matches_materialised_serial(self,
+                                                           tmp_path):
+        # Streaming, worker processes and chaos together: fault
+        # decisions are flow-scoped, so neither the chunking nor the
+        # worker a flow lands on can move them.
+        chaos = ChaosScenario.profile("paper", seed=7)
+        world_m, results_m = run_wild(batch=0, chaos=chaos)
+        chaos = ChaosScenario.profile("paper", seed=7)
+        world_s, results_s = run_wild(batch=BATCH, shards=4, chaos=chaos,
+                                      spill_dir=tmp_path / "spill")
+        assert to_json(world_s.obs) == to_json(world_m.obs)
+        assert offers_key(results_s) == offers_key(results_m)
+        assert results_s.coverage_loss == results_m.coverage_loss
+        assert results_m.coverage_loss.faults_injected > 0
+
     def test_streamed_process_backend_matches_materialised_serial(
             self, tmp_path):
         world_m, results_m = run_wild(batch=0)

@@ -80,6 +80,23 @@ class TestRun:
         ShardScheduler(1).run_specs(specs, seen.append)
         assert seen == list(range(30))
 
+    def test_two_failing_buckets_raise_lowest_input_index(self):
+        # Inline, the lowest-index failure raises at once and the tasks
+        # after it never run; tests/parallel/test_procpool.py pins the
+        # worker-process side, where both fail and chain.
+        ran = []
+
+        def run(payload):
+            ran.append(payload)
+            if payload in ("first", "second"):
+                raise RuntimeError(f"{payload} by input index")
+            return payload
+
+        specs = [("a", "ok"), ("a", "first"), ("b", "second"), ("b", "tail")]
+        with pytest.raises(RuntimeError, match="first by input index"):
+            ShardScheduler(1).run_specs(specs, run)
+        assert ran == ["ok", "first"]
+
     def test_empty_and_single(self):
         assert ShardScheduler(1).run_specs([], abs) == []
         assert ShardScheduler(1).run_specs([("k", -9)], abs) == [9]
