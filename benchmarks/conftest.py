@@ -24,7 +24,6 @@ from repro import (
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
 BENCH_DAYS = int(os.environ.get("REPRO_BENCH_DAYS", "110"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "2019"))
-BENCH_SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "1"))
 
 
 class WildBundle:
@@ -37,8 +36,7 @@ class WildBundle:
         self.scenario.build()
         measurement = WildMeasurement(
             self.world, self.scenario,
-            WildMeasurementConfig(measurement_days=BENCH_DAYS,
-                                  shards=BENCH_SHARDS))
+            WildMeasurementConfig(measurement_days=BENCH_DAYS))
         self.results = measurement.run()
         self.vetted = self.results.vetted_packages()
         vetted_set = set(self.vetted)

@@ -50,16 +50,6 @@ class TestServeBench:
     def test_cache_pays_off_on_query_heavy_traffic(self, report):
         assert report["clean"]["cache"]["hit_rate"] >= 0.5
 
-    def test_keyed_policy_beats_wholesale_without_changing_detection(
-            self, report):
-        comparison = report["cache_policy"]
-        assert comparison["keyed"]["policy"] == "keyed"
-        assert comparison["wholesale"]["policy"] == "wholesale"
-        assert comparison["hit_rate_delta"] > 0
-        assert (comparison["keyed"]["invalidations"]
-                < comparison["wholesale"]["invalidations"])
-        assert comparison["detection_unchanged"]
-
     @pytest.mark.parametrize("section", SECTIONS)
     def test_admission_sheds_instead_of_overflowing(self, report, section):
         admission = report[section]["admission"]

@@ -18,7 +18,6 @@ from benchmarks.conftest import (
     BENCH_DAYS,
     BENCH_SCALE,
     BENCH_SEED,
-    BENCH_SHARDS,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -38,8 +37,7 @@ def committed():
 
 def test_bench_parameters_match(committed):
     assert committed["run"] == {
-        "seed": BENCH_SEED, "scale": BENCH_SCALE,
-        "days": BENCH_DAYS, "shards": BENCH_SHARDS,
+        "seed": BENCH_SEED, "scale": BENCH_SCALE, "days": BENCH_DAYS,
     }, ("bench parameters differ from the committed snapshot; "
         "re-run with matching REPRO_BENCH_* values")
 

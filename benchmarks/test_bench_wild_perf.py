@@ -3,11 +3,10 @@
 ``scripts/export_bench_obs.py`` runs the pipeline with the crawler's
 (package, day) cache on and off at the bench scale; this bench asserts
 the headline claims (fabric requests down >= 20%, a real cache hit
-rate, op-cost histograms populated), gates the wall clock, peak RSS,
-and device throughput at the canonical ``--shards 4`` (worker
-process) config, and pins the deterministic subset against the
-committed ``benchmarks/snapshots/wild_obs.json`` so a request-count
-regression cannot land silently.
+rate, op-cost histograms populated), gates the serial run's wall
+clock, peak RSS and device throughput, and pins the deterministic
+subset against the committed ``benchmarks/snapshots/wild_obs.json`` so
+a request-count regression cannot land silently.
 """
 
 import json
@@ -23,17 +22,15 @@ sys.path.insert(0, str(REPO_ROOT / "scripts"))
 
 from export_bench_obs import (  # noqa: E402
     DAYS as BENCH_DAYS,
-    SHARDS as BENCH_SHARDS,
     build_report,
     deterministic_subset,
     render,
 )
 
-#: Wall-clock ceiling for the canonical bench config (shards=4, worker
-#: processes): the serial pre-optimisation baseline ran 34.8s, so this
-#: pins a >= 2x end-to-end speedup with headroom for runner jitter.
+#: Wall-clock ceiling for the bench config: the pre-optimisation
+#: baseline ran 34.8s, so this pins a >= 2x end-to-end speedup with
+#: headroom for runner jitter.
 WALL_GATE_SECONDS = 17.4
-CANONICAL = BENCH_SHARDS == 4
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +67,7 @@ class TestPerf:
         assert (op_cost["wild.milk_ops"]["p99_ops"]
                 >= op_cost["wild.milk_ops"]["p50_ops"])
 
-    def test_wall_clock_meets_process_gate(self, report):
-        if not CANONICAL:
-            pytest.skip("wall gate is pinned at the canonical "
-                        "shards=4 config")
+    def test_wall_clock_meets_gate(self, report):
         assert report["wall_seconds"]["measured"] <= WALL_GATE_SECONDS
         assert (report["wall_seconds"]["measured"]
                 < report["wall_seconds"]["baseline_uncached"])
@@ -81,21 +75,18 @@ class TestPerf:
     def test_device_throughput_is_reported_and_real(self, report):
         throughput = report["devices_per_sec"]
         assert throughput["measured"] > throughput["baseline_uncached"] > 0
-        if CANONICAL:
-            # milk_runs / WALL_GATE_SECONDS at the bench scale.
-            assert throughput["measured"] >= 50.0
+        # milk_runs / WALL_GATE_SECONDS at the bench scale.
+        assert throughput["measured"] >= 50.0
 
     def test_peak_rss_is_tracked_and_bounded(self, report):
         rss = report["peak_rss_mb"]
         assert rss["self"] > 0
+        # All three are rounded to 0.1 MB, so the sum of the parts can
+        # be one rounding step (plus float error) off the total.
         assert rss["total"] == pytest.approx(
-            rss["self"] + rss["children"], abs=0.1)
-        # The whole bench (parent + reaped workers) fits in 4 GB.
+            rss["self"] + rss["children"], abs=0.11)
+        # The whole bench fits in 4 GB.
         assert rss["total"] < 4096
-        if CANONICAL:
-            # The process pool really ran: reaped workers left a
-            # nonzero child high-water mark.
-            assert rss["children"] > 0
 
     def test_matches_committed_snapshot(self, report):
         assert SNAPSHOT.exists(), (

@@ -60,7 +60,6 @@ from repro.core import HoneyAppExperiment
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "2019"))
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
 DAYS = int(os.environ.get("REPRO_BENCH_DAYS", "110"))
-SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "1"))
 HONEY_INSTALLS = int(os.environ.get("REPRO_BENCH_HONEY_INSTALLS", "500"))
 
 STAGE_HISTOGRAMS = ("wild.milk_ops", "wild.crawl_ops", "wild.analyse_ops")
@@ -79,7 +78,7 @@ def run_wild(crawl_cache: bool) -> tuple:
         scale=SCALE, measurement_days=DAYS))
     scenario.build()
     measurement = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, shards=SHARDS, crawl_cache=crawl_cache))
+        measurement_days=DAYS, crawl_cache=crawl_cache))
     started = time.monotonic()
     results = measurement.run()
     elapsed = time.monotonic() - started
@@ -102,7 +101,7 @@ def stage_quantiles(world, names=STAGE_HISTOGRAMS) -> dict:
 
 def peak_rss_mb() -> dict:
     """Peak resident set size so far, in MB.  ``children`` covers
-    reaped worker processes (zero when ``shards == 1``)."""
+    reaped child processes (none in a plain run)."""
     kb = 1024.0
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / kb
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / kb
@@ -131,7 +130,6 @@ def build_report() -> dict:
             "seed": SEED,
             "scale": SCALE,
             "days": DAYS,
-            "shards": SHARDS,
         },
         "fabric": {
             "requests": requests,

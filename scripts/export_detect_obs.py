@@ -63,7 +63,6 @@ from repro.scenarios import (
 from repro.scenarios.downloadfraud import rank_trajectory
 
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "2019"))
-SHARDS = int(os.environ.get("REPRO_BENCH_DETECT_SHARDS", "1"))
 WILD_SCALE = float(os.environ.get("REPRO_BENCH_DETECT_SCALE", "0.05"))
 WILD_DAYS = int(os.environ.get("REPRO_BENCH_DETECT_DAYS", "14"))
 HONEY_INSTALLS = int(os.environ.get("REPRO_BENCH_DETECT_INSTALLS", "500"))
@@ -91,7 +90,7 @@ def run_wild_source(profile: str = "naive") -> tuple:
     scenario.build()
     started = time.monotonic()
     WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=WILD_DAYS, shards=SHARDS), detection=hook).run()
+        measurement_days=WILD_DAYS), detection=hook).run()
     return world, scenario, hook, time.monotonic() - started
 
 
@@ -222,7 +221,6 @@ def build_report() -> dict:
     report = {
         "run": {
             "seed": SEED,
-            "shards": SHARDS,
             "wild_scale": WILD_SCALE,
             "wild_days": WILD_DAYS,
             "honey_installs_per_iip": HONEY_INSTALLS,

@@ -9,12 +9,6 @@ unshed queue overflows), the watermark-cache hit rate, and the
 detection quality (online == batch, precision/recall against the
 fleet's ground truth).
 
-A third clean run under the historical ``wholesale`` cache policy
-(every ingest clears the whole response cache) feeds the
-``cache_policy`` section: keyed vs wholesale hit rates and the delta
-the per-entry invalidation buys, with the detection section pinned
-identical across policies.
-
 Two outputs:
 
 * ``BENCH_serve.json`` (``--out``): the full report including wall
@@ -61,8 +55,7 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_serve.json"
 DEFAULT_SNAPSHOT = REPO_ROOT / "benchmarks/snapshots/serve_obs.json"
 
 
-def run_section(chaos_profile: str, chaos_seed,
-                cache_policy: str = "keyed") -> tuple:
+def run_section(chaos_profile: str, chaos_seed) -> tuple:
     config = ServeRunConfig(
         seed=SEED,
         days=DAYS,
@@ -73,7 +66,6 @@ def run_section(chaos_profile: str, chaos_seed,
         chaos_profile=chaos_profile,
         chaos_seed=chaos_seed,
         requests_per_client_day=REQUESTS_PER_CLIENT_DAY,
-        cache_policy=cache_policy,
     )
     started = time.monotonic()
     result = run_serve(config)
@@ -83,10 +75,6 @@ def run_section(chaos_profile: str, chaos_seed,
 def build_report() -> dict:
     clean, clean_elapsed = run_section("off", None)
     chaos, chaos_elapsed = run_section(CHAOS_PROFILE, CHAOS_SEED)
-    wholesale, wholesale_elapsed = run_section(
-        "off", None, cache_policy="wholesale")
-    keyed_cache = clean.report["cache"]
-    wholesale_cache = wholesale.report["cache"]
     report = {
         "run": {
             "seed": SEED,
@@ -101,21 +89,10 @@ def build_report() -> dict:
         },
         "clean": clean.report,
         "chaos": chaos.report,
-        "cache_policy": {
-            "keyed": keyed_cache,
-            "wholesale": wholesale_cache,
-            "hit_rate_delta": round(
-                keyed_cache["hit_rate"] - wholesale_cache["hit_rate"], 4),
-            # The policy only changes what is served from cache, never
-            # what the detector concludes.
-            "detection_unchanged": (wholesale.report["detection"]
-                                    == clean.report["detection"]),
-        },
     }
     report["wall_seconds"] = {
         "clean": round(clean_elapsed, 2),
         "chaos": round(chaos_elapsed, 2),
-        "wholesale": round(wholesale_elapsed, 2),
     }
     return report
 

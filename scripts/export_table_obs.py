@@ -48,7 +48,6 @@ from repro.iip.registry import VETTED_IIPS
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "2019"))
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
 DAYS = int(os.environ.get("REPRO_BENCH_DAYS", "110"))
-SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "1"))
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / (
     "benchmarks/snapshots/table_obs.json")
@@ -60,7 +59,7 @@ def build_bundle() -> tuple:
         scale=SCALE, measurement_days=DAYS))
     scenario.build()
     results = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, shards=SHARDS)).run()
+        measurement_days=DAYS)).run()
     vetted = results.vetted_packages()
     vetted_set = set(vetted)
     unvetted = [p for p in results.unvetted_packages()
@@ -112,7 +111,6 @@ def build_snapshot() -> dict:
             "seed": SEED,
             "scale": SCALE,
             "days": DAYS,
-            "shards": SHARDS,
         },
         "inputs": {
             "offers": results.dataset.offer_count(),

@@ -53,15 +53,6 @@ def _add_chaos_flags(parser) -> None:
                              "--seed); same seed => identical faults")
 
 
-def _add_shards_flag(parser, what: str) -> None:
-    """The ``--shards`` flag of the wild pipeline (wild, detect)."""
-    parser.add_argument("--shards", type=int, default=1,
-                        help=f"{what}: 1 runs inline (default); N > 1 "
-                             "runs on min(N, cores) spawned worker "
-                             "processes; any value yields byte-identical "
-                             "results at the same seed")
-
-
 def _chaos_scenario(args):
     """Build the :class:`ChaosScenario` the shared flags describe."""
     from repro.net.chaos import ChaosScenario
@@ -76,8 +67,8 @@ def _add_scenario_flag(parser) -> None:
                              "separated: naive (default), evasive, "
                              "fake-reviews, download-fraud; profiles "
                              "compose, and every choice stays byte-"
-                             "identical at the same seed across shard "
-                             "counts and chaos profiles")
+                             "identical at the same seed under every "
+                             "chaos profile")
 
 
 def _scenario_pack(args):
@@ -242,7 +233,6 @@ def _add_wild(subparsers) -> None:
                         help="write the crawl archive JSON here")
     _add_scenario_flag(parser)
     _add_chaos_flags(parser)
-    _add_shards_flag(parser, "milking and crawling")
     _add_recovery_flags(parser, "wild.day, wild.milk, wild.checkpoint")
 
 
@@ -265,7 +255,6 @@ def _add_detect(subparsers) -> None:
                         help="event source: the synthetic labelled corpus, "
                              "the Section-3 honey telemetry, or the "
                              "Section-4 wild monitor (default: corpus)")
-    _add_shards_flag(parser, "wild source milking and crawling")
     parser.add_argument("--scale", type=float, default=0.05,
                         help="wild source: fraction of the paper's 922 "
                              "advertised apps (default: 0.05)")
@@ -301,11 +290,6 @@ def _add_serve(subparsers) -> None:
     parser.add_argument("--profile", default="query-heavy",
                         choices=("query-heavy", "ingest-heavy", "mixed"),
                         help="fleet endpoint mix (default: query-heavy)")
-    parser.add_argument("--cache-policy", default="keyed",
-                        choices=("keyed", "wholesale"),
-                        help="response-cache invalidation: per-entry "
-                             "freshness tokens (keyed, default) or "
-                             "clear-all-on-ingest (wholesale)")
     parser.add_argument("--shards", type=int, default=1,
                         help="the service's request worker tasks; any "
                              "value yields byte-identical results at the "
@@ -433,8 +417,7 @@ def _cmd_wild(args) -> int:
         scale=args.scale, measurement_days=args.days, scenario=pack))
     scenario.build()
     measurement = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=args.days, shards=args.shards,
-        batch_devices=args.batch_devices,
+        measurement_days=args.days, batch_devices=args.batch_devices,
         spill_dir=args.spill_dir))
     recovery = _recovery_context(args, "wild")
     try:
@@ -524,10 +507,6 @@ def _cmd_detect(args) -> int:
 
     pack = _scenario_pack(args)
     chaos = _chaos_scenario(args)
-    if args.shards != 1 and args.source != "wild":
-        print("error: --shards applies to the wild source only",
-              file=sys.stderr)
-        return 2
     scenario = None
     world = None
     if args.source == "corpus":
@@ -576,8 +555,7 @@ def _cmd_detect(args) -> int:
             scale=args.scale, measurement_days=args.days, scenario=pack))
         scenario.build()
         WildMeasurement(world, scenario, WildMeasurementConfig(
-            measurement_days=args.days, shards=args.shards),
-            detection=hook).run()
+            measurement_days=args.days), detection=hook).run()
     flagged = hook.finalize()
     report = hook.evaluate()
     print(f"{args.source}: {len(hook.log)} events, "
@@ -634,7 +612,6 @@ def _cmd_serve(args) -> int:
         profile=args.profile,
         chaos_profile=args.chaos_profile,
         chaos_seed=args.chaos_seed,
-        cache_policy=args.cache_policy,
     )
     recovery = _recovery_context(args, "serve", with_wal=True)
     try:

@@ -38,12 +38,7 @@ from repro.net.client import CircuitBreaker, RetryPolicy, TlsSessionCache
 from repro.net.ip import MILKER_COUNTRIES
 from repro.net.tls import TrustStore
 from repro.obs import Observability
-from repro.parallel import (
-    ShardScheduler,
-    apply_world_deltas,
-    flow_scope,
-    unwrap_result,
-)
+from repro.parallel import ShardScheduler, flow_scope
 from repro.playstore.frontend import PLAY_HOST
 from repro.simulation import paperdata
 from repro.simulation.scenarios import WildScenario
@@ -71,11 +66,6 @@ class WildMeasurementConfig:
     countries_per_milk_day: int = 2
     baseline_window: Tuple[int, int] = (
         0, paperdata.AVERAGE_CAMPAIGN_DURATION_DAYS)
-    #: Milk/crawl execution: 1 runs every task inline (serial); N > 1
-    #: runs them on ``min(N, cores)`` spawn workers that rebuild the
-    #: world from the seed (see repro.core.wild_worker).  Any value
-    #: produces byte-identical exports at the same seed.
-    shards: int = 1
     #: Crawl every charted app's profile too (the paper archived the
     #: top-chart apps alongside the tracked set); the request cache
     #: absorbs the overlap with the tracked packages.
@@ -193,13 +183,13 @@ class WildResults:
 class WildMeasurement:
     """Owns the measurement infrastructure and runs the day loop.
 
-    The milk and crawl phases run on a :class:`ShardScheduler`.  Milking
-    is keyed by VPN country: each country gets its own *cell* (mitm
-    proxy, milker RNG stream, circuit breaker), all of a country's runs
-    execute in order on one worker, and the shared phone trusts every
-    cell's CA.  Results and per-task observability contexts are merged
-    back in canonical ``(app, country)`` order, so exports stay
-    byte-identical across shard counts — see DESIGN.md.
+    The milk and crawl phases fan out as tasks through
+    :class:`ShardScheduler`.  Milking is keyed by VPN country: each
+    country gets its own *cell* (mitm proxy, milker RNG stream, circuit
+    breaker), a country's runs execute in input order, and the shared
+    phone trusts every cell's CA.  Results and per-task observability
+    contexts are merged back in canonical ``(app, country)`` order, so
+    exports never depend on task order — see DESIGN.md.
     """
 
     def __init__(self, world: World, scenario: WildScenario,
@@ -208,15 +198,6 @@ class WildMeasurement:
         self.world = world
         self.scenario = scenario
         self.config = config or WildMeasurementConfig()
-        worker_host = None
-        if self.config.shards > 1:
-            # Imported lazily: wild_worker imports this module back for
-            # the replica bootstrap, and inline runs never need it.
-            from repro.core.wild_worker import wild_worker_spec
-            worker_host = wild_worker_spec(world, scenario.config,
-                                           self.config)
-        self._scheduler = ShardScheduler(self.config.shards,
-                                         worker_host=worker_host)
         #: Live detection hook; when set, each milk day's merged offer
         #: stream is bridged into install events.  The bridge derives
         #: its RNG from its own seed stream, so attaching it never
@@ -233,11 +214,10 @@ class WildMeasurement:
         # and crawler retried flaky fetches rather than losing the day.
         self.retry_policy = RetryPolicy()
         # One milk cell per country: the mitm proxy and breaker are
-        # per-country mutable state, so two countries can milk on
-        # different workers without sharing anything but the fabric.
-        # Each breaker runs on its own internal call counter — a
-        # country's runs always execute in the same order on one
-        # worker, so recovery windows are shard-count-invariant.
+        # per-country mutable state, so two countries' runs share
+        # nothing but the fabric.  Each breaker runs on its own internal
+        # call counter, and a country's runs always execute in the same
+        # order, so recovery windows do not depend on the other cells.
         phone_trust = world.device_trust_store()
         self.cells: Dict[str, Milker] = {}
         mitms = {}
@@ -322,29 +302,16 @@ class WildMeasurement:
             loaded = recovery.store.latest()
             if loaded is not None:
                 day, state = loaded
-                start_day = day + 1
-                workers_state = state.get("workers")
-                if self._scheduler.uses_processes:
-                    # Arm the replica warm-up before the pool exists:
-                    # workers restore their pinned cells' mid-run state
-                    # at bootstrap (see WildWorkerHost.adopt_checkpoint)
-                    # and the scheduler reuses the original pinning —
-                    # re-deriving pins from a later day's key order
-                    # would route cells to different replicas.
-                    if workers_state is None:
-                        raise ValueError(
-                            "checkpoint was written by a --shards 1 "
-                            "run; resume with --shards 1 (or re-run "
-                            "from scratch)")
-                    self._scheduler.adopt_workers(
-                        int(workers_state["count"]),
-                        {str(key): int(index) for key, index
-                         in workers_state["pins"].items()},
-                        checkpoint_dir=str(recovery.store.root))
-                elif workers_state is not None:
+                if "workers" in state:
+                    # Written by a worker-process run, whose milk cells
+                    # and crawl clients lived on replicas: the parent-
+                    # side cell state in this checkpoint never saw them.
                     raise ValueError(
-                        "checkpoint was written by a --shards N > 1 "
-                        "run; resume with --shards N > 1")
+                        "checkpoint has a 'workers' section: it was "
+                        "written by a worker-process (--shards N > 1) "
+                        "run, so its cell state is stale and it cannot "
+                        "be resumed; re-run from scratch")
+                start_day = day + 1
                 for replay_day in range(start_day):
                     self.scenario.run_day(replay_day)
                     self.world.clock.advance()
@@ -355,10 +322,7 @@ class WildMeasurement:
         run_span = (tracer.adopt(adopted_span) if adopted_span is not None
                     else tracer.span("wild.run",
                                      days=config.measurement_days))
-        try:
-            return self._run_days(run_span, start_day, recovery)
-        finally:
-            self._scheduler.close()
+        return self._run_days(run_span, start_day, recovery)
 
     def _run_days(self, run_span, start_day: int, recovery) -> WildResults:
         config = self.config
@@ -370,9 +334,6 @@ class WildMeasurement:
                     recovery.crash_point("wild.day", day)
                 with tracer.span("wild.scenario", day=day):
                     self.scenario.run_day(day)
-                # Keep process workers' replica worlds in day lockstep
-                # (no-op inline).
-                self._scheduler.broadcast(("day", day))
                 if day % config.milk_cadence_days == 0:
                     if recovery is not None:
                         recovery.crash_point("wild.milk", day)
@@ -383,8 +344,7 @@ class WildMeasurement:
                     tracked = (self.scenario.baseline_packages()
                                + self.dataset.unique_packages())
                     with tracer.span("wild.crawl", day=day) as span:
-                        self.crawler.crawl_everything(
-                            tracked, day=day, scheduler=self._scheduler)
+                        self.crawler.crawl_everything(tracked, day=day)
                     metrics.observe("wild.crawl_ops", span.duration_ops)
                 metrics.inc("core.wild.days")
                 self.world.clock.advance()
@@ -407,12 +367,7 @@ class WildMeasurement:
         store state are deliberately absent: they are reconstructed by
         deterministic replay on resume.  Observability is captured last
         so its op counter covers every state-gathering read above it
-        (the reads cost no ops; the invariant is about ordering).
-
-        With worker processes the checkpoint additionally carries a
-        ``workers`` section — the scheduler's worker count and pinning
-        map plus each worker replica's wire-facing state — so a resumed
-        pool warms its replicas instead of starting them pristine."""
+        (the reads cost no ops; the invariant is about ordering)."""
         world = self.world
         state: Dict[str, object] = {
             "phone_installed": sorted(self.phone.installed_packages),
@@ -436,12 +391,6 @@ class WildMeasurement:
                 "bridge": self._detection_bridge.state_dict(),
             }),
         }
-        if self._scheduler.uses_processes:
-            state["workers"] = {
-                "count": self._scheduler.workers,
-                "pins": dict(self._scheduler.pins),
-                "states": self._scheduler.collect_states(),
-            }
         state["obs"] = world.obs.state_dict()
         return state
 
@@ -479,12 +428,7 @@ class WildMeasurement:
         """Execute one ``("milk", day, country, package)`` spec payload:
         a self-contained milk run with its own observability context and
         chaos flow scope; the cell's mitm/breaker/RNG are touched by no
-        other country.
-
-        This is both the scheduler's inline runner and what a worker
-        process calls against its replica measurement — one code path
-        for every shard count.
-        """
+        other country."""
         _kind, day, country, package = payload
         cell = self.cells[country]
         spec = AFFILIATE_SPECS[package]
@@ -496,24 +440,20 @@ class WildMeasurement:
     def _milk(self, day: int) -> None:
         """Milk every (app, country) pair for the day, keyed by
         country, then merge results in canonical (app, country) order so
-        the dataset and the obs export never depend on shard timing."""
+        the dataset and the obs export never depend on task order."""
         pairs = [(country, spec)
                  for country in self._countries_for(day)
                  for spec in AFFILIATE_SPECS.values()]
         specs = [(country, ("milk", day, country, spec.package))
                  for country, spec in pairs]
-        results = self._scheduler.run_specs(specs, self.run_milk_payload)
+        results = ShardScheduler.run_specs(specs, self.run_milk_payload)
         merged = sorted(
             zip(pairs, results),
             key=lambda item: (item[0][1].package, item[0][0]))
-        # Worker-process envelopes ship world-side recording deltas;
-        # apply them all before any task-obs merge, mirroring the serial
-        # order (world ticks land during the task, before the barrier).
-        apply_world_deltas(self.world.obs, [item for _, item in merged])
         impressions: List[str] = []
         day_offers: List = []
-        for (_country, _spec), item in merged:
-            run = unwrap_result(self.world.obs, item)
+        for (_country, _spec), (run, task_obs) in merged:
+            self.world.obs.merge(task_obs)
             self._milk_runs += 1
             self._milk_errors.extend(run.errors)
             self._observations.extend(run.offers)
@@ -521,15 +461,14 @@ class WildMeasurement:
             impressions.extend(offer.package for offer in run.offers)
             day_offers.extend(run.offers)
         if self._detection_bridge is not None:
-            # Post-barrier, canonical order: the bridge sees the same
-            # impression stream at every shard count.
+            # After the merge, in canonical order: the bridge sees the
+            # same impression stream whatever order the tasks ran in.
             self._detection_bridge.on_milk_day(day, day_offers)
         if self.config.capture_offer_pages:
             # Pin each impression's store page at observation time; the
             # impression stream is in canonical merged order, so the
-            # capture — and its cache hits — is shard-count-invariant.
-            self.crawler.capture_offer_pages(
-                impressions, day=day, scheduler=self._scheduler)
+            # capture — and its cache hits — never depend on task order.
+            self.crawler.capture_offer_pages(impressions, day=day)
 
     def _coverage_loss(self) -> CoverageLossSummary:
         """Roll the obs counters up into the coverage-loss summary."""

@@ -26,8 +26,8 @@ Two adapters feed it:
   per-``(package, day)`` anchor window, plus sparse organic installs
   with genuine engagement.  All randomness comes from streams derived
   off the bridge seed with :func:`~repro.parallel.hashing.derive_rng`,
-  and the bridge only ever sees the post-barrier canonically-merged
-  offer list — so ``--shards N`` and same-seed chaos runs produce
+  and the bridge only ever sees the canonically merged offer list of a
+  milk day — so same-seed runs, clean or under chaos, produce
   byte-identical event streams.
 """
 

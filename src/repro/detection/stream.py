@@ -21,10 +21,10 @@ Determinism contract
 --------------------
 The online detector is a pure fold over the event sequence: no clocks,
 no randomness, no iteration over unordered containers that could leak
-into its outputs.  Both pipelines publish events post-barrier, after
-shard results have been merged in canonical order, so ``--shards N``
-and same-seed chaos runs feed the bus byte-identical streams — which is
-what makes ``repro detect`` exports byte-identical across shard counts.
+into its outputs.  Both pipelines publish events only after their
+task results have been merged in canonical order, so same-seed runs,
+clean or under chaos, feed the bus byte-identical streams — which is
+what makes ``repro detect`` exports byte-identical.
 
 Why convergence holds
 ---------------------

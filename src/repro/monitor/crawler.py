@@ -18,13 +18,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.net.client import HttpClient
 from repro.net.errors import NetError
 from repro.obs import Observability
-from repro.parallel import (
-    ShardScheduler,
-    apply_world_deltas,
-    derive_rng,
-    flow_scope,
-    unwrap_result,
-)
+from repro.parallel import ShardScheduler, derive_rng, flow_scope
 from repro.playstore.charts import ChartKind
 
 DEFAULT_CADENCE_DAYS = 2
@@ -441,13 +435,12 @@ class PlayStoreCrawler:
     (the wild pipeline does); legacy call sites without a day keep
     their exact pre-cache behaviour.
 
-    Sharded crawling: when ``crawl_everything`` is handed a
-    :class:`~repro.parallel.ShardScheduler`, each profile fetch runs as
-    a self-contained task (own derived RNG, own task-local client and
-    observability context, own chaos flow scope) and all side effects —
-    archive writes, retry queue, counters, obs merge — are applied by
-    the caller in queue order, keeping exports byte-identical
-    across shard counts.
+    Profile queues: ``crawl_everything`` and ``capture_offer_pages``
+    run each profile fetch as a self-contained task through
+    :class:`~repro.parallel.ShardScheduler` (own derived RNG, own
+    task-local client and observability context, own chaos flow scope),
+    and all side effects — archive writes, retry queue, counters, obs
+    merge — are applied afterwards in queue order.
     """
 
     def __init__(self, client: HttpClient, play_host: str,
@@ -488,9 +481,6 @@ class PlayStoreCrawler:
         #: visit so the archive keeps longitudinal chart-app series.
         self._followed: List[str] = []
         self._followed_set: set = set()
-        #: Last day whose resumption template was shipped to process
-        #: workers (guards against re-broadcasting within one day).
-        self._template_broadcast_day: Optional[int] = None
 
     def should_crawl(self, day: int, start_day: int = 0) -> bool:
         return day >= start_day and (day - start_day) % self.cadence_days == 0
@@ -568,7 +558,7 @@ class PlayStoreCrawler:
 
     def _fetch_profile(self, client: HttpClient, package: str) -> FetchOutcome:
         """One wire fetch + parse; touches no crawler state, so it can
-        run on a shard worker (client metrics land in ``client.obs``)."""
+        run as a task (client metrics land in ``client.obs``)."""
         try:
             response = client.get(self._play_host, "/store/apps/details",
                                   params={"id": package})
@@ -630,43 +620,20 @@ class PlayStoreCrawler:
         outcome = self._fetch_profile(self._client, package)
         return self._apply_profile_outcome(package, outcome, is_retry)
 
-    def _ensure_template(self, day: Optional[int],
-                         scheduler: Optional[ShardScheduler]) -> None:
+    def _ensure_template(self, day: Optional[int]) -> None:
         """Prime one TLS resumption template for the store host so the
         day's fan-out fetches (each on a throwaway task client with a
         never-repeating flow) resume instead of re-handshaking.
-
-        The prime always runs in the calling (parent) interpreter, so
-        its one handshake is counted identically at every shard count;
-        process workers receive the resulting ticket by broadcast and
-        seed it into their replica store-front session table.  Priming
-        is opportunistic — on failure the day simply runs on full
-        handshakes everywhere.
+        Priming is opportunistic — on failure the day simply runs on
+        full handshakes.
         """
-        if day is None:
-            return
-        if not self._client.prime_resumption(self._play_host, day):
-            return
-        if scheduler is not None and self._template_broadcast_day != day:
-            template = self._client.resume_templates[self._play_host]
-            scheduler.broadcast(("crawl_template", self._play_host)
-                                + template)
-            self._template_broadcast_day = day
-
-    def install_template(self, host: str, day: int, ticket: bytes,
-                         enc_key: bytes, mac_key: bytes) -> None:
-        """Adopt a parent-minted resumption template (process workers)."""
-        self._client.install_template(host, day, ticket, enc_key, mac_key)
+        if day is not None:
+            self._client.prime_resumption(self._play_host, day)
 
     def run_fetch_payload(self, payload) -> Tuple[FetchOutcome, Observability]:
         """Execute one ``("crawl", day, package)`` spec payload: a
         self-contained profile fetch with its own derived RNG, task-local
-        client/observability, and chaos flow scope.
-
-        This is both the scheduler's inline runner and what a worker
-        process calls against its replica crawler — one code path, so
-        the two cannot drift apart behaviourally.
-        """
+        client/observability, and chaos flow scope."""
         _kind, day, package = payload
         rng = derive_rng(self._task_seed, "crawl", package, day)
         task_obs = Observability()
@@ -732,11 +699,10 @@ class PlayStoreCrawler:
     # -- full visits ---------------------------------------------------------
 
     def _crawl_profiles(self, queue: Sequence[str], pending: set,
-                        day: Optional[int],
-                        scheduler: Optional[ShardScheduler]) -> int:
-        """Fetch a queue of profiles (cache-filtered), serially or on
-        the scheduler; side effects are applied in queue order."""
-        self._ensure_template(day, scheduler)
+                        day: Optional[int]) -> int:
+        """Fetch a queue of profiles (cache-filtered) as tasks; side
+        effects are applied in queue order."""
+        self._ensure_template(day)
         best_day = -1
         to_fetch: List[Tuple[str, bool]] = []
         for package in queue:
@@ -751,35 +717,21 @@ class PlayStoreCrawler:
                     continue
                 self.obs.metrics.inc("crawler.cache_misses", kind="profile")
             to_fetch.append((package, is_retry))
-        if scheduler is None:
-            for package, is_retry in to_fetch:
-                self.requests_made += 1
-                self.obs.metrics.inc("monitor.crawl_requests", kind="profile")
-                outcome = self._fetch_profile(self._client, package)
-                snapshot = self._apply_profile_outcome(package, outcome,
-                                                       is_retry)
-                if snapshot is not None:
-                    best_day = snapshot.day
-            return best_day
         specs = [(package, ("crawl", day, package))
                  for package, _ in to_fetch]
-        results = scheduler.run_specs(specs, self.run_fetch_payload)
-        # Worker-process envelopes carry world-side recording deltas;
-        # apply them all before any task-obs merge, mirroring the serial
-        # order (world ticks land during the task, pre-merge barrier).
-        apply_world_deltas(self.obs, results)
-        for (package, is_retry), item in zip(to_fetch, results):
+        results = ShardScheduler.run_specs(specs, self.run_fetch_payload)
+        for (package, is_retry), (outcome, task_obs) in zip(to_fetch,
+                                                            results):
             self.requests_made += 1
             self.obs.metrics.inc("monitor.crawl_requests", kind="profile")
-            outcome = unwrap_result(self.obs, item)
+            self.obs.merge(task_obs)
             snapshot = self._apply_profile_outcome(package, outcome, is_retry)
             if snapshot is not None:
                 best_day = snapshot.day
         return best_day
 
     def capture_offer_pages(self, packages: Sequence[str],
-                            day: Optional[int] = None,
-                            scheduler: Optional[ShardScheduler] = None) -> int:
+                            day: Optional[int] = None) -> int:
         """Capture the Play listing of every offer *impression*.
 
         The paper's monitor logged the store page of each offer as it
@@ -807,18 +759,17 @@ class PlayStoreCrawler:
                     continue
                 seen_today.add(package)
             queue.append(package)
-        self._crawl_profiles(queue, set(), day, scheduler)
+        self._crawl_profiles(queue, set(), day)
         return captured
 
     def crawl_everything(self, packages: Sequence[str],
-                         day: Optional[int] = None,
-                         scheduler: Optional[ShardScheduler] = None) -> int:
+                         day: Optional[int] = None) -> int:
         """One full crawl visit: all charts, the retry queue from the
         previous visit, every tracked profile (deduplicated — a package
         in both the baseline list and the discovered set costs one
         fetch), then optionally every charted app's profile (where the
         cache absorbs the overlap with the tracked set)."""
-        self._ensure_template(day, scheduler)
+        self._ensure_template(day)
         best_day = self.crawl_charts(day=day)
         tracked_set = set(packages)
         pending = set(self.retry_queue)
@@ -834,21 +785,19 @@ class PlayStoreCrawler:
                 continue
             seen.add(package)
             queue.append(package)
-        profile_day = self._crawl_profiles(queue, pending, day, scheduler)
+        profile_day = self._crawl_profiles(queue, pending, day)
         if profile_day >= 0:
             best_day = profile_day
         if self.crawl_chart_profiles and best_day >= 0:
             # Follow every app that has *ever* charted: the chart
             # analyses need profile series that keep going after an app
             # falls off the charts.  Follow order is first-chart-seen
-            # order, so the queue — and the sharded run — stays
-            # deterministic.
+            # order, so the queue stays deterministic.
             for package in self.archive.chart_packages(best_day):
                 if package not in self._followed_set:
                     self._followed_set.add(package)
                     self._followed.append(package)
-            chart_day = self._crawl_profiles(self._followed, set(), day,
-                                             scheduler)
+            chart_day = self._crawl_profiles(self._followed, set(), day)
             if chart_day >= 0:
                 best_day = chart_day
         if best_day >= 0:

@@ -124,10 +124,9 @@ class Milker:
              obs: Optional[Observability] = None) -> MilkRun:
         """Run the full pipeline for one affiliate app.
 
-        ``obs`` overrides the milker's context for this run: the shard
-        scheduler hands every run a task-local context and merges them
-        back in canonical order, so sharded exports stay byte-identical
-        to serial ones.
+        ``obs`` overrides the milker's context for this run: the wild
+        pipeline hands every run a task-local context and merges them
+        back in canonical order, so exports never depend on task order.
         """
         obs = obs or self.obs
         with obs.tracer.span("milk.run", app=spec.package,

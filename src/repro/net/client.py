@@ -318,8 +318,8 @@ class HttpClient:
         #: enc_key, mac_key)``, installed by :meth:`prime_resumption`.
         #: Unlike the per-flow session cache, a template is never
         #: mutated by use — each request derives its resumption counter
-        #: from its own flow — so a template shared across concurrent
-        #: shard tasks leaks no ordering between them.
+        #: from its own flow — so a template shared across fan-out
+        #: tasks leaks no ordering between them.
         self.resume_templates: Dict[str, Tuple[int, bytes, bytes, bytes]] = {}
         if breaker is not None and breaker.obs is None:
             breaker.obs = self.obs
@@ -328,7 +328,7 @@ class HttpClient:
                  obs: Optional[Observability] = None,
                  breaker: Optional[CircuitBreaker] = None,
                  session_cache: Optional[TlsSessionCache] = None) -> "HttpClient":
-        """A task-local clone for sharded execution.
+        """A task-local clone for fan-out tasks.
 
         Shares the endpoint, trust store, proxy, pins, and retry policy
         (all read-only), but takes its own RNG — typically derived from
@@ -336,7 +336,7 @@ class HttpClient:
         TLS handshake bytes do not depend on which other tasks ran
         first — plus its own observability context and (optionally) its
         own breaker and session cache, keeping circuit and resumption
-        state shard-local.
+        state task-local.
         """
         clone = HttpClient(
             self.fabric, self.endpoint, self.trust_store, rng,
@@ -605,8 +605,8 @@ class HttpClient:
 
     def install_template(self, host: str, day: int, ticket: bytes,
                          enc_key: bytes, mac_key: bytes) -> None:
-        """Install a resumption template minted elsewhere (a process
-        worker receives the parent's template by broadcast)."""
+        """Install a resumption template for ``host`` (what
+        :meth:`prime_resumption` does with the ticket it just minted)."""
         self.resume_templates[host] = (day, ticket, enc_key, mac_key)
 
     # -- instrumentation -------------------------------------------------------

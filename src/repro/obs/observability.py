@@ -38,13 +38,12 @@ class Observability:
     def merge(self, other: Optional["Observability"]) -> None:
         """Fold a finished task-local context into this one.
 
-        Used by the shard scheduler's callers: each task records into
+        Used by the pipelines' task fan-outs: each task records into
         its own context, and the merge — performed in canonical task
-        order after the barrier — replays the task's counters, spans,
-        and op ticks as if they had been recorded inline.  Merging the
-        per-task contexts of a sharded phase in the same order on every
-        run is what keeps the combined export byte-identical regardless
-        of shard count.
+        order after the fan-out — replays the task's counters, spans,
+        and op ticks as if they had been recorded inline.  Merging in
+        the same order on every run is what keeps the combined export
+        byte-identical.
         """
         if other is None or other is self or not other.enabled:
             return
@@ -55,48 +54,6 @@ class Observability:
         self.tracer.absorb(other.tracer, op_offset=base_ops,
                            parent_id=self.tracer.current_span_id)
         self.ops.advance(other.ops.value)
-
-    # -- delta capture (process-backend obs shipping) -------------------------
-
-    def begin_delta(self) -> object:
-        """Start capturing subsequent recordings into a detachable
-        *delta* registry.
-
-        Process-backend shard workers run tasks against a full world
-        replica: client-level metrics land in the task-local context
-        (shipped back whole), but fabric/server counters land in the
-        replica world's context, which the parent never sees.  A worker
-        brackets each task with ``begin_delta``/``collect_delta`` to
-        capture exactly those world-side recordings and ship them back
-        as plain state.  The delta registry shares this context's op
-        counter, so op ticks behave exactly as without the bracket.
-        """
-        original = self.metrics
-        delta = MetricsRegistry(counter=self.ops)
-        delta._histogram_bounds = dict(original._histogram_bounds)
-        self.metrics = delta
-        return (original, delta, self.ops.value)
-
-    def collect_delta(self, token: object) -> Dict[str, object]:
-        """Stop a :meth:`begin_delta` capture; returns the picklable
-        delta (metrics state + op ticks) and folds it back into this
-        context so the local view stays complete."""
-        original, delta, ops_before = token  # type: ignore[misc]
-        ops_delta = self.ops.value - ops_before
-        self.metrics = original
-        original.merge(delta)
-        return {"ops": ops_delta, "metrics": delta.state_dict()}
-
-    def apply_delta(self, delta_state: Dict[str, object]) -> None:
-        """Fold a shipped :meth:`collect_delta` payload into this
-        context: counters/histograms sum in, gauges last-write, and the
-        op counter advances by the ticks the capture recorded —
-        commutative, so applying per-task deltas in canonical merge
-        order reproduces the serial op totals exactly."""
-        registry = MetricsRegistry()
-        registry.load_state(delta_state["metrics"])  # type: ignore[arg-type]
-        self.metrics.merge(registry)
-        self.ops.advance(int(delta_state["ops"]))  # type: ignore[arg-type]
 
     def snapshot(self) -> Dict[str, object]:
         return {

@@ -13,7 +13,7 @@ stream derived off the world's ``adversarial-scenario`` seed with
 :func:`repro.parallel.hashing.derive_rng`, keyed by day or entity —
 never from the shared ``wild-scenario`` stream — so switching a profile
 on cannot perturb the naive exports, and same-seed runs stay
-byte-identical across shard counts and chaos profiles.
+byte-identical under every chaos profile.
 """
 
 from repro.scenarios.downloadfraud import (

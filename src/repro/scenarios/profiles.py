@@ -1,9 +1,8 @@
 """Scenario profiles: which adversarial behaviours are switched on.
 
-A :class:`ScenarioPack` is a frozen, picklable value — it rides inside
-:class:`~repro.simulation.scenarios.WildScenarioConfig`, which the
-process backend pickles into every worker replica, so a profile chosen
-on the CLI reaches the spawned worlds without any extra plumbing.
+A :class:`ScenarioPack` is a frozen value — it rides inside
+:class:`~repro.simulation.scenarios.WildScenarioConfig`, so a profile
+chosen on the CLI reaches the world without any extra plumbing.
 
 Profiles compose: ``--scenario evasive,fake-reviews`` runs both.  The
 ``naive`` token is the explicit no-op (the default) and cannot be

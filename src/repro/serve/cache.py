@@ -1,31 +1,20 @@
 """Freshness-keyed response cache for the read endpoints.
 
 Every cacheable response is a pure function of ``(endpoint, params,
-freshness token)``.  Two invalidation policies:
-
-``wholesale``
-    The historical scheme: one shared token (the ingest watermark);
-    whenever it moves the whole cache is cleared.  Simple, but on a
-    mixed workload every ingest batch blows away the ``datasets``
-    entries too — responses that never depended on the watermark at
-    all.
-
-``keyed``
-    Per-entry invalidation (the default): each entry remembers the
-    freshness token its endpoint depended on when it was stored, and a
-    lookup hits only if the endpoint's *current* token still matches.
-    The service derives tokens per endpoint — ``datasets`` bodies are
-    static (token never moves), ``flagged`` bodies change only when the
-    online detector actually emits a cluster (its change ``version``),
-    and ``metrics`` bodies track the watermark — so an ingest batch
-    that flags nothing new no longer evicts a single query response.
+freshness token)``.  Invalidation is per entry: each entry remembers
+the freshness token its endpoint depended on when it was stored, and a
+lookup hits only if the endpoint's *current* token still matches.  The
+service derives tokens per endpoint — ``datasets`` bodies are static
+(token never moves), ``flagged`` bodies change only when the online
+detector actually emits a cluster (its change ``version``), and
+``metrics`` bodies track the watermark — so an ingest batch that flags
+nothing new evicts no query response.
 
 Eviction is FIFO over insertion order, which is deterministic under the
 virtual-time loop's deterministic request schedule; hit/miss/eviction
-counts land in ``serve.cache_*`` metrics for the bench to pin.  Under
-``keyed`` a stale entry found at lookup is dropped in place and counted
-as an invalidation, so the ``serve.cache_invalidations`` counter keeps
-meaning "entries discarded for staleness" across both policies.
+counts land in ``serve.cache_*`` metrics for the bench to pin.  A stale
+entry found at lookup is dropped in place and counted in
+``serve.cache_invalidations``.
 """
 
 from __future__ import annotations
@@ -37,9 +26,6 @@ from repro.obs import NULL_OBS, Observability
 
 CacheKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
-#: Recognised invalidation policies.
-CACHE_POLICIES = ("wholesale", "keyed")
-
 
 def params_key(params: Mapping[str, object]) -> Tuple[Tuple[str, str], ...]:
     """Canonical hashable form of a request's params (order-free)."""
@@ -47,20 +33,14 @@ def params_key(params: Mapping[str, object]) -> Tuple[Tuple[str, str], ...]:
 
 
 class WatermarkCache:
-    """Response cache with wholesale or per-entry invalidation."""
+    """Response cache with per-entry invalidation."""
 
     def __init__(self, obs: Optional[Observability] = None,
-                 max_entries: int = 512,
-                 policy: str = "keyed") -> None:
+                 max_entries: int = 512) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
-        if policy not in CACHE_POLICIES:
-            known = ", ".join(CACHE_POLICIES)
-            raise ValueError(
-                f"unknown cache policy {policy!r} (known: {known})")
         self.obs = obs or NULL_OBS
         self.max_entries = max_entries
-        self.policy = policy
         #: key -> (freshness token at store time, body).
         self._entries: "OrderedDict[CacheKey, Tuple[int, object]]" = (
             OrderedDict())
@@ -77,24 +57,14 @@ class WatermarkCache:
     def watermark(self) -> int:
         return self._watermark
 
-    def _sync_watermark(self, token: int) -> None:
-        """Wholesale only: clear everything when the shared token moves."""
-        if self.policy == "wholesale" and token != self._watermark:
-            if self._entries:
-                self.invalidations += 1
-                self.obs.metrics.inc("serve.cache_invalidations")
-                self._entries.clear()
-        self._watermark = max(self._watermark, token)
-
     def lookup(self, endpoint: str, params: Mapping[str, object],
                token: int) -> Tuple[bool, object]:
         """``(hit, body)``; body is only meaningful when hit is True.
 
         ``token`` is the endpoint's current freshness token (the
-        service's call; under ``wholesale`` every endpoint passes the
-        shared watermark).
+        service's call).
         """
-        self._sync_watermark(token)
+        self._watermark = max(self._watermark, token)
         key = (endpoint, params_key(params))
         entry = self._entries.get(key)
         if entry is not None:
@@ -103,8 +73,8 @@ class WatermarkCache:
                 self.hits += 1
                 self.obs.metrics.inc("serve.cache_hits", endpoint=endpoint)
                 return True, body
-            # Stale under keyed policy: drop in place so the slot is
-            # reused by the fresh store that follows this miss.
+            # Stale: drop in place so the slot is reused by the fresh
+            # store that follows this miss.
             del self._entries[key]
             self.invalidations += 1
             self.obs.metrics.inc("serve.cache_invalidations")
@@ -114,7 +84,7 @@ class WatermarkCache:
 
     def store(self, endpoint: str, params: Mapping[str, object],
               token: int, body: object) -> None:
-        self._sync_watermark(token)
+        self._watermark = max(self._watermark, token)
         key = (endpoint, params_key(params))
         self._entries[key] = (token, body)
         if len(self._entries) > self.max_entries:
@@ -136,7 +106,6 @@ class WatermarkCache:
         tuple->list laundering of a JSON round trip is harmless.
         """
         return {
-            "policy": self.policy,
             "watermark": self._watermark,
             "hits": self.hits,
             "misses": self.misses,

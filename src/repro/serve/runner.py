@@ -75,8 +75,6 @@ class ServeRunConfig:
     chaos_seed: Optional[int] = None
     #: Mean requests per client per simulated day (bench-tunable).
     requests_per_client_day: float = 700.0
-    #: Response-cache invalidation policy (see :mod:`repro.serve.cache`).
-    cache_policy: str = "keyed"
 
 
 @dataclass
@@ -181,8 +179,7 @@ def run_serve(config: ServeRunConfig,
         vclock=vclock,
         clock=clock,
         obs=obs,
-        config=ServiceConfig(workers=config.shards,
-                             cache_policy=config.cache_policy),
+        config=ServiceConfig(workers=config.shards),
         admission=AdmissionConfig(qps=config.qps, burst=config.burst,
                                   max_queue=config.max_queue),
         datasets=registry,
@@ -299,7 +296,6 @@ def run_serve(config: ServeRunConfig,
             "accounting_consistent": admission.accounting_consistent(),
         },
         "cache": {
-            "policy": cache.policy,
             "hits": cache.hits,
             "misses": cache.misses,
             "hit_rate": round(cache.hit_rate(), 4),

@@ -68,7 +68,7 @@ from repro.obs import NULL_OBS, Observability
 from repro.parallel.hashing import stable_hash
 from repro.recovery.checkpoint import RecoveryContext
 from repro.serve.admission import ADMIT, AdmissionConfig, AdmissionController
-from repro.serve.cache import CACHE_POLICIES, WatermarkCache
+from repro.serve.cache import WatermarkCache
 from repro.serve.datasets import DatasetRegistry, build_serve_datasets
 from repro.serve.vtime import VirtualClock
 from repro.simulation.clock import SimulationClock
@@ -122,19 +122,12 @@ class ServiceConfig:
     per_op_ms: float = 0.25
     #: Virtual milliseconds for serving a cache hit.
     cache_hit_ms: float = 0.2
-    #: Response-cache invalidation policy (see :mod:`repro.serve.cache`).
-    cache_policy: str = "keyed"
     detector: DetectorConfig = field(
         default_factory=lambda: SERVE_DETECTOR_CONFIG)
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("the service needs at least one worker")
-        if self.cache_policy not in CACHE_POLICIES:
-            known = ", ".join(CACHE_POLICIES)
-            raise ValueError(
-                f"unknown cache policy {self.cache_policy!r} "
-                f"(known: {known})")
 
 
 class FrontdoorChaos:
@@ -234,8 +227,7 @@ class DetectionService:
         self.watermark = 0
         self.admission = AdmissionController(
             admission or AdmissionConfig(), now=vclock.now, obs=self.obs)
-        self.cache = WatermarkCache(obs=self.obs,
-                                    policy=self.config.cache_policy)
+        self.cache = WatermarkCache(obs=self.obs)
         self.recovery: Optional[RecoveryContext] = None
         self.datasets = datasets or DatasetRegistry(
             build_serve_datasets(seed))
@@ -387,13 +379,8 @@ class DetectionService:
 
         ``datasets`` bodies are static, ``flagged`` bodies change only
         when the online detector emits (its ``version``), ``metrics``
-        bodies track the ingest watermark.  Under the ``wholesale``
-        policy every endpoint shares the watermark — the historical
-        clear-everything-per-ingest behaviour the bench compares
-        against.
+        bodies track the ingest watermark.
         """
-        if self.cache.policy == "wholesale":
-            return self.watermark
         if endpoint == "datasets":
             return 0
         if endpoint == "flagged":

@@ -157,8 +157,6 @@ class WildScenarioConfig:
     #: ablation bench turns it on to show why developers want charts.
     chart_feedback_installs: float = 0.0
     #: Which adversarial behaviours are switched on (``repro.scenarios``).
-    #: Frozen and picklable, so the process backend's worker replicas
-    #: inherit the profile through the config with no extra plumbing.
     scenario: ScenarioPack = field(default_factory=ScenarioPack)
 
     def scaled(self, count: int, minimum: int = 1) -> int:
@@ -187,7 +185,7 @@ class WildScenario:
         # streams derived off one dedicated seed, never the shared
         # ``wild-scenario`` stream: switching a profile on must not
         # perturb a single naive-path draw, or the frozen naive exports
-        # (and the cross-shard byte-identity CI checks) would shift.
+        # would shift.
         pack = config.scenario
         self._adv_seed = world.seeds.seed_for("adversarial-scenario")
         self._review_plans: List[ReviewCampaignPlan] = []
@@ -710,8 +708,8 @@ class WildScenario:
     #
     # All randomness below derives from ``self._adv_seed`` keyed per
     # purpose (and per day for the daily dynamics), so replaying the
-    # same days in order — which is what checkpoint resume and the
-    # process-backend replicas do — rebuilds identical store state.
+    # same days in order — which is what checkpoint resume does —
+    # rebuilds identical store state.
 
     def _plan_review_campaigns(self) -> None:
         """Decide which advertised apps buy review bursts (build time).

@@ -72,16 +72,15 @@ class TestParser:
         ["honey", "--backend", "serial"],
         ["detect", "--backend", "thread"],
         ["honey", "--shards", "2"],
+        ["wild", "--shards", "2"],
+        ["detect", "--shards", "2"],
+        ["serve", "--cache-policy", "keyed"],
     ])
     def test_removed_execution_flags_are_unknown(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_detect_shards_apply_to_the_wild_source_only(self, capsys):
-        assert main(["detect", "--source", "honey", "--shards", "2"]) == 2
-        assert "wild source only" in capsys.readouterr().err
 
 
 class TestCommands:

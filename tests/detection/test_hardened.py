@@ -92,7 +92,7 @@ class TestEvasiveRecovery:
             scale=self.SCALE, measurement_days=self.DAYS, scenario=pack))
         scenario.build()
         WildMeasurement(world, scenario, WildMeasurementConfig(
-            measurement_days=self.DAYS, shards=1), detection=hook).run()
+            measurement_days=self.DAYS), detection=hook).run()
         return hook
 
     def hardened_report(self, hook, config=None):

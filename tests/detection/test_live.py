@@ -25,14 +25,14 @@ def run_honey(seed=11, obs=None):
     return world, hook
 
 
-def run_wild(seed=7, shards=1, obs=None, chaos=None):
+def run_wild(seed=7, obs=None, chaos=None):
     world = World(seed=seed, obs=obs, chaos=chaos)
     hook = world.detection_hook("wild")
     scenario = WildScenario(world, WildScenarioConfig(
         scale=WILD_SCALE, measurement_days=WILD_DAYS))
     scenario.build()
     WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=WILD_DAYS, shards=shards), detection=hook).run()
+        measurement_days=WILD_DAYS), detection=hook).run()
     return world, hook
 
 
@@ -100,18 +100,6 @@ class TestWildSource:
         assert hook_a.log.events() == hook_b.log.events()
         assert hook_a.finalize() == hook_b.finalize()
         assert hook_a.incentivized == hook_b.incentivized
-
-    def test_sharded_run_byte_identical(self):
-        # Serial vs worker processes: the bridge sees the same merged
-        # offer stream either way.
-        obs_a, obs_b = Observability(), Observability()
-        _wa, hook_a = run_wild(seed=7, shards=1, obs=obs_a)
-        _wb, hook_b = run_wild(seed=7, shards=3, obs=obs_b)
-        hook_a.evaluate()
-        hook_b.evaluate()
-        assert hook_a.log.events() == hook_b.log.events()
-        assert hook_a.finalize() == hook_b.finalize()
-        assert obs_a.metrics.snapshot() == obs_b.metrics.snapshot()
 
     @pytest.mark.chaos
     def test_chaos_run_same_seed_identical(self):

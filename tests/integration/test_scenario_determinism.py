@@ -1,10 +1,11 @@
 """Adversarial scenarios keep every determinism guarantee.
 
-Two pins: (1) a process run of the composed profile matches the serial
-run byte for byte — scenario state (review pools, boost plans, spike
-draws) must replay identically in worker replicas; (2) switching
-a scenario *on* leaves the naive RNG prefix untouched, so the frozen
-naive exports never move when adversarial code is merely present.
+Two pins: (1) two same-seed runs of the composed profile match byte for
+byte — scenario state (review pools, boost plans, spike draws) must
+replay identically, which is also what checkpoint resume relies on;
+(2) switching a scenario *on* leaves the naive RNG prefix untouched, so
+the frozen naive exports never move when adversarial code is merely
+present.
 """
 
 import pytest
@@ -20,7 +21,7 @@ DAYS = 10
 SEED = 11
 
 
-def run_wild(profile: str, shards: int = 1):
+def run_wild(profile: str):
     world = World(seed=SEED, obs=Observability())
     scenario = WildScenario(world, WildScenarioConfig(
         scale=SCALE, measurement_days=DAYS,
@@ -28,8 +29,7 @@ def run_wild(profile: str, shards: int = 1):
     scenario.build()
     hook = world.detection_hook("wild")
     results = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, shards=shards),
-        detection=hook).run()
+        measurement_days=DAYS), detection=hook).run()
     return world, scenario, results, hook
 
 
@@ -49,14 +49,13 @@ def fingerprint(world, scenario, results, hook):
     )
 
 
-class TestScenarioShardedDeterminism:
-    def test_process_backend_matches_serial(self):
-        # The composed profile exercises every scenario subsystem in
-        # the spawned worker replicas at once.
+class TestScenarioDeterminism:
+    def test_composed_profile_replays(self):
+        # The composed profile exercises every scenario subsystem at
+        # once.
         profile = "evasive,fake-reviews,download-fraud"
-        serial = fingerprint(*run_wild(profile))
-        process = fingerprint(*run_wild(profile, shards=2))
-        assert process == serial
+        assert (fingerprint(*run_wild(profile))
+                == fingerprint(*run_wild(profile)))
 
 
 class TestNaivePrefixUnchanged:

@@ -5,7 +5,7 @@ and disk-spilled observation/archive logs changes *where* the corpus
 lives, never *what* the run produces.  At the same seed, a streamed
 run's observability export, offer log, dataset, and serialised data
 release equal the materialised run's byte for byte — clean and under
-chaos, inline or on worker processes (four shards).
+chaos.
 """
 
 import pytest
@@ -23,15 +23,13 @@ SEED = 11
 BATCH = 7  # tiny chunks: every fold crosses many chunk boundaries
 
 
-def run_wild(batch, spill_dir=None, shards=1,
-             chaos=None):
+def run_wild(batch, spill_dir=None, chaos=None):
     world = World(seed=SEED, obs=Observability(), chaos=chaos)
     scenario = WildScenario(world, WildScenarioConfig(
         scale=SCALE, measurement_days=DAYS))
     scenario.build()
     results = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, shards=shards,
-        batch_devices=batch,
+        measurement_days=DAYS, batch_devices=batch,
         spill_dir=str(spill_dir) if spill_dir else None)).run()
     return world, results
 
@@ -70,32 +68,6 @@ class TestStreamedEqualsMaterialised:
         assert offers_key(results_s) == offers_key(results_m)
         assert results_s.coverage_loss == results_m.coverage_loss
         assert results_m.coverage_loss.faults_injected > 0
-        assert (export_bytes(results_s, tmp_path, "streamed")
-                == export_bytes(results_m, tmp_path, "materialised"))
-
-    @pytest.mark.chaos
-    def test_streamed_shards_4_matches_materialised_serial(self,
-                                                           tmp_path):
-        # Streaming, worker processes and chaos together: fault
-        # decisions are flow-scoped, so neither the chunking nor the
-        # worker a flow lands on can move them.
-        chaos = ChaosScenario.profile("paper", seed=7)
-        world_m, results_m = run_wild(batch=0, chaos=chaos)
-        chaos = ChaosScenario.profile("paper", seed=7)
-        world_s, results_s = run_wild(batch=BATCH, shards=4, chaos=chaos,
-                                      spill_dir=tmp_path / "spill")
-        assert to_json(world_s.obs) == to_json(world_m.obs)
-        assert offers_key(results_s) == offers_key(results_m)
-        assert results_s.coverage_loss == results_m.coverage_loss
-        assert results_m.coverage_loss.faults_injected > 0
-
-    def test_streamed_process_backend_matches_materialised_serial(
-            self, tmp_path):
-        world_m, results_m = run_wild(batch=0)
-        world_s, results_s = run_wild(batch=BATCH, shards=4,
-                                      spill_dir=tmp_path / "spill")
-        assert to_json(world_s.obs) == to_json(world_m.obs)
-        assert offers_key(results_s) == offers_key(results_m)
         assert (export_bytes(results_s, tmp_path, "streamed")
                 == export_bytes(results_m, tmp_path, "materialised"))
 

@@ -1,10 +1,9 @@
-"""The shard scheduler's determinism contract.
+"""The task fan-out's determinism contract.
 
-Sharded pipelines only stay byte-identical to serial ones if (a) task
-RNG streams are pure functions of their keys, (b) results come back in
+Pipeline exports only stay independent of task order if (a) task RNG
+streams are pure functions of their keys, (b) results come back in
 input order, and (c) tasks that share a key run in input order.  These
-tests pin each leg inline; tests/parallel/test_procpool.py pins the
-worker-process side.
+tests pin each leg.
 """
 
 import pytest
@@ -17,9 +16,6 @@ from repro.parallel import (
     flow_scope,
     stable_hash,
 )
-from repro.parallel.procpool import WorkerHostSpec
-
-HOST = WorkerHostSpec(factory="tests.parallel.hosts:build_host")
 
 
 class TestStableHash:
@@ -51,39 +47,21 @@ class TestStableHash:
         assert random.Random(seed).random() == derive_rng("k").random()
 
 
-class TestShardAssignment:
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            ShardScheduler(0)
-
-
 class TestRun:
     def test_results_in_input_order(self):
         specs = [(f"k{i}", i) for i in range(50)]
-        assert (ShardScheduler(1).run_specs(specs, lambda i: i * i)
+        assert (ShardScheduler.run_specs(specs, lambda i: i * i)
                 == [i * i for i in range(50)])
-
-    def test_serial_fallback_matches_sharded(self):
-        # Inline and worker-process runs of the same specs agree.
-        specs = [(f"k{i}", ("square", i)) for i in range(20)]
-        square = lambda payload: payload[1] * payload[1]  # noqa: E731
-        inline = ShardScheduler(1).run_specs(specs, square)
-        sharded = ShardScheduler(5, worker_host=HOST, workers=2)
-        try:
-            assert sharded.run_specs(specs, square) == inline
-        finally:
-            sharded.close()
 
     def test_same_key_serialises_in_input_order(self):
         seen = []
         specs = [("US", i) for i in range(30)]
-        ShardScheduler(1).run_specs(specs, seen.append)
+        ShardScheduler.run_specs(specs, seen.append)
         assert seen == list(range(30))
 
     def test_two_failing_buckets_raise_lowest_input_index(self):
-        # Inline, the lowest-index failure raises at once and the tasks
-        # after it never run; tests/parallel/test_procpool.py pins the
-        # worker-process side, where both fail and chain.
+        # The lowest-index failure raises at once and the tasks after
+        # it never run.
         ran = []
 
         def run(payload):
@@ -94,12 +72,12 @@ class TestRun:
 
         specs = [("a", "ok"), ("a", "first"), ("b", "second"), ("b", "tail")]
         with pytest.raises(RuntimeError, match="first by input index"):
-            ShardScheduler(1).run_specs(specs, run)
+            ShardScheduler.run_specs(specs, run)
         assert ran == ["ok", "first"]
 
     def test_empty_and_single(self):
-        assert ShardScheduler(1).run_specs([], abs) == []
-        assert ShardScheduler(1).run_specs([("k", -9)], abs) == [9]
+        assert ShardScheduler.run_specs([], abs) == []
+        assert ShardScheduler.run_specs([("k", -9)], abs) == [9]
 
 
 class TestFlowScope:

@@ -43,7 +43,7 @@ class TestWildResume:
         scenario.build()
         detection = world.detection_hook("wild")
         measurement = WildMeasurement(world, scenario, WildMeasurementConfig(
-            measurement_days=self.DAYS, shards=1), detection=detection)
+            measurement_days=self.DAYS), detection=detection)
         return world, measurement, detection
 
     def summarize(self, world, results, detection):

@@ -1,20 +1,14 @@
-"""Crash + resume for the streaming and process-backend wild paths.
+"""Crash + resume for the streaming wild path, and checkpoint guards.
 
-Two resume surfaces new to the streaming pipeline, each pinned against
-a same-seed uninterrupted run:
+A **streamed** run's checkpoint stores only ``(count, offset)`` markers
+for the spilled observation/archive logs; resume truncates the spill
+files back to the checkpointed offsets (the WAL contract) and the rest
+of the run replays byte-identically against a same-seed uninterrupted
+run.
 
-* a **streamed** run's checkpoint stores only ``(count, offset)``
-  markers for the spilled observation/archive logs; resume truncates
-  the spill files back to the checkpointed offsets (the WAL contract)
-  and the rest of the run replays byte-identically;
-* a ``--shards N`` (N > 1) run's checkpoint embeds every worker
-  replica's wire-facing state plus the scheduler's pinning map; resume
-  warms a fresh pool from the checkpoint (``adopt_checkpoint``) instead
-  of requiring an inline run.
-
-Mode mismatches (streamed checkpoint resumed materialised, process
-checkpoint resumed inline, and vice versa) must fail loudly, not
-corrupt the run.
+Checkpoints a resume cannot honour (a streamed checkpoint resumed
+materialised, a checkpoint written by the removed worker-process
+backend) must fail loudly, not corrupt the run.
 """
 
 import pytest
@@ -22,7 +16,8 @@ import pytest
 from repro.core.wild_measurement import WildMeasurement, WildMeasurementConfig
 from repro.net.chaos import ChaosScenario
 from repro.obs import to_json
-from repro.recovery import CrashPlan, RecoveryContext, SimulatedCrash
+from repro.recovery import (CheckpointStore, CrashPlan, RecoveryContext,
+                            SimulatedCrash)
 from repro.simulation.scenarios import WildScenario, WildScenarioConfig
 from repro.simulation.world import World
 
@@ -31,14 +26,14 @@ SCALE = 0.04
 SEED = 11
 
 
-def build(profile="off", batch=0, spill_dir=None, shards=1):
+def build(profile="off", batch=0, spill_dir=None):
     chaos = ChaosScenario.profile(profile, seed=7)
     world = World(seed=SEED, chaos=chaos)
     scenario = WildScenario(world, WildScenarioConfig(
         scale=SCALE, measurement_days=DAYS))
     scenario.build()
     measurement = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, shards=shards, batch_devices=batch,
+        measurement_days=DAYS, batch_devices=batch,
         spill_dir=str(spill_dir) if spill_dir else None))
     return world, measurement
 
@@ -93,67 +88,22 @@ class TestStreamedResume:
 
 
 class TestProcessBackendResume:
-    @pytest.mark.parametrize("profile", ["off", "paper"])
-    def test_process_crash_resume_equals_plain(self, tmp_path, profile):
-        world, measurement = build(profile, shards=2)
-        base = summarize(world, measurement.run())
-
-        for stage, day in [("wild.day", 2), ("wild.checkpoint", 3)]:
-            root = tmp_path / f"{stage}-{day}"
-            world, measurement = build(profile, shards=2)
-            crashing = RecoveryContext.create(
-                root, "wild", crash=CrashPlan.at(stage, day))
-            with pytest.raises(SimulatedCrash):
-                measurement.run(recovery=crashing)
-            world, measurement = build(profile, shards=2)
-            resuming = RecoveryContext.create(root, "wild", resume=True)
-            resumed = summarize(world, measurement.run(recovery=resuming))
-            assert resumed == base, f"diverged after {stage}:{day}"
-
     def test_process_checkpoint_rejected_by_in_process_resume(
             self, tmp_path):
-        root = tmp_path / "ckpt"
-        world, measurement = build(shards=2)
-        crashing = RecoveryContext.create(
-            root, "wild", crash=CrashPlan.at("wild.day", 2))
-        with pytest.raises(SimulatedCrash):
-            measurement.run(recovery=crashing)
-        world, measurement = build()
-        resuming = RecoveryContext.create(root, "wild", resume=True)
-        with pytest.raises(ValueError, match="--shards N > 1"):
-            measurement.run(recovery=resuming)
-
-    def test_in_process_checkpoint_rejected_by_process_resume(
-            self, tmp_path):
+        # A worker-process run's checkpoint carried a ``workers``
+        # section; its parent-side cell state is stale because the
+        # cells ran on replicas, so resuming it must refuse.
         root = tmp_path / "ckpt"
         world, measurement = build()
         crashing = RecoveryContext.create(
             root, "wild", crash=CrashPlan.at("wild.day", 2))
         with pytest.raises(SimulatedCrash):
             measurement.run(recovery=crashing)
-        world, measurement = build(shards=2)
+        store = CheckpointStore(root, "wild")
+        day, state = store.latest()
+        state["workers"] = {"count": 2, "pins": {}, "states": []}
+        store.write(day, state)
+        world, measurement = build()
         resuming = RecoveryContext.create(root, "wild", resume=True)
-        with pytest.raises(ValueError, match="--shards 1"):
+        with pytest.raises(ValueError, match="'workers' section.*stale"):
             measurement.run(recovery=resuming)
-
-    def test_streamed_process_crash_resume_equals_plain(self, tmp_path):
-        """The full composition: spilled logs + worker replicas + chaos,
-        crash mid-run, resume, byte-identical."""
-        world, measurement = build(
-            "paper", batch=7, spill_dir=tmp_path / "spill-base",
-            shards=2)
-        base = summarize(world, measurement.run())
-
-        root = tmp_path / "ckpt"
-        spill = tmp_path / "spill-resume"
-        world, measurement = build("paper", batch=7, spill_dir=spill,
-                                   shards=2)
-        crashing = RecoveryContext.create(
-            root, "wild", crash=CrashPlan.at("wild.day", 2))
-        with pytest.raises(SimulatedCrash):
-            measurement.run(recovery=crashing)
-        world, measurement = build("paper", batch=7, spill_dir=spill,
-                                   shards=2)
-        resuming = RecoveryContext.create(root, "wild", resume=True)
-        resumed = summarize(world, measurement.run(recovery=resuming))
-        assert resumed == base

@@ -20,7 +20,7 @@ def run_fraud(seed=7, scale=0.03, profile="download-fraud"):
         scale=scale, measurement_days=DAYS, scenario=pack))
     scenario.build()
     WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, shards=1)).run()
+        measurement_days=DAYS)).run()
     return world, scenario
 
 
@@ -94,6 +94,6 @@ class TestScenario:
             scale=0.03, measurement_days=8))
         scenario.build()
         WildMeasurement(world, scenario, WildMeasurementConfig(
-            measurement_days=8, shards=1)).run()
+            measurement_days=8)).run()
         assert scenario.boost_plans() == []
         assert scenario.fraud_packages() == []

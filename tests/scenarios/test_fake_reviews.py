@@ -91,7 +91,7 @@ class TestEndToEnd:
             scale=0.03, measurement_days=14, scenario=pack))
         scenario.build()
         WildMeasurement(world, scenario, WildMeasurementConfig(
-            measurement_days=14, shards=1)).run()
+            measurement_days=14)).run()
         book = world.store.reviews
         paid = scenario.paid_reviewer_ids()
         assert len(book) > 0
@@ -107,5 +107,5 @@ class TestEndToEnd:
             scale=0.03, measurement_days=8))
         scenario.build()
         WildMeasurement(world, scenario, WildMeasurementConfig(
-            measurement_days=8, shards=1)).run()
+            measurement_days=8)).run()
         assert len(world.store.reviews) == 0

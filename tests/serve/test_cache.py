@@ -1,4 +1,4 @@
-"""Watermark cache: hits, keyed vs wholesale invalidation, eviction."""
+"""Watermark cache: hits, per-entry invalidation, eviction."""
 
 import pytest
 
@@ -32,8 +32,9 @@ class TestWatermarkCache:
         assert hit and body == "body"
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            WatermarkCache(Observability(), policy="sometimes")
+        # Invalidation is always per entry: there is no policy to pick.
+        with pytest.raises(TypeError, match="policy"):
+            WatermarkCache(Observability(), policy="keyed")
 
     def test_fifo_eviction_drops_the_oldest_entry(self):
         cache = WatermarkCache(Observability(), max_entries=2)
@@ -46,25 +47,6 @@ class TestWatermarkCache:
         assert not cache.lookup("datasets", {"n": 1}, 0)[0]
         assert cache.lookup("datasets", {"n": 2}, 0)[0]
         assert cache.lookup("datasets", {"n": 3}, 0)[0]
-
-
-class TestWholesalePolicy:
-    def test_token_movement_invalidates_everything(self):
-        cache = WatermarkCache(Observability(), policy="wholesale")
-        cache.store("flagged", {}, 1, "old")
-        cache.store("metrics", {}, 1, "old")
-        hit, _ = cache.lookup("flagged", {}, token=2)
-        assert not hit
-        assert len(cache) == 0
-        assert cache.invalidations == 1
-        assert cache.obs.metrics.counter_total(
-            "serve.cache_invalidations") == 1
-
-    def test_invalidation_not_counted_when_cache_was_empty(self):
-        cache = WatermarkCache(Observability(), policy="wholesale")
-        cache.lookup("flagged", {}, token=1)
-        cache.lookup("flagged", {}, token=2)
-        assert cache.invalidations == 0
 
 
 class TestKeyedPolicy:

@@ -122,7 +122,7 @@ class TestFlaggedConvergence:
 
 
 class TestCachingBehaviour:
-    def _flagged_around_ingest(self, **service_kwargs):
+    def _flagged_around_ingest(self):
         async def scenario(service):
             first = await service.submit(ServeRequest("flagged"))
             second = await service.submit(ServeRequest("flagged"))
@@ -131,26 +131,18 @@ class TestCachingBehaviour:
             third = await service.submit(ServeRequest("flagged"))
             return first, second, third
 
-        return run_service(scenario, **service_kwargs)
+        return run_service(scenario)
 
     def test_keyed_flagged_survives_an_ingest_that_flags_nothing(self):
         # Two events never make the online detector emit, so the
-        # flagged body is still current after the ingest — the keyed
-        # policy serves it from cache where wholesale used to discard.
+        # flagged body is still current after the ingest and is served
+        # from cache.
         (first, second, third), service = self._flagged_around_ingest()
         assert not first.cached
         assert second.cached and second.body == first.body
         assert third.cached
         assert service.cache.hits == 2
         assert service.cache.invalidations == 0
-
-    def test_wholesale_discards_flagged_when_the_watermark_moves(self):
-        (first, second, third), service = self._flagged_around_ingest(
-            config=ServiceConfig(cache_policy="wholesale"))
-        assert not first.cached
-        assert second.cached
-        assert not third.cached
-        assert service.cache.hits == 1
 
     def test_keyed_metrics_tracks_the_watermark(self):
         async def scenario(service):
