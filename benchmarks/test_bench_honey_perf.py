@@ -1,12 +1,11 @@
-"""Honey-pipeline perf bench: what TLS session resumption buys, pinned.
+"""Honey-pipeline perf bench: the shipped experiment, pinned.
 
-``scripts/export_bench_obs.py`` runs the Section-3 experiment with TLS
-session resumption on and off at the bench scale; this bench asserts
-the headline claims (fabric round trips down >= 30%, resumptions
-actually happening, op-cost histograms populated, results unchanged by
-the transport) and pins the deterministic subset against the committed
-``benchmarks/snapshots/honey_obs.json`` so a round-trip regression
-cannot land silently.
+``scripts/export_bench_obs.py`` runs the Section-3 experiment once at
+the bench scale; this bench asserts that TLS sessions really resume
+(more resumptions than handshakes, none failing), that the op-cost
+histograms are populated, and pins the deterministic subset against
+the committed ``benchmarks/snapshots/honey_obs.json`` so a round-trip
+regression cannot land silently.
 """
 
 import json
@@ -33,23 +32,12 @@ def report():
 
 
 class TestHoneyPerf:
-    def test_resumption_cuts_round_trips_by_a_third(self, report):
-        fabric = report["fabric"]
-        assert fabric["round_trips"] < fabric["round_trips_no_resumption"]
-        assert fabric["reduction"] >= 0.30
-
     def test_sessions_actually_resume(self, report):
         tls = report["tls"]
-        assert tls["resumptions"] > 0
-        assert tls["handshakes"] > 0
-        assert tls["handshakes"] < tls["handshakes_no_resumption"]
+        # Most telemetry uploads resume instead of handshaking.
+        assert tls["resumptions"] > tls["handshakes"] > 0
         # At bench scale the clean fabric never breaks a session.
         assert tls["resume_failures"] == 0
-
-    def test_transport_does_not_change_results(self, report):
-        experiment = report["experiment"]
-        assert (experiment["total_installs"]
-                == experiment["total_installs_no_resumption"])
 
     def test_op_cost_histograms_cover_every_stage(self, report):
         op_cost = report["op_cost"]
@@ -61,15 +49,15 @@ class TestHoneyPerf:
     def test_throughput_is_reported_and_real(self, report):
         """BENCH_honey.json carries the same host-dependent sections
         BENCH_wild.json does: install throughput and peak RSS."""
-        throughput = report["devices_per_sec"]
-        assert throughput["measured"] > 0
-        assert throughput["baseline_no_resumption"] > 0
+        assert report["devices_per_sec"] > 0
 
     def test_peak_rss_is_tracked_and_bounded(self, report):
         rss = report["peak_rss_mb"]
         assert rss["self"] > 0
+        # All three are rounded to 0.1 MB, so the sum of the parts can
+        # be one rounding step (plus float error) off the total.
         assert rss["total"] == pytest.approx(
-            rss["self"] + rss["children"], abs=0.1)
+            rss["self"] + rss["children"], abs=0.11)
         # The honey bench runs in-process; it fits comfortably in 2 GB.
         assert rss["total"] < 2048
 

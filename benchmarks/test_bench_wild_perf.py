@@ -1,12 +1,12 @@
-"""Wild-measurement perf bench: what the crawl cache buys, pinned.
+"""Wild-measurement perf bench: the shipped pipeline, pinned.
 
-``scripts/export_bench_obs.py`` runs the pipeline with the crawler's
-(package, day) cache on and off at the bench scale; this bench asserts
-the headline claims (fabric requests down >= 20%, a real cache hit
-rate, op-cost histograms populated), gates the serial run's wall
-clock, peak RSS and device throughput, and pins the deterministic
-subset against the committed ``benchmarks/snapshots/wild_obs.json`` so
-a request-count regression cannot land silently.
+``scripts/export_bench_obs.py`` runs the pipeline once at the bench
+scale; this bench asserts the crawler's (package, day) cache is doing
+real work (a real hit rate, every crawl request a cache miss),
+populated op-cost histograms, gates the run's wall clock, peak RSS and
+device throughput, and pins the deterministic subset against the
+committed ``benchmarks/snapshots/wild_obs.json`` so a request-count
+regression cannot land silently.
 """
 
 import json
@@ -39,20 +39,12 @@ def report():
 
 
 class TestPerf:
-    def test_cache_cuts_fabric_requests_by_a_fifth(self, report):
-        fabric = report["fabric"]
-        assert fabric["requests"] < fabric["requests_uncached"]
-        assert fabric["reduction"] >= 0.20
-
     def test_cache_hit_rate_is_real(self, report):
         cache = report["cache"]
         assert cache["hits"] > 0
         assert 0.0 < cache["hit_rate"] < 1.0
-        # Every avoided crawl request is an avoided fabric connection.
-        crawl = report["crawl"]
-        assert (crawl["requests_uncached"] - crawl["requests"]
-                == report["fabric"]["requests_uncached"]
-                - report["fabric"]["requests"])
+        # Every wire fetch is a memo miss, and every miss one fetch.
+        assert report["crawl"]["requests"] == cache["misses"]
 
     def test_op_cost_histograms_cover_every_day_phase(self, report):
         op_cost = report["op_cost"]
@@ -68,15 +60,11 @@ class TestPerf:
                 >= op_cost["wild.milk_ops"]["p50_ops"])
 
     def test_wall_clock_meets_gate(self, report):
-        assert report["wall_seconds"]["measured"] <= WALL_GATE_SECONDS
-        assert (report["wall_seconds"]["measured"]
-                < report["wall_seconds"]["baseline_uncached"])
+        assert report["wall_seconds"] <= WALL_GATE_SECONDS
 
     def test_device_throughput_is_reported_and_real(self, report):
-        throughput = report["devices_per_sec"]
-        assert throughput["measured"] > throughput["baseline_uncached"] > 0
         # milk_runs / WALL_GATE_SECONDS at the bench scale.
-        assert throughput["measured"] >= 50.0
+        assert report["devices_per_sec"] >= 50.0
 
     def test_peak_rss_is_tracked_and_bounded(self, report):
         rss = report["peak_rss_mb"]

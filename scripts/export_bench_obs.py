@@ -1,17 +1,15 @@
 """Export the perf benches: ``BENCH_wild.json`` and ``BENCH_honey.json``.
 
-Wild (Section 4): runs the pipeline twice at the bench scale — once as
-shipped (request cache on) and once with the crawler's (package, day)
-cache disabled, the pre-cache baseline — and reports what the cache
-bought: total fabric requests, the reduction fraction, cache hit rate,
-and the per-stage op-cost histogram quantiles (``wild.milk_ops`` /
+Wild (Section 4): runs the pipeline once at the bench scale, as
+shipped, and reports its fabric requests, the crawler's (package, day)
+cache hits and misses, crawl requests, dataset counts, and the
+per-stage op-cost histogram quantiles (``wild.milk_ops`` /
 ``wild.crawl_ops`` / ``wild.analyse_ops``).
 
-Honey (Section 3): runs the honey-app experiment twice — once with TLS
-session resumption on (shipped) and once with it off, the
-full-handshake baseline — and reports what resumption bought: fabric
-round trips, the reduction fraction, handshake vs resumption counts,
-and the ``honey.campaign_ops`` / ``honey.analysis_ops`` quantiles.
+Honey (Section 3): runs the honey-app experiment once, as shipped, and
+reports its fabric round trips, TLS handshake vs resumption counts,
+the experiment's totals, and the ``honey.campaign_ops`` /
+``honey.analysis_ops`` quantiles.
 
 Four outputs:
 
@@ -72,23 +70,22 @@ DEFAULT_HONEY_OUT = REPO_ROOT / "BENCH_honey.json"
 DEFAULT_HONEY_SNAPSHOT = REPO_ROOT / "benchmarks/snapshots/honey_obs.json"
 
 
-def run_wild(crawl_cache: bool) -> tuple:
+def run_wild() -> tuple:
     world = World(seed=SEED)
     scenario = WildScenario(world, WildScenarioConfig(
         scale=SCALE, measurement_days=DAYS))
     scenario.build()
     measurement = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, crawl_cache=crawl_cache))
+        measurement_days=DAYS))
     started = time.monotonic()
     results = measurement.run()
     elapsed = time.monotonic() - started
     return world, results, elapsed
 
 
-def run_honey(tls_resumption: bool) -> tuple:
+def run_honey() -> tuple:
     world = World(seed=SEED)
-    experiment = HoneyAppExperiment(world, installs_per_iip=HONEY_INSTALLS,
-                                    tls_resumption=tls_resumption)
+    experiment = HoneyAppExperiment(world, installs_per_iip=HONEY_INSTALLS)
     started = time.monotonic()
     results = experiment.run()
     elapsed = time.monotonic() - started
@@ -115,13 +112,8 @@ def peak_rss_mb() -> dict:
 def build_report() -> dict:
     """The full bench report; ``deterministic`` holds the committed
     subset (everything except wall-clock timings)."""
-    world, results, elapsed = run_wild(crawl_cache=True)
-    base_world, base_results, base_elapsed = run_wild(crawl_cache=False)
+    world, results, elapsed = run_wild()
     total = world.obs.metrics.counter_total
-    base_total = base_world.obs.metrics.counter_total
-
-    requests = int(total("net.fabric.connections"))
-    base_requests = int(base_total("net.fabric.connections"))
     hits = int(total("crawler.cache_hits"))
     misses = int(total("crawler.cache_misses"))
     lookups = hits + misses
@@ -131,20 +123,13 @@ def build_report() -> dict:
             "scale": SCALE,
             "days": DAYS,
         },
-        "fabric": {
-            "requests": requests,
-            "requests_uncached": base_requests,
-            "reduction": round(1.0 - requests / base_requests, 4),
-        },
+        "fabric": {"requests": int(total("net.fabric.connections"))},
         "cache": {
             "hits": hits,
             "misses": misses,
             "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
         },
-        "crawl": {
-            "requests": results.crawl_requests,
-            "requests_uncached": base_results.crawl_requests,
-        },
+        "crawl": {"requests": results.crawl_requests},
         "dataset": {
             "offers": results.dataset.offer_count(),
             "advertised_packages": len(results.dataset.unique_packages()),
@@ -153,65 +138,38 @@ def build_report() -> dict:
         "op_cost": stage_quantiles(world),
     }
     report = dict(deterministic)
-    report["wall_seconds"] = {
-        "measured": round(elapsed, 2),
-        "baseline_uncached": round(base_elapsed, 2),
-    }
-    report["devices_per_sec"] = {
-        "measured": round(results.milk_runs / elapsed, 2),
-        "baseline_uncached": round(base_results.milk_runs / base_elapsed, 2),
-    }
+    report["wall_seconds"] = round(elapsed, 2)
+    report["devices_per_sec"] = round(results.milk_runs / elapsed, 2)
     report["peak_rss_mb"] = peak_rss_mb()
     return report
 
 
 def build_honey_report() -> dict:
-    """The honey bench report: resumption on (shipped) vs off."""
-    world, results, elapsed = run_honey(tls_resumption=True)
-    base_world, base_results, base_elapsed = run_honey(tls_resumption=False)
+    """The honey bench report."""
+    world, results, elapsed = run_honey()
     total = world.obs.metrics.counter_total
-    base_total = base_world.obs.metrics.counter_total
-
-    # Every fabric round trip is one client frame plus one response.
-    round_trips = int(total("net.fabric.frames")) // 2
-    base_round_trips = int(base_total("net.fabric.frames")) // 2
-    handshakes = int(total("net.client.tls_handshakes"))
-    resumptions = int(total("net.client.tls_resumptions"))
     deterministic = {
         "run": {
             "seed": SEED,
             "installs_per_iip": HONEY_INSTALLS,
         },
-        "fabric": {
-            "round_trips": round_trips,
-            "round_trips_no_resumption": base_round_trips,
-            "reduction": round(1.0 - round_trips / base_round_trips, 4),
-        },
+        # Every fabric round trip is one client frame plus one response.
+        "fabric": {"round_trips": int(total("net.fabric.frames")) // 2},
         "tls": {
-            "handshakes": handshakes,
-            "resumptions": resumptions,
+            "handshakes": int(total("net.client.tls_handshakes")),
+            "resumptions": int(total("net.client.tls_resumptions")),
             "resume_failures": int(total("net.client.tls_resume_failures")),
-            "handshakes_no_resumption":
-                int(base_total("net.client.tls_handshakes")),
         },
         "experiment": {
             "total_installs": results.total_installs(),
             "displayed_installs_after": results.displayed_installs_after,
             "enforcement_actions": results.enforcement_actions,
-            "total_installs_no_resumption": base_results.total_installs(),
         },
         "op_cost": stage_quantiles(world, HONEY_STAGE_HISTOGRAMS),
     }
     report = dict(deterministic)
-    report["wall_seconds"] = {
-        "measured": round(elapsed, 2),
-        "baseline_no_resumption": round(base_elapsed, 2),
-    }
-    report["devices_per_sec"] = {
-        "measured": round(results.total_installs() / elapsed, 2),
-        "baseline_no_resumption":
-            round(base_results.total_installs() / base_elapsed, 2),
-    }
+    report["wall_seconds"] = round(elapsed, 2)
+    report["devices_per_sec"] = round(results.total_installs() / elapsed, 2)
     report["peak_rss_mb"] = peak_rss_mb()
     return report
 

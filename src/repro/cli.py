@@ -198,9 +198,6 @@ def _add_honey(subparsers) -> None:
     parser.add_argument("--installs-per-iip", type=int, default=None,
                         help="installs to purchase from each IIP "
                              "(default: the paper's 500)")
-    parser.add_argument("--no-tls-resumption", action="store_true",
-                        help="disable the TLS session cache (every "
-                             "telemetry upload pays a full handshake)")
     _add_chaos_flags(parser)
     _add_recovery_flags(parser, "honey.campaign, honey.checkpoint")
 
@@ -377,9 +374,7 @@ def _cmd_honey(args) -> int:
     world = World(seed=args.seed, chaos=_chaos_scenario(args))
     installs = (args.installs_per_iip if args.installs_per_iip is not None
                 else paperdata.HONEY_INSTALLS_PURCHASED)
-    experiment = HoneyAppExperiment(
-        world, installs_per_iip=installs,
-        tls_resumption=not args.no_tls_resumption)
+    experiment = HoneyAppExperiment(world, installs_per_iip=installs)
     recovery = _recovery_context(args, "honey")
     try:
         results = experiment.run(recovery=recovery)

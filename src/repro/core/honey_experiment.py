@@ -116,13 +116,13 @@ class _CampaignCell:
     than drawn from a shared sequence, so a campaign's behaviour, its
     population, and its TLS handshake bytes depend only on its own key
     — never on which other campaigns ran first or concurrently.  The
-    TLS stream is split from the behaviour stream so that toggling
-    session resumption (which changes how many handshake draws happen)
-    cannot perturb worker behaviour.
+    TLS stream is split from the behaviour stream because the number
+    of handshake draws varies with the transport — chaos faults drop
+    cached sessions and force fresh handshakes — and that must not
+    perturb worker behaviour.
     """
 
-    def __init__(self, world: World, iip_name: str,
-                 tls_resumption: bool) -> None:
+    def __init__(self, world: World, iip_name: str) -> None:
         self.iip_name = iip_name
         slug = _campaign_slug(iip_name)
         base = world.seeds.seed_for("honey-campaign")
@@ -131,8 +131,9 @@ class _CampaignCell:
         self.population = PopulationBuilder(
             world.fabric.asn_db, derive_rng(base, slug, "population"),
             affiliate_catalog=ALL_AFFILIATE_PACKAGES, namespace=slug)
-        self.sessions: Optional[TlsSessionCache] = (
-            TlsSessionCache() if tls_resumption else None)
+        #: Repeat telemetry uploads resume the TLS session instead of
+        #: paying the handshake round trips again.
+        self.sessions = TlsSessionCache()
 
 
 @dataclass
@@ -149,15 +150,10 @@ class HoneyExperimentResults:
 
 
 class HoneyAppExperiment:
-    """Runs the whole Section-3 experiment inside a world.
-
-    ``tls_resumption`` gives each campaign cell a TLS session cache so
-    repeat telemetry uploads skip the handshake round trips.
-    """
+    """Runs the whole Section-3 experiment inside a world."""
 
     def __init__(self, world: World,
                  installs_per_iip: int = paperdata.HONEY_INSTALLS_PURCHASED,
-                 tls_resumption: bool = True,
                  detection: Optional[LiveDetection] = None,
                  ) -> None:
         self.world = world
@@ -167,7 +163,7 @@ class HoneyAppExperiment:
         #: finishes, with its ground-truth label).  The adapter is
         #: RNG-free, so attaching it never perturbs the campaign runs.
         self.detection = detection
-        self._cells = {iip_name: _CampaignCell(world, iip_name, tls_resumption)
+        self._cells = {iip_name: _CampaignCell(world, iip_name)
                        for iip_name in _CAMPAIGN_ORDER}
         self._declare_stage_histograms()
         self._publish_listing()

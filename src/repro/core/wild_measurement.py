@@ -66,23 +66,11 @@ class WildMeasurementConfig:
     countries_per_milk_day: int = 2
     baseline_window: Tuple[int, int] = (
         0, paperdata.AVERAGE_CAMPAIGN_DURATION_DAYS)
-    #: Crawl every charted app's profile too (the paper archived the
-    #: top-chart apps alongside the tracked set); the request cache
-    #: absorbs the overlap with the tracked packages.
-    crawl_chart_profiles: bool = True
-    #: (package, day) / (chart, day) request memoisation in the crawler.
-    crawl_cache: bool = True
-    #: Capture each offer impression's Play listing at observation time
-    #: (the paper pinned installs/price as offers were seen).  The same
-    #: package appears on ~10 walls/countries per day, so the cache
-    #: collapses the impression stream to one fetch per (package, day).
-    capture_offer_pages: bool = True
     #: Streaming mode: when positive, analysis folds run over columnar
-    #: chunks of at most this many rows, the raw observation log and
-    #: the crawl archive's profiles spill to disk, and the crawler's
-    #: request memo keeps a one-day window — peak RSS stops growing
-    #: with ``scale x days`` while every export stays byte-identical
-    #: to the materialised (0) mode.
+    #: chunks of at most this many rows and the raw observation log and
+    #: the crawl archive's profiles spill to disk — peak RSS stops
+    #: growing with ``scale x days`` while every export stays
+    #: byte-identical to the materialised (0) mode.
     batch_devices: int = 0
     #: Where streaming mode spills (a directory); ``None`` uses a fresh
     #: temporary directory.  A resumed streaming run must point at the
@@ -245,20 +233,16 @@ class WildMeasurement:
         archive = CrawlArchive(
             spill_path=(os.path.join(self.spill_root, "profiles.jsonl")
                         if streaming else None))
+        # Every charted app's profile is crawled too: the paper archived
+        # the top-chart apps alongside the tracked set.
         self.crawler = PlayStoreCrawler(
             world.measurement_client(retry_policy=self.retry_policy),
             PLAY_HOST,
             archive=archive,
             cadence_days=self.config.crawl_cadence_days,
             obs=world.obs,
-            cache_enabled=self.config.crawl_cache,
-            crawl_chart_profiles=self.config.crawl_chart_profiles,
+            crawl_chart_profiles=True,
             task_seed=world.seeds.seed_for("crawler-tasks"))
-        if streaming:
-            # Day-window memo eviction: the wild crawl never reads a
-            # prior day's cache key (the store day is monotonic), so
-            # this changes no counter — only peak RSS.
-            self.crawler.cache_window_days = 1
         self._milk_errors: List[str] = []
         self._milk_runs = 0
         self._observations = SpillableLog(
@@ -464,11 +448,11 @@ class WildMeasurement:
             # After the merge, in canonical order: the bridge sees the
             # same impression stream whatever order the tasks ran in.
             self._detection_bridge.on_milk_day(day, day_offers)
-        if self.config.capture_offer_pages:
-            # Pin each impression's store page at observation time; the
-            # impression stream is in canonical merged order, so the
-            # capture — and its cache hits — never depend on task order.
-            self.crawler.capture_offer_pages(impressions, day=day)
+        # Pin each impression's store page at observation time (the
+        # paper pinned installs/price as offers were seen); the
+        # impression stream is in canonical merged order, so the
+        # capture — and its cache hits — never depend on task order.
+        self.crawler.capture_offer_pages(impressions, day=day)
 
     def _coverage_loss(self) -> CoverageLossSummary:
         """Roll the obs counters up into the coverage-loss summary."""

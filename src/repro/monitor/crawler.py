@@ -431,9 +431,10 @@ class PlayStoreCrawler:
     Only *successes* populate the cache — a failed fetch never poisons
     it — and a new day is a new key, so stale data cannot be served.
     Hits and misses surface as ``crawler.cache_hits/cache_misses``
-    counters.  Cache reads only happen for calls that pass ``day``
-    (the wild pipeline does); legacy call sites without a day keep
-    their exact pre-cache behaviour.
+    counters, and every wire fetch is a miss.  Every visit names its
+    store day, and each profile fan-out first drops the other days'
+    entries: the store day is monotonic, so the crawl never reads an
+    earlier day's key and the memo stays one day deep.
 
     Profile queues: ``crawl_everything`` and ``capture_offer_pages``
     run each profile fetch as a self-contained task through
@@ -447,7 +448,6 @@ class PlayStoreCrawler:
                  archive: Optional[CrawlArchive] = None,
                  cadence_days: int = DEFAULT_CADENCE_DAYS,
                  obs: Optional[Observability] = None,
-                 cache_enabled: bool = True,
                  crawl_chart_profiles: bool = False,
                  task_seed: int = 0) -> None:
         if cadence_days <= 0:
@@ -462,18 +462,11 @@ class PlayStoreCrawler:
         #: crawl visit (the paper's crawler re-tried gaps on later days).
         self.retry_queue: List[str] = []
         self.obs = obs or client.obs
-        self.cache_enabled = cache_enabled
         #: When set, every chart entry's profile is crawled too (the
         #: paper archives charted apps alongside the tracked set); the
         #: cache absorbs the heavy overlap with the tracked packages.
         self.crawl_chart_profiles = crawl_chart_profiles
         self._task_seed = task_seed
-        #: In streaming mode the wild pipeline sets a window (in store
-        #: days); memo entries older than ``day - window`` are dropped
-        #: on insert.  The wild crawl never reads a prior day's key (the
-        #: store day is monotonic), so eviction changes no counter —
-        #: only peak RSS.  ``None`` keeps the historical unbounded memo.
-        self.cache_window_days: Optional[int] = None
         self._profile_cache: Dict[Tuple[str, int], ProfileSnapshot] = {}
         self._chart_cache: Dict[Tuple[str, int], List[ChartAppearance]] = {}
         #: Every package ever seen on a chart, in first-seen order; with
@@ -540,14 +533,13 @@ class PlayStoreCrawler:
         return int(self.obs.metrics.counter_total("crawler.cache_misses"))
 
     def _prune_caches(self, day: int) -> None:
-        """Drop memo entries older than the streaming cache window."""
-        if self.cache_window_days is None:
-            return
-        cutoff = day - self.cache_window_days
-        for key in [k for k in self._profile_cache if k[1] <= cutoff]:
-            del self._profile_cache[key]
-        for key in [k for k in self._chart_cache if k[1] <= cutoff]:
-            del self._chart_cache[key]
+        """Keep only ``day``'s memo entries; no later lookup can hit
+        another day's, so this changes no counter — only memory."""
+        self._profile_cache = {key: snapshot for key, snapshot
+                               in self._profile_cache.items()
+                               if key[1] == day}
+        self._chart_cache = {key: appearances for key, appearances
+                             in self._chart_cache.items() if key[1] == day}
 
     def _queue_retry(self, package: str) -> None:
         if package not in self.retry_queue:
@@ -602,33 +594,17 @@ class PlayStoreCrawler:
         if is_retry:
             self.obs.metrics.inc("monitor.crawl_retry_recovered")
         self.archive.add_profile(snapshot)
-        if self.cache_enabled:
-            self._profile_cache[(package, snapshot.day)] = snapshot
-            self._prune_caches(snapshot.day)
+        self._profile_cache[(package, snapshot.day)] = snapshot
         return snapshot
 
-    def crawl_profile(self, package: str, is_retry: bool = False,
-                      day: Optional[int] = None) -> Optional[ProfileSnapshot]:
-        if self.cache_enabled and day is not None:
-            cached = self._profile_cache.get((package, day))
-            if cached is not None:
-                self.obs.metrics.inc("crawler.cache_hits", kind="profile")
-                return cached
-            self.obs.metrics.inc("crawler.cache_misses", kind="profile")
-        self.requests_made += 1
-        self.obs.metrics.inc("monitor.crawl_requests", kind="profile")
-        outcome = self._fetch_profile(self._client, package)
-        return self._apply_profile_outcome(package, outcome, is_retry)
-
-    def _ensure_template(self, day: Optional[int]) -> None:
+    def _ensure_template(self, day: int) -> None:
         """Prime one TLS resumption template for the store host so the
         day's fan-out fetches (each on a throwaway task client with a
         never-repeating flow) resume instead of re-handshaking.
         Priming is opportunistic — on failure the day simply runs on
         full handshakes.
         """
-        if day is not None:
-            self._client.prime_resumption(self._play_host, day)
+        self._client.prime_resumption(self._play_host, day)
 
     def run_fetch_payload(self, payload) -> Tuple[FetchOutcome, Observability]:
         """Execute one ``("crawl", day, package)`` spec payload: a
@@ -644,18 +620,17 @@ class PlayStoreCrawler:
 
     # -- charts --------------------------------------------------------------
 
-    def crawl_charts(self, day: Optional[int] = None) -> int:
+    def crawl_charts(self, day: int) -> int:
         """Scrape every chart; returns the day the store reported."""
         day_seen = -1
         for kind in ChartKind:
-            if self.cache_enabled and day is not None:
-                cached = self._chart_cache.get((kind.value, day))
-                if cached is not None:
-                    self.obs.metrics.inc("crawler.cache_hits", kind="chart")
-                    self.archive.add_chart(kind.value, day, cached)
-                    day_seen = day
-                    continue
-                self.obs.metrics.inc("crawler.cache_misses", kind="chart")
+            cached = self._chart_cache.get((kind.value, day))
+            if cached is not None:
+                self.obs.metrics.inc("crawler.cache_hits", kind="chart")
+                self.archive.add_chart(kind.value, day, cached)
+                day_seen = day
+                continue
+            self.obs.metrics.inc("crawler.cache_misses", kind="chart")
             self.requests_made += 1
             self.obs.metrics.inc("monitor.crawl_requests", kind="chart")
             try:
@@ -691,31 +666,29 @@ class PlayStoreCrawler:
                 continue
             day_seen = chart_day
             self.archive.add_chart(kind.value, day_seen, appearances)
-            if self.cache_enabled:
-                self._chart_cache[(kind.value, chart_day)] = appearances
-                self._prune_caches(chart_day)
+            self._chart_cache[(kind.value, chart_day)] = appearances
         return day_seen
 
     # -- full visits ---------------------------------------------------------
 
     def _crawl_profiles(self, queue: Sequence[str], pending: set,
-                        day: Optional[int]) -> int:
+                        day: int) -> int:
         """Fetch a queue of profiles (cache-filtered) as tasks; side
         effects are applied in queue order."""
         self._ensure_template(day)
+        self._prune_caches(day)
         best_day = -1
         to_fetch: List[Tuple[str, bool]] = []
         for package in queue:
             is_retry = package in pending
             if is_retry:
                 self.obs.metrics.inc("monitor.crawl_retry_drained")
-            if self.cache_enabled and day is not None:
-                cached = self._profile_cache.get((package, day))
-                if cached is not None:
-                    self.obs.metrics.inc("crawler.cache_hits", kind="profile")
-                    best_day = cached.day
-                    continue
-                self.obs.metrics.inc("crawler.cache_misses", kind="profile")
+            cached = self._profile_cache.get((package, day))
+            if cached is not None:
+                self.obs.metrics.inc("crawler.cache_hits", kind="profile")
+                best_day = cached.day
+                continue
+            self.obs.metrics.inc("crawler.cache_misses", kind="profile")
             to_fetch.append((package, is_retry))
         specs = [(package, ("crawl", day, package))
                  for package, _ in to_fetch]
@@ -730,40 +703,33 @@ class PlayStoreCrawler:
                 best_day = snapshot.day
         return best_day
 
-    def capture_offer_pages(self, packages: Sequence[str],
-                            day: Optional[int] = None) -> int:
+    def capture_offer_pages(self, packages: Sequence[str], day: int) -> int:
         """Capture the Play listing of every offer *impression*.
 
         The paper's monitor logged the store page of each offer as it
         was seen, to pin installs/price at observation time.  The same
         package shows up on many walls and countries in one day, so the
-        impression stream is heavily duplicated; with the cache on the
-        duplicates collapse to one wire fetch per ``(package, day)``
-        (the rest count as ``crawler.cache_hits``), while the pre-cache
-        path pays one request per impression.  Returns the impression
-        count.
+        impression stream is heavily duplicated; the duplicates collapse
+        to one wire fetch per ``(package, day)`` (the rest count as
+        ``crawler.cache_hits``).  Returns the impression count.
         """
         captured = 0
         queue: List[str] = []
         seen_today: set = set()
-        dedupe = self.cache_enabled and day is not None
         for package in packages:
             captured += 1
             self.obs.metrics.inc("monitor.offer_pages")
-            if dedupe:
-                if package in seen_today:
-                    # Served by the (package, day) entry the first
-                    # impression's fetch populated.
-                    self.obs.metrics.inc("crawler.cache_hits",
-                                         kind="offer_page")
-                    continue
-                seen_today.add(package)
+            if package in seen_today:
+                # Served by the (package, day) entry the first
+                # impression's fetch populated.
+                self.obs.metrics.inc("crawler.cache_hits", kind="offer_page")
+                continue
+            seen_today.add(package)
             queue.append(package)
         self._crawl_profiles(queue, set(), day)
         return captured
 
-    def crawl_everything(self, packages: Sequence[str],
-                         day: Optional[int] = None) -> int:
+    def crawl_everything(self, packages: Sequence[str], day: int) -> int:
         """One full crawl visit: all charts, the retry queue from the
         previous visit, every tracked profile (deduplicated — a package
         in both the baseline list and the discovered set costs one

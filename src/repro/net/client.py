@@ -325,25 +325,22 @@ class HttpClient:
             breaker.obs = self.obs
 
     def for_task(self, rng: random.Random,
-                 obs: Optional[Observability] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 session_cache: Optional[TlsSessionCache] = None) -> "HttpClient":
+                 obs: Optional[Observability] = None) -> "HttpClient":
         """A task-local clone for fan-out tasks.
 
-        Shares the endpoint, trust store, proxy, pins, and retry policy
-        (all read-only), but takes its own RNG — typically derived from
+        Shares the endpoint, trust store, proxy, pins, retry policy and
+        session cache, but takes its own RNG — typically derived from
         the task key via :func:`repro.parallel.hashing.derive_rng`, so
         TLS handshake bytes do not depend on which other tasks ran
-        first — plus its own observability context and (optionally) its
-        own breaker and session cache, keeping circuit and resumption
-        state task-local.
+        first — plus its own observability context.  The clone has no
+        breaker, so no circuit state crosses tasks.
         """
         clone = HttpClient(
             self.fabric, self.endpoint, self.trust_store, rng,
             proxy=self.proxy, pinned_fingerprints=self.pinned_fingerprints,
             today=self.today, obs=obs or self.obs,
-            retry_policy=self.retry_policy, breaker=breaker,
-            session_cache=session_cache or self.session_cache)
+            retry_policy=self.retry_policy,
+            session_cache=self.session_cache)
         # Shared by reference: templates are written only between task
         # phases (by the owner) and read during tasks.
         clone.resume_templates = self.resume_templates
@@ -599,15 +596,9 @@ class HttpClient:
         if session.session_ticket is None or session.base_keys is None:
             return False
         enc_key, mac_key = session.base_keys
-        self.install_template(host, day, session.session_ticket,
-                              enc_key, mac_key)
+        self.resume_templates[host] = (day, session.session_ticket,
+                                       enc_key, mac_key)
         return True
-
-    def install_template(self, host: str, day: int, ticket: bytes,
-                         enc_key: bytes, mac_key: bytes) -> None:
-        """Install a resumption template for ``host`` (what
-        :meth:`prime_resumption` does with the ticket it just minted)."""
-        self.resume_templates[host] = (day, ticket, enc_key, mac_key)
 
     # -- instrumentation -------------------------------------------------------
 

@@ -75,6 +75,7 @@ class TestParser:
         ["wild", "--shards", "2"],
         ["detect", "--shards", "2"],
         ["serve", "--cache-policy", "keyed"],
+        ["honey", "--no-tls-resumption"],
     ])
     def test_removed_execution_flags_are_unknown(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:

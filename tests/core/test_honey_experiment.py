@@ -160,27 +160,12 @@ class TestZeroDeliveredCampaigns:
 
 
 class TestTlsResumption:
-    """Session resumption changes only TLS wire bytes, never the HTTP
-    payloads the analysis sees."""
-
-    @staticmethod
-    def run_honey(tls_resumption):
-        world = World(seed=11, obs=Observability())
-        results = HoneyAppExperiment(world, installs_per_iip=120,
-                                     tls_resumption=tls_resumption).run()
-        return world, results
-
-    def test_resumption_does_not_change_results(self):
-        _, results_on = self.run_honey(tls_resumption=True)
-        _, results_off = self.run_honey(tls_resumption=False)
-        assert (render_honey_report(results_on)
-                == render_honey_report(results_off))
+    """Repeat telemetry uploads resume their campaign's TLS session
+    instead of paying the handshake round trips again."""
 
     def test_resumption_reduces_fabric_traffic(self):
-        world_on, _ = self.run_honey(tls_resumption=True)
-        world_off, _ = self.run_honey(tls_resumption=False)
-        frames_on = world_on.obs.metrics.counter_total("net.fabric.frames")
-        frames_off = world_off.obs.metrics.counter_total("net.fabric.frames")
-        assert frames_on < frames_off
-        assert world_on.obs.metrics.counter_total(
-            "net.client.tls_resumptions") > 0
+        world = World(seed=11, obs=Observability())
+        HoneyAppExperiment(world, installs_per_iip=120).run()
+        total = world.obs.metrics.counter_total
+        assert (total("net.client.tls_resumptions")
+                > total("net.client.tls_handshakes") > 0)

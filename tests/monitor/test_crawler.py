@@ -38,13 +38,15 @@ class TestCrawler:
     def test_profile_crawl(self, world):
         store, clock, crawler = world
         store.record_install_batch("com.app.alpha", 0, InstallSource.ORGANIC, 777)
-        snapshot = crawler.crawl_profile("com.app.alpha")
+        crawler.capture_offer_pages(["com.app.alpha"], day=0)
+        snapshot = crawler.archive.profile("com.app.alpha", 0)
         assert snapshot.installs_floor == 500
         assert snapshot.developer_id == "dev1"
 
     def test_unknown_profile_counts_as_failure(self, world):
         _, _, crawler = world
-        assert crawler.crawl_profile("com.ghost") is None
+        crawler.capture_offer_pages(["com.ghost"], day=0)
+        assert crawler.archive.profile("com.ghost", 0) is None
         assert crawler.failures == 1
 
     def test_install_series_across_days(self, world):
@@ -54,7 +56,7 @@ class TestCrawler:
                 store.record_install_batch("com.app.alpha", day,
                                            InstallSource.ORGANIC, count)
             clock["day"] = day
-            crawler.crawl_everything(["com.app.alpha"])
+            crawler.crawl_everything(["com.app.alpha"], day=day)
         series = crawler.archive.install_series("com.app.alpha")
         assert series == [(0, 100), (2, 1000), (4, 1000)]
         assert crawler.archive.crawl_days == [0, 2, 4]
@@ -65,7 +67,7 @@ class TestCrawler:
         store.record_engagement("com.app.beta", 2, DailyEngagement(active_users=50))
         for day in (0, 2, 10):
             clock["day"] = day
-            crawler.crawl_everything([])
+            crawler.crawl_everything([], day=day)
         appearances = crawler.archive.chart_appearances("com.app.beta")
         assert {a.day for a in appearances} == {2}
         assert {a.chart for a in appearances} == {"top_free", "top_games"}
@@ -78,10 +80,10 @@ class TestCrawler:
         store, clock, crawler = world
         store.record_install_batch("com.app.alpha", 0, InstallSource.ORGANIC, 100)
         clock["day"] = 0
-        crawler.crawl_profile("com.app.alpha")
+        crawler.capture_offer_pages(["com.app.alpha"], day=0)
         store.record_install_batch("com.app.alpha", 3, InstallSource.ORGANIC, 5000)
         clock["day"] = 4
-        crawler.crawl_profile("com.app.alpha")
+        crawler.capture_offer_pages(["com.app.alpha"], day=4)
         archive = crawler.archive
         assert archive.first_profile("com.app.alpha").installs_floor == 100
         assert archive.last_profile("com.app.alpha").installs_floor == 5000

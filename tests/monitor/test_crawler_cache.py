@@ -15,6 +15,7 @@ from repro.playstore.catalog import AppListing, Developer
 from repro.playstore.frontend import PLAY_HOST, PlayStoreFrontend
 from repro.playstore.ledger import InstallSource
 from repro.playstore.store import PlayStore
+from repro.recovery.state import split_key
 from tests.conftest import make_client
 
 HTTPS = 443
@@ -44,10 +45,9 @@ def play_connections(fabric) -> int:
 class TestProfileCache:
     def test_repeat_same_day_hits_cache_and_skips_the_wire(self, rig):
         _, _, crawler, fabric = rig
-        first = crawler.crawl_profile("com.app.alpha", day=0)
+        crawler.capture_offer_pages(["com.app.alpha"], day=0)
         wire_after_first = play_connections(fabric)
-        second = crawler.crawl_profile("com.app.alpha", day=0)
-        assert second is first
+        crawler.capture_offer_pages(["com.app.alpha"], day=0)
         assert play_connections(fabric) == wire_after_first
         assert crawler.cache_hits == 1
         assert crawler.cache_misses == 1
@@ -55,52 +55,41 @@ class TestProfileCache:
 
     def test_new_day_invalidates(self, rig):
         _, clock, crawler, fabric = rig
-        crawler.crawl_profile("com.app.alpha", day=0)
+        crawler.capture_offer_pages(["com.app.alpha"], day=0)
         clock["day"] = 2
-        snapshot = crawler.crawl_profile("com.app.alpha", day=2)
-        assert snapshot.day == 2
+        crawler.capture_offer_pages(["com.app.alpha"], day=2)
+        assert crawler.archive.profile("com.app.alpha", 2).day == 2
         assert crawler.cache_hits == 0
         assert crawler.cache_misses == 2
         assert crawler.requests_made == 2
 
-    def test_legacy_calls_without_day_never_touch_the_cache(self, rig):
-        _, _, crawler, fabric = rig
-        crawler.crawl_profile("com.app.alpha")
-        crawler.crawl_profile("com.app.alpha")
-        assert crawler.requests_made == 2
-        assert crawler.cache_hits == 0
-        assert crawler.cache_misses == 0
+    def test_memo_keeps_only_the_current_day(self, rig):
+        _, clock, crawler, _ = rig
+        crawler.crawl_everything(["com.app.alpha"], day=0)
+        clock["day"] = 2
+        crawler.capture_offer_pages(["com.app.beta"], day=2)
+        state = crawler.state_dict()
+        assert state["chart_cache"] == {}
+        assert [split_key(key) for key in state["profile_cache"]] == [
+            ["com.app.beta", "2"]]
 
     def test_failed_fetch_is_not_cached(self, rig):
         _, _, crawler, fabric = rig
         fabric.inject_fault(PLAY_HOST, HTTPS, TransientNetworkError("reset"))
-        assert crawler.crawl_profile("com.app.alpha", day=0) is None
+        crawler.capture_offer_pages(["com.app.alpha"], day=0)
+        assert crawler.archive.profile("com.app.alpha", 0) is None
         assert crawler.failures == 1
         assert "com.app.alpha" in crawler.retry_queue
         # The failure must not poison the cache: the next attempt goes
         # back to the wire and gets the real profile.
         fabric.clear_fault(PLAY_HOST, HTTPS)
         wire_before = play_connections(fabric)
-        snapshot = crawler.crawl_profile("com.app.alpha", day=0)
+        crawler.capture_offer_pages(["com.app.alpha"], day=0)
+        snapshot = crawler.archive.profile("com.app.alpha", 0)
         assert snapshot is not None and snapshot.installs_floor == 500
         assert play_connections(fabric) > wire_before
         assert crawler.cache_hits == 0
         assert crawler.cache_misses == 2
-
-    def test_cache_disabled_always_fetches(self, fabric, root_ca, rng,
-                                           trust_store):
-        store = PlayStore()
-        developer = Developer(developer_id="d", name="D", country="US")
-        store.publish(AppListing(package="com.x", title="x", genre="Tools",
-                                 developer=developer, release_day=0))
-        PlayStoreFrontend(fabric, store, root_ca, rng, current_day=lambda: 0)
-        crawler = PlayStoreCrawler(make_client(fabric, trust_store, rng),
-                                   PLAY_HOST, obs=Observability(),
-                                   cache_enabled=False)
-        crawler.crawl_profile("com.x", day=0)
-        crawler.crawl_profile("com.x", day=0)
-        assert crawler.requests_made == 2
-        assert crawler.cache_hits == 0
 
 
 class TestChartCache:
@@ -138,28 +127,15 @@ class TestOfferPageCapture:
         total = crawler.obs.metrics.counter_total
         assert total("monitor.offer_pages") == 5
 
-    def test_uncached_capture_pays_one_fetch_per_impression(
-            self, fabric, root_ca, rng, trust_store):
-        store = PlayStore()
-        developer = Developer(developer_id="d", name="D", country="US")
-        store.publish(AppListing(package="com.x", title="x", genre="Tools",
-                                 developer=developer, release_day=0))
-        PlayStoreFrontend(fabric, store, root_ca, rng, current_day=lambda: 0)
-        crawler = PlayStoreCrawler(make_client(fabric, trust_store, rng),
-                                   PLAY_HOST, obs=Observability(),
-                                   cache_enabled=False)
-        crawler.capture_offer_pages(["com.x", "com.x", "com.x"], day=0)
-        assert crawler.requests_made == 3
-        assert crawler.cache_hits == 0
-
     def test_capture_seeds_the_same_day_tracked_crawl(self, rig):
         _, _, crawler, fabric = rig
         crawler.capture_offer_pages(["com.app.alpha"], day=0)
         wire_before = play_connections(fabric)
-        crawler.crawl_profile("com.app.alpha", day=0)
+        crawler.crawl_everything(["com.app.alpha"], day=0)
         # The tracked crawl later that day is served from the entry the
-        # impression capture populated.
-        assert play_connections(fabric) == wire_before
+        # impression capture populated: only the 3 charts hit the wire.
+        assert play_connections(fabric) == wire_before + 3
+        assert crawler.requests_made == 1 + 3
         assert crawler.cache_hits == 1
 
 

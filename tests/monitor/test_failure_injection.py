@@ -51,7 +51,8 @@ class TestCrawlerOutage:
         PlayStoreFrontend(fabric, store, root_ca, rng, current_day=lambda: 0)
         crawler = PlayStoreCrawler(make_client(fabric, trust_store, rng),
                                    PLAY_HOST)
-        crawler.crawl_everything(["com.app.alpha", "com.unlisted.app"])
+        crawler.crawl_everything(["com.app.alpha", "com.unlisted.app"],
+                                 day=0)
         assert crawler.failures == 1
         assert crawler.archive.first_profile("com.unlisted.app") is None
         assert crawler.archive.first_profile("com.app.alpha") is not None

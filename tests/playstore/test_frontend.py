@@ -120,7 +120,7 @@ class TestRateLimiting:
         frontend, _ = throttled_play
         crawler = PlayStoreCrawler(make_client(fabric, trust_store, rng),
                                    frontend.hostname)
-        crawler.crawl_everything(["com.app.one"] * 5)
+        crawler.crawl_everything(["com.app.one"] * 5, day=0)
         assert crawler.failures > 0
         # The snapshots that did land are intact.
         assert crawler.archive.first_profile("com.app.one") is None or \
