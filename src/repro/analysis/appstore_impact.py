@@ -52,9 +52,15 @@ class ImpactComparison:
 
 def _window_for(package: str, dataset: Optional[OfferDataset],
                 baseline_window: Tuple[int, int]) -> Tuple[int, int]:
-    if dataset is not None and package in set(dataset.unique_packages()):
+    """The app's campaign window, or the baseline window if the dataset
+    never observed it.  The dataset caches its windows per mutation
+    epoch, so this costs no pass over the offer frame."""
+    if dataset is None:
+        return baseline_window
+    try:
         return dataset.campaign_window(package)
-    return baseline_window
+    except KeyError:
+        return baseline_window
 
 
 def _series_in_window(archive: CrawlArchive, package: str,

@@ -58,7 +58,8 @@ class CrawlArchive:
     unbounded-in-scale store — live in an append-only JSONL file on
     disk; memory holds a ``(package, day) -> byte offset`` index, a
     bounded decode cache (``cache_window`` snapshots, LRU), and the
-    per-package day index the analyses query.  Chart appearances stay
+    per-package ``(day, installs_floor)`` index the analyses query, so
+    an install series reads no spill line.  Chart appearances stay
     resident: their size is fixed by the chart roster, not the device
     population.  Queries behave identically in both modes; only peak
     RSS differs.
@@ -71,8 +72,10 @@ class CrawlArchive:
         self.crawl_days: List[int] = []
         # Per-package indexes, maintained incrementally: the analyses
         # ask for one package's series hundreds of times per report, and
-        # a full-archive scan per ask is O(packages x archive).
-        self._package_days: Dict[str, List[int]] = {}
+        # a full-archive scan per ask is O(packages x archive).  Each
+        # package maps to its sorted days and, index for index, their
+        # installs floors.
+        self._package_series: Dict[str, Tuple[List[int], List[int]]] = {}
         self._chart_by_package: Dict[str, List[ChartAppearance]] = {}
         self._spill_path = spill_path
         self._spill_handle = None
@@ -118,12 +121,23 @@ class CrawlArchive:
         self._cache_put(key, snapshot)
         return snapshot
 
+    def _index_profile(self, package: str, day: int,
+                       installs_floor: int) -> None:
+        """Record (or, for a re-added day, replace) one snapshot's entry
+        in its package's series."""
+        days, floors = self._package_series.setdefault(package, ([], []))
+        at = bisect.bisect_left(days, day)
+        if at < len(days) and days[at] == day:
+            floors[at] = installs_floor
+        else:
+            days.insert(at, day)
+            floors.insert(at, installs_floor)
+
     def add_profile(self, snapshot: ProfileSnapshot) -> None:
         key = (snapshot.package, snapshot.day)
+        self._index_profile(snapshot.package, snapshot.day,
+                            snapshot.installs_floor)
         if self.spilling:
-            if key not in self._spill_index:
-                days = self._package_days.setdefault(snapshot.package, [])
-                bisect.insort(days, snapshot.day)
             handle = self._spill_file()
             handle.seek(0, os.SEEK_END)
             # Re-adding a (package, day) appends a fresh line and moves
@@ -134,9 +148,6 @@ class CrawlArchive:
                                     sort_keys=True) + "\n")
             self._cache_put(key, snapshot)
             return
-        if key not in self._profiles:
-            days = self._package_days.setdefault(snapshot.package, [])
-            bisect.insort(days, snapshot.day)
         self._profiles[key] = snapshot
 
     def add_chart(self, chart: str, day: int,
@@ -191,7 +202,7 @@ class CrawlArchive:
         from repro.recovery.state import split_key
         profiles = state["profiles"]
         self._profiles = {}
-        self._package_days = {}
+        self._package_series = {}
         if isinstance(profiles, dict) and "spill" in profiles:
             if not self.spilling:
                 raise ValueError(
@@ -210,12 +221,11 @@ class CrawlArchive:
                 self.add_profile(_snapshot_from_state(data))
             handle.flush()
         else:
-            for key, data in profiles.items():  # type: ignore[union-attr]
-                package, day = split_key(key)
-                self._profiles[(package, int(day))] = \
-                    _snapshot_from_state(data)
-            for package, day in sorted(self._profiles):
-                self._package_days.setdefault(package, []).append(day)
+            for data in profiles.values():  # type: ignore[union-attr]
+                snapshot = _snapshot_from_state(data)
+                self._profiles[(snapshot.package, snapshot.day)] = snapshot
+                self._index_profile(snapshot.package, snapshot.day,
+                                    snapshot.installs_floor)
         self._chart_days = {}
         for key, items in state["chart_days"].items():  # type: ignore[union-attr]
             chart, day = split_key(key)
@@ -256,9 +266,7 @@ class CrawlArchive:
                 break
             data = json.loads(line)
             key = (str(data["package"]), int(data["day"]))
-            if key not in self._spill_index:
-                days = self._package_days.setdefault(key[0], [])
-                bisect.insort(days, key[1])
+            self._index_profile(*key, int(data["installs_floor"]))
             self._spill_index[key] = line_offset
 
     # -- profile queries -------------------------------------------------------
@@ -278,7 +286,7 @@ class CrawlArchive:
 
     def profile_packages(self) -> List[str]:
         """Sorted unique packages with at least one archived profile."""
-        return sorted(self._package_days)
+        return sorted(self._package_series)
 
     def iter_profiles(self) -> Iterator[ProfileSnapshot]:
         """All snapshots in sorted (package, day) order — the canonical
@@ -291,16 +299,13 @@ class CrawlArchive:
             yield snapshot
 
     def profile_days(self, package: str) -> List[int]:
-        return list(self._package_days.get(package, ()))
+        days, _ = self._package_series.get(package, ((), ()))
+        return list(days)
 
     def install_series(self, package: str) -> List[Tuple[int, int]]:
         """[(day, binned installs)] across all crawls of this app."""
-        series = []
-        for day in self.profile_days(package):
-            snapshot = self.profile(package, day)
-            assert snapshot is not None
-            series.append((day, snapshot.installs_floor))
-        return series
+        days, floors = self._package_series.get(package, ((), ()))
+        return list(zip(days, floors))
 
     def first_profile(self, package: str) -> Optional[ProfileSnapshot]:
         days = self.profile_days(package)

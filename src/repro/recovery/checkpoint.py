@@ -1,26 +1,23 @@
 """Durable per-day checkpoints: atomic writes, hash stamps, fallback.
 
-File format (one JSON document per checkpoint)::
+File format (one JSON document per checkpoint, on one line)::
 
-    {
-      "sha256": "<hex digest of the canonical payload encoding>",
-      "payload": {
-        "format_version": 1,
-        "kind": "wild" | "honey" | "serve",
-        "day": <cursor: first unit of work NOT covered>,
-        "state": {...}            # pipeline-specific state dict
-      }
-    }
+    {"payload":{"day":<cursor: first unit of work NOT covered>,
+                "format_version":1,
+                "kind":"wild" | "honey" | "serve",
+                "state":{...}},   # pipeline-specific state dict
+     "sha256":"<hex digest of the canonical payload encoding>"}
 
 The digest is computed over ``json.dumps(payload, sort_keys=True,
 separators=(",", ":"))`` so any truncation or bit-flip in the state is
-detected on load.  Writes go to a ``.tmp`` sibling first and are
-published with ``os.replace`` — a crash mid-write leaves either the old
-complete file or a dangling tmp, never a half-written checkpoint under
-the real name.  ``latest`` walks checkpoints newest-first and returns
-the first one that validates, so a corrupt day falls back to the
-previous day (the resumed run then re-executes the lost day
-deterministically).
+detected on load.  ``load`` parses any JSON layout, so files written
+with ``indent=1`` by earlier versions still load.  Writes go to a
+``.tmp`` sibling first and are published with ``os.replace`` — a crash
+mid-write leaves either the old complete file or a dangling tmp, never
+a half-written checkpoint under the real name.  ``latest`` walks
+checkpoints newest-first and returns the first one that validates, so
+a corrupt day falls back to the previous day (the resumed run then
+re-executes the lost day deterministically).
 """
 
 from __future__ import annotations
@@ -54,6 +51,15 @@ def _digest(payload: Dict[str, object]) -> str:
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
+def _document(payload: Dict[str, object]) -> bytes:
+    """``_canonical({"payload": payload, "sha256": digest})`` plus a
+    newline, encoding the payload once: the digest hashes the same bytes
+    the document embeds."""
+    body = _canonical(payload).encode("utf-8")
+    digest = hashlib.sha256(body).hexdigest().encode("utf-8")
+    return b'{"payload":' + body + b',"sha256":"' + digest + b'"}\n'
+
+
 class CheckpointStore:
     """Per-day checkpoints for one pipeline run, in one directory."""
 
@@ -77,10 +83,9 @@ class CheckpointStore:
             "day": day,
             "state": state,
         }
-        document = {"sha256": _digest(payload), "payload": payload}
         target = self.path_for(day)
         tmp = target.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(document, sort_keys=True, indent=1) + "\n")
+        tmp.write_bytes(_document(payload))
         os.replace(tmp, target)
         self.obs.metrics.inc("recovery.checkpoints_written")
         return target

@@ -16,6 +16,7 @@ from repro.analysis.characterize import (
     iip_summary_table,
     offer_type_table,
 )
+from repro.analysis.columnar import ColumnarFrame
 from repro.analysis.funding import (
     funded_offer_breakdown,
     funded_packages,
@@ -212,6 +213,56 @@ class TestTable6:
             baseline_packages=["com.already.charting", "com.base.flat"],
             baseline_window=(2, 24))
         assert comparison.baseline.total == 1
+
+
+class TestStreamedImpactTables:
+    """Tables 5-6 over a streamed dataset (``batch_rows > 0``)."""
+
+    # com.base.grow is crawled but never offered: it falls back to the
+    # baseline window.
+    VETTED = ["com.app.one", "com.app.two", "com.app.three"]
+    UNVETTED = ["com.app.four", "com.app.five", "com.base.grow"]
+    BASELINE = ["com.base.grow", "com.base.flat", "com.base.once"]
+
+    def tables(self, dataset, vetted, unvetted):
+        archive = build_impact_archive()
+        return tuple(
+            compare(archive, dataset, vetted_packages=vetted,
+                    unvetted_packages=unvetted,
+                    baseline_packages=self.BASELINE, baseline_window=(0, 24))
+            for compare in (install_increase_comparison,
+                            top_chart_comparison))
+
+    @staticmethod
+    def streamed():
+        dataset = build_dataset()
+        dataset.batch_rows = 2
+        return dataset
+
+    def test_streamed_equals_materialised(self):
+        materialised = self.tables(build_dataset(), self.VETTED,
+                                   self.UNVETTED)
+        assert self.tables(self.streamed(), self.VETTED,
+                           self.UNVETTED) == materialised
+        assert materialised[0].unvetted.positive == 1  # com.base.grow
+
+    def test_frame_builds_do_not_grow_with_packages_queried(
+            self, monkeypatch):
+        builds = []
+        original = ColumnarFrame.from_records
+
+        def counting(cls, records, fields):
+            builds.append(fields)
+            return original(records, fields)
+
+        monkeypatch.setattr(ColumnarFrame, "from_records",
+                            classmethod(counting))
+        self.tables(self.streamed(), self.VETTED[:1], self.UNVETTED[:1])
+        one_package = len(builds)
+        builds.clear()
+        self.tables(self.streamed(), self.VETTED, self.UNVETTED)
+        assert one_package > 0
+        assert len(builds) == one_package
 
 
 class TestFigure5:

@@ -119,6 +119,64 @@ class TestArchiveRoundTrip:
             load_archive(path)
 
 
+class TestSpilledInstallSeries:
+    """A spilled archive answers install series from its in-memory
+    index: no spill line is read, and the answer equals an in-memory
+    archive's."""
+
+    PACKAGES = ("com.app.one", "com.app.two", "com.app.three")
+
+    @staticmethod
+    def archive(profiles, spill_path=None):
+        archive = CrawlArchive(spill_path=spill_path)
+        for package, day, installs in profiles:
+            archive.add_profile(profile(package, day, installs))
+        return archive
+
+    @staticmethod
+    def refuse_spill_reads(archive, monkeypatch):
+        def refuse(key):
+            raise AssertionError(f"spill line read for {key}")
+        monkeypatch.setattr(archive, "_spill_read", refuse)
+
+    def assert_same_series(self, spilled, memory):
+        for package in self.PACKAGES:
+            assert spilled.install_series(package) == \
+                memory.install_series(package)
+
+    def test_day_added_twice(self, tmp_path, monkeypatch):
+        profiles = [("com.app.one", 0, 100), ("com.app.two", 0, 5),
+                    ("com.app.one", 2, 500), ("com.app.one", 2, 800),
+                    ("com.app.two", 4, 50)]
+        memory = self.archive(profiles)
+        spilled = self.archive(profiles, str(tmp_path / "profiles.jsonl"))
+        self.refuse_spill_reads(spilled, monkeypatch)
+        self.assert_same_series(spilled, memory)
+        assert spilled.install_series("com.app.one") == [(0, 100), (2, 800)]
+
+    def test_resume_truncates_later_lines(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "profiles.jsonl")
+        kept = [("com.app.one", 0, 100), ("com.app.one", 2, 500),
+                ("com.app.one", 2, 700), ("com.app.two", 0, 5)]
+        crashed = self.archive(kept, path)
+        state = crashed.state_dict()
+        # Written after the checkpoint, then lost to the crash.
+        for package, day, installs in (("com.app.one", 2, 900),
+                                       ("com.app.one", 4, 1000),
+                                       ("com.app.three", 0, 1)):
+            crashed.add_profile(profile(package, day, installs))
+        crashed._spill_file().flush()
+
+        resumed = CrawlArchive(spill_path=path)
+        resumed.load_state(state)
+        memory = CrawlArchive()
+        memory.load_state(self.archive(kept).state_dict())
+        self.refuse_spill_reads(resumed, monkeypatch)
+        self.assert_same_series(resumed, memory)
+        assert resumed.install_series("com.app.one") == [(0, 100), (2, 700)]
+        assert resumed.profile_packages() == ["com.app.one", "com.app.two"]
+
+
 class TestDatasetIngestProperties:
     """Ingestion invariants, via hypothesis."""
 

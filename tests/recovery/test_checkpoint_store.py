@@ -1,11 +1,23 @@
 """Checkpoint durability: atomic writes, hash stamps, corrupt fallback."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.obs import Observability
 from repro.recovery import CheckpointError, CheckpointStore
+from repro.recovery.checkpoint import FORMAT_VERSION
+
+
+def _payload(day, state):
+    return {"format_version": FORMAT_VERSION, "kind": "wild", "day": day,
+            "state": state}
+
+
+def _digest(payload):
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class TestWriteAndLoad:
@@ -28,6 +40,27 @@ class TestWriteAndLoad:
 
     def test_latest_none_when_empty(self, tmp_path):
         assert CheckpointStore(tmp_path, "wild").latest() is None
+
+
+class TestFileLayout:
+    STATE = {"zeta": [1, 2.5, None], "alpha": {"é": "naïve", "b": True}}
+
+    def test_written_bytes_are_the_canonical_document(self, tmp_path):
+        path = CheckpointStore(tmp_path, "wild").write(4, self.STATE)
+        payload = _payload(4, self.STATE)
+        expected = json.dumps({"payload": payload, "sha256": _digest(payload)},
+                              sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_indented_layout_still_loads(self, tmp_path):
+        """Checkpoints written with ``indent=1`` by earlier versions."""
+        store = CheckpointStore(tmp_path, "wild")
+        payload = _payload(2, self.STATE)
+        document = {"sha256": _digest(payload), "payload": payload}
+        path = store.path_for(2)
+        path.write_text(json.dumps(document, sort_keys=True, indent=1) + "\n")
+        assert store.load(path) == (2, self.STATE)
+        assert store.latest() == (2, self.STATE)
 
 
 class TestValidation:
