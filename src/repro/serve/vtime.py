@@ -4,20 +4,25 @@ A long-lived service cannot be benchmarked on wall time and stay
 byte-identical across runs, so the service and its client fleet run on
 a :class:`VirtualTimeEventLoop`: ``loop.time()`` reports *virtual
 seconds* that only advance when every ready callback has run and the
-loop jumps straight to the earliest scheduled timer.  ``select`` is
-always polled with a zero timeout, so a simulated day costs exactly as
-much wall time as the callbacks scheduled inside it — a two-day service
-run with thousands of requests finishes in seconds of real time.
+loop jumps straight to the earliest scheduled timer.  The loop has no
+selector and no file descriptors, so it never waits on anything: a
+simulated day costs exactly as much wall time as the callbacks
+scheduled inside it — a two-day service run with thousands of
+requests finishes in seconds of real time.
 
 Determinism contract
 --------------------
 The loop introduces no nondeterminism of its own: the ready queue is
-FIFO, timers are a heap keyed by ``(when, insertion counter)``, and the
-virtual clock is a pure function of the timer schedule.  Combined with
-the repo-wide rules (all randomness from :func:`~repro.parallel.hashing.
-derive_rng` streams, no wall clocks in outputs), two same-seed service
-runs execute the exact same callback sequence and export byte-identical
-metrics.  ``tests/serve/test_vtime.py`` holds the loop to this.
+FIFO, timers are a heap ordered by deadline alone, and the virtual
+clock is a pure function of the timer schedule.  Timers that share a
+deadline fire in heap order, not insertion order; that order is fixed
+by the sequence of pushes, pops and compactions, so it too is a pure
+function of the program.  Combined with the repo-wide rules (all
+randomness from :func:`~repro.parallel.hashing.derive_rng` streams, no
+wall clocks in outputs), two same-seed service runs execute the exact
+same callback sequence and export byte-identical metrics.
+``tests/serve/test_vtime.py`` holds the loop to this, and to the
+callback order of the selector loop it replaced.
 
 The simulation day clock keys off the same virtual timeline:
 ``day = virtual_seconds // 86400``, which :class:`VirtualClock` exposes
@@ -28,7 +33,11 @@ SimulationClock` (and everything downstream that reads it) in sync.
 from __future__ import annotations
 
 import asyncio
-import selectors
+import heapq
+from asyncio.base_events import (
+    _MIN_CANCELLED_TIMER_HANDLES_FRACTION,
+    _MIN_SCHEDULED_TIMER_HANDLES,
+)
 from typing import Any, Coroutine, TypeVar
 
 T = TypeVar("T")
@@ -47,14 +56,15 @@ class VirtualLoopStalled(RuntimeError):
     """
 
 
-class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
-    """A selector event loop whose clock is simulated.
+class VirtualTimeEventLoop(asyncio.BaseEventLoop):
+    """An event loop whose clock is simulated and that never polls.
 
     ``time()`` returns virtual seconds.  When the ready queue drains,
     the loop advances the virtual clock to the earliest timer deadline
-    before delegating to the stock ``_run_once``, which then computes a
-    zero select timeout and fires the timer immediately — no wall-clock
-    sleeping ever happens.
+    and fires every timer due by then — no wall-clock sleeping ever
+    happens.  ``_run_once`` is the stock iteration with the I/O poll
+    taken out: the loop owns no selector, so it offers timers, tasks
+    and futures but none of the socket, pipe or signal APIs.
 
     ``start_time`` seeds the virtual clock: a resumed service run
     constructs its loop at the checkpointed virtual instant so every
@@ -62,28 +72,74 @@ class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        super().__init__(selectors.SelectSelector())
+        # The base state comes first because BaseEventLoop.__del__
+        # reads it; a rejected start closes the loop before raising.
+        super().__init__()
         if start_time < 0:
+            self.close()
             raise ValueError("virtual time cannot start negative")
         self._virtual_now = float(start_time)
 
     def time(self) -> float:
         return self._virtual_now
 
+    def _write_to_self(self) -> None:
+        # call_soon_threadsafe (which run_forever's async-generator
+        # finalizer uses) wakes a loop blocked on its self-pipe; this
+        # loop never blocks, so there is nothing to wake.
+        pass
+
     def _run_once(self) -> None:
-        if not self._ready:
-            if self._scheduled:
+        ready = self._ready
+        scheduled = self._scheduled
+        if not ready:
+            if scheduled:
                 # Jump to the earliest timer (cancelled handles are
-                # fine to land on: the base loop discards them and the
+                # fine to land on: they are discarded below and the
                 # next pass advances again).
-                when = self._scheduled[0]._when
+                when = scheduled[0]._when
                 if when > self._virtual_now:
                     self._virtual_now = when
             elif not self._stopping:
                 raise VirtualLoopStalled(
                     "virtual-time loop has no ready callbacks and no "
                     "timers; an await can never complete")
-        super()._run_once()
+
+        # From here on this is BaseEventLoop._run_once minus the poll;
+        # the compaction must match it heap for heap, because the
+        # heap's layout decides the order of timers that share a
+        # deadline.
+        sched_count = len(scheduled)
+        if (sched_count > _MIN_SCHEDULED_TIMER_HANDLES and
+                self._timer_cancelled_count / sched_count >
+                _MIN_CANCELLED_TIMER_HANDLES_FRACTION):
+            live = []
+            for handle in scheduled:
+                if handle._cancelled:
+                    handle._scheduled = False
+                else:
+                    live.append(handle)
+            heapq.heapify(live)
+            self._scheduled = scheduled = live
+            self._timer_cancelled_count = 0
+        else:
+            while scheduled and scheduled[0]._cancelled:
+                self._timer_cancelled_count -= 1
+                heapq.heappop(scheduled)._scheduled = False
+
+        end_time = self._virtual_now + self._clock_resolution
+        while scheduled and scheduled[0]._when < end_time:
+            handle = heapq.heappop(scheduled)
+            handle._scheduled = False
+            ready.append(handle)
+
+        # Run only what is ready now; callbacks they schedule wait for
+        # the next pass.  There is no debug-mode slow-callback timing:
+        # virtual time does not move inside a callback.
+        for _ in range(len(ready)):
+            handle = ready.popleft()
+            if not handle._cancelled:
+                handle._run()
 
 
 class VirtualClock:
