@@ -11,18 +11,19 @@ This module is the constant-memory answer, extending the
 layer:
 
 * :class:`SpillableLog` — an append-only record log that either keeps
-  the plain in-memory list (materialised mode, byte-identical to the
-  historical checkpoints) or spills encoded records to a JSONL file and
-  keeps only a byte offset in memory.  Restore truncates the spill file
-  back to the checkpointed offset, the same WAL-truncation contract the
-  recovery layer already uses.
+  the records in memory (materialised mode) or spills encoded records
+  to a JSONL file and keeps only a byte offset in memory.  It is the
+  one place that knows which: callers hold the *locator* an append
+  returns and read records back through it.  Restore truncates the
+  spill file back to the checkpointed offset, the same WAL-truncation
+  contract the recovery layer already uses.
 * chunk folds (:func:`fold_distinct`, :func:`fold_group_min_max`,
-  :func:`fold_filtered_distinct`, :class:`GroupFold`) — single-pass
-  reductions over an iterable of :class:`ColumnarFrame` chunks that
-  produce *exactly* the value the same reduction produces over one
-  materialised frame.  The materialised path is the one-chunk special
-  case, so both modes share one code path and byte-identity between
-  them is structural, not coincidental.
+  :class:`GroupFold`) — single-pass reductions over an iterable of
+  :class:`ColumnarFrame` chunks that produce *exactly* the value the
+  same reduction produces over one materialised frame.  The
+  materialised path is the one-chunk special case, so both modes share
+  one code path and byte-identity between them is structural, not
+  coincidental.
 
 Why the folds are exact, not approximate: every fold either reduces
 with order-insensitive operations (set union, ``<``/``>`` min-max) or
@@ -50,16 +51,18 @@ class SpillError(RuntimeError):
 class SpillableLog:
     """Append-only record log with an optional disk spill.
 
-    In-memory mode (``spill_path=None``) behaves like the plain list it
-    replaces: :meth:`state_dict` returns the encoded record list, so
-    checkpoints written by materialised runs are byte-identical to the
-    pre-streaming format and old checkpoints load unchanged.
+    :meth:`append` returns a *locator* for its record — the list index
+    in memory mode (``spill_path=None``), the line's byte offset in
+    spill mode — and :meth:`read` returns the record at a locator;
+    :meth:`items` yields ``(locator, record)`` pairs in append order.
 
-    Spill mode appends one encoded-JSON line per record and keeps only
-    ``(count, byte offset)`` in memory.  Iteration replays the file;
-    :meth:`load_state` truncates it back to the checkpointed offset so
-    a crash between checkpoint and append cannot leak phantom records
-    into the resumed run.
+    In memory mode :meth:`state_dict` is the encoded record list.  In
+    spill mode each record is one encoded-JSON line, memory holds only
+    ``(count, byte offset)``, and iteration replays the file;
+    :meth:`load_state` truncates the file back to the checkpointed
+    offset so a crash between checkpoint and append cannot leak
+    phantom records into the resumed run.  A checkpoint written in the
+    other mode is a :class:`SpillError`.
     """
 
     def __init__(self, encode: Callable[[object], object],
@@ -70,6 +73,8 @@ class SpillableLog:
         self._spill_path = spill_path
         self._count = 0
         self._records: List[object] = []
+        #: Bytes in the spill file: the next append's locator.
+        self._size = 0
         self._handle = None
         if spill_path is not None:
             os.makedirs(os.path.dirname(spill_path) or ".", exist_ok=True)
@@ -83,91 +88,97 @@ class SpillableLog:
         offset instead.
         """
         if self._handle is None:
-            mode = "r+" if preserve and os.path.exists(self._spill_path) \
-                else "w+"
-            self._handle = open(self._spill_path, mode, encoding="utf-8")
+            mode = "r+b" if preserve and os.path.exists(self._spill_path) \
+                else "w+b"
+            self._handle = open(self._spill_path, mode)
             self._handle.seek(0, os.SEEK_END)
         return self._handle
-
-    @property
-    def spilling(self) -> bool:
-        return self._spill_path is not None
 
     def __len__(self) -> int:
         return self._count
 
-    def append(self, record: object) -> None:
-        if self.spilling:
-            self._ensure_handle().write(
-                json.dumps(self._encode(record), sort_keys=True) + "\n")
-        else:
+    def append(self, record: object) -> int:
+        """Append one record; returns its locator."""
+        if self._spill_path is None:
+            locator = len(self._records)
             self._records.append(record)
+        else:
+            line = (json.dumps(self._encode(record), sort_keys=True)
+                    + "\n").encode("utf-8")
+            self._ensure_handle().write(line)
+            locator = self._size
+            self._size += len(line)
         self._count += 1
+        return locator
 
     def extend(self, records: Iterable[object]) -> None:
         for record in records:
             self.append(record)
 
-    def __iter__(self) -> Iterator[object]:
-        if not self.spilling:
-            return iter(self._records)
+    def read(self, locator: int) -> object:
+        """The record :meth:`append` returned ``locator`` for."""
+        if self._spill_path is None:
+            return self._records[locator]
+        handle = self._ensure_handle()
+        handle.seek(locator)
+        line = handle.readline()
+        handle.seek(0, os.SEEK_END)
+        return self._decode(json.loads(line.decode("utf-8")))
+
+    def items(self) -> Iterator[Tuple[int, object]]:
+        """``(locator, record)`` pairs in append order."""
+        if self._spill_path is None:
+            return enumerate(self._records)
         return self._iter_spilled()
 
-    def _iter_spilled(self) -> Iterator[object]:
+    def __iter__(self) -> Iterator[object]:
+        return (record for _, record in self.items())
+
+    def _iter_spilled(self) -> Iterator[Tuple[int, object]]:
         self._ensure_handle().flush()
-        with open(self._spill_path, "r", encoding="utf-8") as replay:
+        with open(self._spill_path, "rb") as replay:
+            locator = 0
             for line in replay:
-                yield self._decode(json.loads(line))
+                yield locator, self._decode(json.loads(line.decode("utf-8")))
+                locator += len(line)
 
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> object:
-        if not self.spilling:
+        if self._spill_path is None:
             return [self._encode(record) for record in self._records]
-        handle = self._ensure_handle()
-        handle.flush()
-        return {"spill": {"count": self._count,
-                          "offset": handle.tell()}}
+        self._ensure_handle().flush()
+        return {"spill": {"count": self._count, "offset": self._size}}
 
     def load_state(self, state: object) -> None:
-        if isinstance(state, list):
-            if self.spilling:
-                # A materialised checkpoint resumed in spill mode:
-                # re-spill the records so the modes stay switchable.
-                handle = self._ensure_handle()
-                handle.seek(0)
-                handle.truncate()
-                self._count = 0
-                for encoded in state:
-                    self.append(self._decode(encoded))
-                handle.flush()
-                return
+        spilled = isinstance(state, dict)
+        if spilled != (self._spill_path is not None):
+            raise SpillError(
+                f"checkpoint was written by a "
+                f"{'spilling' if spilled else 'materialised'} run; resume "
+                "with the same --batch-devices/--spill-dir configuration")
+        if not spilled:
             self._records = [self._decode(encoded) for encoded in state]
             self._count = len(self._records)
             return
         spill = state["spill"]  # type: ignore[index]
-        if not self.spilling:
-            raise SpillError(
-                "checkpoint was written by a spilling run; resume with "
-                "the same --batch-devices/--spill-dir configuration")
         offset = int(spill["offset"])
-        if not os.path.exists(self._spill_path):
-            if offset == 0:
-                self._count = int(spill["count"])
-                return
+        if os.path.exists(self._spill_path):
+            handle = self._ensure_handle(preserve=True)
+            handle.flush()
+            size = os.path.getsize(self._spill_path)
+            if size < offset:
+                raise SpillError(
+                    f"spill file {self._spill_path} is shorter than its "
+                    f"checkpoint ({size} < {offset} bytes); resume needs "
+                    "the spill directory the crashed run wrote to")
+            handle.seek(offset)
+            handle.truncate()
+        elif offset:
             raise SpillError(
                 f"spill file {self._spill_path} is missing; resume needs "
                 "the spill directory the crashed run wrote to")
-        handle = self._ensure_handle(preserve=True)
-        handle.flush()
-        size = os.path.getsize(self._spill_path)
-        if size < offset:
-            raise SpillError(
-                f"spill file {self._spill_path} is shorter than its "
-                f"checkpoint ({size} < {offset} bytes); resume needs the "
-                "spill directory the crashed run wrote to")
-        handle.seek(offset)
-        handle.truncate()
+        self._size = offset
         self._count = int(spill["count"])
 
 
@@ -180,15 +191,6 @@ def fold_distinct(chunks: Iterable[ColumnarFrame], name: str) -> List:
     values: set = set()
     for chunk in chunks:
         values.update(chunk.column(name))
-    return sorted(values)
-
-
-def fold_filtered_distinct(chunks: Iterable[ColumnarFrame], name: str,
-                           **criteria) -> List:
-    """``frame.filter_eq(**criteria).distinct(name)`` as a fold."""
-    values: set = set()
-    for chunk in chunks:
-        values.update(chunk.filter_eq(**criteria).column(name))
     return sorted(values)
 
 

@@ -222,8 +222,8 @@ def _add_wild(subparsers) -> None:
     parser.add_argument("--spill-dir", metavar="DIR", default=None,
                         help="directory for the streamed append-only "
                              "spill files (default: a fresh temporary "
-                             "directory); required to --resume a "
-                             "streamed run")
+                             "directory, removed at exit); required to "
+                             "--resume a streamed run")
     parser.add_argument("--export-offers", metavar="PATH",
                         help="write the offer corpus JSON here")
     parser.add_argument("--export-archive", metavar="PATH",

@@ -17,7 +17,9 @@ the October Crunchbase snapshot is taken.
 
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -73,8 +75,8 @@ class WildMeasurementConfig:
     #: byte-identical to the materialised (0) mode.
     batch_devices: int = 0
     #: Where streaming mode spills (a directory); ``None`` uses a fresh
-    #: temporary directory.  A resumed streaming run must point at the
-    #: crashed run's spill directory.
+    #: temporary directory, removed at interpreter exit.  A resumed
+    #: streaming run must point at the crashed run's spill directory.
     spill_dir: Optional[str] = None
 
 
@@ -113,12 +115,6 @@ class CoverageLossSummary:
     def crawl_gaps(self) -> int:
         """Profile fetches that stayed missing after the retry queue."""
         return max(0, self.crawl_retries_queued - self.crawl_retries_recovered)
-
-    @property
-    def offers_missed_proxy(self) -> int:
-        """Lost offer-wall fetches: each is a wall's worth of offers the
-        dataset never saw that run (a lower bound on missed offers)."""
-        return self.walls_lost
 
     def summary_lines(self) -> List[str]:
         return [
@@ -226,8 +222,13 @@ class WildMeasurement:
         streaming = self.config.batch_devices > 0
         self.spill_root: Optional[str] = None
         if streaming:
-            self.spill_root = self.config.spill_dir or tempfile.mkdtemp(
-                prefix="repro-spill-")
+            self.spill_root = self.config.spill_dir
+            if not self.spill_root:
+                self.spill_root = tempfile.mkdtemp(prefix="repro-spill-")
+                # Removed at exit, not earlier: the results' observation
+                # log and archive re-read their spill files after run().
+                atexit.register(shutil.rmtree, self.spill_root,
+                                ignore_errors=True)
         self.dataset = OfferDataset(AFFILIATE_SPECS, obs=world.obs,
                                     batch_rows=self.config.batch_devices)
         archive = CrawlArchive(
@@ -286,15 +287,6 @@ class WildMeasurement:
             loaded = recovery.store.latest()
             if loaded is not None:
                 day, state = loaded
-                if "workers" in state:
-                    # Written by a worker-process run, whose milk cells
-                    # and crawl clients lived on replicas: the parent-
-                    # side cell state in this checkpoint never saw them.
-                    raise ValueError(
-                        "checkpoint has a 'workers' section: it was "
-                        "written by a worker-process (--shards N > 1) "
-                        "run, so its cell state is stale and it cannot "
-                        "be resumed; re-run from scratch")
                 start_day = day + 1
                 for replay_day in range(start_day):
                     self.scenario.run_day(replay_day)
@@ -504,17 +496,9 @@ class WildMeasurement:
             ops.advance(len(snapshot.organizations()))
         metrics.observe("wild.analyse_ops", span.duration_ops)
         with tracer.span("wild.finalize.frame") as span:
-            if self.config.batch_devices > 0:
-                # Streaming mode never materialises the full frame;
-                # advance the op clock by the same record count so the
-                # histogram — and every downstream op offset — matches
-                # the materialised run exactly.
-                ops.advance(self.dataset.offer_count())
-            else:
-                # Build the dataset's columnar frame once, inside the
-                # measurement wall clock, so every downstream analysis
-                # table reuses it instead of re-walking the records.
-                ops.advance(len(self.dataset.frame()))
+            # One op per frame record, in both modes: the histogram and
+            # every downstream op offset do not depend on batching.
+            ops.advance(self.dataset.offer_count())
         metrics.observe("wild.analyse_ops", span.duration_ops)
         with tracer.span("wild.finalize.coverage") as span:
             coverage = self._coverage_loss()

@@ -110,9 +110,5 @@ class InstallLog:
         return sorted(self._by_package.get(package, ()),
                       key=lambda event: event.timestamp_hours)
 
-    def events_for_device(self, device_id: str) -> List[DeviceInstallEvent]:
-        return sorted(self._by_device.get(device_id, ()),
-                      key=lambda event: event.timestamp_hours)
-
     def packages_of(self, device_id: str) -> Set[str]:
         return {event.package for event in self._by_device.get(device_id, ())}

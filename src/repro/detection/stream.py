@@ -67,65 +67,20 @@ class InstallEventBus:
     :class:`~repro.detection.events.InstallLog` collector) consume.
     ``source`` labels the ``detection.events_ingested`` counter so the
     obs export shows which pipeline fed the detector.
-
-    ``retain=True`` keeps published events so subscribers that arrive
-    late (a dashboard attaching to a running service, a second detector
-    spun up for comparison) can ask for a replay of the history before
-    receiving live traffic.  ``retain_cap`` bounds that buffer: once it
-    is full the oldest events are evicted (counted into
-    ``detection.events_evicted``), so a long-lived serve run holds a
-    sliding window instead of growing without limit.  A late subscriber
-    then replays only the retained suffix — still deterministic, just
-    explicitly partial, which is why the cap is opt-in.
     """
 
     def __init__(self, obs: Optional[Observability] = None,
-                 source: str = "live", retain: bool = False,
-                 retain_cap: Optional[int] = None) -> None:
-        if retain_cap is not None and retain_cap < 1:
-            raise ValueError("retain_cap must be at least 1")
+                 source: str = "live") -> None:
         self.obs = obs or NULL_OBS
         self.source = source
         self.events_published = 0
-        self.events_evicted = 0
-        self.retain_cap = retain_cap
         self._subscribers: List[Subscriber] = []
-        self._retained: Optional[List[DeviceInstallEvent]] = (
-            [] if retain else None)
 
-    @property
-    def retains_events(self) -> bool:
-        return self._retained is not None
-
-    @property
-    def retained_events(self) -> List[DeviceInstallEvent]:
-        return list(self._retained or ())
-
-    def subscribe(self, subscriber: Subscriber,
-                  replay: bool = False) -> None:
-        """Attach a subscriber; with ``replay=True`` it first receives
-        every retained event in publication order, so a late subscriber
-        converges to the same state as one attached from the start."""
-        if replay:
-            if self._retained is None:
-                raise ValueError(
-                    "replay requested but this bus does not retain "
-                    "events (construct it with retain=True)")
-            for event in self._retained:
-                subscriber(event)
+    def subscribe(self, subscriber: Subscriber) -> None:
         self._subscribers.append(subscriber)
 
     def publish(self, event: DeviceInstallEvent) -> None:
         self.events_published += 1
-        if self._retained is not None:
-            self._retained.append(event)
-            if (self.retain_cap is not None
-                    and len(self._retained) > self.retain_cap):
-                overflow = len(self._retained) - self.retain_cap
-                del self._retained[:overflow]
-                self.events_evicted += overflow
-                self.obs.metrics.inc("detection.events_evicted", overflow,
-                                     source=self.source)
         self.obs.metrics.inc("detection.events_ingested", source=self.source)
         for subscriber in self._subscribers:
             subscriber(event)

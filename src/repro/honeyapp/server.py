@@ -97,9 +97,6 @@ class TelemetryServer:
         return [stored for stored in self.events
                 if stored.payload.event == event]
 
-    def devices_seen(self) -> Set[str]:
-        return {stored.payload.device_id for stored in self.events}
-
     def devices_that_opened(self) -> Set[str]:
         return {stored.payload.device_id
                 for stored in self.events_of(EVENT_OPEN)}
@@ -107,10 +104,6 @@ class TelemetryServer:
     def devices_that_clicked(self) -> Set[str]:
         return {stored.payload.device_id
                 for stored in self.events_of(EVENT_RECORD_CLICK)}
-
-    def events_for_device(self, device_id: str) -> List[StoredEvent]:
-        return [stored for stored in self.events
-                if stored.payload.device_id == device_id]
 
     def clear(self) -> None:
         self.events.clear()

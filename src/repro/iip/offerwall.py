@@ -82,9 +82,6 @@ class OfferWallServer:
         self._affiliates[config.affiliate_id] = config
         self.platform.attach_affiliate(config.affiliate_id)
 
-    def affiliate_config(self, affiliate_id: str) -> AffiliateWallConfig:
-        return self._affiliates[affiliate_id]
-
     def _offers(self, request: HttpRequest, context: RequestContext) -> HttpResponse:
         affiliate_id = request.query.get("affiliate_id")
         if not affiliate_id:

@@ -9,12 +9,10 @@ longitudinal analysis has to work from.
 from __future__ import annotations
 
 import bisect
-import json
-import os
-from collections import OrderedDict, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.analysis.streams import SpillableLog
 from repro.net.client import HttpClient
 from repro.net.errors import NetError
 from repro.obs import Observability
@@ -54,20 +52,21 @@ class ChartAppearance:
 class CrawlArchive:
     """Everything the crawler has collected, indexed for analysis.
 
-    With ``spill_path`` set the profile snapshots — the archive's only
-    unbounded-in-scale store — live in an append-only JSONL file on
-    disk; memory holds a ``(package, day) -> byte offset`` index, a
-    bounded decode cache (``cache_window`` snapshots, LRU), and the
-    per-package ``(day, installs_floor)`` index the analyses query, so
-    an install series reads no spill line.  Chart appearances stay
-    resident: their size is fixed by the chart roster, not the device
-    population.  Queries behave identically in both modes; only peak
-    RSS differs.
+    Profile snapshots — the archive's only store that grows with the
+    device population — live in a :class:`SpillableLog`: in memory, or
+    with ``spill_path`` set in an append-only JSONL file on disk.  The
+    archive keeps a ``(package, day) -> locator`` index into that log
+    and the per-package ``(day, installs_floor)`` series the analyses
+    query, so an install series reads no snapshot.  Chart appearances
+    stay resident: their size is fixed by the chart roster, not the
+    device population.  Queries behave identically in both modes; only
+    peak RSS differs.
     """
 
-    def __init__(self, spill_path: Optional[str] = None,
-                 cache_window: int = 64) -> None:
-        self._profiles: Dict[Tuple[str, int], ProfileSnapshot] = {}
+    def __init__(self, spill_path: Optional[str] = None) -> None:
+        self._log = SpillableLog(snapshot_to_state, snapshot_from_state,
+                                 spill_path)
+        self._locators: Dict[Tuple[str, int], int] = {}
         self._chart_days: Dict[Tuple[str, int], List[ChartAppearance]] = {}
         self.crawl_days: List[int] = []
         # Per-package indexes, maintained incrementally: the analyses
@@ -77,78 +76,26 @@ class CrawlArchive:
         # installs floors.
         self._package_series: Dict[str, Tuple[List[int], List[int]]] = {}
         self._chart_by_package: Dict[str, List[ChartAppearance]] = {}
-        self._spill_path = spill_path
-        self._spill_handle = None
-        self._spill_index: Dict[Tuple[str, int], int] = {}
-        self._spill_cache: "OrderedDict[Tuple[str, int], ProfileSnapshot]" \
-            = OrderedDict()
-        self._cache_window = cache_window
-        if spill_path is not None:
-            os.makedirs(os.path.dirname(spill_path) or ".", exist_ok=True)
 
-    @property
-    def spilling(self) -> bool:
-        return self._spill_path is not None
-
-    def _spill_file(self, preserve: bool = False):
-        """Lazily open the spill file: a fresh run truncates leftovers,
-        a restore (``preserve=True``) keeps the bytes so they can be
-        truncated back to the checkpointed offset."""
-        if self._spill_handle is None:
-            mode = "r+" if preserve and os.path.exists(self._spill_path) \
-                else "w+"
-            self._spill_handle = open(self._spill_path, mode,
-                                      encoding="utf-8")
-        return self._spill_handle
-
-    def _cache_put(self, key: Tuple[str, int],
-                   snapshot: ProfileSnapshot) -> None:
-        cache = self._spill_cache
-        cache[key] = snapshot
-        cache.move_to_end(key)
-        while len(cache) > self._cache_window:
-            cache.popitem(last=False)
-
-    def _spill_read(self, key: Tuple[str, int]) -> ProfileSnapshot:
-        cached = self._spill_cache.get(key)
-        if cached is not None:
-            self._spill_cache.move_to_end(key)
-            return cached
-        handle = self._spill_file()
-        handle.flush()
-        handle.seek(self._spill_index[key])
-        snapshot = _snapshot_from_state(json.loads(handle.readline()))
-        self._cache_put(key, snapshot)
-        return snapshot
-
-    def _index_profile(self, package: str, day: int,
-                       installs_floor: int) -> None:
-        """Record (or, for a re-added day, replace) one snapshot's entry
-        in its package's series."""
-        days, floors = self._package_series.setdefault(package, ([], []))
-        at = bisect.bisect_left(days, day)
-        if at < len(days) and days[at] == day:
-            floors[at] = installs_floor
+    def _index_profile(self, snapshot: ProfileSnapshot,
+                       locator: int) -> None:
+        """Point ``(package, day)`` at ``locator`` and record (or, for a
+        re-added day, replace) the snapshot's entry in its package's
+        series."""
+        self._locators[(snapshot.package, snapshot.day)] = locator
+        days, floors = self._package_series.setdefault(snapshot.package,
+                                                       ([], []))
+        at = bisect.bisect_left(days, snapshot.day)
+        if at < len(days) and days[at] == snapshot.day:
+            floors[at] = snapshot.installs_floor
         else:
-            days.insert(at, day)
-            floors.insert(at, installs_floor)
+            days.insert(at, snapshot.day)
+            floors.insert(at, snapshot.installs_floor)
 
     def add_profile(self, snapshot: ProfileSnapshot) -> None:
-        key = (snapshot.package, snapshot.day)
-        self._index_profile(snapshot.package, snapshot.day,
-                            snapshot.installs_floor)
-        if self.spilling:
-            handle = self._spill_file()
-            handle.seek(0, os.SEEK_END)
-            # Re-adding a (package, day) appends a fresh line and moves
-            # the index pointer; the dead line is reclaimed at the next
-            # checkpoint-truncate or run end.
-            self._spill_index[key] = handle.tell()
-            handle.write(json.dumps(_snapshot_to_state(snapshot),
-                                    sort_keys=True) + "\n")
-            self._cache_put(key, snapshot)
-            return
-        self._profiles[key] = snapshot
+        # Re-adding a (package, day) appends a fresh record and moves
+        # its locator; the dead record is never read again.
+        self._index_profile(snapshot, self._log.append(snapshot))
 
     def add_chart(self, chart: str, day: int,
                   appearances: Sequence[ChartAppearance]) -> None:
@@ -177,19 +124,8 @@ class CrawlArchive:
 
     def state_dict(self) -> Dict[str, object]:
         from repro.recovery.state import join_key
-        if self.spilling:
-            handle = self._spill_file()
-            handle.flush()
-            handle.seek(0, os.SEEK_END)
-            profiles: object = {"spill": {"count": len(self._spill_index),
-                                          "offset": handle.tell()}}
-        else:
-            profiles = {
-                join_key(package, str(day)): _snapshot_to_state(snapshot)
-                for (package, day), snapshot in sorted(
-                    self._profiles.items())}
         return {
-            "profiles": profiles,
+            "profiles": self._log.state_dict(),
             "chart_days": {
                 join_key(chart, str(day)): [_appearance_to_state(a)
                                             for a in appearances]
@@ -200,32 +136,11 @@ class CrawlArchive:
 
     def load_state(self, state: Dict[str, object]) -> None:
         from repro.recovery.state import split_key
-        profiles = state["profiles"]
-        self._profiles = {}
+        self._log.load_state(state["profiles"])
+        self._locators = {}
         self._package_series = {}
-        if isinstance(profiles, dict) and "spill" in profiles:
-            if not self.spilling:
-                raise ValueError(
-                    "archive checkpoint was written by a spilling run; "
-                    "resume with the same --batch-devices/--spill-dir "
-                    "configuration")
-            self._reindex_spill(int(profiles["spill"]["offset"]))
-        elif self.spilling:
-            # Materialised checkpoint resumed in spill mode: re-spill.
-            handle = self._spill_file()
-            handle.seek(0)
-            handle.truncate()
-            self._spill_index = {}
-            self._spill_cache.clear()
-            for data in profiles.values():  # type: ignore[union-attr]
-                self.add_profile(_snapshot_from_state(data))
-            handle.flush()
-        else:
-            for data in profiles.values():  # type: ignore[union-attr]
-                snapshot = _snapshot_from_state(data)
-                self._profiles[(snapshot.package, snapshot.day)] = snapshot
-                self._index_profile(snapshot.package, snapshot.day,
-                                    snapshot.installs_floor)
+        for locator, snapshot in self._log.items():
+            self._index_profile(snapshot, locator)
         self._chart_days = {}
         for key, items in state["chart_days"].items():  # type: ignore[union-attr]
             chart, day = split_key(key)
@@ -234,55 +149,11 @@ class CrawlArchive:
         self.crawl_days = [int(day) for day in state["crawl_days"]]  # type: ignore[union-attr]
         self._rebuild_chart_index()
 
-    def _reindex_spill(self, offset: int) -> None:
-        """Truncate the spill file to the checkpointed offset and
-        rebuild the in-memory indexes by scanning it once."""
-        if not os.path.exists(self._spill_path):
-            if offset == 0:
-                self._spill_index = {}
-                self._spill_cache.clear()
-                return
-            raise ValueError(
-                f"archive spill file {self._spill_path} is missing; "
-                "resume needs the spill directory the crashed run "
-                "wrote to")
-        handle = self._spill_file(preserve=True)
-        handle.flush()
-        handle.seek(0, os.SEEK_END)
-        if handle.tell() < offset:
-            raise ValueError(
-                f"archive spill file {self._spill_path} is shorter than "
-                "its checkpoint; resume needs the spill directory the "
-                "crashed run wrote to")
-        handle.seek(offset)
-        handle.truncate()
-        self._spill_index = {}
-        self._spill_cache.clear()
-        handle.seek(0)
-        while True:
-            line_offset = handle.tell()
-            line = handle.readline()
-            if not line:
-                break
-            data = json.loads(line)
-            key = (str(data["package"]), int(data["day"]))
-            self._index_profile(*key, int(data["installs_floor"]))
-            self._spill_index[key] = line_offset
-
     # -- profile queries -------------------------------------------------------
 
     def profile(self, package: str, day: int) -> Optional[ProfileSnapshot]:
-        if self.spilling:
-            if (package, day) not in self._spill_index:
-                return None
-            return self._spill_read((package, day))
-        return self._profiles.get((package, day))
-
-    def profile_count(self) -> int:
-        """Number of distinct (package, day) snapshots archived."""
-        if self.spilling:
-            return len(self._spill_index)
-        return len(self._profiles)
+        locator = self._locators.get((package, day))
+        return None if locator is None else self._log.read(locator)
 
     def profile_packages(self) -> List[str]:
         """Sorted unique packages with at least one archived profile."""
@@ -291,12 +162,8 @@ class CrawlArchive:
     def iter_profiles(self) -> Iterator[ProfileSnapshot]:
         """All snapshots in sorted (package, day) order — the canonical
         export order, identical in spill and in-memory modes."""
-        keys = sorted(self._spill_index) if self.spilling \
-            else sorted(self._profiles)
-        for package, day in keys:
-            snapshot = self.profile(package, day)
-            assert snapshot is not None
-            yield snapshot
+        for key in sorted(self._locators):
+            yield self._log.read(self._locators[key])
 
     def profile_days(self, package: str) -> List[int]:
         days, _ = self._package_series.get(package, ((), ()))
@@ -372,7 +239,7 @@ class CrawlArchive:
         return timeline
 
 
-def _snapshot_to_state(snapshot: ProfileSnapshot) -> Dict[str, object]:
+def snapshot_to_state(snapshot: ProfileSnapshot) -> Dict[str, object]:
     return {
         "package": snapshot.package,
         "day": snapshot.day,
@@ -387,7 +254,7 @@ def _snapshot_to_state(snapshot: ProfileSnapshot) -> Dict[str, object]:
     }
 
 
-def _snapshot_from_state(state: Dict[str, object]) -> ProfileSnapshot:
+def snapshot_from_state(state: Dict[str, object]) -> ProfileSnapshot:
     website = state["developer_website"]
     return ProfileSnapshot(
         package=str(state["package"]),
@@ -501,7 +368,7 @@ class PlayStoreCrawler:
             "failures": self.failures,
             "retry_queue": list(self.retry_queue),
             "profile_cache": {
-                join_key(package, str(day)): _snapshot_to_state(snapshot)
+                join_key(package, str(day)): snapshot_to_state(snapshot)
                 for (package, day), snapshot in sorted(
                     self._profile_cache.items())},
             "chart_cache": {
@@ -520,7 +387,7 @@ class PlayStoreCrawler:
         self._profile_cache = {}
         for key, data in state["profile_cache"].items():  # type: ignore[union-attr]
             package, day = split_key(key)
-            self._profile_cache[(package, int(day))] = _snapshot_from_state(data)
+            self._profile_cache[(package, int(day))] = snapshot_from_state(data)
         self._chart_cache = {}
         for key, items in state["chart_cache"].items():  # type: ignore[union-attr]
             chart, day = split_key(key)

@@ -13,8 +13,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.affiliates.app import AffiliateAppSpec
 from repro.analysis.columnar import ColumnarFrame
-from repro.analysis.streams import (fold_distinct, fold_filtered_distinct,
-                                    fold_group_min_max)
+from repro.analysis.streams import fold_distinct, fold_group_min_max
 from repro.obs import NULL_OBS, Observability
 
 #: The record attributes the dataset's columnar frame carries — what
@@ -56,10 +55,6 @@ class OfferRecord:
     last_seen_day: int
     countries: Set[str]
     affiliates: Set[str]
-
-    @property
-    def observed_duration_days(self) -> int:
-        return self.last_seen_day - self.first_seen_day + 1
 
 
 def observed_offer_to_state(offer: ObservedOffer) -> Dict[str, object]:
@@ -249,10 +244,6 @@ class OfferDataset:
 
     def unique_descriptions(self) -> List[str]:
         return fold_distinct(self.frame_chunks(), "description")
-
-    def packages_for_iip(self, iip_name: str) -> List[str]:
-        return fold_filtered_distinct(self.frame_chunks(), "package",
-                                      iip_name=iip_name)
 
     def iips_observed(self) -> List[str]:
         return fold_distinct(self.frame_chunks(), "iip_name")

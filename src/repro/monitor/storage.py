@@ -13,7 +13,12 @@ import json
 from pathlib import Path
 from typing import Dict, List, Union
 
-from repro.monitor.crawler import ChartAppearance, CrawlArchive, ProfileSnapshot
+from repro.monitor.crawler import (
+    ChartAppearance,
+    CrawlArchive,
+    snapshot_from_state,
+    snapshot_to_state,
+)
 from repro.monitor.dataset import OfferDataset, OfferRecord
 
 FORMAT_VERSION = 1
@@ -111,20 +116,8 @@ def save_archive(archive: CrawlArchive, path: Union[str, Path]) -> int:
     whose order depended on the interpreter's hash seed: the same run
     could export differently ordered files on different hosts.)
     """
-    profiles = []
-    for snapshot in archive.iter_profiles():
-        profiles.append({
-            "package": snapshot.package,
-            "day": snapshot.day,
-            "installs_floor": snapshot.installs_floor,
-            "genre": snapshot.genre,
-            "release_day": snapshot.release_day,
-            "developer_id": snapshot.developer_id,
-            "developer_name": snapshot.developer_name,
-            "developer_country": snapshot.developer_country,
-            "developer_website": snapshot.developer_website,
-            "is_game": snapshot.is_game,
-        })
+    profiles = [snapshot_to_state(snapshot)
+                for snapshot in archive.iter_profiles()]
     charts = []
     for (chart, day), appearances in sorted(archive._chart_days.items()):
         charts.append({
@@ -156,18 +149,7 @@ def load_archive(path: Union[str, Path]) -> CrawlArchive:
             f"unsupported format version {payload.get('format_version')!r}")
     archive = CrawlArchive()
     for entry in payload["profiles"]:
-        archive.add_profile(ProfileSnapshot(
-            package=str(entry["package"]),
-            day=int(entry["day"]),
-            installs_floor=int(entry["installs_floor"]),
-            genre=str(entry["genre"]),
-            release_day=int(entry["release_day"]),
-            developer_id=str(entry["developer_id"]),
-            developer_name=str(entry["developer_name"]),
-            developer_country=str(entry["developer_country"]),
-            developer_website=entry["developer_website"],
-            is_game=bool(entry["is_game"]),
-        ))
+        archive.add_profile(snapshot_from_state(entry))
     for chart_entry in payload["charts"]:
         chart = str(chart_entry["chart"])
         day = int(chart_entry["day"])

@@ -153,10 +153,10 @@ class FaultPlan:
     observability wiring.
 
     The sequence counters are additionally keyed by the caller's *flow*
-    (:func:`repro.parallel.flow.current_flow`).  Sharded pipelines run
-    each task inside its own flow scope, so a fault decision is a pure
-    function of ``(seed, class, flow, host, day, within-flow seq)`` —
-    never of the order in which tasks reached the fabric.
+    (:func:`repro.parallel.flow.current_flow`).  The pipelines run each
+    scheduler task inside its own flow scope, so a fault decision is a
+    pure function of ``(seed, class, flow, host, day, within-flow seq)``
+    — never of which tasks reached the fabric before it.
     Outside any flow scope the flow is empty and is omitted from the
     hash, reproducing the pre-flow schedule bit for bit.
     """

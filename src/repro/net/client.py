@@ -193,8 +193,8 @@ class TlsSessionCache:
     opens, so chaos profiles still exercise fresh handshakes.
 
     Keys (never wall-clock state) come from the original handshake
-    transcript, so a cache shared across shard tasks — each task keyed
-    by its own flow — cannot leak bytes between tasks.
+    transcript, and every entry is keyed by its task's flow, so tasks
+    sharing one cache never resume each other's sessions.
     """
 
     def __init__(self) -> None:

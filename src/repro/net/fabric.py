@@ -157,9 +157,6 @@ class NetworkFabric:
         except KeyError:
             raise ConnectionRefusedFabricError(f"unknown host {hostname!r}") from None
 
-    def known_hosts(self) -> List[str]:
-        return sorted(self._dns)
-
     # -- listeners ---------------------------------------------------------
 
     def listen(self, hostname: str, port: int, factory: HandlerFactory) -> None:

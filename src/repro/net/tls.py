@@ -187,9 +187,6 @@ class TrustStore:
     def trusts(self, name: str) -> bool:
         return name in self._roots
 
-    def root_names(self) -> List[str]:
-        return sorted(self._roots)
-
     def verify_chain(self, chain: Sequence[Certificate], hostname: str,
                      today: int) -> Certificate:
         """Validate a leaf-first chain; return the leaf on success."""

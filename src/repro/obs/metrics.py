@@ -309,9 +309,6 @@ class MetricsRegistry:
                    for key, count in self._counters.get(name, {}).items()
                    if wanted in key)
 
-    def counter_names(self) -> List[str]:
-        return sorted(self._counters)
-
     def counters(self) -> Dict[str, Number]:
         """All counter series as ``rendered-key -> value``, sorted."""
         flat: Dict[str, Number] = {}

@@ -2,14 +2,12 @@
 
 The chaos engine keys its per-host sequence counters by *flow* so that
 a fault decision depends on ``(chaos seed, flow, host, day, seq)`` —
-never on the order in which tasks happened to reach the fabric, inline
-or on worker processes.  A flow is just a string (e.g.
-``"milk:12:US:com.app.cashx"``) carried in a
+never on which tasks happened to reach the fabric first.  A flow is
+just a string (e.g. ``"milk:12:US:com.app.cashx"``) carried in a
 :class:`contextvars.ContextVar`, so it is inherited by nested calls.
 
-Code that never enters a flow scope sees the empty flow, and the chaos
-engine then hashes exactly the parts it hashed before flows existed —
-existing unsharded behaviour is unchanged.
+Code that never enters a flow scope sees the empty flow, which the
+chaos engine leaves out of its hash.
 """
 
 from __future__ import annotations

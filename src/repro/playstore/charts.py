@@ -131,6 +131,3 @@ class ChartsEngine:
             for index, (score, package) in enumerate(top)
         ]
         return ChartSnapshot(kind=kind, day=day, entries=entries)
-
-    def all_snapshots(self, day: int) -> Dict[ChartKind, ChartSnapshot]:
-        return {kind: self.snapshot(kind, day) for kind in ChartKind}

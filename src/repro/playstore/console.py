@@ -62,8 +62,3 @@ class DeveloperConsole:
             sum(self._ledger.daily_installs(package, day).values())
             for day in range(start_day, end_day + 1)
         ]
-
-    def lifetime_installs(self, developer_id: str, package: str,
-                          through_day: int) -> int:
-        self._authorize(developer_id, package)
-        return self._ledger.total_installs(package, through_day)

@@ -3,21 +3,23 @@
 File format (one JSON document per checkpoint, on one line)::
 
     {"payload":{"day":<cursor: first unit of work NOT covered>,
-                "format_version":1,
+                "format_version":2,
                 "kind":"wild" | "honey" | "serve",
                 "state":{...}},   # pipeline-specific state dict
      "sha256":"<hex digest of the canonical payload encoding>"}
 
 The digest is computed over ``json.dumps(payload, sort_keys=True,
 separators=(",", ":"))`` so any truncation or bit-flip in the state is
-detected on load.  ``load`` parses any JSON layout, so files written
-with ``indent=1`` by earlier versions still load.  Writes go to a
-``.tmp`` sibling first and are published with ``os.replace`` — a crash
-mid-write leaves either the old complete file or a dangling tmp, never
-a half-written checkpoint under the real name.  ``latest`` walks
-checkpoints newest-first and returns the first one that validates, so
-a corrupt day falls back to the previous day (the resumed run then
-re-executes the lost day deterministically).
+detected on load.  Writes go to a ``.tmp`` sibling first and are
+published with ``os.replace`` — a crash mid-write leaves either the old
+complete file or a dangling tmp, never a half-written checkpoint under
+the real name.  ``latest`` walks checkpoints newest-first and returns
+the first one that validates, so a corrupt day falls back to the
+previous day (the resumed run then re-executes the lost day
+deterministically).  An intact file this store cannot honour — another
+pipeline's ``kind`` or another ``format_version`` — is an error, not a
+fallback: resuming past it would silently restart from day 0 and then
+overwrite that directory's checkpoints.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from repro.obs import NULL_OBS, Observability, save_snapshot
 from repro.recovery.crash import CrashPlan
 from repro.recovery.wal import WriteAheadLog
 
-FORMAT_VERSION = 1
+#: Bumped whenever a component's state layout changes; ``load``
+#: refuses every other version.
+FORMAT_VERSION = 2
 
 #: Name of the recovery-counter export inside the checkpoint directory.
 RECOVERY_METRICS_FILE = "recovery_metrics.json"
@@ -41,6 +45,10 @@ RECOVERY_METRICS_FILE = "recovery_metrics.json"
 
 class CheckpointError(Exception):
     """A checkpoint file failed validation."""
+
+
+class CheckpointMismatch(CheckpointError):
+    """An intact checkpoint written for another kind or format version."""
 
 
 def _canonical(payload: Dict[str, object]) -> str:
@@ -104,11 +112,11 @@ class CheckpointStore:
         if document.get("sha256") != _digest(payload):
             raise CheckpointError(f"hash mismatch in {path} (corrupt?)")
         if payload.get("format_version") != FORMAT_VERSION:
-            raise CheckpointError(
+            raise CheckpointMismatch(
                 f"unsupported checkpoint version in {path}: "
                 f"{payload.get('format_version')!r}")
         if payload.get("kind") != self.kind:
-            raise CheckpointError(
+            raise CheckpointMismatch(
                 f"checkpoint kind mismatch in {path}: wrote for "
                 f"{payload.get('kind')!r}, resuming {self.kind!r}")
         return int(payload["day"]), payload["state"]
@@ -118,12 +126,14 @@ class CheckpointStore:
 
         Corrupt or truncated files are counted into
         ``recovery.checkpoints_rejected`` and skipped, falling back to
-        the previous day.
+        the previous day.  A :class:`CheckpointMismatch` propagates.
         """
         candidates = sorted(self.root.glob("checkpoint_*.json"), reverse=True)
         for path in candidates:
             try:
                 return self.load(path)
+            except CheckpointMismatch:
+                raise
             except CheckpointError:
                 self.obs.metrics.inc("recovery.checkpoints_rejected")
         return None
@@ -171,6 +181,7 @@ class RecoveryContext:
 
 __all__ = [
     "CheckpointError",
+    "CheckpointMismatch",
     "CheckpointStore",
     "FORMAT_VERSION",
     "RECOVERY_METRICS_FILE",

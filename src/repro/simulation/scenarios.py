@@ -175,7 +175,6 @@ class WildScenario:
         self.advertised: List[AdvertisedApp] = []
         self.baseline: List[BaselineApp] = []
         self._by_package: Dict[str, AdvertisedApp] = {}
-        self._campaign_app: Dict[str, AdvertisedApp] = {}
         self._developers: Dict[str, Developer] = {}
         self._next_app = 0
         self._next_dev = 0
@@ -487,7 +486,6 @@ class WildScenario:
                     )
                     platform.launch(campaign.campaign_id, offer_start)
                     app.campaigns.append(campaign)
-                    self._campaign_app[campaign.campaign_id] = app
 
     # -- crunchbase ------------------------------------------------------
 
@@ -915,9 +913,6 @@ class WildScenario:
 
     def baseline_packages(self) -> List[str]:
         return sorted(app.package for app in self.baseline)
-
-    def app_for_campaign(self, campaign_id: str) -> AdvertisedApp:
-        return self._campaign_app[campaign_id]
 
 
 def _ln(value: float) -> float:

@@ -80,12 +80,9 @@ class World:
 
         self.telemetry = TelemetryServer(self.fabric, self.root_ca,
                                          self.seeds.rng("telemetry"))
-        #: Kept verbatim (order included): process-backend wild workers
-        #: rebuild the world from ``(seed, vpn_countries, chaos)`` and
-        #: exit-pool address allocation follows this order.
-        self.vpn_countries = tuple(vpn_countries)
+        # Exit-pool address allocation follows the country order.
         self.vpn = VpnExitPool(self.fabric, self.seeds.rng("vpn"),
-                               countries=self.vpn_countries)
+                               countries=tuple(vpn_countries))
         self.crunchbase = CrunchbaseDatabase()
         self.apks = ApkRepository()
         self.device_factory = DeviceFactory(self.fabric.asn_db,
@@ -107,7 +104,7 @@ class World:
                    today: Optional[int] = None) -> HttpClient:
         """A client bound to ``device``.
 
-        Sharded pipelines pass a task-local ``obs`` and a per-cell
+        Honey campaign tasks pass a task-local ``obs`` and a per-cell
         ``session_cache`` (TLS resumption) plus the logical ``today`` of
         the traffic, which keys the cache's day-rollover invalidation.
         """

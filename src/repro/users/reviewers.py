@@ -13,7 +13,7 @@ A :class:`ReviewerPool` is deterministic given its draw sequence: the
 caller supplies the RNG (the scenario derives one per day), and the
 pool only holds the identities minted so far — replaying the same days
 in order rebuilds the identical pool, which is exactly what the
-checkpoint-resume replay and the process-backend replicas do.
+checkpoint-resume replay does.
 """
 
 from __future__ import annotations

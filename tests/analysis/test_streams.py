@@ -18,7 +18,6 @@ from repro.analysis.streams import (
     SpillableLog,
     SpillError,
     fold_distinct,
-    fold_filtered_distinct,
     fold_group_min_max,
 )
 
@@ -101,13 +100,12 @@ class TestSpillableLogRestore:
         resumed.extend(RECORDS[2:])
         assert list(resumed) == RECORDS
 
-    def test_memory_checkpoint_resumed_in_spill_mode_respills(
+    def test_memory_checkpoint_resumed_in_spill_mode_is_an_error(
             self, tmp_path):
         log = make_log()
         log.extend(RECORDS)
-        resumed = make_log(tmp_path / "log.jsonl")
-        resumed.load_state(log.state_dict())
-        assert list(resumed) == RECORDS
+        with pytest.raises(SpillError, match="--batch-devices"):
+            make_log(tmp_path / "log.jsonl").load_state(log.state_dict())
 
     def test_spill_checkpoint_resumed_in_memory_mode_is_an_error(
             self, tmp_path):
@@ -167,13 +165,6 @@ class TestFoldsEqualMaterialised:
         frame = make_frame(seed)
         assert (fold_distinct(frame.iter_chunks(chunk_size), "package")
                 == frame.distinct("package"))
-
-    def test_fold_filtered_distinct(self, seed, chunk_size):
-        frame = make_frame(seed)
-        assert (fold_filtered_distinct(
-                    frame.iter_chunks(chunk_size), "package",
-                    iip_name="IIP-B")
-                == frame.filter_eq(iip_name="IIP-B").distinct("package"))
 
     def test_fold_group_min_max(self, seed, chunk_size):
         frame = make_frame(seed)

@@ -1,8 +1,15 @@
 """CLI tests: every subcommand, argument handling, export/report flow."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestParser:
@@ -138,6 +145,18 @@ class TestCommands:
         assert main(["wild", "--scale", "0.05", "--days", "10"]) == 0
         out = capsys.readouterr().out
         assert "chaos profile" not in out
+
+    def test_streamed_run_removes_its_temporary_spill_dir(self, tmp_path):
+        """Without --spill-dir a streamed run spills to a fresh temp
+        directory, which must be gone once the interpreter exits."""
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=str(SRC))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "wild", "--scale", "0.02",
+             "--days", "2", "--batch-devices", "7"],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert "Table 3" in completed.stdout
+        assert not list(tmp_path.glob("repro-spill-*"))
 
     def test_report_missing_file_fails_cleanly(self, capsys, tmp_path):
         assert main(["report", "--offers", str(tmp_path / "nope.json")]) == 2

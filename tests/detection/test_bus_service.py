@@ -1,8 +1,8 @@
-"""InstallEventBus under service duty: fan-out, replay, watermark."""
+"""InstallEventBus under service duty: fan-out and watermark."""
 
 import pytest
 
-from repro.detection.events import DeviceInstallEvent, InstallLog
+from repro.detection.events import DeviceInstallEvent
 from repro.detection.lockstep import DetectorConfig
 from repro.detection.stream import InstallEventBus, OnlineLockstepDetector
 
@@ -41,39 +41,6 @@ class TestFanOut:
         bus.publish(event("d1", hour=1.0))
         assert [e.device_id for e in early] == ["d0", "d1"]
         assert [e.device_id for e in late] == ["d1"]
-
-
-class TestReplay:
-    def test_retaining_bus_replays_history_then_streams_live(self):
-        bus = InstallEventBus(retain=True)
-        bus.publish_all([event(f"d{i}", hour=float(i)) for i in range(3)])
-        seen = []
-        bus.subscribe(seen.append, replay=True)
-        bus.publish(event("d3", hour=3.0))
-        assert [e.device_id for e in seen] == ["d0", "d1", "d2", "d3"]
-        assert bus.retains_events
-        assert len(bus.retained_events) == 4
-
-    def test_replayed_subscriber_converges_to_a_live_one(self):
-        bus = InstallEventBus(retain=True)
-        live = InstallLog()
-        bus.subscribe(live.add)
-        bus.publish_all([event(f"d{i}", hour=float(i)) for i in range(5)])
-        late = InstallLog()
-        bus.subscribe(late.add, replay=True)
-        bus.publish(event("d5", hour=5.0))
-        assert late.events() == live.events()
-
-    def test_replay_without_retention_is_an_error(self):
-        bus = InstallEventBus()
-        with pytest.raises(ValueError, match="retain"):
-            bus.subscribe(lambda e: None, replay=True)
-
-    def test_default_bus_retains_nothing(self):
-        bus = InstallEventBus()
-        bus.publish(event("d0"))
-        assert not bus.retains_events
-        assert bus.retained_events == []
 
 
 class TestWatermarkUnderQueries:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis.streams import SpillError
 from repro.monitor.crawler import ChartAppearance, CrawlArchive
 from repro.monitor.dataset import OfferDataset
 from repro.monitor.storage import (
@@ -135,9 +136,9 @@ class TestSpilledInstallSeries:
 
     @staticmethod
     def refuse_spill_reads(archive, monkeypatch):
-        def refuse(key):
-            raise AssertionError(f"spill line read for {key}")
-        monkeypatch.setattr(archive, "_spill_read", refuse)
+        def refuse(locator):
+            raise AssertionError(f"spill line read at {locator}")
+        monkeypatch.setattr(archive._log, "read", refuse)
 
     def assert_same_series(self, spilled, memory):
         for package in self.PACKAGES:
@@ -165,7 +166,7 @@ class TestSpilledInstallSeries:
                                        ("com.app.one", 4, 1000),
                                        ("com.app.three", 0, 1)):
             crashed.add_profile(profile(package, day, installs))
-        crashed._spill_file().flush()
+        crashed.state_dict()  # flushes the lost lines to disk
 
         resumed = CrawlArchive(spill_path=path)
         resumed.load_state(state)
@@ -175,6 +176,82 @@ class TestSpilledInstallSeries:
         self.assert_same_series(resumed, memory)
         assert resumed.install_series("com.app.one") == [(0, 100), (2, 700)]
         assert resumed.profile_packages() == ["com.app.one", "com.app.two"]
+
+
+ARCHIVE_PACKAGES = ("com.app.one", "com.app.two", "com.app.three")
+
+
+@pytest.mark.parametrize("spill", [False, True], ids=["memory", "spill"])
+class TestArchiveModes:
+    """One add sequence, including a (package, day) added twice, gives
+    the same answers and the same export from an in-memory archive and
+    a spilled one, before and after a checkpoint round trip."""
+
+    PROFILES = [("com.app.one", 0, 100), ("com.app.two", 0, 5),
+                ("com.app.one", 2, 500), ("com.app.one", 2, 800),
+                ("com.app.two", 4, 50), ("com.app.three", 4, 1)]
+    LATER = [("com.app.one", 4, 900), ("com.app.one", 2, 950),
+             ("com.app.three", 6, 2)]
+
+    @staticmethod
+    def archive(spill, tmp_path, name="profiles.jsonl"):
+        return CrawlArchive(
+            spill_path=str(tmp_path / name) if spill else None)
+
+    @staticmethod
+    def fill(archive, profiles):
+        for package, day, installs in profiles:
+            archive.add_profile(profile(package, day, installs,
+                                        website=f"https://{package}"))
+            archive.add_chart("top_free", day, [
+                ChartAppearance(package, "top_free", day, 1, 0.99)])
+            archive.note_crawl_day(day)
+        return archive
+
+    @staticmethod
+    def answers(archive, tmp_path):
+        path = tmp_path / "export.json"
+        save_archive(archive, path)
+        per_package = {
+            package: (archive.install_series(package),
+                      archive.first_profile(package),
+                      archive.last_profile(package),
+                      [archive.profile(package, day)
+                       for day in archive.profile_days(package)])
+            for package in ARCHIVE_PACKAGES}
+        return per_package, list(archive.iter_profiles()), path.read_bytes()
+
+    def test_answers_match_the_memory_archive(self, spill, tmp_path):
+        archive = self.fill(self.archive(spill, tmp_path), self.PROFILES)
+        reference = self.fill(CrawlArchive(), self.PROFILES)
+        assert archive.profile("com.app.one", 2).installs_floor == 800
+        assert self.answers(archive, tmp_path) == \
+            self.answers(reference, tmp_path)
+
+    def test_checkpoint_round_trip(self, spill, tmp_path):
+        crashed = self.fill(self.archive(spill, tmp_path), self.PROFILES)
+        state = json.loads(json.dumps(crashed.state_dict()))
+        # Appended after the checkpoint, then lost to the crash; the
+        # second state_dict flushes the lost lines to disk.
+        self.fill(crashed, self.LATER)
+        crashed.state_dict()
+
+        resumed = self.archive(spill, tmp_path)
+        resumed.load_state(state)
+        reference = self.fill(CrawlArchive(), self.PROFILES)
+        assert self.answers(resumed, tmp_path) == \
+            self.answers(reference, tmp_path)
+        self.fill(resumed, self.LATER)
+        self.fill(reference, self.LATER)
+        assert self.answers(resumed, tmp_path) == \
+            self.answers(reference, tmp_path)
+
+    def test_checkpoint_from_the_other_mode_is_an_error(self, spill,
+                                                        tmp_path):
+        other = self.fill(self.archive(not spill, tmp_path, "other.jsonl"),
+                          self.PROFILES)
+        with pytest.raises(SpillError, match="--batch-devices"):
+            self.archive(spill, tmp_path).load_state(other.state_dict())
 
 
 class TestDatasetIngestProperties:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.obs import Observability
 from repro.recovery import CheckpointError, CheckpointStore
-from repro.recovery.checkpoint import FORMAT_VERSION
+from repro.recovery.checkpoint import FORMAT_VERSION, CheckpointMismatch
 
 
 def _payload(day, state):
@@ -53,7 +53,7 @@ class TestFileLayout:
         assert path.read_bytes() == expected.encode("utf-8")
 
     def test_indented_layout_still_loads(self, tmp_path):
-        """Checkpoints written with ``indent=1`` by earlier versions."""
+        """``load`` parses any JSON layout, ``indent=1`` included."""
         store = CheckpointStore(tmp_path, "wild")
         payload = _payload(2, self.STATE)
         document = {"sha256": _digest(payload), "payload": payload}
@@ -91,3 +91,10 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="kind mismatch"):
             CheckpointStore(tmp_path, "honey").load(
                 tmp_path / "checkpoint_00000.json")
+
+    def test_latest_raises_on_another_pipelines_directory(self, tmp_path):
+        """Resuming a wild run from a honey directory must not restart
+        from day 0 and then overwrite the honey checkpoints."""
+        CheckpointStore(tmp_path, "honey").write(0, {})
+        with pytest.raises(CheckpointMismatch, match="kind mismatch"):
+            CheckpointStore(tmp_path, "wild").latest()

@@ -7,9 +7,13 @@ of the run replays byte-identically against a same-seed uninterrupted
 run.
 
 Checkpoints a resume cannot honour (a streamed checkpoint resumed
-materialised, a checkpoint written by the removed worker-process
-backend) must fail loudly, not corrupt the run.
+materialised, a checkpoint written by an earlier format version, such
+as the removed worker-process backend's) must fail loudly, not corrupt
+the run.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -18,6 +22,7 @@ from repro.net.chaos import ChaosScenario
 from repro.obs import to_json
 from repro.recovery import (CheckpointStore, CrashPlan, RecoveryContext,
                             SimulatedCrash)
+from repro.recovery.checkpoint import CheckpointMismatch
 from repro.simulation.scenarios import WildScenario, WildScenarioConfig
 from repro.simulation.world import World
 
@@ -90,9 +95,9 @@ class TestStreamedResume:
 class TestProcessBackendResume:
     def test_process_checkpoint_rejected_by_in_process_resume(
             self, tmp_path):
-        # A worker-process run's checkpoint carried a ``workers``
-        # section; its parent-side cell state is stale because the
-        # cells ran on replicas, so resuming it must refuse.
+        # The worker-process backend wrote version-1 checkpoints (with
+        # a ``workers`` section); every version-1 file is refused, not
+        # skipped into a silent restart from day 0.
         root = tmp_path / "ckpt"
         world, measurement = build()
         crashing = RecoveryContext.create(
@@ -102,8 +107,14 @@ class TestProcessBackendResume:
         store = CheckpointStore(root, "wild")
         day, state = store.latest()
         state["workers"] = {"count": 2, "pins": {}, "states": []}
-        store.write(day, state)
+        payload = {"format_version": 1, "kind": "wild", "day": day,
+                   "state": state}
+        canonical = json.dumps(payload, sort_keys=True,
+                               separators=(",", ":"))
+        store.path_for(day).write_text(json.dumps({
+            "payload": payload,
+            "sha256": hashlib.sha256(canonical.encode()).hexdigest()}))
         world, measurement = build()
         resuming = RecoveryContext.create(root, "wild", resume=True)
-        with pytest.raises(ValueError, match="'workers' section.*stale"):
+        with pytest.raises(CheckpointMismatch, match="version in .*: 1"):
             measurement.run(recovery=resuming)
