@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Tuple)
 
@@ -85,13 +86,15 @@ class SpillableLog:
         A fresh run truncates whatever a previous run left behind; a
         resume (``preserve=True``, via :meth:`load_state`) keeps the
         existing bytes so they can be truncated back to the checkpoint
-        offset instead.
+        offset instead.  The handle outlives ``run()`` (the results
+        re-read the log), so it closes when the log is collected.
         """
         if self._handle is None:
             mode = "r+b" if preserve and os.path.exists(self._spill_path) \
                 else "w+b"
             self._handle = open(self._spill_path, mode)
             self._handle.seek(0, os.SEEK_END)
+            weakref.finalize(self, self._handle.close)
         return self._handle
 
     def __len__(self) -> int:

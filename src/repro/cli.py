@@ -230,7 +230,8 @@ def _add_wild(subparsers) -> None:
                         help="write the crawl archive JSON here")
     _add_scenario_flag(parser)
     _add_chaos_flags(parser)
-    _add_recovery_flags(parser, "wild.day, wild.milk, wild.checkpoint")
+    _add_recovery_flags(parser, "wild.day, wild.milk, wild.crawl, "
+                                "wild.checkpoint")
 
 
 def _add_report(subparsers) -> None:
@@ -265,6 +266,7 @@ def _add_detect(subparsers) -> None:
 
 
 def _add_serve(subparsers) -> None:
+    from repro.serve.runner import ServeRunConfig
     parser = subparsers.add_parser(
         "serve", help="run the always-on detection/analytics service "
                       "under a seeded load-generating client fleet")
@@ -287,10 +289,12 @@ def _add_serve(subparsers) -> None:
     parser.add_argument("--profile", default="query-heavy",
                         choices=("query-heavy", "ingest-heavy", "mixed"),
                         help="fleet endpoint mix (default: query-heavy)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="the service's request worker tasks; any "
-                             "value yields byte-identical results at the "
-                             "same seed (default: 1)")
+    parser.add_argument("--shards", type=int,
+                        default=ServeRunConfig.shards,
+                        help="the service's worker-task count (default: "
+                             "%(default)s); another count changes queueing, "
+                             "so the closed-loop fleet sends other requests "
+                             "and the whole run changes")
     _add_chaos_flags(parser)
     _add_recovery_flags(parser,
                         "serve.day, serve.request, serve.checkpoint")

@@ -317,6 +317,8 @@ class WildMeasurement:
                         self._milk(day)
                     metrics.observe("wild.milk_ops", span.duration_ops)
                 if self.crawler.should_crawl(day):
+                    if recovery is not None:
+                        recovery.crash_point("wild.crawl", day)
                     tracked = (self.scenario.baseline_packages()
                                + self.dataset.unique_packages())
                     with tracer.span("wild.crawl", day=day) as span:

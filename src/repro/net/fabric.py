@@ -214,12 +214,6 @@ class NetworkFabric:
     def remove_tap(self, callback: TapCallback) -> None:
         self._taps = [tap for tap in self._taps if tap is not callback]
 
-    def _observe(self, frame: Frame) -> bytes:
-        """Record one wire frame; returns the payload actually delivered."""
-        return self._observe_wire(frame.source, frame.destination_host,
-                                  frame.destination_port, frame.direction,
-                                  frame.payload)
-
     def _observe_wire(self, source: IPv4Address, host: str, port: int,
                       direction: str, payload: bytes) -> bytes:
         """Record one wire frame; returns the payload actually delivered.

@@ -1,4 +1,4 @@
-"""HTTP servers over the fabric, with routing and optional TLS.
+"""HTTPS servers over the fabric: routing behind a TLS server handler.
 
 Route handlers receive the parsed :class:`HttpRequest` plus a
 :class:`RequestContext` carrying the client's network address (servers in
@@ -22,7 +22,6 @@ from repro.net.tls import ServerIdentity, ServerSessionStore, TlsServerHandler
 from repro.obs import NULL_OBS, Observability
 
 HTTPS_PORT = 443
-HTTP_PORT = 80
 
 
 @dataclass(frozen=True)
@@ -127,29 +126,6 @@ class HttpConnectionHandler(ConnectionHandler):
                               method=request.method,
                               status=str(response.status))
         return response.to_bytes()
-
-
-class HttpServer:
-    """A plain-HTTP service bound to (hostname, port) on the fabric."""
-
-    def __init__(
-        self,
-        fabric: NetworkFabric,
-        hostname: str,
-        address: IPv4Address,
-        port: int = HTTP_PORT,
-        obs: Optional[Observability] = None,
-    ) -> None:
-        self.fabric = fabric
-        self.hostname = hostname
-        self.port = port
-        self.router = Router()
-        self.obs = obs or fabric.obs
-        fabric.register_host(hostname, address)
-        fabric.listen(hostname, port,
-                      lambda info: HttpConnectionHandler(info, self.router,
-                                                         self.obs,
-                                                         chaos=fabric.chaos))
 
 
 class HttpsServer:

@@ -246,6 +246,8 @@ def run_serve(config: ServeRunConfig,
             loop.run_until_complete(
                 asyncio.gather(*pending, return_exceptions=True))
         loop.close()
+        if recovery is not None and recovery.wal is not None:
+            recovery.wal.close()
 
     flagged_online = service.finalize()
     flagged = sorted(flagged_online)

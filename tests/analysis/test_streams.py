@@ -7,8 +7,10 @@ and every chunk fold equals the same reduction over the materialised
 frame regardless of how the rows are split into chunks.
 """
 
+import gc
 import json
 import random
+import warnings
 
 import pytest
 
@@ -63,6 +65,16 @@ class TestSpillableLogModes:
         log = make_log(path)
         log.append(("fresh", 1))
         assert list(log) == [("fresh", 1)]
+
+    def test_dropped_log_closes_its_spill_file(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = make_log(path)
+        log.extend(RECORDS)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del log
+            gc.collect()
+        assert not [w for w in caught if path.name in str(w.message)]
 
     def test_iteration_is_repeatable_and_interleaves_appends(self,
                                                              tmp_path):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve import ServeRunConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -73,6 +74,12 @@ class TestParser:
         args = build_parser().parse_args(["wild"])
         assert args.batch_devices == 0
         assert args.spill_dir is None
+
+    def test_serve_shards_default_is_the_library_default(self):
+        # ``repro serve`` and ``run_serve(ServeRunConfig())`` run the
+        # same service: the worker count changes the whole run.
+        assert (build_parser().parse_args(["serve"]).shards
+                == ServeRunConfig().shards)
 
     @pytest.mark.parametrize("argv", [
         ["wild", "--backend", "process"],

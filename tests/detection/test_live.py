@@ -4,8 +4,6 @@ Small scales keep these fast; the full-size lanes live in the detect
 CI job and ``benchmarks/test_bench_detect.py``.
 """
 
-import pytest
-
 from repro.core.honey_experiment import HoneyAppExperiment
 from repro.core.wild_measurement import WildMeasurement, WildMeasurementConfig
 from repro.detection.lockstep import LockstepDetector
@@ -25,8 +23,8 @@ def run_honey(seed=11, obs=None):
     return world, hook
 
 
-def run_wild(seed=7, obs=None, chaos=None):
-    world = World(seed=seed, obs=obs, chaos=chaos)
+def run_wild(seed=7, obs=None):
+    world = World(seed=seed, obs=obs)
     hook = world.detection_hook("wild")
     scenario = WildScenario(world, WildScenarioConfig(
         scale=WILD_SCALE, measurement_days=WILD_DAYS))
@@ -93,23 +91,6 @@ class TestWildSource:
         _world, hook = run_wild()
         flagged = hook.finalize()
         assert flagged == LockstepDetector(hook.config).flag_devices(hook.log)
-
-    def test_same_seed_runs_identical(self):
-        _wa, hook_a = run_wild(seed=7)
-        _wb, hook_b = run_wild(seed=7)
-        assert hook_a.log.events() == hook_b.log.events()
-        assert hook_a.finalize() == hook_b.finalize()
-        assert hook_a.incentivized == hook_b.incentivized
-
-    @pytest.mark.chaos
-    def test_chaos_run_same_seed_identical(self):
-        from repro.net.chaos import ChaosScenario
-        _wa, hook_a = run_wild(
-            seed=7, chaos=ChaosScenario.profile("paper", seed=3))
-        _wb, hook_b = run_wild(
-            seed=7, chaos=ChaosScenario.profile("paper", seed=3))
-        assert hook_a.log.events() == hook_b.log.events()
-        assert hook_a.finalize() == hook_b.finalize()
 
     def test_detection_counters_recorded(self):
         world, hook = run_wild()

@@ -1,12 +1,10 @@
 """Acceptance proofs for the observability subsystem.
 
-Determinism: two wild runs with the same scenario seed export
-byte-identical metrics + trace JSON (no wall clock, no global random
-anywhere in the recording path).
-
 Coverage: after one honey run and one wild run, counters exist from
 every instrumented layer — fabric, HTTP client, HTTP servers, the
-monitor — and both pipelines recorded stage spans.
+monitor — and both pipelines recorded stage spans.  That same-seed runs
+export byte-identical metrics + trace JSON is a cell of
+``test_determinism_matrix.py``.
 """
 
 import pytest
@@ -19,14 +17,14 @@ from repro import (
     WildScenarioConfig,
     World,
 )
-from repro.obs import to_json
 
 DAYS = 8
 SCALE = 0.06
 
 
-def run_wild(seed: int) -> World:
-    world = World(seed=seed)
+@pytest.fixture(scope="module")
+def wild_world():
+    world = World(seed=11)
     scenario = WildScenario(world, WildScenarioConfig(
         scale=SCALE, measurement_days=DAYS))
     scenario.build()
@@ -36,25 +34,10 @@ def run_wild(seed: int) -> World:
 
 
 @pytest.fixture(scope="module")
-def wild_world():
-    return run_wild(11)
-
-
-@pytest.fixture(scope="module")
 def honey_world():
     world = World(seed=11)
     HoneyAppExperiment(world).run()
     return world
-
-
-class TestDeterminism:
-    def test_wild_exports_are_byte_identical_across_runs(self, wild_world):
-        first = to_json(wild_world.obs)
-        second = to_json(run_wild(11).obs)
-        assert first.encode("utf-8") == second.encode("utf-8")
-
-    def test_different_seeds_diverge(self, wild_world):
-        assert to_json(wild_world.obs) != to_json(run_wild(12).obs)
 
 
 class TestCoverage:
