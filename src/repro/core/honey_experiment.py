@@ -32,7 +32,7 @@ from repro.iip.offers import OfferCategory, tasks_for
 from repro.iip.platform import DeveloperCredentials
 from repro.net.client import TlsSessionCache
 from repro.obs import Observability
-from repro.parallel import derive_rng, flow_scope
+from repro.parallel import derive_rng
 from repro.playstore.catalog import AppListing, Developer
 from repro.playstore.ledger import InstallSource
 from repro.playstore.policy import CampaignSignals
@@ -382,17 +382,15 @@ class HoneyAppExperiment:
     def run_campaign_payload(self, iip_name: str
                              ) -> Tuple[Tuple, Observability]:
         """Run one IIP's campaign: a self-contained run with its own
-        cell, observability context, and chaos flow scope.
+        cell and observability context.
 
         Returns ``((record, timestamps, events, campaign_ops),
         task_obs)``; the caller merges the task obs."""
         cell = self._cells[iip_name]
         task_obs = Observability(clock=self.world.clock.now)
-        with flow_scope(f"honey:{iip_name}"):
-            with task_obs.tracer.span("honey.campaign",
-                                      iip=iip_name) as span:
-                record, timestamps, events = self._run_campaign(
-                    iip_name, cell, task_obs)
+        with task_obs.tracer.span("honey.campaign", iip=iip_name) as span:
+            record, timestamps, events = self._run_campaign(
+                iip_name, cell, task_obs)
         return (record, timestamps, events, span.duration_ops), task_obs
 
     def _run_campaign(self, iip_name: str, cell: _CampaignCell,

@@ -36,11 +36,11 @@ from repro.monitor.dataset import (
     observed_offer_to_state,
 )
 from repro.monitor.milker import Milker, MilkRun
-from repro.net.client import CircuitBreaker, RetryPolicy, TlsSessionCache
+from repro.net.client import CircuitBreaker, RetryPolicy
 from repro.net.ip import MILKER_COUNTRIES
 from repro.net.tls import TrustStore
 from repro.obs import Observability
-from repro.parallel import ShardScheduler, flow_scope
+from repro.parallel import ShardScheduler
 from repro.playstore.frontend import PLAY_HOST
 from repro.simulation import paperdata
 from repro.simulation.scenarios import WildScenario
@@ -167,13 +167,14 @@ class WildResults:
 class WildMeasurement:
     """Owns the measurement infrastructure and runs the day loop.
 
-    The milk and crawl phases fan out as tasks through
-    :class:`ShardScheduler`.  Milking is keyed by VPN country: each
-    country gets its own *cell* (mitm proxy, milker RNG stream, circuit
-    breaker), a country's runs execute in input order, and the shared
-    phone trusts every cell's CA.  Results and per-task observability
-    contexts are merged back in canonical ``(app, country)`` order, so
-    exports never depend on task order — see DESIGN.md.
+    The milk and crawl phases run as task specs through
+    :class:`ShardScheduler`, serially and in input order.  Milking is
+    keyed by VPN country: each country gets its own *cell* (mitm proxy,
+    milker RNG stream, circuit breaker), each run opens its own TLS
+    sessions, and the shared phone trusts every cell's CA.  Milk results
+    and their per-run observability contexts are merged back in
+    canonical ``(app, country)`` order; the crawler fetches in queue
+    order on its own client — see DESIGN.md.
     """
 
     def __init__(self, world: World, scenario: WildScenario,
@@ -217,8 +218,7 @@ class WildMeasurement:
                 world.fabric, self.phone, mitm, world.walls,
                 world.seeds.rng(f"milker:{country}"), vpn=world.vpn,
                 obs=world.obs, retry_policy=self.retry_policy,
-                breaker=CircuitBreaker(obs=world.obs),
-                session_cache=TlsSessionCache())
+                breaker=CircuitBreaker(obs=world.obs))
         streaming = self.config.batch_devices > 0
         self.spill_root: Optional[str] = None
         if streaming:
@@ -242,8 +242,7 @@ class WildMeasurement:
             archive=archive,
             cadence_days=self.config.crawl_cadence_days,
             obs=world.obs,
-            crawl_chart_profiles=True,
-            task_seed=world.seeds.seed_for("crawler-tasks"))
+            crawl_chart_profiles=True)
         self._milk_errors: List[str] = []
         self._milk_runs = 0
         self._observations = SpillableLog(
@@ -404,15 +403,13 @@ class WildMeasurement:
 
     def run_milk_payload(self, payload) -> Tuple[MilkRun, Observability]:
         """Execute one ``("milk", day, country, package)`` spec payload:
-        a self-contained milk run with its own observability context and
-        chaos flow scope; the cell's mitm/breaker/RNG are touched by no
-        other country."""
+        a milk run with its own observability context; the cell's
+        mitm/breaker/RNG are touched by no other country."""
         _kind, day, country, package = payload
         cell = self.cells[country]
         spec = AFFILIATE_SPECS[package]
         task_obs = Observability(clock=self.world.clock.now)
-        with flow_scope(f"milk:{day}:{country}:{package}"):
-            run = cell.milk(spec, day, country=country, obs=task_obs)
+        run = cell.milk(spec, day, country=country, obs=task_obs)
         return run, task_obs
 
     def _milk(self, day: int) -> None:

@@ -16,7 +16,7 @@ from repro.analysis.streams import SpillableLog
 from repro.net.client import HttpClient
 from repro.net.errors import NetError
 from repro.obs import Observability
-from repro.parallel import ShardScheduler, derive_rng, flow_scope
+from repro.parallel import ShardScheduler
 from repro.playstore.charts import ChartKind
 
 DEFAULT_CADENCE_DAYS = 2
@@ -309,19 +309,20 @@ class PlayStoreCrawler:
     earlier day's key and the memo stays one day deep.
 
     Profile queues: ``crawl_everything`` and ``capture_offer_pages``
-    run each profile fetch as a self-contained task through
-    :class:`~repro.parallel.ShardScheduler` (own derived RNG, own
-    task-local client and observability context, own chaos flow scope),
-    and all side effects — archive writes, retry queue, counters, obs
-    merge — are applied afterwards in queue order.
+    fetch every profile in queue order through
+    :class:`~repro.parallel.ShardScheduler`, all on the crawler's one
+    client, then apply the side effects — archive writes, retry queue,
+    counters — in the same order.  Each visit stamps the client with
+    its store day, so with a :class:`~repro.net.client.TlsSessionCache`
+    wired in the day's first fetch handshakes in full and every later
+    fetch that day resumes.
     """
 
     def __init__(self, client: HttpClient, play_host: str,
                  archive: Optional[CrawlArchive] = None,
                  cadence_days: int = DEFAULT_CADENCE_DAYS,
                  obs: Optional[Observability] = None,
-                 crawl_chart_profiles: bool = False,
-                 task_seed: int = 0) -> None:
+                 crawl_chart_profiles: bool = False) -> None:
         if cadence_days <= 0:
             raise ValueError("cadence must be positive")
         self._client = client
@@ -338,7 +339,6 @@ class PlayStoreCrawler:
         #: paper archives charted apps alongside the tracked set); the
         #: cache absorbs the heavy overlap with the tracked packages.
         self.crawl_chart_profiles = crawl_chart_profiles
-        self._task_seed = task_seed
         self._profile_cache: Dict[Tuple[str, int], ProfileSnapshot] = {}
         self._chart_cache: Dict[Tuple[str, int], List[ChartAppearance]] = {}
         #: Every package ever seen on a chart, in first-seen order; with
@@ -420,12 +420,13 @@ class PlayStoreCrawler:
 
     # -- profile fetching ----------------------------------------------------
 
-    def _fetch_profile(self, client: HttpClient, package: str) -> FetchOutcome:
-        """One wire fetch + parse; touches no crawler state, so it can
-        run as a task (client metrics land in ``client.obs``)."""
+    def run_fetch_payload(self, package: str) -> FetchOutcome:
+        """Fetch and parse one profile (a ``run_specs`` payload); touches
+        no crawler state, so the caller applies the outcome."""
         try:
-            response = client.get(self._play_host, "/store/apps/details",
-                                  params={"id": package})
+            response = self._client.get(self._play_host,
+                                        "/store/apps/details",
+                                        params={"id": package})
         except NetError as exc:
             # Transport-level failure: the profile is not gone, the
             # fetch is.  Queue it for the next crawl day.
@@ -469,31 +470,11 @@ class PlayStoreCrawler:
         self._profile_cache[(package, snapshot.day)] = snapshot
         return snapshot
 
-    def _ensure_template(self, day: int) -> None:
-        """Prime one TLS resumption template for the store host so the
-        day's fan-out fetches (each on a throwaway task client with a
-        never-repeating flow) resume instead of re-handshaking.
-        Priming is opportunistic — on failure the day simply runs on
-        full handshakes.
-        """
-        self._client.prime_resumption(self._play_host, day)
-
-    def run_fetch_payload(self, payload) -> Tuple[FetchOutcome, Observability]:
-        """Execute one ``("crawl", day, package)`` spec payload: a
-        self-contained profile fetch with its own derived RNG, task-local
-        client/observability, and chaos flow scope."""
-        _kind, day, package = payload
-        rng = derive_rng(self._task_seed, "crawl", package, day)
-        task_obs = Observability()
-        client = self._client.for_task(rng, task_obs)
-        with flow_scope(f"crawl:{day}:{package}"):
-            outcome = self._fetch_profile(client, package)
-        return outcome, task_obs
-
     # -- charts --------------------------------------------------------------
 
     def crawl_charts(self, day: int) -> int:
         """Scrape every chart; returns the day the store reported."""
+        self._client.today = day
         day_seen = -1
         for kind in ChartKind:
             cached = self._chart_cache.get((kind.value, day))
@@ -545,9 +526,9 @@ class PlayStoreCrawler:
 
     def _crawl_profiles(self, queue: Sequence[str], pending: set,
                         day: int) -> int:
-        """Fetch a queue of profiles (cache-filtered) as tasks; side
-        effects are applied in queue order."""
-        self._ensure_template(day)
+        """Fetch a queue of profiles (cache-filtered) in queue order,
+        then apply their side effects in the same order."""
+        self._client.today = day
         self._prune_caches(day)
         best_day = -1
         to_fetch: List[Tuple[str, bool]] = []
@@ -562,14 +543,11 @@ class PlayStoreCrawler:
                 continue
             self.obs.metrics.inc("crawler.cache_misses", kind="profile")
             to_fetch.append((package, is_retry))
-        specs = [(package, ("crawl", day, package))
-                 for package, _ in to_fetch]
-        results = ShardScheduler.run_specs(specs, self.run_fetch_payload)
-        for (package, is_retry), (outcome, task_obs) in zip(to_fetch,
-                                                            results):
+        specs = [(package, package) for package, _ in to_fetch]
+        outcomes = ShardScheduler.run_specs(specs, self.run_fetch_payload)
+        for (package, is_retry), outcome in zip(to_fetch, outcomes):
             self.requests_made += 1
             self.obs.metrics.inc("monitor.crawl_requests", kind="profile")
-            self.obs.merge(task_obs)
             snapshot = self._apply_profile_outcome(package, outcome, is_retry)
             if snapshot is not None:
                 best_day = snapshot.day
@@ -607,7 +585,6 @@ class PlayStoreCrawler:
         in both the baseline list and the discovered set costs one
         fetch), then optionally every charted app's profile (where the
         cache absorbs the overlap with the tracked set)."""
-        self._ensure_template(day)
         best_day = self.crawl_charts(day=day)
         tracked_set = set(packages)
         pending = set(self.retry_queue)

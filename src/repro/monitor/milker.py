@@ -67,7 +67,6 @@ class Milker:
         obs: Optional[Observability] = None,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        session_cache: Optional[TlsSessionCache] = None,
     ) -> None:
         """``phone.trust_store`` must already contain ``mitm``'s CA
         certificate (the self-signed cert installed on the device).
@@ -75,9 +74,10 @@ class Milker:
         ``retry_policy`` and ``breaker`` (both optional) are handed to
         the measurement phone's HTTP client; the breaker is shared
         across milk runs so a persistently dead wall stays quarantined
-        until its half-open window elapses.  ``session_cache`` (also
-        shared across runs) lets the phone resume TLS sessions with the
-        mitm proxy instead of re-handshaking per request.
+        until its half-open window elapses.  Each run gives the phone a
+        fresh :class:`TlsSessionCache`: the app resumes its TLS sessions
+        with the mitm proxy instead of re-handshaking per request, and
+        no session outlives the run.
         """
         self._fabric = fabric
         self.phone = phone
@@ -89,7 +89,6 @@ class Milker:
         self.obs = obs or fabric.obs
         self.retry_policy = retry_policy
         self.breaker = breaker
-        self.session_cache = session_cache
         if public_trust is not None:
             self.mitm.upstream_trust = public_trust
 
@@ -105,8 +104,6 @@ class Milker:
             "breaker": (None if self.breaker is None
                         else self.breaker.state_dict()),
             "mitm": self.mitm.state_dict(),
-            "session_cache": (None if self.session_cache is None
-                              else self.session_cache.state_dict()),
         }
 
     def load_state(self, state: dict) -> None:
@@ -115,9 +112,6 @@ class Milker:
         if self.breaker is not None and state["breaker"] is not None:
             self.breaker.load_state(state["breaker"])
         self.mitm.load_state(state["mitm"])
-        if self.session_cache is not None \
-                and state.get("session_cache") is not None:
-            self.session_cache.load_state(state["session_cache"])
 
     def milk(self, spec: AffiliateAppSpec, day: int,
              country: Optional[str] = None,
@@ -164,7 +158,7 @@ class Milker:
             self._rng, proxy=(self.mitm.hostname, self.mitm.port),
             obs=obs, retry_policy=self.retry_policy,
             breaker=self.breaker,
-            session_cache=self.session_cache, today=day)
+            session_cache=TlsSessionCache(), today=day)
         self.mitm.clear()
         try:
             runtime = AffiliateAppRuntime(spec, client, self._walls)

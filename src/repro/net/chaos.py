@@ -34,7 +34,6 @@ from repro.net.errors import (
     ConnectionRefusedFabricError,
     TransientNetworkError,
 )
-from repro.parallel.flow import current_flow
 
 DayClock = Callable[[], int]
 FaultFactory = Callable[[], Exception]
@@ -148,17 +147,13 @@ class FaultPlan:
     """Schedules faults per (host, port) on the simulation day clock.
 
     All randomness is hashed from the scenario seed; the plan keeps only
-    deterministic per-host sequence counters, so a plan consulted by a
-    same-seed run reproduces the exact same fault schedule regardless of
-    observability wiring.
-
-    The sequence counters are additionally keyed by the caller's *flow*
-    (:func:`repro.parallel.flow.current_flow`).  The pipelines run each
-    scheduler task inside its own flow scope, so a fault decision is a
-    pure function of ``(seed, class, flow, host, day, within-flow seq)``
-    — never of which tasks reached the fabric before it.
-    Outside any flow scope the flow is empty and is omitted from the
-    hash, reproducing the pre-flow schedule bit for bit.
+    deterministic sequence counters — per ``(host, port)`` for connects,
+    per host for HTTP faults and wire frames — so a fault decision is a
+    pure function of ``(seed, class, host[, port], day, seq)``.  The
+    pipelines run serially in a fixed order, so a same-seed run
+    reproduces the exact same fault schedule regardless of
+    observability wiring, and a resumed run does too once
+    :meth:`load_state` restores the counters.
     """
 
     def __init__(self, scenario: Optional[ChaosScenario] = None,
@@ -167,9 +162,9 @@ class FaultPlan:
         self._clock = clock or (lambda: 0)
         self._static: Dict[Tuple[str, int], FaultFactory] = {}
         self._vpn_exits: List[str] = []
-        self._connect_seq: Dict[Tuple[str, str, int], int] = {}
-        self._http_seq: Dict[Tuple[str, str], int] = {}
-        self._frame_seq: Dict[Tuple[str, str], int] = {}
+        self._connect_seq: Dict[Tuple[str, int], int] = {}
+        self._http_seq: Dict[str, int] = {}
+        self._frame_seq: Dict[str, int] = {}
         #: Decision log totals (deterministic; exposed for reports).
         self.decisions: Dict[str, int] = {}
 
@@ -229,11 +224,6 @@ class FaultPlan:
     def _count(self, kind: str) -> None:
         self.decisions[kind] = self.decisions.get(kind, 0) + 1
 
-    def _flow_parts(self, flow: str) -> Tuple[str, ...]:
-        """Hash material for the flow (empty flow stays absent, keeping
-        pre-flow fault schedules unchanged)."""
-        return (flow,) if flow else ()
-
     def _next_seq(self, table: Dict, key) -> int:
         seq = table.get(key, 0)
         table[key] = seq + 1
@@ -261,10 +251,9 @@ class FaultPlan:
             self._count("vpn_outage")
             return ConnectionRefusedFabricError(
                 f"vpn exit {hostname} dropped (day {day})")
-        flow = current_flow()
-        seq = self._next_seq(self._connect_seq, (flow, hostname, port))
+        seq = self._next_seq(self._connect_seq, (hostname, port))
         if self._hit(scenario.connect_failure_rate, "connect",
-                     *self._flow_parts(flow), hostname, port, day, seq):
+                     hostname, port, day, seq):
             self._count("connect")
             return TransientNetworkError(
                 f"connection reset by {hostname}:{port}")
@@ -276,19 +265,15 @@ class FaultPlan:
         if not scenario.enabled:
             return None
         day = self.day()
-        flow = current_flow()
-        flow_parts = self._flow_parts(flow)
-        seq = self._next_seq(self._http_seq, (flow, hostname))
-        if self._hit(scenario.http_error_rate, "http",
-                     *flow_parts, hostname, day, seq):
+        seq = self._next_seq(self._http_seq, hostname)
+        if self._hit(scenario.http_error_rate, "http", hostname, day, seq):
             which = self._roll(self.scenario.seed, "status",
-                               *flow_parts, hostname, day, seq)
+                               hostname, day, seq)
             status = INJECTED_STATUSES[int(which * len(INJECTED_STATUSES))
                                        % len(INJECTED_STATUSES)]
             self._count("http_error")
             return HttpFault(kind="status", status=status)
-        if self._hit(scenario.corrupt_json_rate, "json",
-                     *flow_parts, hostname, day, seq):
+        if self._hit(scenario.corrupt_json_rate, "json", hostname, day, seq):
             self._count("corrupt_json")
             return HttpFault(kind="corrupt")
         return None
@@ -301,10 +286,8 @@ class FaultPlan:
         if len(payload) < 4:
             return None
         day = self.day()
-        flow = current_flow()
-        seq = self._next_seq(self._frame_seq, (flow, hostname))
-        if not self._hit(scenario.truncate_rate, "wire",
-                         *self._flow_parts(flow), hostname, day, seq):
+        seq = self._next_seq(self._frame_seq, hostname)
+        if not self._hit(scenario.truncate_rate, "wire", hostname, day, seq):
             return None
         self._count("truncate")
         # Drop the trailing third: enough to break TLS records and HTTP
@@ -320,7 +303,7 @@ class FaultPlan:
 
     # -- checkpoint/restore ---------------------------------------------------
     #
-    # The plan's only mutable state is the per-flow sequence counters
+    # The plan's only mutable state is the per-host sequence counters
     # (and the decision totals shown in reports).  Restoring them makes
     # the resumed run consult the hashed schedule at exactly the offsets
     # the uninterrupted run would have reached.
@@ -330,10 +313,8 @@ class FaultPlan:
         return {
             "connect_seq": {join_key(*key): seq
                             for key, seq in self._connect_seq.items()},
-            "http_seq": {join_key(*key): seq
-                         for key, seq in self._http_seq.items()},
-            "frame_seq": {join_key(*key): seq
-                          for key, seq in self._frame_seq.items()},
+            "http_seq": dict(self._http_seq),
+            "frame_seq": dict(self._frame_seq),
             "decisions": dict(self.decisions),
         }
 
@@ -341,14 +322,12 @@ class FaultPlan:
         from repro.recovery.state import split_key
         self._connect_seq = {}
         for key, seq in state["connect_seq"].items():  # type: ignore[union-attr]
-            flow, hostname, port = split_key(key)
-            self._connect_seq[(flow, hostname, int(port))] = int(seq)
-        self._http_seq = {
-            tuple(split_key(key)): int(seq)  # type: ignore[misc]
-            for key, seq in state["http_seq"].items()}  # type: ignore[union-attr]
-        self._frame_seq = {
-            tuple(split_key(key)): int(seq)  # type: ignore[misc]
-            for key, seq in state["frame_seq"].items()}  # type: ignore[union-attr]
+            hostname, port = split_key(key)
+            self._connect_seq[(hostname, int(port))] = int(seq)
+        self._http_seq = {str(host): int(seq)
+                          for host, seq in state["http_seq"].items()}  # type: ignore[union-attr]
+        self._frame_seq = {str(host): int(seq)
+                           for host, seq in state["frame_seq"].items()}  # type: ignore[union-attr]
         self.decisions = {str(k): int(v)
                           for k, v in state["decisions"].items()}  # type: ignore[union-attr]
 

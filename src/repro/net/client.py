@@ -31,8 +31,6 @@ from repro.net.http import HttpRequest, HttpResponse
 from repro.net.server import HTTPS_PORT
 from repro.net.tls import TlsClientSession, TrustStore
 from repro.obs import Observability
-from repro.parallel.flow import current_flow
-from repro.parallel.hashing import stable_hash
 
 #: Response statuses worth retrying (rate limits and server-side faults).
 RETRIABLE_STATUSES: Tuple[int, ...] = (429, 500, 502, 503, 504)
@@ -183,51 +181,46 @@ class _SessionEntry:
 
 
 class TlsSessionCache:
-    """Deterministic TLS session-ticket cache keyed ``(host, day, flow)``.
+    """Deterministic TLS session-ticket cache: one session per host.
 
     The first request to a host performs the full two-round-trip
     handshake and deposits the minted ticket plus the derived base
-    record keys; later same-day requests under the same flow resume in
-    a single flight.  Entries roll over with the simulation day and are
+    record keys; later same-day requests to that host resume in a
+    single flight.  Entries roll over with the simulation day and are
     dropped on connection faults, failed resumptions, and circuit
     opens, so chaos profiles still exercise fresh handshakes.
 
     Keys (never wall-clock state) come from the original handshake
-    transcript, and every entry is keyed by its task's flow, so tasks
-    sharing one cache never resume each other's sessions.
+    transcript.  Whoever owns a cache owns its sessions: clients that
+    must not resume each other's sessions (two milk runs, two honey
+    campaigns) get separate caches.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[str, str], _SessionEntry] = {}
+        self._entries: Dict[str, _SessionEntry] = {}
 
-    def checkout(self, host: str, day: int,
-                 flow: str) -> Optional[Tuple[bytes, bytes, bytes, int]]:
+    def checkout(self, host: str,
+                 day: int) -> Optional[Tuple[bytes, bytes, bytes, int]]:
         """Claim one resumption: ``(ticket, enc_key, mac_key, counter)``.
 
         A day mismatch evicts the entry (rollover invalidation) and
         returns ``None`` so the caller re-handshakes.
         """
-        key = (host, flow)
-        entry = self._entries.get(key)
+        entry = self._entries.get(host)
         if entry is None:
             return None
         if entry.day != day:
-            del self._entries[key]
+            del self._entries[host]
             return None
         entry.uses += 1
         return (entry.ticket, entry.enc_key, entry.mac_key, entry.uses)
 
-    def store(self, host: str, day: int, flow: str, ticket: bytes,
+    def store(self, host: str, day: int, ticket: bytes,
               enc_key: bytes, mac_key: bytes) -> None:
-        self._entries[(host, flow)] = _SessionEntry(
-            day, ticket, enc_key, mac_key)
+        self._entries[host] = _SessionEntry(day, ticket, enc_key, mac_key)
 
-    def invalidate(self, host: str, flow: str) -> None:
-        self._entries.pop((host, flow), None)
-
-    def invalidate_host(self, host: str) -> None:
-        for key in [k for k in self._entries if k[0] == host]:
-            del self._entries[key]
+    def invalidate(self, host: str) -> None:
+        self._entries.pop(host, None)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -237,20 +230,20 @@ class TlsSessionCache:
     def state_dict(self) -> Dict[str, object]:
         return {
             "entries": [
-                [host, flow, entry.day, entry.ticket.hex(),
+                [host, entry.day, entry.ticket.hex(),
                  entry.enc_key.hex(), entry.mac_key.hex(), entry.uses]
-                for (host, flow), entry in sorted(self._entries.items())],
+                for host, entry in sorted(self._entries.items())],
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
         self._entries = {}
-        for host, flow, day, ticket, enc_key, mac_key, uses in (
+        for host, day, ticket, enc_key, mac_key, uses in (
                 state["entries"]):  # type: ignore[union-attr]
             entry = _SessionEntry(int(day), bytes.fromhex(ticket),
                                   bytes.fromhex(enc_key),
                                   bytes.fromhex(mac_key))
             entry.uses = int(uses)
-            self._entries[(str(host), str(flow))] = entry
+            self._entries[str(host)] = entry
 
 
 class HttpClient:
@@ -284,9 +277,9 @@ class HttpClient:
         possibly across clients) to quarantine failing hosts.
     session_cache:
         Optional :class:`TlsSessionCache`; when set, repeat HTTPS
-        requests to a host resume the TLS session (one round trip)
-        instead of re-handshaking (two).  Defaults to off, preserving
-        the exact wire behaviour of un-wired call sites.
+        requests to a host on the same ``today`` resume the TLS session
+        (one round trip) instead of re-handshaking (two).  Without one,
+        every request handshakes in full.
     """
 
     def __init__(
@@ -314,37 +307,8 @@ class HttpClient:
         self.retry_policy = retry_policy
         self.breaker = breaker
         self.session_cache = session_cache
-        #: Read-only *resumption templates*: ``host -> (day, ticket,
-        #: enc_key, mac_key)``, installed by :meth:`prime_resumption`.
-        #: Unlike the per-flow session cache, a template is never
-        #: mutated by use — each request derives its resumption counter
-        #: from its own flow — so a template shared across fan-out
-        #: tasks leaks no ordering between them.
-        self.resume_templates: Dict[str, Tuple[int, bytes, bytes, bytes]] = {}
         if breaker is not None and breaker.obs is None:
             breaker.obs = self.obs
-
-    def for_task(self, rng: random.Random,
-                 obs: Optional[Observability] = None) -> "HttpClient":
-        """A task-local clone for fan-out tasks.
-
-        Shares the endpoint, trust store, proxy, pins, retry policy and
-        session cache, but takes its own RNG — typically derived from
-        the task key via :func:`repro.parallel.hashing.derive_rng`, so
-        TLS handshake bytes do not depend on which other tasks ran
-        first — plus its own observability context.  The clone has no
-        breaker, so no circuit state crosses tasks.
-        """
-        clone = HttpClient(
-            self.fabric, self.endpoint, self.trust_store, rng,
-            proxy=self.proxy, pinned_fingerprints=self.pinned_fingerprints,
-            today=self.today, obs=obs or self.obs,
-            retry_policy=self.retry_policy,
-            session_cache=self.session_cache)
-        # Shared by reference: templates are written only between task
-        # phases (by the owner) and read during tasks.
-        clone.resume_templates = self.resume_templates
-        return clone
 
     # -- checkpoint/restore ---------------------------------------------------
 
@@ -455,7 +419,7 @@ class HttpClient:
         assert self.breaker is not None
         self.breaker.record_failure(host)
         if self.session_cache is not None and self.breaker.is_open(host):
-            self.session_cache.invalidate_host(host)
+            self.session_cache.invalidate(host)
 
     def _charge_backoff(self, attempt: int) -> None:
         """Deterministic backoff: burn op ticks instead of wall time."""
@@ -475,7 +439,7 @@ class HttpClient:
             connection = self.fabric.connect(self.endpoint, host, port)
         except NetError:
             if self.session_cache is not None:
-                self.session_cache.invalidate_host(host)
+                self.session_cache.invalidate(host)
             raise
         try:
             return self._secure_send(connection, host, request)
@@ -517,8 +481,7 @@ class HttpClient:
         otherwise handshake in full (and bank the ticket for next time)."""
         metrics = self.obs.metrics
         cache = self.session_cache
-        flow = current_flow() or ""
-        claimed = (cache.checkout(host, self.today, flow)
+        claimed = (cache.checkout(host, self.today)
                    if cache is not None else None)
         if claimed is not None:
             assert cache is not None
@@ -528,31 +491,11 @@ class HttpClient:
             try:
                 response = HttpResponse.from_bytes(
                     session.send(request.to_bytes()))
-            except TlsError as exc:
-                metrics.inc("net.client.tls_resume_failures", host=host,
-                            error=type(exc).__name__)
-                cache.invalidate(host, flow)
-                raise
-            except NetError:
-                cache.invalidate_host(host)
-                raise
-            metrics.inc("net.client.tls_resumptions", host=host)
-            return response
-        template = self.resume_templates.get(host)
-        if template is not None:
-            day, ticket, enc_key, mac_key = template
-            # The counter is a pure function of the request's flow, so
-            # concurrent tasks resuming off one template never observe
-            # each other (and the server derives keys statelessly).
-            counter = stable_hash("resume", host, day, flow) % (1 << 32)
-            session = TlsClientSession.resume(
-                connection, host, ticket, enc_key, mac_key, counter)
-            try:
-                response = HttpResponse.from_bytes(
-                    session.send(request.to_bytes()))
-            except TlsError as exc:
-                metrics.inc("net.client.tls_resume_failures", host=host,
-                            error=type(exc).__name__)
+            except NetError as exc:
+                if isinstance(exc, TlsError):
+                    metrics.inc("net.client.tls_resume_failures", host=host,
+                                error=type(exc).__name__)
+                cache.invalidate(host)
                 raise
             metrics.inc("net.client.tls_resumptions", host=host)
             return response
@@ -560,45 +503,14 @@ class HttpClient:
         if (cache is not None and session.session_ticket is not None
                 and session.base_keys is not None):
             enc_key, mac_key = session.base_keys
-            cache.store(host, self.today, flow,
+            cache.store(host, self.today,
                         session.session_ticket, enc_key, mac_key)
         try:
             return HttpResponse.from_bytes(session.send(request.to_bytes()))
         except NetError:
             if cache is not None:
-                cache.invalidate_host(host)
+                cache.invalidate(host)
             raise
-
-    def prime_resumption(self, host: str, day: int,
-                         port: int = HTTPS_PORT) -> bool:
-        """Handshake once and bank a read-only resumption template for
-        ``host``, replacing any previous day's.  Fan-out callers (the
-        crawler's per-task clients all talk to one store host) prime at
-        the start of a phase so every task resumes in a single flight
-        instead of re-handshaking.  Opportunistic: a failed priming
-        leaves no template and the tasks fall back to full handshakes.
-        Returns True when a template for ``(host, day)`` is installed.
-        """
-        current = self.resume_templates.get(host)
-        if current is not None and current[0] == day:
-            return True
-        self.resume_templates.pop(host, None)
-        try:
-            connection = self.fabric.connect(self.endpoint, host, port)
-        except NetError:
-            return False
-        try:
-            session = self._handshake(connection, host)
-        except (NetError, TlsError):
-            return False
-        finally:
-            connection.close()
-        if session.session_ticket is None or session.base_keys is None:
-            return False
-        enc_key, mac_key = session.base_keys
-        self.resume_templates[host] = (day, session.session_ticket,
-                                       enc_key, mac_key)
-        return True
 
     # -- instrumentation -------------------------------------------------------
 

@@ -146,7 +146,7 @@ class _MitmInnerHandler(ConnectionHandler):
             # Mirror the HTTP client's cache semantics: any failure on
             # the upstream leg drops the host's resumption state so the
             # retry (a fresh connection) re-handshakes in full.
-            self._proxy.upstream_sessions.invalidate_host(self._host)
+            self._proxy.upstream_sessions.invalidate(self._host)
             raise
         response = HttpResponse.from_bytes(response_bytes)
         self._proxy._log_exchange(InterceptedExchange(
@@ -236,9 +236,8 @@ class MitmProxy:
         self.sessions = ServerSessionStore()
         #: Ticket cache for the upstream leg: one full handshake per
         #: (host, day), every later intercepted connection that day
-        #: resumes.  Flow-keyed with the empty flow — the proxy is
-        #: per-cell state, serialised inside its shard bucket, so the
-        #: reuse order is deterministic.
+        #: resumes.  The proxy is per-cell state and its cell's runs
+        #: execute in a fixed order, so the reuse order is deterministic.
         self.upstream_sessions = TlsSessionCache()
         self.intercepted: List[InterceptedExchange] = []
         fabric.register_host(hostname, address)
@@ -280,10 +279,8 @@ class MitmProxy:
         self._identity_cache = {
             str(host): identity_from_state(data)
             for host, data in state["identities"].items()}
-        if "sessions" in state:
-            self.sessions.load_state(state["sessions"])
-        if "upstream_sessions" in state:
-            self.upstream_sessions.load_state(state["upstream_sessions"])
+        self.sessions.load_state(state["sessions"])
+        self.upstream_sessions.load_state(state["upstream_sessions"])
         self.intercepted.clear()
 
     # -- internals ----------------------------------------------------------
@@ -335,7 +332,7 @@ class MitmProxy:
         """TLS to the real server: resume with a banked same-day ticket
         when there is one, otherwise handshake in full and bank it."""
         day = self._today()
-        claimed = self.upstream_sessions.checkout(host, day, "")
+        claimed = self.upstream_sessions.checkout(host, day)
         if claimed is not None:
             ticket, enc_key, mac_key, counter = claimed
             self.obs.metrics.inc("net.proxy.upstream_resumptions", host=host)
@@ -346,7 +343,7 @@ class MitmProxy:
         if session.session_ticket is not None and session.base_keys is not None:
             enc_key, mac_key = session.base_keys
             self.upstream_sessions.store(
-                host, day, "", session.session_ticket, enc_key, mac_key)
+                host, day, session.session_ticket, enc_key, mac_key)
         return session
 
 

@@ -1,30 +1,23 @@
 """repro.parallel: deterministic task execution.
 
-The Section-4 pipeline fans its per-day workload (affiliate app x
-country milk runs, profile-fetch queues) out as self-contained tasks,
-and every export must not depend on the order they run in:
+The Section-4 pipeline runs its per-day workload (affiliate app x
+country milk runs, profile-fetch queues) as keyed task specs, serially
+and in a fixed order, and every export is a pure function of the seeds:
 
-* each task derives its own RNG from ``(seed, *key parts)`` instead of
-  drawing from a shared stream, so TLS nonces and key material do not
-  depend on which other tasks ran first;
-* tasks run inside a **flow scope** (a contextvar naming the logical
-  task), which the chaos engine folds into its per-host sequence
-  counters so fault decisions are a function of the task, not of the
-  global arrival order;
+* components whose draws must not depend on what ran before them
+  derive their RNG from ``(seed, *key parts)`` instead of drawing from
+  a shared stream;
 * :class:`ShardScheduler` returns results in **input order**, and
-  callers merge side effects (dataset ingestion, per-task
+  callers merge side effects (dataset ingestion, per-run
   ``Observability`` contexts) in a canonical order.
 """
 
-from repro.parallel.flow import current_flow, flow_scope
 from repro.parallel.hashing import derive_rng, derive_seed, stable_hash
 from repro.parallel.scheduler import ShardScheduler
 
 __all__ = [
     "ShardScheduler",
-    "current_flow",
     "derive_rng",
     "derive_seed",
-    "flow_scope",
     "stable_hash",
 ]

@@ -30,7 +30,7 @@ def derive_rng(*parts: object) -> random.Random:
     """A fresh ``random.Random`` whose stream depends only on the parts.
 
     Two tasks with different keys get independent streams; the same key
-    always gets the same stream — which is what makes a sharded run's
-    TLS handshakes byte-identical to the serial run's.
+    always gets the same stream — so a honey campaign's behaviour and
+    TLS draws do not depend on which campaigns ran before it.
     """
     return random.Random(derive_seed(*parts))

@@ -7,10 +7,10 @@ package).  The milk and crawl fan-outs both go through it, so the
 per-task runners (``WildMeasurement.run_milk_payload``,
 ``PlayStoreCrawler.run_fetch_payload``) are the one execution path.
 
-Why the result never depends on task order: each task derives its own
-RNG (:func:`repro.parallel.hashing.derive_rng`), runs under its own
-flow scope and records into its own ``Observability``, which the
-caller merges back in a canonical order after ``run_specs`` returns.
+The runners execute in input order on the pipeline's own clients and
+state; a milk run records into its own ``Observability``, which the
+caller merges back in canonical ``(package, country)`` order after
+``run_specs`` returns.
 
 Error contract: the first raising task propagates, and the tasks after
 it never run.

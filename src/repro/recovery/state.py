@@ -7,7 +7,7 @@ byte-identity invariant rides on it.  Two things need help:
 * ``random.Random.getstate()`` is a nested tuple of ints (plus an
   optional float for the Gaussian carry); JSON turns tuples into lists,
   and ``setstate`` insists on tuples again.
-* Dict keys that are tuples (label sets, ``(flow, host, port)`` fault
+* Dict keys that are tuples (label sets, ``(host, port)`` fault
   sequences) must be flattened to strings and rebuilt.
 """
 
@@ -17,7 +17,7 @@ import random
 from typing import Any, List, Optional, Tuple
 
 #: Separator for flattened tuple keys.  ``\x1f`` (ASCII unit separator)
-#: cannot appear in hostnames, flow names, or package ids.
+#: cannot appear in hostnames, label values, or package ids.
 KEY_SEP = "\x1f"
 
 

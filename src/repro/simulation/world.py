@@ -113,15 +113,22 @@ class World:
                           today=self.clock.day if today is None else today,
                           obs=obs, session_cache=session_cache)
 
-    def measurement_client(self, rng: Optional[random.Random] = None,
-                           retry_policy: Optional[RetryPolicy] = None) -> HttpClient:
-        """A well-connected client for crawlers (university network)."""
-        crawler_rng = rng or self.seeds.rng("crawler-client")
+    def measurement_client(self, retry_policy: Optional[RetryPolicy] = None
+                           ) -> HttpClient:
+        """A well-connected client for crawlers (university network).
+
+        It carries its own :class:`TlsSessionCache`, so requests to a
+        host on the client's ``today`` share one TLS session: the
+        crawler stamps each visit's day, and the session rolls over
+        with it.
+        """
+        crawler_rng = self.seeds.rng("crawler-client")
         asn = self.fabric.asn_db.asns_in_country("US", kind="eyeball")[0]
         address = self.fabric.asn_db.allocate(asn.number, crawler_rng)
         return HttpClient(self.fabric, Endpoint(address=address),
                           self.public_trust, crawler_rng,
-                          retry_policy=retry_policy)
+                          retry_policy=retry_policy,
+                          session_cache=TlsSessionCache())
 
     def detection_hook(self, source: str, config=None):
         """A :class:`~repro.detection.live.LiveDetection` hook bound to

@@ -9,6 +9,8 @@ identity, and chaos changing the run, are cells of
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro import (
@@ -19,6 +21,7 @@ from repro import (
     WildScenarioConfig,
     World,
 )
+from repro.recovery.state import split_key
 
 pytestmark = pytest.mark.chaos
 
@@ -73,3 +76,18 @@ class TestRetryQueue:
             pytest.skip("this schedule queued no crawl retries")
         drained = metrics.counter_total("monitor.crawl_retry_drained")
         assert drained > 0
+
+
+class TestFaultPlanState:
+    def test_sequence_tables_hold_one_key_per_host(self, chaos_run):
+        # Connect counters are keyed by (host, port), HTTP and frame
+        # counters by host, so the checkpointed tables stay as small as
+        # the host roster however many runs and fetches the days hold.
+        world, _ = chaos_run
+        state = world.fabric.chaos.state_dict()
+        connect = Counter(tuple(split_key(key)[-2:])
+                          for key in state["connect_seq"])
+        assert connect and max(connect.values()) == 1
+        for table in ("http_seq", "frame_seq"):
+            per_host = Counter(split_key(key)[-1] for key in state[table])
+            assert per_host and max(per_host.values()) == 1

@@ -9,6 +9,7 @@ secretly still hits the wire cannot pass.
 import pytest
 
 from repro.monitor.crawler import PlayStoreCrawler
+from repro.net.client import HttpClient, TlsSessionCache
 from repro.net.errors import TransientNetworkError
 from repro.obs import Observability
 from repro.playstore.catalog import AppListing, Developer
@@ -120,9 +121,7 @@ class TestOfferPageCapture:
         captured = crawler.capture_offer_pages(impressions, day=0)
         assert captured == 5
         assert crawler.requests_made == 2        # one per unique package
-        # One connection per unique package plus the day's resumption-
-        # template priming handshake.
-        assert play_connections(fabric) == 3
+        assert play_connections(fabric) == 2     # one per wire request
         assert crawler.cache_hits == 3           # the collapsed duplicates
         total = crawler.obs.metrics.counter_total
         assert total("monitor.offer_pages") == 5
@@ -144,10 +143,9 @@ class TestCrawlEverything:
         _, _, crawler, fabric = rig
         crawler.crawl_everything(
             ["com.app.alpha", "com.app.beta", "com.app.alpha"], day=0)
-        # 3 charts + 2 unique profiles = 5 wire requests, not 6 (plus
-        # one non-request connection for the template priming handshake).
+        # 3 charts + 2 unique profiles = 5 wire requests, not 6.
         assert crawler.requests_made == 5
-        assert play_connections(fabric) == 6
+        assert play_connections(fabric) == 5
         total = crawler.obs.metrics.counter_total
         assert total("monitor.crawl_deduped") == 1
 
@@ -164,3 +162,33 @@ class TestCrawlEverything:
         assert total("monitor.crawl_retry_drained") == 1
         assert total("monitor.crawl_retry_recovered") == 1
         assert crawler.archive.profile("com.app.alpha", 2) is not None
+
+
+class TestTlsSessions:
+    def test_one_full_handshake_per_visit_day(self, rig, fabric, rng,
+                                              trust_store):
+        _, clock, _, _ = rig
+        obs = Observability()
+        plain = make_client(fabric, trust_store, rng)
+        client = HttpClient(fabric, plain.endpoint, trust_store, rng,
+                            obs=obs, session_cache=TlsSessionCache())
+        crawler = PlayStoreCrawler(client, PLAY_HOST, obs=obs)
+        total = obs.metrics.counter_total
+        crawler.capture_offer_pages(["com.app.alpha"], day=0)
+        crawler.crawl_everything(["com.app.alpha", "com.app.beta"], day=0)
+        # Day 0: one connection per wire request; the impression fetch
+        # handshakes in full, and the 3 charts and beta's profile resume
+        # its session (alpha is memoised).
+        assert crawler.requests_made == 5
+        assert play_connections(fabric) == crawler.requests_made
+        assert total("net.client.tls_handshakes") == 1
+        assert total("net.client.tls_resumptions") == 4
+        # Day 2: the client's ``today`` rolls over with the visit, so
+        # the day opens with one fresh handshake and resumes after it.
+        clock["day"] = 2
+        crawler.crawl_everything(["com.app.alpha", "com.app.beta"], day=2)
+        assert crawler.requests_made == 10
+        assert play_connections(fabric) == crawler.requests_made
+        assert client.today == 2
+        assert total("net.client.tls_handshakes") == 2
+        assert total("net.client.tls_resumptions") == 8

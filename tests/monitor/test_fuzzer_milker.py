@@ -16,6 +16,7 @@ from repro.net.ip import AsnDatabase
 from repro.net.proxy import MitmProxy
 from repro.net.tls import TrustStore
 from repro.net.vpn import VpnExitPool
+from repro.obs import Observability
 from repro.users.devices import DeviceFactory
 from tests.iip.test_platform import make_campaign, register_and_fund
 
@@ -127,6 +128,27 @@ class TestMilker:
         assert record.first_seen_day == 3
         assert record.last_seen_day == 5
         assert record.countries == {"US", "GB"}
+
+    def test_each_run_opens_its_own_tls_sessions(self, rig):
+        # Two apps milked on one day in one cell: each run opens both
+        # walls with a full handshake to the mitm, so no session
+        # crosses apps, then resumes inside the run.
+        milker, spec, walls = rig
+        other = AffiliateAppSpec(
+            package="com.bigcash.app", title="BigCash",
+            installs_display="1M+", integrated_iips=("Fyber", "ayeT-Studios"),
+            currency_name="cash", points_per_usd=1000.0)
+        for wall in walls.values():
+            wall.register_affiliate(other.wall_config())
+        for app in (spec, other):
+            obs = Observability()
+            run = milker.milk(app, day=3, country="US", obs=obs)
+            assert run.walls_seen == ["Fyber", "ayeT-Studios"]
+            counters = obs.metrics.counters()
+            for wall in walls.values():
+                key = f"net.client.tls_handshakes{{host={wall.hostname}}}"
+                assert counters[key] == 1
+            assert obs.metrics.counter_total("net.client.tls_resumptions") > 0
 
     def test_unknown_exchange_rate_rejected(self, rig):
         milker, spec, _ = rig

@@ -1,9 +1,10 @@
 """TLS session resumption: cache hits, invalidation, and determinism.
 
 A client wired with a :class:`TlsSessionCache` full-handshakes once per
-``(host, day, flow)`` and resumes afterwards; the cache must flush on
-day rollover, connection faults, breaker opens, and unknown tickets —
-and turning resumption on must never change HTTP payload bytes.
+``(host, day)`` and resumes afterwards; the cache must flush on day
+rollover, connection faults, breaker opens, and unknown tickets, two
+caches never share a session — and turning resumption on must never
+change HTTP payload bytes.
 """
 
 from __future__ import annotations
@@ -111,17 +112,21 @@ class TestSessionResumption:
         tomorrow_client.get(HOST, "/json")
         assert self.counter("net.client.tls_resumptions") == 1
 
-    def test_flows_get_independent_sessions(self):
-        from repro.parallel.flow import flow_scope
-        client = self.client()
-        with flow_scope("cell-a"):
-            client.get(HOST, "/json")
-            client.get(HOST, "/json")
-        with flow_scope("cell-b"):
-            client.get(HOST, "/json")
+    def test_separate_caches_never_share_a_session(self):
+        first = self.client()
+        first.get(HOST, "/json")
+        first.get(HOST, "/json")
+        other_cache = TlsSessionCache()
+        second = make_caching_client(self.fabric, self.trust, self.rng,
+                                     other_cache, obs=self.obs)
+        second.get(HOST, "/json")
+        # Same host, same day: the second cache still opens with a full
+        # handshake and banks a session of its own.
         assert self.counter("net.client.tls_handshakes") == 2
         assert self.counter("net.client.tls_resumptions") == 1
-        assert len(self.cache) == 2
+        assert len(self.cache) == len(other_cache) == 1
+        assert (self.cache.checkout(HOST, 0)[0]
+                != other_cache.checkout(HOST, 0)[0])
 
     def test_unknown_ticket_fails_resume_and_invalidates(self):
         client = self.client()
@@ -248,30 +253,53 @@ class TestTicketMinting:
         assert len(proxy.upstream_sessions) == 1
 
 
+def _store(cache, host, day=0, ticket=b"t" * 16):
+    cache.store(host, day, ticket, b"e" * 32, b"m" * 32)
+
+
 class TestTlsSessionCacheUnit:
     def test_checkout_counts_uses(self):
         cache = TlsSessionCache()
-        cache.store("h", 0, "f", b"t" * 16, b"e" * 32, b"m" * 32)
-        first = cache.checkout("h", 0, "f")
-        second = cache.checkout("h", 0, "f")
+        _store(cache, "h")
+        first = cache.checkout("h", 0)
+        second = cache.checkout("h", 0)
         assert first[3] == 1
         assert second[3] == 2
 
     def test_checkout_misses(self):
         cache = TlsSessionCache()
-        assert cache.checkout("h", 0, "f") is None
-        cache.store("h", 0, "f", b"t" * 16, b"e" * 32, b"m" * 32)
-        assert cache.checkout("h", 1, "f") is None     # day rolled over
-        assert len(cache) == 0                         # ...and evicted
-        cache.store("h", 0, "f", b"t" * 16, b"e" * 32, b"m" * 32)
-        assert cache.checkout("other", 0, "f") is None
-        assert cache.checkout("h", 0, "other-flow") is None
+        assert cache.checkout("h", 0) is None
+        _store(cache, "h")
+        assert cache.checkout("h", 1) is None     # day rolled over
+        assert len(cache) == 0                    # ...and evicted
+        _store(cache, "h")
+        assert cache.checkout("other", 0) is None
 
-    def test_invalidate_host_drops_all_flows(self):
+    def test_one_session_per_host(self):
         cache = TlsSessionCache()
-        cache.store("h", 0, "a", b"t" * 16, b"e" * 32, b"m" * 32)
-        cache.store("h", 0, "b", b"t" * 16, b"e" * 32, b"m" * 32)
-        cache.store("other", 0, "a", b"t" * 16, b"e" * 32, b"m" * 32)
-        cache.invalidate_host("h")
+        _store(cache, "h", ticket=b"a" * 16)
+        cache.checkout("h", 0)
+        _store(cache, "h", ticket=b"b" * 16)
         assert len(cache) == 1
-        assert cache.checkout("other", 0, "a") is not None
+        ticket, _, _, uses = cache.checkout("h", 0)
+        assert (ticket, uses) == (b"b" * 16, 1)
+
+    def test_invalidate_drops_only_that_host(self):
+        cache = TlsSessionCache()
+        _store(cache, "h")
+        _store(cache, "other")
+        cache.invalidate("h")
+        cache.invalidate("never-stored")
+        assert len(cache) == 1
+        assert cache.checkout("h", 0) is None
+        assert cache.checkout("other", 0) is not None
+
+    def test_state_round_trips(self):
+        cache = TlsSessionCache()
+        _store(cache, "h", day=3)
+        _store(cache, "other", day=3)
+        cache.checkout("h", 3)
+        restored = TlsSessionCache()
+        restored.load_state(cache.state_dict())
+        assert restored.state_dict() == cache.state_dict()
+        assert restored.checkout("h", 3)[3] == 2

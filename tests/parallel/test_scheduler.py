@@ -1,19 +1,17 @@
-"""The task fan-out's determinism contract.
+"""The task runner's determinism contract.
 
-Pipeline exports only stay independent of task order if (a) task RNG
-streams are pure functions of their keys, (b) results come back in
-input order, and (c) tasks that share a key run in input order.  These
-tests pin each leg.
+Pipeline exports stay a pure function of the seeds because (a) derived
+RNG streams are pure functions of their keys, (b) results come back in
+input order, and (c) tasks run in input order.  These tests pin each
+leg.
 """
 
 import pytest
 
 from repro.parallel import (
     ShardScheduler,
-    current_flow,
     derive_rng,
     derive_seed,
-    flow_scope,
     stable_hash,
 )
 
@@ -78,16 +76,3 @@ class TestRun:
     def test_empty_and_single(self):
         assert ShardScheduler.run_specs([], abs) == []
         assert ShardScheduler.run_specs([("k", -9)], abs) == [9]
-
-
-class TestFlowScope:
-    def test_default_is_empty(self):
-        assert current_flow() == ""
-
-    def test_scope_sets_and_restores(self):
-        with flow_scope("milk:0:US:com.app"):
-            assert current_flow() == "milk:0:US:com.app"
-            with flow_scope("inner"):
-                assert current_flow() == "inner"
-            assert current_flow() == "milk:0:US:com.app"
-        assert current_flow() == ""

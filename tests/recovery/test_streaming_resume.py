@@ -17,6 +17,7 @@ from repro.core.wild_measurement import WildMeasurement, WildMeasurementConfig
 from repro.recovery import (CheckpointStore, CrashPlan, RecoveryContext,
                             SimulatedCrash)
 from repro.recovery.checkpoint import CheckpointMismatch
+from repro.recovery.state import join_key
 from repro.simulation.scenarios import WildScenario, WildScenarioConfig
 from repro.simulation.world import World
 
@@ -51,6 +52,24 @@ class TestStreamedResume:
             measurement.run(recovery=resuming)
 
 
+def crash_then_restamp(root, version, edit):
+    """Crash a wild run on day 2, then rewrite its newest checkpoint as
+    a hash-valid ``version`` document whose state ``edit`` reshaped."""
+    crashing = RecoveryContext.create(
+        root, "wild", crash=CrashPlan.at("wild.day", 2))
+    with pytest.raises(SimulatedCrash):
+        build().run(recovery=crashing)
+    store = CheckpointStore(root, "wild")
+    day, state = store.latest()
+    edit(state)
+    payload = {"format_version": version, "kind": "wild", "day": day,
+               "state": state}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    store.path_for(day).write_text(json.dumps({
+        "payload": payload,
+        "sha256": hashlib.sha256(canonical.encode()).hexdigest()}))
+
+
 class TestProcessBackendResume:
     def test_process_checkpoint_rejected_by_in_process_resume(
             self, tmp_path):
@@ -58,22 +77,21 @@ class TestProcessBackendResume:
         # a ``workers`` section); every version-1 file is refused, not
         # skipped into a silent restart from day 0.
         root = tmp_path / "ckpt"
-        measurement = build()
-        crashing = RecoveryContext.create(
-            root, "wild", crash=CrashPlan.at("wild.day", 2))
-        with pytest.raises(SimulatedCrash):
-            measurement.run(recovery=crashing)
-        store = CheckpointStore(root, "wild")
-        day, state = store.latest()
-        state["workers"] = {"count": 2, "pins": {}, "states": []}
-        payload = {"format_version": 1, "kind": "wild", "day": day,
-                   "state": state}
-        canonical = json.dumps(payload, sort_keys=True,
-                               separators=(",", ":"))
-        store.path_for(day).write_text(json.dumps({
-            "payload": payload,
-            "sha256": hashlib.sha256(canonical.encode()).hexdigest()}))
+        crash_then_restamp(root, 1, lambda state: state.update(
+            workers={"count": 2, "pins": {}, "states": []}))
         measurement = build()
         resuming = RecoveryContext.create(root, "wild", resume=True)
         with pytest.raises(CheckpointMismatch, match="version in .*: 1"):
             measurement.run(recovery=resuming)
+
+    def test_flow_keyed_checkpoint_refused_by_latest(self, tmp_path):
+        # Version 2 keyed chaos sequence counters (and TLS sessions) by
+        # flow; its three-part keys would not unpack into the per-host
+        # tables, so the file is refused by its version before any
+        # component loads it.
+        root = tmp_path / "ckpt"
+        crash_then_restamp(root, 2, lambda state: state["fault_plan"].update(
+            connect_seq={join_key("milk:0:US:com.app", "wall.example",
+                                  443): 1}))
+        with pytest.raises(CheckpointMismatch, match="version in .*: 2"):
+            CheckpointStore(root, "wild").latest()
