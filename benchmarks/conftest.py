@@ -39,9 +39,7 @@ class WildBundle:
             WildMeasurementConfig(measurement_days=BENCH_DAYS))
         self.results = measurement.run()
         self.vetted = self.results.vetted_packages()
-        vetted_set = set(self.vetted)
-        self.unvetted = [p for p in self.results.unvetted_packages()
-                         if p not in vetted_set]
+        self.unvetted = self.results.unvetted_packages()
 
 
 @pytest.fixture(scope="session")

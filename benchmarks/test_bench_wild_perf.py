@@ -79,9 +79,10 @@ class TestPerf:
     def test_matches_committed_snapshot(self, report):
         assert SNAPSHOT.exists(), (
             "run PYTHONPATH=src python scripts/export_bench_obs.py")
-        committed = json.loads(SNAPSHOT.read_text())
-        fresh = json.loads(render(deterministic_subset(report)))
-        assert fresh["run"] == committed["run"], (
+        committed = SNAPSHOT.read_text()
+        rendered = render(deterministic_subset(report))
+        assert json.loads(rendered)["run"] == json.loads(committed)["run"], (
             "bench parameters differ from the committed snapshot; "
             "re-run with matching REPRO_BENCH_* values")
-        assert fresh == committed
+        # Byte for byte, as ``obs_export.emit_snapshot`` checks it.
+        assert rendered == committed

@@ -60,7 +60,7 @@ def main() -> None:
     print(reports.render_table4(iip_summary_table(dataset, archive, VETTED_IIPS)))
     print()
     vetted = results.vetted_packages()
-    unvetted = [p for p in results.unvetted_packages() if p not in set(vetted)]
+    unvetted = results.unvetted_packages()
     t5 = install_increase_comparison(archive, dataset, vetted, unvetted,
                                      results.baseline_packages,
                                      results.baseline_window)

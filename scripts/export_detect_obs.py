@@ -95,10 +95,9 @@ def run_wild_source(profile: str = "naive") -> tuple:
 
 
 def run_honey_evasive() -> tuple:
-    pack = parse_scenario("evasive")
     world = World(seed=SEED)
     hook = EvasiveLiveDetection(
-        pack.evasion, world.seeds.seed_for("honey-evasion"),
+        world.seeds.seed_for("honey-evasion"),
         obs=world.obs, source="honey", config=HONEY_DETECTOR_CONFIG)
     started = time.monotonic()
     HoneyAppExperiment(world, installs_per_iip=HONEY_INSTALLS,

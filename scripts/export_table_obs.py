@@ -60,11 +60,7 @@ def build_bundle() -> tuple:
     scenario.build()
     results = WildMeasurement(world, scenario, WildMeasurementConfig(
         measurement_days=DAYS)).run()
-    vetted = results.vetted_packages()
-    vetted_set = set(vetted)
-    unvetted = [p for p in results.unvetted_packages()
-                if p not in vetted_set]
-    return results, vetted, unvetted
+    return results, results.vetted_packages(), results.unvetted_packages()
 
 
 def render_tables(results, vetted, unvetted) -> dict:

@@ -101,7 +101,7 @@ def _print_scenario_sections(world, scenario, through_day: int) -> None:
 
 
 def _positive_float(text: str) -> float:
-    """Argparse type: a strictly positive float (``--scale``)."""
+    """Argparse type: a strictly positive float (every ``--scale``)."""
     try:
         value = float(text)
     except ValueError:
@@ -113,7 +113,8 @@ def _positive_float(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """Argparse type: a strictly positive integer (``--days``)."""
+    """Argparse type: a strictly positive integer (``--days`` and the
+    serve sizes)."""
     try:
         value = int(text)
     except ValueError:
@@ -253,10 +254,10 @@ def _add_detect(subparsers) -> None:
                         help="event source: the synthetic labelled corpus, "
                              "the Section-3 honey telemetry, or the "
                              "Section-4 wild monitor (default: corpus)")
-    parser.add_argument("--scale", type=float, default=0.05,
+    parser.add_argument("--scale", type=_positive_float, default=0.05,
                         help="wild source: fraction of the paper's 922 "
                              "advertised apps (default: 0.05)")
-    parser.add_argument("--days", type=int, default=14,
+    parser.add_argument("--days", type=_positive_int, default=14,
                         help="wild source: measurement days (default: 14)")
     parser.add_argument("--installs-per-iip", type=int, default=None,
                         help="honey source: installs to purchase from each "
@@ -271,25 +272,25 @@ def _add_serve(subparsers) -> None:
         "serve", help="run the always-on detection/analytics service "
                       "under a seeded load-generating client fleet")
     parser.add_argument("--seed", type=int, default=2019)
-    parser.add_argument("--days", type=int, default=2,
+    parser.add_argument("--days", type=_positive_int, default=2,
                         help="simulated service days on the virtual-time "
                              "loop (default: 2)")
-    parser.add_argument("--clients", type=int, default=8,
+    parser.add_argument("--clients", type=_positive_int, default=8,
                         help="fleet clients, each with its own derived "
                              "RNG stream (default: 8)")
     parser.add_argument("--qps", type=float, default=1.0,
                         help="admission token refill, requests per virtual "
                              "second (default: 1.0)")
-    parser.add_argument("--burst", type=int, default=12,
+    parser.add_argument("--burst", type=_positive_int, default=12,
                         help="admission token-bucket capacity (default: 12)")
-    parser.add_argument("--scale", type=float, default=0.1,
+    parser.add_argument("--scale", type=_positive_float, default=0.1,
                         help="device-population multiplier per client, "
                              "toward millions of simulated users "
                              "(default: 0.1)")
     parser.add_argument("--profile", default="query-heavy",
                         choices=("query-heavy", "ingest-heavy", "mixed"),
                         help="fleet endpoint mix (default: query-heavy)")
-    parser.add_argument("--shards", type=int,
+    parser.add_argument("--shards", type=_positive_int,
                         default=ServeRunConfig.shards,
                         help="the service's worker-task count (default: "
                              "%(default)s); another count changes queueing, "
@@ -335,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     paper = subparsers.add_parser(
         "paper", help="run the full reproduction and print every table")
     paper.add_argument("--seed", type=int, default=2019)
-    paper.add_argument("--scale", type=float, default=1.0)
-    paper.add_argument("--days", type=int, default=None)
+    paper.add_argument("--scale", type=_positive_float, default=1.0)
+    paper.add_argument("--days", type=_positive_int, default=None)
     return parser
 
 
@@ -532,7 +533,7 @@ def _cmd_detect(args) -> int:
         if pack.evasive:
             from repro.scenarios import EvasiveLiveDetection
             hook = EvasiveLiveDetection(
-                pack.evasion, world.seeds.seed_for("honey-evasion"),
+                world.seeds.seed_for("honey-evasion"),
                 obs=obs, source="honey", config=HONEY_DETECTOR_CONFIG)
         else:
             hook = world.detection_hook("honey",

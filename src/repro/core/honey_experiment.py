@@ -28,6 +28,7 @@ from repro.detection.events import DeviceInstallEvent
 from repro.detection.live import LiveDetection, honey_install_event
 from repro.honeyapp.analysis import CampaignWindow, HoneyExperimentAnalysis
 from repro.honeyapp.app import HONEY_PACKAGE, HONEY_TITLE, HoneyApp
+from repro.iip.mediator import FEE_PER_USER_USD
 from repro.iip.offers import OfferCategory, tasks_for
 from repro.iip.platform import DeveloperCredentials
 from repro.net.client import TlsSessionCache
@@ -408,7 +409,7 @@ class HoneyAppExperiment:
             developer_id=HONEY_DEVELOPER_ID, tax_id="TAX-RESEARCH",
             bank_account="IBAN-RESEARCH"))
         cost = (payout * (1 + platform.config.advertiser_markup)
-                + world.mediator.fee_per_user_usd)
+                + FEE_PER_USER_USD)
         budget = max(cost * purchased * 1.5, platform.config.min_deposit_usd * 1.2)
         world.money.mint(HONEY_DEVELOPER_ID, budget, day=start_day,
                          memo=f"honey campaign on {iip_name}")

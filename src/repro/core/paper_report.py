@@ -70,8 +70,7 @@ def analyse(results: WildResults) -> PaperReport:
     """Every paper table/figure from one set of measured results."""
     dataset, archive = results.dataset, results.archive
     vetted = results.vetted_packages()
-    vetted_set = set(vetted)
-    unvetted = [p for p in results.unvetted_packages() if p not in vetted_set]
+    unvetted = results.unvetted_packages()
     sections: List[Tuple[str, str]] = []
 
     sections.append(("table1", reports.render_table1()))

@@ -58,16 +58,18 @@ STAGE_OP_BOUNDS: Tuple[float, ...] = (
 STAGE_HISTOGRAMS: Tuple[str, ...] = (
     "wild.milk_ops", "wild.crawl_ops", "wild.analyse_ops")
 
+#: The offer walls are milked every other day, from this many VPN exit
+#: countries per milk day, rotating through ``MILKER_COUNTRIES``.
+MILK_CADENCE_DAYS = 2
+COUNTRIES_PER_MILK_DAY = 2
+#: The baseline apps' comparison window: one average campaign from day 0.
+BASELINE_WINDOW: Tuple[int, int] = (
+    0, paperdata.AVERAGE_CAMPAIGN_DURATION_DAYS)
+
 
 @dataclass(frozen=True)
 class WildMeasurementConfig:
     measurement_days: int = paperdata.WILD_MEASUREMENT_DAYS
-    crawl_cadence_days: int = paperdata.CRAWL_CADENCE_DAYS
-    milk_cadence_days: int = 2
-    countries: Tuple[str, ...] = MILKER_COUNTRIES
-    countries_per_milk_day: int = 2
-    baseline_window: Tuple[int, int] = (
-        0, paperdata.AVERAGE_CAMPAIGN_DURATION_DAYS)
     #: Streaming mode: when positive, analysis folds run over columnar
     #: chunks of at most this many rows and the raw observation log and
     #: the crawl archive's profiles spill to disk — peak RSS stops
@@ -190,11 +192,10 @@ class WildMeasurement:
         self.detection = detection
         self._detection_bridge: Optional[WildEventBridge] = None
         if detection is not None:
-            pack = scenario.config.scenario
             self._detection_bridge = WildEventBridge(
                 world.fabric.asn_db,
                 world.seeds.seed_for("detection-bridge"), detection,
-                evasion=pack.evasion if pack.evasive else None)
+                evasive=scenario.config.scenario.evasive)
         # Resilience for both measurement clients: the paper's milkers
         # and crawler retried flaky fetches rather than losing the day.
         self.retry_policy = RetryPolicy()
@@ -206,7 +207,7 @@ class WildMeasurement:
         phone_trust = world.device_trust_store()
         self.cells: Dict[str, Milker] = {}
         mitms = {}
-        for country in self.config.countries:
+        for country in MILKER_COUNTRIES:
             mitm = world.build_mitm(
                 hostname=f"mitm-{country.lower()}.lab.example")
             phone_trust.add_root(mitm.ca_certificate())
@@ -240,7 +241,6 @@ class WildMeasurement:
             world.measurement_client(retry_policy=self.retry_policy),
             PLAY_HOST,
             archive=archive,
-            cadence_days=self.config.crawl_cadence_days,
             obs=world.obs,
             crawl_chart_profiles=True)
         self._milk_errors: List[str] = []
@@ -309,7 +309,7 @@ class WildMeasurement:
                     recovery.crash_point("wild.day", day)
                 with tracer.span("wild.scenario", day=day):
                     self.scenario.run_day(day)
-                if day % config.milk_cadence_days == 0:
+                if day % MILK_CADENCE_DAYS == 0:
                     if recovery is not None:
                         recovery.crash_point("wild.milk", day)
                     with tracer.span("wild.milk", day=day) as span:
@@ -395,11 +395,9 @@ class WildMeasurement:
         world.obs.load_state(state["obs"])
 
     def _countries_for(self, day: int) -> Sequence[str]:
-        count = min(self.config.countries_per_milk_day,
-                    len(self.config.countries))
-        start = (day // self.config.milk_cadence_days * count)
-        return [self.config.countries[(start + i) % len(self.config.countries)]
-                for i in range(count)]
+        start = day // MILK_CADENCE_DAYS * COUNTRIES_PER_MILK_DAY
+        return [MILKER_COUNTRIES[(start + i) % len(MILKER_COUNTRIES)]
+                for i in range(COUNTRIES_PER_MILK_DAY)]
 
     def run_milk_payload(self, payload) -> Tuple[MilkRun, Observability]:
         """Execute one ``("milk", day, country, package)`` spec payload:
@@ -510,7 +508,7 @@ class WildMeasurement:
             apk_scan=scan,
             snapshot=snapshot,
             baseline_packages=self.scenario.baseline_packages(),
-            baseline_window=self.config.baseline_window,
+            baseline_window=BASELINE_WINDOW,
             milk_runs=self._milk_runs,
             milk_errors=self._milk_errors,
             crawl_requests=self.crawler.requests_made,

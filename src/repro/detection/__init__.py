@@ -18,8 +18,8 @@ from repro.detection.hardened import (HardenedDetectorConfig,
 from repro.detection.lockstep import (DetectorConfig, LockstepCluster,
                                       LockstepDetector, build_cluster,
                                       cluster_weight)
-from repro.detection.live import (LiveDetection, WildBridgeConfig,
-                                  WildEventBridge, honey_install_event)
+from repro.detection.live import (LiveDetection, WildEventBridge,
+                                  honey_install_event)
 from repro.detection.stream import InstallEventBus, OnlineLockstepDetector
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "LockstepCluster",
     "LockstepDetector",
     "OnlineLockstepDetector",
-    "WildBridgeConfig",
     "WildEventBridge",
     "build_cluster",
     "cluster_weight",

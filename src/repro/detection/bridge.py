@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
-from repro.detection.events import DeviceInstallEvent, InstallLog
-from repro.honeyapp.telemetry import sanitize_ssid
+from repro.detection.events import InstallLog
+from repro.detection.live import device_event
 from repro.net.ip import AsnDatabase
 from repro.users.devices import Device, DeviceFactory
 
@@ -32,20 +32,6 @@ class TrainingCorpusConfig:
     farm_campaign_index: int = 0       # which campaign uses a device farm
     farm_size: int = 15
     days: int = 14
-
-
-def _event(device: Device, package: str, day: int, hour: float,
-           opened: bool, engagement: float) -> DeviceInstallEvent:
-    return DeviceInstallEvent(
-        device_id=device.device_id,
-        package=package,
-        day=day,
-        hour=hour,
-        ip_slash24=f"{device.address.anonymized()}/24",
-        ssid_hash=sanitize_ssid(device.profile.ssid),
-        opened=opened,
-        engagement_seconds=engagement if opened else 0.0,
-    )
 
 
 def build_training_corpus(seed: int = 1,
@@ -66,7 +52,7 @@ def build_training_corpus(seed: int = 1,
         count = rng.randint(*config.organic_installs_per_device)
         for _ in range(count):
             pool = popular if rng.random() < 0.9 else advertised
-            log.add(_event(
+            log.add(device_event(
                 device, rng.choice(pool),
                 day=rng.randrange(config.days),
                 hour=rng.uniform(0, 24.0),
@@ -102,7 +88,7 @@ def build_training_corpus(seed: int = 1,
             hour = (start_hour + offset) % 24.0
             day = start_day + int((start_hour + offset) // 24.0)
             opened = rng.random() < 0.8
-            log.add(_event(device, package, day, hour, opened,
-                           engagement=rng.uniform(20.0, 120.0)))
+            log.add(device_event(device, package, day, hour, opened,
+                                 engagement=rng.uniform(20.0, 120.0)))
             incentivized.add(device.device_id)
     return log, incentivized

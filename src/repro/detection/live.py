@@ -33,7 +33,6 @@ Two adapters feed it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.detection.evaluation import DetectionReport, evaluate_detector
@@ -65,6 +64,38 @@ HONEY_RETURN_BONUS_SECONDS = 360.0
 #: to 0.4 to keep the campaign windows from flickering in and out.
 HONEY_DETECTOR_CONFIG = DetectorConfig(min_bursts_per_device=1,
                                        min_low_engagement_fraction=0.4)
+
+#: How :class:`WildEventBridge` converts offer impressions into install
+#: events.  Rates are loosely calibrated to the Section-3 ground truth
+#: (most conversions barely engage; workers take many offers; farms
+#: exist but are a minority) and sized so bench-scale wild runs produce
+#: bursts above the detector's ``min_burst_size``.
+CONVERSION_PROBABILITY = 0.7        # impression drives installs
+CONVERSIONS_RANGE = (2, 6)
+WORKER_REUSE_PROBABILITY = 0.75     # semi-professional workers
+FARM_PROBABILITY = 0.25             # pool seeded with a farm
+FARM_SIZE = 10
+ANCHOR_RANGE = (6.0, 16.0)
+BURST_SPREAD_HOURS = 4.0            # inside the 6 h burst window
+OPENED_PROBABILITY = 0.8
+ENGAGEMENT_RANGE = (20.0, 120.0)
+ORGANIC_MAX_PER_PACKAGE = 2
+WORKER_COUNTRIES = ("IN", "PH", "ID", "BD")
+ORGANIC_COUNTRIES = ("US", "DE", "IN", "BR")
+
+#: How evasive campaigns scatter their install footprint: instead of
+#: draining into one tight per-``(package, day)`` anchor burst,
+#: conversions split across ``EVASION_SPLIT_BATCHES`` sub-bursts
+#: scattered over ``EVASION_SPREAD_HOURS``, a ``COVER_PROBABILITY``
+#: slice of workers leaves genuine-looking engagement (above the
+#: detector's 180 s line), and extra organic installs are mixed in as
+#: cover.  :func:`repro.scenarios.evade_event` shares the cover draw.
+EVASION_SPREAD_HOURS = 16.0         # sub-bursts scatter over this span
+EVASION_SPLIT_BATCHES = 3           # sub-bursts per (package, day)
+EVASION_BATCH_SPREAD_HOURS = 1.5    # width of one sub-burst
+COVER_PROBABILITY = 0.55            # workers faking real engagement
+COVER_ENGAGEMENT_RANGE = (240.0, 720.0)
+ORGANIC_COVER_MULTIPLIER = 3        # extra organic installs per app
 
 
 def device_event(device: Device, package: str, day: int, hour: float,
@@ -187,30 +218,6 @@ class LiveDetection:
         self.incentivized = set(state["incentivized"])  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class WildBridgeConfig:
-    """How offer impressions convert into install events.
-
-    Rates are loosely calibrated to the Section-3 ground truth (most
-    conversions barely engage; workers take many offers; farms exist
-    but are a minority) and sized so bench-scale wild runs produce
-    bursts above the detector's ``min_burst_size``.
-    """
-
-    conversion_probability: float = 0.7     # impression drives installs
-    conversions_range: Tuple[int, int] = (2, 6)
-    reuse_probability: float = 0.75         # semi-professional workers
-    farm_probability: float = 0.25          # pool seeded with a farm
-    farm_size: int = 10
-    anchor_range: Tuple[float, float] = (6.0, 16.0)
-    burst_spread_hours: float = 4.0         # inside the 6 h burst window
-    opened_probability: float = 0.8
-    engagement_range: Tuple[float, float] = (20.0, 120.0)
-    organic_max_per_package: int = 2
-    worker_countries: Tuple[str, ...] = ("IN", "PH", "ID", "BD")
-    organic_countries: Tuple[str, ...] = ("US", "DE", "IN", "BR")
-
-
 class WildEventBridge:
     """Turns the milker's offer impressions into install events.
 
@@ -222,15 +229,12 @@ class WildEventBridge:
     """
 
     def __init__(self, asn_db: AsnDatabase, seed: int, hook: LiveDetection,
-                 config: Optional[WildBridgeConfig] = None,
-                 evasion=None) -> None:
+                 evasive: bool = False) -> None:
         self.hook = hook
         self.seed = seed
-        self.config = config or WildBridgeConfig()
-        #: :class:`repro.scenarios.EvasionConfig` when the population
-        #: fights back; ``None`` keeps the naive draw sequence
-        #: bit-for-bit intact.
-        self.evasion = evasion
+        #: Whether the population fights back; ``False`` keeps the
+        #: naive draw sequence bit-for-bit intact.
+        self.evasive = evasive
         self.factory = DeviceFactory(asn_db, derive_rng(seed, "devices"),
                                      namespace="wilddet")
         self._pools: Dict[Tuple[str, str], List[Device]] = {}
@@ -266,17 +270,16 @@ class WildEventBridge:
         pool = self._pools.get(key)
         if pool is None:
             pool = []
-            if rng.random() < self.config.farm_probability:
-                farm = self.factory.farm("PH", size=self.config.farm_size)
+            if rng.random() < FARM_PROBABILITY:
+                farm = self.factory.farm("PH", size=FARM_SIZE)
                 pool.extend(farm.devices)
             self._pools[key] = pool
         return pool
 
     def _worker(self, pool: List[Device], rng) -> Device:
-        if pool and rng.random() < self.config.reuse_probability:
+        if pool and rng.random() < WORKER_REUSE_PROBABILITY:
             return rng.choice(pool)
-        fresh = self.factory.real_phone(
-            rng.choice(self.config.worker_countries))
+        fresh = self.factory.real_phone(rng.choice(WORKER_COUNTRIES))
         pool.append(fresh)
         return fresh
 
@@ -290,8 +293,7 @@ class WildEventBridge:
         bridge's determinism rests on that ordering, so callers must
         only invoke it post-barrier.
         """
-        config = self.config
-        evasion = self.evasion
+        evasive = self.evasive
         rng = derive_rng(self.seed, "day", day)
         events: List[DeviceInstallEvent] = []
         incentivized: Set[str] = set()
@@ -300,7 +302,7 @@ class WildEventBridge:
             package = offer.package
             if package not in packages_seen:
                 packages_seen.append(package)
-            if rng.random() >= config.conversion_probability:
+            if rng.random() >= CONVERSION_PROBABILITY:
                 continue
             # Campaign conversions cluster around a per-(package, day)
             # anchor hour regardless of which wall/country surfaced the
@@ -308,38 +310,36 @@ class WildEventBridge:
             # evasive campaign scatters them instead: split sub-bursts
             # across most of the day, each narrow but far apart.
             anchor_rng = derive_rng(self.seed, "anchor", package, day)
-            if evasion is None:
-                anchor = anchor_rng.uniform(*config.anchor_range)
+            if not evasive:
+                anchor = anchor_rng.uniform(*ANCHOR_RANGE)
             else:
                 scatter_start = anchor_rng.uniform(
-                    0.0, max(0.1, 23.0 - evasion.spread_hours))
+                    0.0, max(0.1, 23.0 - EVASION_SPREAD_HOURS))
                 sub_anchors = sorted(
                     scatter_start + anchor_rng.uniform(
-                        0.0, evasion.spread_hours)
-                    for _ in range(max(1, evasion.split_batches)))
+                        0.0, EVASION_SPREAD_HOURS)
+                    for _ in range(EVASION_SPLIT_BATCHES))
             pool = self._pool(offer.iip_name, offer.country or "anon", rng)
-            for _ in range(rng.randint(*config.conversions_range)):
+            for _ in range(rng.randint(*CONVERSIONS_RANGE)):
                 device = self._worker(pool, rng)
                 if device.has_installed(package):
                     continue
                 device.install(package)
-                if evasion is None:
-                    hour = anchor + rng.uniform(0.0,
-                                                config.burst_spread_hours)
-                    opened = rng.random() < config.opened_probability
-                    engagement = rng.uniform(*config.engagement_range)
+                if not evasive:
+                    hour = anchor + rng.uniform(0.0, BURST_SPREAD_HOURS)
+                    opened = rng.random() < OPENED_PROBABILITY
+                    engagement = rng.uniform(*ENGAGEMENT_RANGE)
                 else:
                     batch = rng.randrange(len(sub_anchors))
                     hour = (sub_anchors[batch]
-                            + rng.uniform(0.0, evasion.batch_spread_hours))
-                    opened = rng.random() < config.opened_probability
-                    engagement = rng.uniform(*config.engagement_range)
-                    if rng.random() < evasion.cover_probability:
+                            + rng.uniform(0.0, EVASION_BATCH_SPREAD_HOURS))
+                    opened = rng.random() < OPENED_PROBABILITY
+                    engagement = rng.uniform(*ENGAGEMENT_RANGE)
+                    if rng.random() < COVER_PROBABILITY:
                         # Cover traffic: the worker plays the app past
                         # the detector's low-engagement line.
                         opened = True
-                        engagement = rng.uniform(
-                            *evasion.cover_engagement_range)
+                        engagement = rng.uniform(*COVER_ENGAGEMENT_RANGE)
                 hour = min(23.999, hour)
                 events.append(device_event(device, package, day, hour,
                                            opened, engagement))
@@ -348,13 +348,13 @@ class WildEventBridge:
         # devices, any hour, genuine engagement — the background the
         # detector must not flag.  Evasive campaigns buy extra organic
         # cover (burst-blurring installs from real-looking devices).
-        organic_cap = config.organic_max_per_package
-        if evasion is not None:
-            organic_cap *= max(1, evasion.organic_cover_multiplier)
+        organic_cap = ORGANIC_MAX_PER_PACKAGE
+        if evasive:
+            organic_cap *= ORGANIC_COVER_MULTIPLIER
         for package in packages_seen:
             for _ in range(rng.randint(0, organic_cap)):
                 device = self.factory.real_phone(
-                    rng.choice(config.organic_countries))
+                    rng.choice(ORGANIC_COUNTRIES))
                 device.install(package)
                 hour = min(23.999, rng.uniform(0.0, 24.0))
                 opened = rng.random() < 0.95

@@ -31,11 +31,9 @@ class HoneyAppNotInstalledError(RuntimeError):
 class HoneyApp:
     """One install of the honey app on one device."""
 
-    def __init__(self, device: Device, client: HttpClient,
-                 collect_host: str = COLLECT_HOST) -> None:
+    def __init__(self, device: Device, client: HttpClient) -> None:
         self.device = device
         self._client = client
-        self._collect_host = collect_host
         self.memos_recorded: List[float] = []
         self.upload_failures = 0
 
@@ -43,7 +41,7 @@ class HoneyApp:
         payload = build_payload(event, self.device, day, hour)
         try:
             response = self._client.post_json(
-                self._collect_host, "/v1/telemetry", payload.to_json())
+                COLLECT_HOST, "/v1/telemetry", payload.to_json())
         except Exception:  # noqa: BLE001 - telemetry must never crash the app
             self.upload_failures += 1
             return False

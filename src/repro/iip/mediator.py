@@ -4,7 +4,7 @@ The mediator is trusted by both the developer and the IIP: the
 advertised app embeds the mediator's SDK, the SDK reports installs and
 task completions, and the IIP only disburses payouts that the mediator
 certifies.  The paper cites appsflyer's 0.03 USD/user pricing, which is
-the default fee here.
+the fee here.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-DEFAULT_FEE_PER_USER_USD = 0.03
+#: The mediator's fee per attributed user (appsflyer's pricing).
+FEE_PER_USER_USD = 0.03
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,8 @@ class Conversion:
 class AttributionMediator:
     """Tracks SDK postbacks and certifies completions."""
 
-    def __init__(self, name: str = "appsflyer.example",
-                 fee_per_user_usd: float = DEFAULT_FEE_PER_USER_USD) -> None:
+    def __init__(self, name: str = "appsflyer.example") -> None:
         self.name = name
-        self.fee_per_user_usd = fee_per_user_usd
         self._conversions: List[Conversion] = []
         self._seen: Set[Tuple[str, str]] = set()  # (offer, device) dedup
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.iip.accounting import Disbursement, MoneyLedger
 from repro.iip.campaigns import Campaign, CampaignState
-from repro.iip.mediator import AttributionMediator
+from repro.iip.mediator import FEE_PER_USER_USD, AttributionMediator
 from repro.iip.offers import ActivityKind, Offer, OfferCategory, TaskSpec
 
 
@@ -127,7 +127,7 @@ class IncentivizedInstallPlatform:
             raise VettingError(
                 f"developer {developer_id!r} is not registered with {self.name}")
         cost_per_install = payout_usd * (1.0 + self.config.advertiser_markup)
-        budget = (cost_per_install + self.mediator.fee_per_user_usd) * installs
+        budget = (cost_per_install + FEE_PER_USER_USD) * installs
         balance = self.ledger.wallet(developer_id).balance_usd
         required = max(budget, self.config.min_deposit_usd)
         if balance + 1e-9 < required:
@@ -238,5 +238,5 @@ class IncentivizedInstallPlatform:
             advertiser_cost_usd=campaign.advertiser_cost_per_install_usd,
             user_payout_usd=campaign.offer.payout_usd,
             affiliate_share=self.config.affiliate_share,
-            mediator_fee_usd=self.mediator.fee_per_user_usd,
+            mediator_fee_usd=FEE_PER_USER_USD,
         )

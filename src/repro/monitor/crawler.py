@@ -13,17 +13,14 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.streams import SpillableLog
-from repro.net.client import HttpClient
+from repro.net.client import RETRIABLE_STATUSES, HttpClient
 from repro.net.errors import NetError
 from repro.obs import Observability
 from repro.parallel import ShardScheduler
 from repro.playstore.charts import ChartKind
 
-DEFAULT_CADENCE_DAYS = 2
-
-#: Statuses that mean "try this profile again next crawl day" (the app
-#: may well exist; the front end was rate-limiting or falling over).
-RETRY_NEXT_VISIT_STATUSES = (429, 500, 502, 503, 504)
+#: Profiles and top charts are crawled every other day (Section 4.3.1).
+CRAWL_CADENCE_DAYS = 2
 
 
 @dataclass(frozen=True)
@@ -320,15 +317,11 @@ class PlayStoreCrawler:
 
     def __init__(self, client: HttpClient, play_host: str,
                  archive: Optional[CrawlArchive] = None,
-                 cadence_days: int = DEFAULT_CADENCE_DAYS,
                  obs: Optional[Observability] = None,
                  crawl_chart_profiles: bool = False) -> None:
-        if cadence_days <= 0:
-            raise ValueError("cadence must be positive")
         self._client = client
         self._play_host = play_host
         self.archive = archive or CrawlArchive()
-        self.cadence_days = cadence_days
         self.requests_made = 0
         self.failures = 0
         #: Profiles whose fetch failed transiently, carried to the next
@@ -347,8 +340,8 @@ class PlayStoreCrawler:
         self._followed: List[str] = []
         self._followed_set: set = set()
 
-    def should_crawl(self, day: int, start_day: int = 0) -> bool:
-        return day >= start_day and (day - start_day) % self.cadence_days == 0
+    def should_crawl(self, day: int) -> bool:
+        return day % CRAWL_CADENCE_DAYS == 0
 
     @property
     def client(self) -> HttpClient:
@@ -432,8 +425,10 @@ class PlayStoreCrawler:
             # fetch is.  Queue it for the next crawl day.
             return None, type(exc).__name__, True
         if not response.ok:
+            # A rate limit or server fault: the app may well exist, so
+            # the profile is tried again on the next crawl day.
             return (None, f"http_{response.status}",
-                    response.status in RETRY_NEXT_VISIT_STATUSES)
+                    response.status in RETRIABLE_STATUSES)
         try:
             payload = response.json()
             snapshot = ProfileSnapshot(

@@ -26,7 +26,6 @@ from repro.net.client import (
 from repro.net.errors import NetError, TlsError
 from repro.net.fabric import NetworkFabric
 from repro.net.proxy import MitmProxy
-from repro.net.tls import TrustStore
 from repro.net.vpn import VpnExitPool
 from repro.obs import Observability
 from repro.users.devices import Device
@@ -63,7 +62,6 @@ class Milker:
         walls: Mapping[str, OfferWallServer],
         rng: random.Random,
         vpn: Optional[VpnExitPool] = None,
-        public_trust: Optional[TrustStore] = None,
         obs: Optional[Observability] = None,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
@@ -89,8 +87,6 @@ class Milker:
         self.obs = obs or fabric.obs
         self.retry_policy = retry_policy
         self.breaker = breaker
-        if public_trust is not None:
-            self.mitm.upstream_trust = public_trust
 
     # -- checkpoint/restore ---------------------------------------------------
 

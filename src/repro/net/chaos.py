@@ -26,7 +26,6 @@ Design:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -34,12 +33,26 @@ from repro.net.errors import (
     ConnectionRefusedFabricError,
     TransientNetworkError,
 )
+from repro.parallel.hashing import stable_hash
 
 DayClock = Callable[[], int]
 FaultFactory = Callable[[], Exception]
 
 #: Retriable statuses the chaos engine injects at the HTTP layer.
 INJECTED_STATUSES: Tuple[int, ...] = (429, 503)
+
+
+def hashed_roll(*parts: object) -> float:
+    """A uniform draw in [0, 1) that is a pure function of ``parts``:
+    :func:`~repro.parallel.hashing.stable_hash` over 2**64."""
+    return stable_hash(*parts) / 2.0 ** 64
+
+
+def injected_status(*parts: object) -> int:
+    """The status an injected HTTP fault answers with, picked by the
+    hashed roll of ``parts``."""
+    count = len(INJECTED_STATUSES)
+    return INJECTED_STATUSES[int(hashed_roll(*parts) * count) % count]
 
 
 @dataclass(frozen=True)
@@ -211,15 +224,10 @@ class FaultPlan:
 
     # -- deterministic dice ---------------------------------------------------
 
-    def _roll(self, *parts: object) -> float:
-        material = ":".join(str(part) for part in parts).encode("utf-8")
-        digest = hashlib.sha256(material).digest()
-        return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
     def _hit(self, rate: float, *parts: object) -> bool:
         if rate <= 0.0:
             return False
-        return self._roll(self.scenario.seed, *parts) < rate
+        return hashed_roll(self.scenario.seed, *parts) < rate
 
     def _count(self, kind: str) -> None:
         self.decisions[kind] = self.decisions.get(kind, 0) + 1
@@ -267,10 +275,8 @@ class FaultPlan:
         day = self.day()
         seq = self._next_seq(self._http_seq, hostname)
         if self._hit(scenario.http_error_rate, "http", hostname, day, seq):
-            which = self._roll(self.scenario.seed, "status",
-                               hostname, day, seq)
-            status = INJECTED_STATUSES[int(which * len(INJECTED_STATUSES))
-                                       % len(INJECTED_STATUSES)]
+            status = injected_status(self.scenario.seed, "status",
+                                     hostname, day, seq)
             self._count("http_error")
             return HttpFault(kind="status", status=status)
         if self._hit(scenario.corrupt_json_rate, "json", hostname, day, seq):
@@ -340,4 +346,6 @@ __all__ = [
     "INJECTED_STATUSES",
     "OutageWindow",
     "clone_exception",
+    "hashed_roll",
+    "injected_status",
 ]

@@ -48,15 +48,13 @@ class RetryPolicy:
     observability context — a deterministic stand-in for sleeping.
     """
 
-    def __init__(self, max_attempts: int = 3, backoff_ops: int = 2,
-                 retry_statuses: Tuple[int, ...] = RETRIABLE_STATUSES) -> None:
+    def __init__(self, max_attempts: int = 3, backoff_ops: int = 2) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if backoff_ops < 0:
             raise ValueError("backoff_ops cannot be negative")
         self.max_attempts = max_attempts
         self.backoff_ops = backoff_ops
-        self.retry_statuses = tuple(retry_statuses)
 
     def retriable_error(self, error: Exception) -> bool:
         if isinstance(error, _PERMANENT_ERRORS) or isinstance(
@@ -65,7 +63,7 @@ class RetryPolicy:
         return isinstance(error, NetError)
 
     def retriable_status(self, status: int) -> bool:
-        return status in self.retry_statuses
+        return status in RETRIABLE_STATUSES
 
 
 class CircuitBreaker:

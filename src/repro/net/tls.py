@@ -103,9 +103,9 @@ class Certificate:
 class CertificateAuthority:
     """Issues certificates; may be a root (self-signed) or an attacker CA."""
 
-    def __init__(self, name: str, rng: random.Random, key_bits: int = _KEY_BITS) -> None:
+    def __init__(self, name: str, rng: random.Random) -> None:
         self.name = name
-        self._keypair = crypto.generate_keypair(key_bits, rng)
+        self._keypair = crypto.generate_keypair(_KEY_BITS, rng)
         self._next_serial = 1
 
     @property
@@ -550,12 +550,11 @@ def issue_server_identity(
     ca: CertificateAuthority,
     hostname: str,
     rng: random.Random,
-    key_bits: int = _KEY_BITS,
     not_before: int = 0,
     not_after: int = 10_000,
 ) -> ServerIdentity:
     """Generate a fresh keypair for ``hostname`` and certify it via ``ca``."""
-    keypair = crypto.generate_keypair(key_bits, rng)
+    keypair = crypto.generate_keypair(_KEY_BITS, rng)
     leaf = ca.issue(hostname, keypair.public, not_before, not_after)
     return ServerIdentity(chain=[leaf], private_key=keypair.private)
 

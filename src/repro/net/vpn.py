@@ -22,6 +22,9 @@ from repro.net.fabric import NetworkFabric
 from repro.net.ip import MILKER_COUNTRIES, AsnDatabase
 from repro.net.proxy import ForwardProxy
 
+#: Domain of the VPN provider's exit hostnames.
+VPN_PROVIDER = "luminati.example"
+
 
 class VpnExitPool:
     """A set of per-country forward proxies on the fabric."""
@@ -31,10 +34,8 @@ class VpnExitPool:
         fabric: NetworkFabric,
         rng: random.Random,
         countries: Tuple[str, ...] = MILKER_COUNTRIES,
-        provider: str = "luminati.example",
     ) -> None:
         self.fabric = fabric
-        self.provider = provider
         self._exits: Dict[str, ForwardProxy] = {}
         asn_db = fabric.asn_db
         for country in countries:
@@ -47,7 +48,7 @@ class VpnExitPool:
             candidates = asn_db.datacenter_asns()
         asn = candidates[0]
         address = asn_db.allocate(asn.number, rng)
-        hostname = f"exit-{country.lower()}.{self.provider}"
+        hostname = f"exit-{country.lower()}.{VPN_PROVIDER}"
         # The chaos engine models VPN exits dropping for whole days;
         # marking the exit lets the fault plan target it specifically.
         self.fabric.chaos.mark_vpn_exit(hostname)

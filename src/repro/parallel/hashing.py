@@ -1,11 +1,12 @@
 """Stable hashing and RNG derivation for sharded work.
 
 Python's builtin ``hash`` is salted per process, so shard assignment
-must come from a content hash.  This module uses the same construction
-as :class:`repro.net.chaos.FaultPlan`: join the parts with ``":"``,
-SHA-256 the bytes, and take the first 8 bytes as a big-endian integer.
-Everything downstream of a shard key (shard index, derived seeds,
-derived RNG streams) is therefore a pure function of the key.
+must come from a content hash: join the parts with ``":"``, SHA-256 the
+bytes, and take the first 8 bytes as a big-endian integer.  Everything
+downstream of a shard key (shard index, derived seeds, derived RNG
+streams) is therefore a pure function of the key, and so is every
+fault roll of :mod:`repro.net.chaos`, the serve frontdoor and the
+crash plan.
 """
 
 from __future__ import annotations

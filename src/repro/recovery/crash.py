@@ -16,9 +16,9 @@ draws no RNG and records only into the dedicated recovery metrics.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro.net.chaos import hashed_roll
 from repro.obs import NULL_OBS, Observability
 
 #: A kill point: (stage, day, within-(stage, day) sequence number).
@@ -87,10 +87,7 @@ class CrashPlan:
         return bool(self.rate > 0.0 or self.kill_points)
 
     def _hit(self, stage: str, day: int, seq: int) -> bool:
-        material = f"{self.seed}:crash:{stage}:{day}:{seq}".encode("utf-8")
-        digest = hashlib.sha256(material).digest()
-        roll = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-        return roll < self.rate
+        return hashed_roll(self.seed, "crash", stage, day, seq) < self.rate
 
     def maybe_crash(self, stage: str, day: int) -> None:
         """Consult the plan at one pipeline point; may not return."""

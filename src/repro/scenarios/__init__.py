@@ -19,7 +19,6 @@ byte-identical under every chaos profile.
 from repro.scenarios.downloadfraud import (
     BoostPlan,
     DownloadFraudDetector,
-    DownloadFraudDetectorConfig,
     rank_trajectory,
     render_fraud_report,
 )
@@ -27,31 +26,22 @@ from repro.scenarios.evasion import EvasiveLiveDetection, evade_event
 from repro.scenarios.fakereviews import (
     ReviewCampaignPlan,
     ReviewSpamDetector,
-    ReviewSpamDetectorConfig,
     render_review_report,
 )
 from repro.scenarios.profiles import (
     NAIVE,
     SCENARIO_CHOICES,
-    DownloadFraudConfig,
-    EvasionConfig,
-    FakeReviewConfig,
     ScenarioPack,
     parse_scenario,
 )
 
 __all__ = [
     "BoostPlan",
-    "DownloadFraudConfig",
     "DownloadFraudDetector",
-    "DownloadFraudDetectorConfig",
-    "EvasionConfig",
     "EvasiveLiveDetection",
-    "FakeReviewConfig",
     "NAIVE",
     "ReviewCampaignPlan",
     "ReviewSpamDetector",
-    "ReviewSpamDetectorConfig",
     "SCENARIO_CHOICES",
     "ScenarioPack",
     "evade_event",

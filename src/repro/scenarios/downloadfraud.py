@@ -40,22 +40,16 @@ class BoostPlan:
         return self.end_day - self.start_day + 1
 
 
-@dataclass(frozen=True)
-class DownloadFraudDetectorConfig:
-    """Spike-ratio and engagement-deficit thresholds."""
-
-    trailing_days: int = 7            # baseline window before each day
-    min_spike_ratio: float = 8.0      # day installs vs trailing mean
-    min_spike_installs: int = 200     # ignore tiny-app noise
-    min_engagement_deficit: float = 5.0   # installs per active user
-    first_day: int = 2                # skip the day-0 seeding batches
+#: The detector's spike-ratio and engagement-deficit thresholds.
+TRAILING_DAYS = 7               # baseline window before each day
+MIN_SPIKE_RATIO = 8.0           # day installs vs trailing mean
+MIN_SPIKE_INSTALLS = 200        # ignore tiny-app noise
+MIN_ENGAGEMENT_DEFICIT = 5.0    # installs per active user
+FIRST_DAY = 2                   # skip the day-0 seeding batches
 
 
 class DownloadFraudDetector:
     """Flags packages whose install history looks farm-pumped."""
-
-    def __init__(self, config: DownloadFraudDetectorConfig = None) -> None:
-        self.config = config or DownloadFraudDetectorConfig()
 
     def _daily_total(self, store: PlayStore, package: str, day: int) -> int:
         return sum(store.ledger.daily_installs(package, day).values())
@@ -69,25 +63,24 @@ class DownloadFraudDetector:
         ratio, healthy engagement) and a big lazy campaign (engagement
         recorded per completion) both stay at zero.
         """
-        config = self.config
         scores: Dict[str, float] = {}
         for package in packages:
             best = 0.0
             daily = [self._daily_total(store, package, day)
                      for day in range(through_day + 1)]
-            for day in range(config.first_day, through_day + 1):
+            for day in range(FIRST_DAY, through_day + 1):
                 installs = daily[day]
-                if installs < config.min_spike_installs:
+                if installs < MIN_SPIKE_INSTALLS:
                     continue
-                start = max(1, day - config.trailing_days)
+                start = max(1, day - TRAILING_DAYS)
                 trailing = daily[start:day]
                 baseline = (sum(trailing) / len(trailing)) if trailing else 0.0
                 ratio = installs / (baseline + 1.0)
-                if ratio < config.min_spike_ratio:
+                if ratio < MIN_SPIKE_RATIO:
                     continue
                 active = store.engagement.for_day(package, day).active_users
                 deficit = installs / (active + 1.0)
-                if deficit < config.min_engagement_deficit:
+                if deficit < MIN_ENGAGEMENT_DEFICIT:
                     continue
                 best = max(best, ratio * deficit)
             scores[package] = best

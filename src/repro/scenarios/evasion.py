@@ -20,28 +20,28 @@ import dataclasses
 from typing import Iterable
 
 from repro.detection.events import DeviceInstallEvent
-from repro.detection.live import LiveDetection
+from repro.detection.live import (COVER_ENGAGEMENT_RANGE, COVER_PROBABILITY,
+                                  LiveDetection)
 from repro.parallel import derive_rng
-from repro.scenarios.profiles import EvasionConfig
+
+#: Post-hoc jitter for honey events, hours either side.
+HONEY_JITTER_HOURS = 6.0
 
 
-def evade_event(event: DeviceInstallEvent, evasion: EvasionConfig,
-                seed: int) -> DeviceInstallEvent:
+def evade_event(event: DeviceInstallEvent, seed: int) -> DeviceInstallEvent:
     """One event, jittered and possibly dressed up as a real user.
 
     Deterministic per ``(device, package, day)``: the same event always
     evades the same way, whatever order batches arrive in.
     """
     rng = derive_rng(seed, event.device_id, event.package, event.day)
-    jitter = rng.uniform(-evasion.honey_jitter_hours,
-                         evasion.honey_jitter_hours)
+    jitter = rng.uniform(-HONEY_JITTER_HOURS, HONEY_JITTER_HOURS)
     hour = min(23.999, max(0.0, event.hour + jitter))
     opened = event.opened
     engagement = event.engagement_seconds
-    if rng.random() < evasion.cover_probability:
+    if rng.random() < COVER_PROBABILITY:
         opened = True
-        engagement = max(engagement,
-                         rng.uniform(*evasion.cover_engagement_range))
+        engagement = max(engagement, rng.uniform(*COVER_ENGAGEMENT_RANGE))
     return dataclasses.replace(event, hour=hour, opened=opened,
                                engagement_seconds=engagement)
 
@@ -49,12 +49,10 @@ def evade_event(event: DeviceInstallEvent, evasion: EvasionConfig,
 class EvasiveLiveDetection(LiveDetection):
     """A ``detection=`` hook whose incoming events evade first."""
 
-    def __init__(self, evasion: EvasionConfig, seed: int, **kwargs) -> None:
+    def __init__(self, seed: int, **kwargs) -> None:
         super().__init__(**kwargs)
-        self.evasion = evasion
         self.evasion_seed = seed
 
     def publish_batch(self, events: Iterable[DeviceInstallEvent]) -> None:
         super().publish_batch(
-            evade_event(event, self.evasion, self.evasion_seed)
-            for event in events)
+            evade_event(event, self.evasion_seed) for event in events)

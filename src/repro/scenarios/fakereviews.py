@@ -34,26 +34,20 @@ class ReviewCampaignPlan:
         return self.start_day <= day < self.start_day + self.duration_days
 
 
-@dataclass(frozen=True)
-class ReviewSpamDetectorConfig:
-    """Feature weights and the flagging threshold."""
-
-    burst_window_days: int = 3       # reviews-per-app burst granularity
-    burst_multiplier: float = 3.0    # burst = window above x the app's mean
-    min_burst_reviews: int = 6       # and at least this many reviews
-    overlap_weight: float = 1.0      # per extra package reviewed (capped)
-    overlap_cap: int = 4
-    burst_weight: float = 1.5        # per burst participated in (capped)
-    burst_cap: int = 4
-    deviation_weight: float = 1.2    # mean in-burst uplift vs the baseline
-    flag_threshold: float = 2.7
+#: The detector's feature weights and flagging threshold.
+BURST_WINDOW_DAYS = 3       # reviews-per-app burst granularity
+BURST_MULTIPLIER = 3.0      # burst = window above x the app's median
+MIN_BURST_REVIEWS = 6       # and at least this many reviews
+OVERLAP_WEIGHT = 1.0        # per extra package reviewed (capped)
+OVERLAP_CAP = 4
+BURST_WEIGHT = 1.5          # per burst participated in (capped)
+BURST_CAP = 4
+DEVIATION_WEIGHT = 1.2      # mean in-burst uplift vs the baseline
+FLAG_THRESHOLD = 2.7
 
 
 class ReviewSpamDetector:
     """Flags reviewer accounts from the store's review book alone."""
-
-    def __init__(self, config: ReviewSpamDetectorConfig = None) -> None:
-        self.config = config or ReviewSpamDetectorConfig()
 
     # -- features -------------------------------------------------------------
 
@@ -66,21 +60,19 @@ class ReviewSpamDetector:
         would be inflated by the very burst being hunted, which lets a
         large burst hide behind itself.
         """
-        config = self.config
         days = [review.day for review in book.all_reviews()]
         if not days:
             return set()
-        span = range(min(days) // config.burst_window_days,
-                     max(days) // config.burst_window_days + 1)
+        span = range(min(days) // BURST_WINDOW_DAYS,
+                     max(days) // BURST_WINDOW_DAYS + 1)
         bursts: Set[Tuple[str, int]] = set()
         for package in book.packages():
             reviews = book.reviews_for(package)
             per_window: Counter = Counter(
-                review.day // config.burst_window_days for review in reviews)
+                review.day // BURST_WINDOW_DAYS for review in reviews)
             counts = sorted(per_window.get(window, 0) for window in span)
             median = counts[len(counts) // 2]
-            threshold = max(config.min_burst_reviews,
-                            config.burst_multiplier * median)
+            threshold = max(MIN_BURST_REVIEWS, BURST_MULTIPLIER * median)
             for window, count in per_window.items():
                 if count >= threshold:
                     bursts.add((package, window))
@@ -88,7 +80,6 @@ class ReviewSpamDetector:
 
     def scores(self, book: ReviewBook) -> Dict[str, float]:
         """Per-reviewer suspicion scores (higher = more likely paid)."""
-        config = self.config
         bursts = self._burst_windows(book)
         packages_by_reviewer: Dict[str, Set[str]] = defaultdict(set)
         burst_hits: Counter = Counter()
@@ -98,7 +89,7 @@ class ReviewSpamDetector:
         for review in book.all_reviews():
             reviewer = review.reviewer_id
             packages_by_reviewer[reviewer].add(review.package)
-            window = review.day // config.burst_window_days
+            window = review.day // BURST_WINDOW_DAYS
             if (review.package, window) not in bursts:
                 # Rating deviation only counts when the burst feature
                 # corroborates it: a lone enthusiastic rating at a quiet
@@ -112,13 +103,13 @@ class ReviewSpamDetector:
                 0.0, review.rating - baseline[review.package])
         scores: Dict[str, float] = {}
         for reviewer, packages in packages_by_reviewer.items():
-            overlap = min(len(packages) - 1, config.overlap_cap)
-            burst = min(burst_hits[reviewer], config.burst_cap)
+            overlap = min(len(packages) - 1, OVERLAP_CAP)
+            burst = min(burst_hits[reviewer], BURST_CAP)
             deviation = (deviation_sum[reviewer] / burst_hits[reviewer]
                          if burst_hits[reviewer] else 0.0)
-            scores[reviewer] = (config.overlap_weight * overlap
-                                + config.burst_weight * burst
-                                + config.deviation_weight * deviation)
+            scores[reviewer] = (OVERLAP_WEIGHT * overlap
+                                + BURST_WEIGHT * burst
+                                + DEVIATION_WEIGHT * deviation)
         return scores
 
     @staticmethod
@@ -137,7 +128,7 @@ class ReviewSpamDetector:
 
     def flag_reviewers(self, book: ReviewBook) -> Set[str]:
         return {reviewer for reviewer, score in self.scores(book).items()
-                if score >= self.config.flag_threshold}
+                if score >= FLAG_THRESHOLD}
 
     def evaluate(self, book: ReviewBook,
                  paid_reviewers: Iterable[str]) -> DetectionReport:

@@ -62,6 +62,20 @@ PROFILES: Dict[str, Tuple[Tuple[str, float], ...]] = {
 #: Organic installs land on a shared pool of popular apps.
 _POPULAR_APPS = tuple(f"com.popular.app{index:02d}" for index in range(40))
 
+#: Probability an arrival opens a tight burst instead of a single, the
+#: burst length range (inclusive), and the gap between requests inside
+#: a burst in virtual seconds.
+BURST_PROBABILITY = 0.35
+BURST_SPAN: Tuple[int, int] = (4, 14)
+BURST_GAP_SECONDS = 0.002
+#: Device population each client models before ``scale``.
+USERS_PER_CLIENT = 4000
+#: Probability a fresh wave-device is reused from the pool (drives
+#: cross-campaign lockstep participation).
+REUSE_PROBABILITY = 0.8
+#: Virtual seconds per retry backoff op.
+BACKOFF_SECONDS = 0.2
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -72,21 +86,8 @@ class FleetConfig:
     profile: str = "query-heavy"
     #: Mean requests per client per simulated day.
     requests_per_client_day: float = 700.0
-    #: Probability an arrival opens a tight burst instead of a single.
-    burst_probability: float = 0.35
-    #: Burst length range (inclusive).
-    burst_span: Tuple[int, int] = (4, 14)
-    #: Gap between requests inside a burst, virtual seconds.
-    burst_gap_seconds: float = 0.002
-    #: Device population each client models before ``scale``.
-    users_per_client: int = 4000
     #: Population multiplier (the CLI ``--scale``).
     scale: float = 0.1
-    #: Probability a fresh wave-device is reused from the pool (drives
-    #: cross-campaign lockstep participation).
-    reuse_probability: float = 0.8
-    #: Virtual seconds per retry backoff op.
-    backoff_seconds: float = 0.2
 
     def __post_init__(self) -> None:
         if self.profile not in PROFILES:
@@ -100,7 +101,7 @@ class FleetConfig:
 
     @property
     def population_per_client(self) -> int:
-        return max(8, int(self.users_per_client * self.scale))
+        return max(8, int(USERS_PER_CLIENT * self.scale))
 
 
 class _Campaign:
@@ -176,13 +177,12 @@ class FleetClient:
             await self.vclock.sleep(self._wake_at - self.vclock.now())
             if self._burst_left == 0:
                 self._burst_left = 1
-                if rng.random() < config.burst_probability:
-                    self._burst_left = rng.randint(*config.burst_span)
+                if rng.random() < BURST_PROBABILITY:
+                    self._burst_left = rng.randint(*BURST_SPAN)
             await self._send(self._next_request())
             self._burst_left -= 1
             if self._burst_left > 0:
-                self._wake_at = (self.vclock.now()
-                                 + config.burst_gap_seconds)
+                self._wake_at = self.vclock.now() + BURST_GAP_SECONDS
             else:
                 self._wake_at = (self.vclock.now()
                                  + rng.expovariate(1.0 / mean_gap))
@@ -219,7 +219,7 @@ class FleetClient:
 
     def _pool_device(self) -> Tuple[str, str, str]:
         rng = self.rng
-        if self._pool and (rng.random() < self.config.reuse_probability
+        if self._pool and (rng.random() < REUSE_PROBABILITY
                            or len(self._pool)
                            >= self.config.population_per_client):
             return self._pool[rng.randrange(len(self._pool))]
@@ -314,7 +314,7 @@ class FleetClient:
                 self.stats["retries"] += 1
                 metrics.inc("serve.fleet.retries")
                 await self.vclock.sleep(self.policy.backoff_ops * attempt
-                                        * self.config.backoff_seconds)
+                                        * BACKOFF_SECONDS)
             try:
                 response = await self.service.submit(request)
             except TransientNetworkError:

@@ -68,7 +68,6 @@ class ServeRunConfig:
     burst: int = 12
     #: Service worker tasks (the serve meaning of ``--shards``).
     shards: int = 2
-    max_queue: int = 48
     scale: float = 0.1
     profile: str = "query-heavy"
     chaos_profile: str = "off"
@@ -180,8 +179,7 @@ def run_serve(config: ServeRunConfig,
         clock=clock,
         obs=obs,
         config=ServiceConfig(workers=config.shards),
-        admission=AdmissionConfig(qps=config.qps, burst=config.burst,
-                                  max_queue=config.max_queue),
+        admission=AdmissionConfig(qps=config.qps, burst=config.burst),
         datasets=registry,
         chaos=chaos,
         seed=config.seed,
@@ -278,7 +276,7 @@ def run_serve(config: ServeRunConfig,
             "qps": config.qps,
             "burst": config.burst,
             "shards": config.shards,
-            "max_queue": config.max_queue,
+            "max_queue": admission.config.max_queue,
             "scale": config.scale,
             "profile": config.profile,
         },

@@ -62,10 +62,9 @@ from repro.detection.evaluation import DetectionReport
 from repro.detection.events import DeviceInstallEvent, InstallLog
 from repro.detection.lockstep import DetectorConfig
 from repro.detection.stream import InstallEventBus, OnlineLockstepDetector
-from repro.net.chaos import INJECTED_STATUSES, ChaosScenario
+from repro.net.chaos import ChaosScenario, hashed_roll, injected_status
 from repro.net.errors import TransientNetworkError
 from repro.obs import NULL_OBS, Observability
-from repro.parallel.hashing import stable_hash
 from repro.recovery.checkpoint import RecoveryContext
 from repro.serve.admission import ADMIT, AdmissionConfig, AdmissionController
 from repro.serve.cache import WatermarkCache
@@ -85,6 +84,14 @@ CACHED_ENDPOINTS = ("flagged", "datasets", "metrics")
 #: paper-scale default of 12-install bursts needs campaign volumes a
 #: single client fleet run does not reach).
 SERVE_DETECTOR_CONFIG = DetectorConfig(min_burst_size=8)
+
+#: The deterministic service-time model: fixed virtual milliseconds per
+#: handled request, plus more per instrumented op the handler performed
+#: (expensive handlers take proportionally longer), and the virtual
+#: milliseconds for serving a cache hit.
+BASE_SERVICE_MS = 1.0
+PER_OP_MS = 0.25
+CACHE_HIT_MS = 0.2
 
 _SHUTDOWN = object()
 
@@ -111,17 +118,10 @@ class ServeResponse:
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Worker pool size and the deterministic service-time model."""
+    """Worker pool size and the detector thresholds."""
 
     #: Worker tasks draining the admission queue (the serve ``--shards``).
     workers: int = 2
-    #: Fixed virtual milliseconds charged per handled request.
-    base_service_ms: float = 1.0
-    #: Additional virtual milliseconds per instrumented op the handler
-    #: performed — expensive handlers take proportionally longer.
-    per_op_ms: float = 0.25
-    #: Virtual milliseconds for serving a cache hit.
-    cache_hit_ms: float = 0.2
     detector: DetectorConfig = field(
         default_factory=lambda: SERVE_DETECTOR_CONFIG)
 
@@ -152,7 +152,7 @@ class FrontdoorChaos:
     def _hit(self, rate: float, *parts: object) -> bool:
         if rate <= 0.0:
             return False
-        return stable_hash(self.scenario.seed, *parts) / 2.0 ** 64 < rate
+        return hashed_roll(self.scenario.seed, *parts) < rate
 
     def decide(self, request: ServeRequest) -> Optional[int]:
         """``None`` to pass, an injected status to fail the request; may
@@ -170,10 +170,8 @@ class FrontdoorChaos:
                 f"connection reset at the serve frontdoor ({client})")
         if self._hit(self.scenario.http_error_rate,
                      "serve-http", client, day, seq):
-            which = stable_hash(self.scenario.seed, "serve-status",
-                                client, day, seq) / 2.0 ** 64
-            status = INJECTED_STATUSES[
-                int(which * len(INJECTED_STATUSES)) % len(INJECTED_STATUSES)]
+            status = injected_status(self.scenario.seed, "serve-status",
+                                     client, day, seq)
             self.obs.metrics.inc("serve.chaos_faults", kind="status")
             return status
         return None
@@ -347,9 +345,8 @@ class DetectionService:
         else:
             response = self._handle(request)
         ops_delta = self.obs.ops.value - ops_before
-        service_ms = (self.config.cache_hit_ms if cached
-                      else self.config.base_service_ms
-                      + self.config.per_op_ms * ops_delta)
+        service_ms = (CACHE_HIT_MS if cached
+                      else BASE_SERVICE_MS + PER_OP_MS * ops_delta)
         await self.vclock.sleep(service_ms / 1000.0)
         metrics.observe("serve.request_ops", ops_delta, endpoint=endpoint)
         metrics.observe("serve.request_vtime_ms",

@@ -16,7 +16,6 @@ from typing import Dict, Tuple
 # ---------------------------------------------------------------------------
 
 WILD_MEASUREMENT_DAYS = 110
-CRAWL_CADENCE_DAYS = 2                 # profiles + charts every other day
 CRUNCHBASE_SNAPSHOT_DAY = 210          # the October 2019 snapshot
 AVERAGE_CAMPAIGN_DURATION_DAYS = 25    # used as the baseline window length
 

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crunchbase.database import FundingRound, Organization
 from repro.iip.campaigns import Campaign
+from repro.iip.mediator import FEE_PER_USER_USD
 from repro.iip.offers import (
     ActivityKind,
     OfferCategory,
@@ -71,6 +72,13 @@ IIP_PRICE_FACTOR = {
 VETTED_VOLUME_RANGE = (2_000, 60_000)
 UNVETTED_VOLUME_RANGE = (5, 400)
 
+#: IIP memberships that reuse an existing advertised app of the same
+#: tier, the mean offer count per membership, and the share of offers
+#: that are geo-targeted.
+OVERLAP_FRACTION = 0.245
+OFFERS_PER_MEMBERSHIP_MEAN = 1.74
+GEO_TARGETED_FRACTION = 0.18
+
 #: Some mainstream apps appear on IIPs (the paper saw TikTok and Fiverr
 #: on unvetted platforms, Apple Music and LinkedIn on vetted ones) --
 #: likely placed by third-party marketers, not the brands themselves.
@@ -105,6 +113,34 @@ FAST_GROWER_FRACTION = 0.015          # apps growing ~2%/day
 FAST_GROWER_RATE = 0.02
 DAU_RATE_RANGE = (0.01, 0.06)        # daily active users / installs
 ENGAGEMENT_NOISE_SIGMA = 0.12        # day-to-day lognormal chart churn
+
+#: The fake-reviews profile: campaign-driven review bursts plus the
+#: organic background.
+REVIEW_CAMPAIGN_PROBABILITY = 0.35   # advertised apps buying reviews
+PAID_REVIEWS_PER_APP_RANGE = (24, 120)  # log-uniform
+REVIEW_BURST_DAYS_RANGE = (2, 5)
+PAID_POOL_REUSE = 0.8                # professional reviewer accounts
+THROWAWAY_PROBABILITY = 0.25         # one-off paid accounts
+PAID_FIVE_STAR_RATE = 0.9
+ORGANIC_REVIEWS_PER_DAY = 0.5        # per app, popularity-scaled
+ORGANIC_REVIEWER_REUSE = 0.05        # enthusiasts reviewing many apps
+
+#: The download-fraud profile: install spikes sized to climb the
+#: top-free chart.
+FRAUD_APP_FRACTION = 0.08            # of advertised apps (min 2)
+#: Only unknown apps buy chart rank: an app with real traction has
+#: organic engagement deep enough to drown the farm's footprint (and no
+#: reason to pay for a spike in the first place).
+FRAUD_MAX_INITIAL_INSTALLS = 100_000
+FRAUD_SPIKE_DAYS_RANGE = (3, 4)
+FRAUD_EARLIEST_START_DAY = 7         # after day-0 batches leave the window
+FRAUD_CHART_MARGIN = 1.25            # overshoot above the entry score
+FRAUD_DAILY_FLOOR = 400
+FRAUD_DAILY_CAP = 250_000
+FRAUD_ENFORCEMENT_LAG_DAYS = 2       # review lag after the spike ends
+FRAUD_OBSERVED_OPEN_RATE = 0.03      # what the store sees of the farm
+FRAUD_OBSERVED_EMULATOR_RATE = 0.8
+FARM_OPEN_RATE = 0.05                # farm devices that open at all
 
 
 @dataclass
@@ -145,12 +181,8 @@ class BaselineApp:
 class WildScenarioConfig:
     """Scenario knobs; ``scale`` shrinks the world for fast tests."""
 
-    seed: int = 2019
     scale: float = 1.0
     measurement_days: int = paperdata.WILD_MEASUREMENT_DAYS
-    offers_per_membership_mean: float = 1.74
-    geo_targeted_fraction: float = 0.18
-    overlap_fraction: float = 0.245   # memberships reusing an existing app
     #: Visibility feedback: extra daily organic installs for apps in the
     #: top-free chart, scaled by percentile.  Off by default (the paper
     #: measures correlation, not this mechanism); the chart-feedback
@@ -185,13 +217,11 @@ class WildScenario:
         # ``wild-scenario`` stream: switching a profile on must not
         # perturb a single naive-path draw, or the frozen naive exports
         # would shift.
-        pack = config.scenario
         self._adv_seed = world.seeds.seed_for("adversarial-scenario")
         self._review_plans: List[ReviewCampaignPlan] = []
-        self._paid_pool = ReviewerPool("paid", pack.fake_review.paid_pool_reuse)
+        self._paid_pool = ReviewerPool("paid", PAID_POOL_REUSE)
         self._burner_pool = ReviewerPool("burner", 0.0)
-        self._organic_pool = ReviewerPool("reviewer",
-                                          pack.fake_review.organic_reuse)
+        self._organic_pool = ReviewerPool("reviewer", ORGANIC_REVIEWER_REUSE)
         self._paid_reviewers: Set[str] = set()
         self._boost_plans: List[BoostPlan] = []
         self._boost_campaigns: Dict[str, Campaign] = {}
@@ -267,7 +297,7 @@ class WildScenario:
             iip_developers: List[Developer] = []
             for _ in range(count):
                 if (pools[group] and
-                        rng.random() < self.config.overlap_fraction):
+                        rng.random() < OVERLAP_FRACTION):
                     # Reuse an existing advertised app of the same tier:
                     # it runs campaigns on one more platform.  (Cross-tier
                     # reuse would drag unvetted-sized apps into vetted
@@ -405,7 +435,7 @@ class WildScenario:
                         developer_id=developer_id, tax_id=f"TAX-{developer_id}",
                         bank_account=f"IBAN-{developer_id}"))
                 offer_count = max(1, int(rng.expovariate(
-                    1.0 / self.config.offers_per_membership_mean)))
+                    1.0 / OFFERS_PER_MEMBERSHIP_MEAN)))
                 offer_count = min(offer_count, 5)
                 forced_types: List[Tuple[OfferCategory, Optional[ActivityKind]]] = []
                 if seeking_funding:
@@ -449,7 +479,7 @@ class WildScenario:
                     offer_end = min(offer_start + duration, horizon - 1)
                     target = None
                     language = "en"
-                    if rng.random() < self.config.geo_targeted_fraction:
+                    if rng.random() < GEO_TARGETED_FRACTION:
                         target = tuple(rng.sample(
                             MILKER_COUNTRIES, rng.randrange(1, 4)))
                         # Single-country offers are often localized.
@@ -458,7 +488,7 @@ class WildScenario:
                                 and rng.random() < 0.6):
                             language = local[target[0]]
                     cost = (payout * (1 + platform.config.advertiser_markup)
-                            + self.world.mediator.fee_per_user_usd)
+                            + FEE_PER_USER_USD)
                     budget = max(cost * volume * 1.1,
                                  platform.config.min_deposit_usd * 1.1)
                     self.world.money.mint(developer_id, budget, day=0,
@@ -716,24 +746,22 @@ class WildScenario:
         campaign: the point of bought reviews is to make the freshly
         promoted app look loved while the installs roll in.
         """
-        cfg = self.config.scenario.fake_review
         rng = derive_rng(self._adv_seed, "review-plan")
         horizon = self.config.measurement_days
         for app in self.advertised:
-            if rng.random() >= cfg.campaign_probability:
+            if rng.random() >= REVIEW_CAMPAIGN_PROBABILITY:
                 continue
             starts = [c.offer.start_day for c in app.campaigns]
             start = max(0, min(min(starts) if starts else 0, horizon - 2))
-            duration = rng.randint(*cfg.burst_days_range)
+            duration = rng.randint(*REVIEW_BURST_DAYS_RANGE)
             total = max(duration, int(_log_uniform(
-                rng, *cfg.reviews_per_app_range)))
+                rng, *PAID_REVIEWS_PER_APP_RANGE)))
             self._review_plans.append(ReviewCampaignPlan(
                 package=app.package, start_day=start,
                 duration_days=duration, total_reviews=total))
 
     def _review_dynamics(self, day: int) -> None:
         """Paid review bursts plus the organic review trickle."""
-        cfg = self.config.scenario.fake_review
         rng = derive_rng(self._adv_seed, "reviews", day)
         store = self.world.store
         for plan in self._review_plans:
@@ -743,19 +771,19 @@ class WildScenario:
                 rng, plan.total_reviews / plan.duration_days
                 * rng.uniform(0.6, 1.4))
             for _ in range(quota):
-                if rng.random() < cfg.throwaway_probability:
+                if rng.random() < THROWAWAY_PROBABILITY:
                     reviewer = self._burner_pool.fresh()
                 else:
                     reviewer = self._paid_pool.draw(rng)
                 self._paid_reviewers.add(reviewer)
-                rating = 5 if rng.random() < cfg.paid_five_star_rate else 4
+                rating = 5 if rng.random() < PAID_FIVE_STAR_RATE else 4
                 store.record_review(AppReview(
                     reviewer_id=reviewer, package=plan.package, day=day,
                     hour=rng.uniform(8.0, 23.0), rating=rating))
         for app in self._all_apps():
             popularity = min(3.0, math.log10(max(10, app.initial_installs))
                              / 2.5)
-            expected = cfg.organic_reviews_per_day * popularity
+            expected = ORGANIC_REVIEWS_PER_DAY * popularity
             for _ in range(_stochastic_round(rng, expected)):
                 reviewer = self._organic_pool.draw(rng)
                 # Each app sits at its own quality level; organic
@@ -777,35 +805,34 @@ class WildScenario:
         and farm installs must not inherit the per-completion
         engagement that makes naive campaigns look (barely) alive.
         """
-        cfg = self.config.scenario.fraud
         rng = derive_rng(self._adv_seed, "fraud-plan")
         horizon = self.config.measurement_days
         count = min(len(self.advertised),
                     max(2, int(round(len(self.advertised)
-                                     * cfg.fraud_app_fraction))))
+                                     * FRAUD_APP_FRACTION))))
         # Chart boosts are bought for unknown apps: sample from the
         # small end of the advertised population (falling back to the
         # smallest apps when the world is tiny).
         ordered = sorted(self.advertised,
                          key=lambda app: (app.initial_installs, app.package))
         small = [app for app in ordered
-                 if app.initial_installs <= cfg.max_initial_installs]
+                 if app.initial_installs <= FRAUD_MAX_INITIAL_INSTALLS]
         candidates = small if len(small) >= count else ordered[:count]
         for app in rng.sample(candidates, count):
-            spike_days = rng.randint(*cfg.spike_days_range)
+            spike_days = rng.randint(*FRAUD_SPIKE_DAYS_RANGE)
             # Start late enough that the day-0 seeding batches have left
             # the 7-day chart window, early enough that the post-spike
             # enforcement review still lands inside the horizon.
-            latest = max(1, horizon - spike_days - cfg.enforcement_lag_days)
-            earliest = min(cfg.earliest_start_day, latest)
+            latest = max(1, horizon - spike_days - FRAUD_ENFORCEMENT_LAG_DAYS)
+            earliest = min(FRAUD_EARLIEST_START_DAY, latest)
             start = rng.randint(earliest, latest)
             end = min(start + spike_days - 1, horizon - 1)
             platform = self.world.platforms[app.iips[0]]
             developer_id = app.listing.developer.developer_id
             payout = 0.03   # farm installs are bought in bulk, dirt cheap
-            volume = cfg.daily_cap * (end - start + 1)
+            volume = FRAUD_DAILY_CAP * (end - start + 1)
             cost = (payout * (1 + platform.config.advertiser_markup)
-                    + self.world.mediator.fee_per_user_usd)
+                    + FEE_PER_USER_USD)
             budget = max(cost * volume * 1.1,
                          platform.config.min_deposit_usd * 1.1)
             self.world.money.mint(developer_id, budget, day=0,
@@ -838,11 +865,10 @@ class WildScenario:
         Each spike day buys just enough 7-day install velocity to clear
         the current top-free entry score with margin, so the same
         profile climbs the chart at any world scale.  The store's
-        enforcement reviews the campaign ``enforcement_lag_days`` after
-        the spike ends — the configurable reaction lag the takedown
-        trajectories in the report measure.
+        enforcement reviews the campaign ``FRAUD_ENFORCEMENT_LAG_DAYS``
+        after the spike ends — the reaction lag the takedown trajectories
+        in the report measure.
         """
-        cfg = self.config.scenario.fraud
         store = self.world.store
         rng = derive_rng(self._adv_seed, "fraud", day)
         for plan in self._boost_plans:
@@ -851,13 +877,13 @@ class WildScenario:
                 snapshot = store.chart_snapshot(ChartKind.TOP_FREE, day)
                 entry_score = (snapshot.entries[-1].score
                                if snapshot.entries else 0.0)
-                target = entry_score * cfg.chart_margin
+                target = entry_score * FRAUD_CHART_MARGIN
                 current = store.charts.trending_score(plan.package, day)
                 deficit = max(0.0, target - current)
                 installs = int(math.ceil(deficit / INSTALL_VELOCITY_WEIGHT))
-                installs = max(cfg.daily_floor, installs)
+                installs = max(FRAUD_DAILY_FLOOR, installs)
                 installs = int(installs * rng.uniform(1.0, 1.15))
-                installs = min(installs, cfg.daily_cap, campaign.remaining)
+                installs = min(installs, FRAUD_DAILY_CAP, campaign.remaining)
                 if installs <= 0:
                     continue
                 campaign.record_delivery(installs)
@@ -866,7 +892,7 @@ class WildScenario:
                     campaign_id=plan.campaign_id)
                 # Farm devices barely ever open the app: the engagement
                 # deficit the fraud detector keys on.
-                opens = int(installs * cfg.farm_open_rate)
+                opens = int(installs * FARM_OPEN_RATE)
                 if opens:
                     store.record_engagement(plan.package, day,
                                             DailyEngagement(
@@ -877,15 +903,15 @@ class WildScenario:
                                                 purchase_revenue_usd=0.0,
                                                 ad_impressions=0,
                                             ))
-            elif (day >= plan.end_day + cfg.enforcement_lag_days
+            elif (day >= plan.end_day + FRAUD_ENFORCEMENT_LAG_DAYS
                   and plan.campaign_id not in self._reviewed_campaigns):
                 self._reviewed_campaigns.add(plan.campaign_id)
                 signals = CampaignSignals(
                     campaign_id=plan.campaign_id,
                     package=plan.package,
                     installs_delivered=campaign.delivered,
-                    open_rate=cfg.observed_open_rate,
-                    emulator_rate=cfg.observed_emulator_rate,
+                    open_rate=FRAUD_OBSERVED_OPEN_RATE,
+                    emulator_rate=FRAUD_OBSERVED_EMULATOR_RATE,
                     delivery_hours=24.0 * plan.spike_days,
                     end_day=plan.end_day,
                 )

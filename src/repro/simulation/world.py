@@ -22,7 +22,6 @@ from repro.iip.registry import build_platforms
 from repro.net.chaos import ChaosScenario, FaultPlan
 from repro.net.client import HttpClient, RetryPolicy, TlsSessionCache
 from repro.net.fabric import Endpoint, NetworkFabric
-from repro.net.ip import MILKER_COUNTRIES
 from repro.net.proxy import MitmProxy
 from repro.net.tls import CertificateAuthority, TrustStore
 from repro.net.vpn import VpnExitPool
@@ -39,7 +38,6 @@ class World:
     """The full simulated ecosystem."""
 
     def __init__(self, seed: int = 2019,
-                 vpn_countries=MILKER_COUNTRIES,
                  obs: Optional[Observability] = None,
                  chaos: Optional[ChaosScenario] = None) -> None:
         self.seeds = SeedSequence(seed)
@@ -81,8 +79,7 @@ class World:
         self.telemetry = TelemetryServer(self.fabric, self.root_ca,
                                          self.seeds.rng("telemetry"))
         # Exit-pool address allocation follows the country order.
-        self.vpn = VpnExitPool(self.fabric, self.seeds.rng("vpn"),
-                               countries=tuple(vpn_countries))
+        self.vpn = VpnExitPool(self.fabric, self.seeds.rng("vpn"))
         self.crunchbase = CrunchbaseDatabase()
         self.apks = ApkRepository()
         self.device_factory = DeviceFactory(self.fabric.asn_db,

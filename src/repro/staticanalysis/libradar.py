@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, Set
 
 from repro.staticanalysis.apk import Apk, ApkRepository
 from repro.staticanalysis.signatures import AD_LIBRARY_SIGNATURES
@@ -16,12 +16,9 @@ class LibRadarDetector:
     attaches to its Figure 6 analysis.
     """
 
-    def __init__(self, signatures: Optional[Mapping[str, str]] = None) -> None:
-        self._signatures = dict(signatures or AD_LIBRARY_SIGNATURES)
-
     def detect(self, apk: Apk) -> Set[str]:
         """The set of known ad-library names present in the APK."""
-        return {name for name, prefix in self._signatures.items()
+        return {name for name, prefix in AD_LIBRARY_SIGNATURES.items()
                 if apk.contains_prefix(prefix)}
 
     def unique_ad_library_count(self, apk: Apk) -> int:

@@ -12,6 +12,23 @@ from repro.serve import ServeRunConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
+#: Size flags that must be positive, per subcommand.  ``--qps`` is not
+#: one of them: 0 is a valid refill rate.
+NON_POSITIVE_SIZES = [
+    ("wild", "--scale", "0"), ("wild", "--scale", "-0.5"),
+    ("wild", "--scale", "banana"), ("wild", "--days", "0"),
+    ("wild", "--days", "-3"), ("wild", "--days", "2.5"),
+    ("serve", "--clients", "0"), ("serve", "--days", "0"),
+    ("serve", "--shards", "0"), ("serve", "--burst", "0"),
+    ("serve", "--scale", "0"),
+    ("detect", "--scale", "0"), ("detect", "--days", "0"),
+    ("paper", "--scale", "0"), ("paper", "--days", "0"),
+]
+NON_POSITIVE_IDS = [
+    f"{flag}-{value}" if subcommand == "wild"
+    else f"{subcommand}-{flag}-{value}"
+    for subcommand, flag, value in NON_POSITIVE_SIZES]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -50,16 +67,15 @@ class TestParser:
             build_parser().parse_args(
                 ["wild", "--chaos-profile", "catastrophic"])
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--scale", "0"), ("--scale", "-0.5"), ("--scale", "banana"),
-        ("--days", "0"), ("--days", "-3"), ("--days", "2.5"),
-    ])
+    @pytest.mark.parametrize("subcommand,flag,value", NON_POSITIVE_SIZES,
+                             ids=NON_POSITIVE_IDS)
     def test_wild_rejects_non_positive_scale_and_days(self, capsys,
-                                                      flag, value):
+                                                      subcommand, flag,
+                                                      value):
         """A clear usage error (exit 2), not a deep traceback from
-        inside the scenario builder."""
+        inside the scenario builder or a serve config."""
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["wild", flag, value])
+            build_parser().parse_args([subcommand, flag, value])
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "positive" in err or "is not" in err

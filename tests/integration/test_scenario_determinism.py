@@ -48,3 +48,11 @@ class TestNaivePrefixUnchanged:
         naive_offers = self.offers(naive_results)
         fraud_offers = self.offers(fraud_results)
         assert set(naive_offers) < set(fraud_offers)
+
+    def test_composed_profile_keeps_the_tiers_disjoint(self):
+        # The scenario never reuses an app across tiers, and a chart
+        # boost runs on the app's own first IIP, so no profile makes an
+        # app both vetted- and unvetted-advertised.
+        results = run_wild("evasive,fake-reviews,download-fraud")
+        assert set(results.vetted_packages()).isdisjoint(
+            results.unvetted_packages())

@@ -115,6 +115,10 @@ class TestAnalyses:
 
     def test_install_increase_comparison_runs(self, wild):
         _, _, results = wild
+        # The tiers never share an app, so the comparison groups need
+        # no de-overlap.
+        assert set(results.vetted_packages()).isdisjoint(
+            results.unvetted_packages())
         comparison = install_increase_comparison(
             results.archive, results.dataset,
             results.vetted_packages(), results.unvetted_packages(),

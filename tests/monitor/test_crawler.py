@@ -33,7 +33,6 @@ class TestCrawler:
         assert crawler.should_crawl(0)
         assert not crawler.should_crawl(1)
         assert crawler.should_crawl(2)
-        assert crawler.should_crawl(11, start_day=1)
 
     def test_profile_crawl(self, world):
         store, clock, crawler = world
@@ -88,8 +87,3 @@ class TestCrawler:
         assert archive.first_profile("com.app.alpha").installs_floor == 100
         assert archive.last_profile("com.app.alpha").installs_floor == 5000
         assert archive.first_profile("com.ghost") is None
-
-    def test_bad_cadence_rejected(self, world):
-        _, _, crawler = world
-        with pytest.raises(ValueError):
-            PlayStoreCrawler(None, PLAY_HOST, cadence_days=0)

@@ -7,7 +7,12 @@ from repro.scenarios import (
     rank_trajectory,
     render_fraud_report,
 )
-from repro.simulation.scenarios import WildScenario, WildScenarioConfig
+from repro.simulation.scenarios import (
+    FRAUD_ENFORCEMENT_LAG_DAYS,
+    FRAUD_MAX_INITIAL_INSTALLS,
+    WildScenario,
+    WildScenarioConfig,
+)
 from repro.simulation.world import World
 
 DAYS = 14
@@ -29,10 +34,10 @@ class TestScenario:
         world, scenario = run_fraud()
         plans = scenario.boost_plans()
         assert plans, "the scenario must pick fraud apps"
-        cap = scenario.config.scenario.fraud.max_initial_installs
         by_package = {app.package: app for app in scenario.advertised}
         for plan in plans:
-            assert by_package[plan.package].initial_installs <= cap
+            assert (by_package[plan.package].initial_installs
+                    <= FRAUD_MAX_INITIAL_INSTALLS)
             assert plan.start_day >= 1
             assert plan.end_day < DAYS
 
@@ -60,10 +65,9 @@ class TestScenario:
         # Takedowns are stochastic per campaign (weak retroactive
         # enforcement, as the paper observes), but at this seed at
         # least one fires — and any takedown must land at least
-        # enforcement_lag_days after the spike ends and remove the
+        # FRAUD_ENFORCEMENT_LAG_DAYS after the spike ends and remove the
         # campaign's installs from the ledger.
         world, scenario = run_fraud()
-        lag = scenario.config.scenario.fraud.enforcement_lag_days
         boost_ids = {plan.campaign_id for plan in scenario.boost_plans()}
         by_package = {plan.package: plan for plan in scenario.boost_plans()}
         takedowns = 0
@@ -72,7 +76,8 @@ class TestScenario:
                 if action.campaign_id not in boost_ids:
                     continue
                 takedowns += 1
-                assert action.day >= by_package[plan.package].end_day + lag
+                assert action.day >= (by_package[plan.package].end_day
+                                      + FRAUD_ENFORCEMENT_LAG_DAYS)
                 assert action.installs_removed > 0
         assert takedowns >= 1
 

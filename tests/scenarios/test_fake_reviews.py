@@ -3,7 +3,11 @@
 from repro.core.wild_measurement import WildMeasurement, WildMeasurementConfig
 from repro.playstore.reviews import AppReview, ReviewBook
 from repro.scenarios import ReviewSpamDetector, parse_scenario
-from repro.scenarios.fakereviews import ReviewCampaignPlan
+from repro.scenarios.fakereviews import (
+    BURST_WEIGHT,
+    BURST_WINDOW_DAYS,
+    ReviewCampaignPlan,
+)
 from repro.simulation.scenarios import WildScenario, WildScenarioConfig
 from repro.simulation.world import World
 
@@ -30,7 +34,7 @@ class TestBurstWindows:
                                rating=5))
         detector = ReviewSpamDetector()
         bursts = detector._burst_windows(book)
-        assert ("app.flooded", 15 // detector.config.burst_window_days) in bursts
+        assert ("app.flooded", 15 // BURST_WINDOW_DAYS) in bursts
 
     def test_steady_organic_stream_has_no_bursts(self):
         book = ReviewBook()
@@ -68,9 +72,8 @@ class TestScores:
         book.add(AppReview(reviewer_id="honest-low", package="app.a",
                            day=9, hour=9.5, rating=1))
         scores = ReviewSpamDetector().scores(book)
-        config = ReviewSpamDetector().config
         # Only the single burst hit contributes; no deviation on top.
-        assert scores["honest-low"] <= config.burst_weight + 1e-9
+        assert scores["honest-low"] <= BURST_WEIGHT + 1e-9
 
 
 class TestCampaignPlan:
