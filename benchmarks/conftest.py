@@ -22,8 +22,8 @@ from repro import (
 )
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
-BENCH_DAYS = int(os.environ.get("REPRO_BENCH_DAYS", "110"))
-BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "2019"))
+BENCH_DAYS = 110
+BENCH_SEED = 2019
 
 
 class WildBundle:

@@ -100,6 +100,6 @@ class TestDetectBench:
         rendered = render(deterministic_subset(report))
         assert json.loads(rendered)["run"] == json.loads(committed)["run"], (
             "bench parameters differ from the committed snapshot; "
-            "re-run with matching REPRO_BENCH_* values")
-        # Byte for byte, as ``obs_export.emit_snapshot`` checks it.
+            "regenerate it with scripts/export_detect_obs.py")
+        # Byte for byte: the exporter writes exactly this text.
         assert rendered == committed

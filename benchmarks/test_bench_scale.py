@@ -103,8 +103,8 @@ class TestScaleTrajectory:
         rendered = render(deterministic_subset(report))
         assert json.loads(rendered)["run"] == json.loads(committed)["run"], (
             "scale bench parameters differ from the committed snapshot; "
-            "re-run with matching REPRO_SCALE_* values")
-        # Byte for byte, as ``obs_export.emit_snapshot`` checks it.
+            "regenerate it with scripts/export_scale_obs.py")
+        # Byte for byte: the exporter writes exactly this text.
         assert rendered == committed
 
 

@@ -82,6 +82,6 @@ class TestServeBench:
         rendered = render(deterministic_subset(report))
         assert json.loads(rendered)["run"] == json.loads(committed)["run"], (
             "bench parameters differ from the committed snapshot; "
-            "re-run with matching REPRO_BENCH_SERVE_* values")
-        # Byte for byte, as ``obs_export.emit_snapshot`` checks it.
+            "regenerate it with scripts/export_serve_obs.py")
+        # Byte for byte: the exporter writes exactly this text.
         assert rendered == committed

@@ -82,7 +82,7 @@ class TestPerf:
         committed = SNAPSHOT.read_text()
         rendered = render(deterministic_subset(report))
         assert json.loads(rendered)["run"] == json.loads(committed)["run"], (
-            "bench parameters differ from the committed snapshot; "
-            "re-run with matching REPRO_BENCH_* values")
-        # Byte for byte, as ``obs_export.emit_snapshot`` checks it.
+            "bench parameters differ from the committed snapshot, which "
+            "pins the default REPRO_BENCH_SCALE")
+        # Byte for byte: the exporter writes exactly this text.
         assert rendered == committed

@@ -14,20 +14,8 @@ Run:  python examples/wild_monitoring.py [--scale 0.25] [--days 60]
 import argparse
 
 from repro import World, WildScenario, WildScenarioConfig
-from repro.analysis.appstore_impact import (
-    install_increase_comparison,
-    top_chart_comparison,
-)
-from repro.analysis.characterize import iip_summary_table, offer_type_table
 from repro.core import WildMeasurement, WildMeasurementConfig
-from repro.core.reports import (
-    render_table2,
-    render_table3,
-    render_table4,
-    render_table5,
-    render_table6,
-)
-from repro.iip.registry import VETTED_IIPS
+from repro.core.paper_report import SECTIONS
 
 
 def main() -> None:
@@ -55,26 +43,8 @@ def main() -> None:
           f"{len(results.dataset.unique_packages())} apps")
     print()
 
-    observed_walls = {}
-    for observation in results.observations:
-        observed_walls.setdefault(observation.affiliate_package,
-                                  set()).add(observation.iip_name)
-    print(render_table2(observed_walls))
-    print()
-    print(render_table3(offer_type_table(results.dataset)))
-    print()
-    print(render_table4(iip_summary_table(results.dataset, results.archive,
-                                          VETTED_IIPS)))
-    print()
-    vetted = results.vetted_packages()
-    unvetted = results.unvetted_packages()
-    print(render_table5(install_increase_comparison(
-        results.archive, results.dataset, vetted, unvetted,
-        results.baseline_packages, results.baseline_window)))
-    print()
-    print(render_table6(top_chart_comparison(
-        results.archive, results.dataset, vetted, unvetted,
-        results.baseline_packages, results.baseline_window)))
+    print("\n\n".join(SECTIONS[name](results) for name in (
+        "table2", "table3", "table4", "table5", "table6")))
 
 
 if __name__ == "__main__":

@@ -19,17 +19,16 @@ Four outputs:
 * ``benchmarks/snapshots/wild_obs.json`` /
   ``benchmarks/snapshots/honey_obs.json`` (``--snapshot-out`` /
   ``--honey-snapshot-out``): the deterministic subsets (no wall
-  times), committed to the repo.  ``--check`` fails if a fresh run
-  drifts from either, which gates the request counts against silent
-  regressions.
+  times), committed to the repo.  ``benchmarks/test_bench_wild_perf.py``
+  and ``test_bench_honey_perf.py`` fail if a fresh run drifts from
+  either, which gates the request counts against silent regressions.
 
 Run from the repo root::
 
     PYTHONPATH=src python scripts/export_bench_obs.py
 
-Scale/seed come from the same ``REPRO_BENCH_*`` variables the
-benchmarks use; the committed snapshots record them, so a check run
-under different values reports parameter drift rather than corruption.
+The wild scale comes from ``REPRO_BENCH_SCALE``, as in the
+benchmarks; the committed snapshots record every run parameter.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from obs_export import (
     deterministic_subset,
     emit_report,
     render,
-    stage_quantiles as _stage_quantiles,
+    stage_quantiles,
 )
 from repro import (
     WildMeasurement,
@@ -53,15 +52,12 @@ from repro import (
     WildScenarioConfig,
     World,
 )
-from repro.core import HoneyAppExperiment
+from repro.core import HoneyAppExperiment, honey_experiment, wild_measurement
 
-SEED = int(os.environ.get("REPRO_BENCH_SEED", "2019"))
+SEED = 2019
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
-DAYS = int(os.environ.get("REPRO_BENCH_DAYS", "110"))
-HONEY_INSTALLS = int(os.environ.get("REPRO_BENCH_HONEY_INSTALLS", "500"))
-
-STAGE_HISTOGRAMS = ("wild.milk_ops", "wild.crawl_ops", "wild.analyse_ops")
-HONEY_STAGE_HISTOGRAMS = ("honey.campaign_ops", "honey.analysis_ops")
+DAYS = 110
+HONEY_INSTALLS = 500
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_wild.json"
@@ -90,10 +86,6 @@ def run_honey() -> tuple:
     results = experiment.run()
     elapsed = time.monotonic() - started
     return world, results, elapsed
-
-
-def stage_quantiles(world, names=STAGE_HISTOGRAMS) -> dict:
-    return _stage_quantiles(world, names)
 
 
 def peak_rss_mb() -> dict:
@@ -135,7 +127,8 @@ def build_report() -> dict:
             "advertised_packages": len(results.dataset.unique_packages()),
             "milk_runs": results.milk_runs,
         },
-        "op_cost": stage_quantiles(world),
+        "op_cost": stage_quantiles(world,
+                                   wild_measurement.STAGE_HISTOGRAMS),
     }
     report = dict(deterministic)
     report["wall_seconds"] = round(elapsed, 2)
@@ -165,19 +158,14 @@ def build_honey_report() -> dict:
             "displayed_installs_after": results.displayed_installs_after,
             "enforcement_actions": results.enforcement_actions,
         },
-        "op_cost": stage_quantiles(world, HONEY_STAGE_HISTOGRAMS),
+        "op_cost": stage_quantiles(world,
+                                   honey_experiment.STAGE_HISTOGRAMS),
     }
     report = dict(deterministic)
     report["wall_seconds"] = round(elapsed, 2)
     report["devices_per_sec"] = round(results.total_installs() / elapsed, 2)
     report["peak_rss_mb"] = peak_rss_mb()
     return report
-
-
-def _emit(label: str, report: dict, out: Path, snapshot_out: Path,
-          check: bool) -> int:
-    return emit_report(f"{label} perf", report, out, snapshot_out, check,
-                       "export_bench_obs.py")
 
 
 def main() -> int:
@@ -191,20 +179,15 @@ def main() -> int:
     parser.add_argument("--honey-snapshot-out", type=Path,
                         default=DEFAULT_HONEY_SNAPSHOT,
                         help="deterministic honey subset, committed")
-    parser.add_argument("--check", action="store_true",
-                        help="fail (exit 1) if a committed snapshot "
-                             "does not match a fresh run")
     parser.add_argument("--only", choices=("wild", "honey"),
                         help="export just one bench")
     args = parser.parse_args()
-    status = 0
     if args.only in (None, "wild"):
-        status |= _emit("wild", build_report(), args.out,
-                        args.snapshot_out, args.check)
+        emit_report(build_report(), args.out, args.snapshot_out)
     if args.only in (None, "honey"):
-        status |= _emit("honey", build_honey_report(), args.honey_out,
-                        args.honey_snapshot_out, args.check)
-    return status
+        emit_report(build_honey_report(), args.honey_out,
+                    args.honey_snapshot_out)
+    return 0
 
 
 if __name__ == "__main__":

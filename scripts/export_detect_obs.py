@@ -22,22 +22,21 @@ Two outputs:
   times — informative, not deterministic, uploaded as a CI artifact.
 * ``benchmarks/snapshots/detect_obs.json`` (``--snapshot-out``): the
   deterministic subset (no wall times), committed to the repo.
-  ``--check`` fails if a fresh run drifts from it, which gates the
-  detector's quality numbers against silent regressions.
+  ``benchmarks/test_bench_detect.py`` fails if a fresh run drifts from
+  it, which gates the detector's quality numbers against silent
+  regressions.
 
 Run from the repo root::
 
     PYTHONPATH=src python scripts/export_detect_obs.py
 
-Scale/seed come from ``REPRO_BENCH_*`` variables; the committed
-snapshot records them, so a check run under different values reports
-parameter drift rather than corruption.
+The run parameters are the constants below; the committed snapshot
+records them.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import time
 from pathlib import Path
 
@@ -62,10 +61,10 @@ from repro.scenarios import (
 )
 from repro.scenarios.downloadfraud import rank_trajectory
 
-SEED = int(os.environ.get("REPRO_BENCH_SEED", "2019"))
-WILD_SCALE = float(os.environ.get("REPRO_BENCH_DETECT_SCALE", "0.05"))
-WILD_DAYS = int(os.environ.get("REPRO_BENCH_DETECT_DAYS", "14"))
-HONEY_INSTALLS = int(os.environ.get("REPRO_BENCH_DETECT_INSTALLS", "500"))
+SEED = 2019
+WILD_SCALE = 0.05
+WILD_DAYS = 14
+HONEY_INSTALLS = 500
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_detect.json"
@@ -248,13 +247,9 @@ def main() -> int:
                         help="full detect bench report (with wall times)")
     parser.add_argument("--snapshot-out", type=Path, default=DEFAULT_SNAPSHOT,
                         help="deterministic subset, committed")
-    parser.add_argument("--check", action="store_true",
-                        help="fail (exit 1) if the committed snapshot "
-                             "does not match a fresh run")
     args = parser.parse_args()
-    return emit_report("detect", build_report(), args.out,
-                       args.snapshot_out, args.check,
-                       "export_detect_obs.py")
+    emit_report(build_report(), args.out, args.snapshot_out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -29,9 +29,8 @@ Run from the repo root::
 
     PYTHONPATH=src python scripts/export_scale_obs.py
 
-Scale points and days come from ``REPRO_SCALE_*`` variables; the
-committed snapshot records them, so a check run under different values
-reports parameter drift rather than corruption.
+The scale points and days are the constants below; the committed
+snapshot records them.
 """
 
 from __future__ import annotations
@@ -45,14 +44,12 @@ from pathlib import Path
 
 from obs_export import deterministic_subset, emit_report, render  # noqa: F401
 
-SEED = int(os.environ.get("REPRO_SCALE_SEED", "2019"))
-DAYS = int(os.environ.get("REPRO_SCALE_DAYS", "14"))
-BATCH = int(os.environ.get("REPRO_SCALE_BATCH", "256"))
+SEED = 2019
+DAYS = 14
+BATCH = 256
 #: The trajectory: today's bench scale, the paper's full population,
 #: and the gated 10x point.
-POINTS = tuple(
-    float(point) for point in
-    os.environ.get("REPRO_SCALE_POINTS", "0.35,1.0,3.5").split(","))
+POINTS = (0.35, 1.0, 3.5)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_scale.json"
@@ -196,9 +193,6 @@ def main() -> int:
     parser.add_argument("--snapshot-out", type=Path,
                         default=DEFAULT_SNAPSHOT,
                         help="deterministic subset, committed")
-    parser.add_argument("--check", action="store_true",
-                        help="fail (exit 1) if the committed snapshot "
-                             "does not match a fresh run")
     args = parser.parse_args()
     if args.point is not None:
         print(json.dumps(run_point(args.point, args.point_batch)))
@@ -208,8 +202,8 @@ def main() -> int:
         print("scale bench: streamed and materialised runs disagree on "
               "deterministic counts", file=sys.stderr)
         return 1
-    return emit_report("scale", report, args.out, args.snapshot_out,
-                       args.check, "export_scale_obs.py")
+    emit_report(report, args.out, args.snapshot_out)
+    return 0
 
 
 if __name__ == "__main__":

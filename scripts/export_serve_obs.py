@@ -15,36 +15,33 @@ Two outputs:
   times — informative, not deterministic, uploaded as a CI artifact.
 * ``benchmarks/snapshots/serve_obs.json`` (``--snapshot-out``): the
   deterministic subset (no wall times), committed to the repo.
-  ``--check`` fails if a fresh run drifts from it, which gates the
-  service's latency/admission/quality numbers against silent
-  regressions.
+  ``benchmarks/test_bench_serve.py`` fails if a fresh run drifts from
+  it, which gates the service's latency/admission/quality numbers
+  against silent regressions.
 
 Run from the repo root::
 
     PYTHONPATH=src python scripts/export_serve_obs.py
 
-Scale/seed come from ``REPRO_BENCH_SERVE_*`` variables; the committed
-snapshot records them, so a check run under different values reports
-parameter drift rather than corruption.
+The run parameters are the constants below; the committed snapshot
+records them.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import time
 from pathlib import Path
 
 from obs_export import deterministic_subset, emit_report, render
 from repro.serve import ServeRunConfig, run_serve
 
-SEED = int(os.environ.get("REPRO_BENCH_SERVE_SEED", "2019"))
-DAYS = int(os.environ.get("REPRO_BENCH_SERVE_DAYS", "1"))
-CLIENTS = int(os.environ.get("REPRO_BENCH_SERVE_CLIENTS", "4"))
-SHARDS = int(os.environ.get("REPRO_BENCH_SERVE_SHARDS", "2"))
-QPS = float(os.environ.get("REPRO_BENCH_SERVE_QPS", "1.0"))
-REQUESTS_PER_CLIENT_DAY = float(
-    os.environ.get("REPRO_BENCH_SERVE_REQUESTS", "400"))
+SEED = 2019
+DAYS = 1
+CLIENTS = 4
+SHARDS = 2
+QPS = 1.0
+REQUESTS_PER_CLIENT_DAY = 400.0
 
 #: Pinned chaos lane: same profile/seed the chaos snapshot uses.
 CHAOS_PROFILE = "paper"
@@ -103,13 +100,9 @@ def main() -> int:
                         help="full serve bench report (with wall times)")
     parser.add_argument("--snapshot-out", type=Path, default=DEFAULT_SNAPSHOT,
                         help="deterministic subset, committed")
-    parser.add_argument("--check", action="store_true",
-                        help="fail (exit 1) if the committed snapshot "
-                             "does not match a fresh run")
     args = parser.parse_args()
-    return emit_report("serve", build_report(), args.out,
-                       args.snapshot_out, args.check,
-                       "export_serve_obs.py")
+    emit_report(build_report(), args.out, args.snapshot_out)
+    return 0
 
 
 if __name__ == "__main__":

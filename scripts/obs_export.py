@@ -2,10 +2,10 @@
 
 Every exporter pins a deterministic JSON snapshot under
 ``benchmarks/snapshots/`` and (for the perf benches) a full report with
-wall times next to the repo root.  The rendering, the committed-vs-fresh
-``--check`` comparison, and the per-stage quantile tables used to be
-copy-pasted per script; they live here now so a formatting or drift-
-message change lands everywhere at once.
+wall times next to the repo root.  The rendering, the writing and the
+per-stage quantile tables live here, so a formatting change lands
+everywhere at once.  Each snapshot's ``benchmarks/test_bench_*.py``
+checks the committed file against a fresh run.
 
 Not importable as ``repro.*`` on purpose: the exporters run from the
 repo root as plain scripts (``python scripts/export_x_obs.py``) and the
@@ -35,8 +35,8 @@ STAGE_KEYS = (
 
 def render(snapshot: dict) -> str:
     """The one true snapshot encoding: sorted keys, indent 1, final
-    newline.  Byte-identical output is the whole point — CI diffs the
-    rendered text, not parsed JSON."""
+    newline.  Byte-identical output is the whole point — the benches
+    compare the rendered text, not parsed JSON."""
     return json.dumps(snapshot, indent=1, sort_keys=True) + "\n"
 
 
@@ -73,39 +73,16 @@ def stage_quantiles(world, names) -> dict:
     return table
 
 
-def emit_snapshot(label: str, rendered: str, out: Path, check: bool,
-                  script: str) -> int:
-    """Write (or, with ``check``, verify) one committed snapshot.
-
-    ``script`` names the exporter in the drift message so CI logs say
-    exactly which command regenerates the baseline.
-    """
-    if check:
-        committed = out.read_text() if out.exists() else ""
-        if committed != rendered:
-            print(f"{label} snapshot drift: {out} does not match this "
-                  f"revision (re-run scripts/{script})")
-            return 1
-        print(f"{label} snapshot up to date: {out}")
-        return 0
+def emit_snapshot(rendered: str, out: Path) -> None:
+    """Write one committed snapshot."""
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(rendered)
     print(f"wrote {out}")
-    return 0
 
 
-def emit_report(label: str, report: dict, out: Path, snapshot_out: Path,
-                check: bool, script: str) -> int:
+def emit_report(report: dict, out: Path, snapshot_out: Path) -> None:
     """Pin the deterministic subset of ``report`` as a snapshot, then
-    write the full report (wall times included) to ``out``.
-
-    On check-mode drift the full report is *not* written: a failing CI
-    run should leave no half-updated artifacts behind.
-    """
-    status = emit_snapshot(label, render(deterministic_subset(report)),
-                           snapshot_out, check, script)
-    if status:
-        return status
+    write the full report (wall times included) to ``out``."""
+    emit_snapshot(render(deterministic_subset(report)), snapshot_out)
     out.write_text(render(report))
     print(f"wrote {out}")
-    return status

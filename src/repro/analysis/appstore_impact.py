@@ -8,7 +8,7 @@ observables the paper had.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import ChiSquaredResult, safe_two_by_two
 from repro.monitor.crawler import CrawlArchive
@@ -87,20 +87,42 @@ def install_decrease_flag(archive: CrawlArchive, package: str) -> bool:
                for (_, earlier), (_, later) in zip(series, series[1:]))
 
 
-def _count_group(archive: CrawlArchive, packages: Sequence[str],
-                 dataset: Optional[OfferDataset],
-                 baseline_window: Tuple[int, int], label: str) -> GroupCount:
-    total = 0
-    positive = 0
-    for package in packages:
-        window = _window_for(package, dataset, baseline_window)
-        flag = install_increase_flag(archive, package, window)
-        if flag is None:
-            continue
-        total += 1
-        if flag:
-            positive += 1
-    return GroupCount(label=label, total=total, positive=positive)
+def _compare_groups(archive: CrawlArchive, dataset: OfferDataset,
+                    vetted_packages: Sequence[str],
+                    unvetted_packages: Sequence[str],
+                    baseline_packages: Sequence[str],
+                    baseline_window: Tuple[int, int],
+                    flag: Callable[[CrawlArchive, str, Tuple[int, int]],
+                                   Optional[bool]]) -> ImpactComparison:
+    """The three-group comparison of Tables 5 and 6: ``flag`` per app,
+    in the baseline window for baseline apps and in the campaign window
+    for advertised ones (``None`` leaves the app out), and each
+    advertised group tested against the baseline."""
+
+    def count(packages: Sequence[str], windows: Optional[OfferDataset],
+              label: str) -> GroupCount:
+        total = 0
+        positive = 0
+        for package in packages:
+            window = _window_for(package, windows, baseline_window)
+            result = flag(archive, package, window)
+            if result is None:
+                continue
+            total += 1
+            if result:
+                positive += 1
+        return GroupCount(label=label, total=total, positive=positive)
+
+    baseline = count(baseline_packages, None, "Baseline")
+    vetted = count(vetted_packages, dataset, "Vetted")
+    unvetted = count(unvetted_packages, dataset, "Unvetted")
+    return ImpactComparison(
+        baseline=baseline, vetted=vetted, unvetted=unvetted,
+        vetted_vs_baseline=safe_two_by_two(vetted.positive, vetted.negative,
+                                      baseline.positive, baseline.negative),
+        unvetted_vs_baseline=safe_two_by_two(unvetted.positive, unvetted.negative,
+                                        baseline.positive, baseline.negative),
+    )
 
 
 def install_increase_comparison(
@@ -112,33 +134,22 @@ def install_increase_comparison(
     baseline_window: Tuple[int, int],
 ) -> ImpactComparison:
     """Table 5."""
-    baseline = _count_group(archive, baseline_packages, None,
-                            baseline_window, "Baseline")
-    vetted = _count_group(archive, vetted_packages, dataset,
-                          baseline_window, "Vetted")
-    unvetted = _count_group(archive, unvetted_packages, dataset,
-                            baseline_window, "Unvetted")
-    return ImpactComparison(
-        baseline=baseline, vetted=vetted, unvetted=unvetted,
-        vetted_vs_baseline=safe_two_by_two(vetted.positive, vetted.negative,
-                                      baseline.positive, baseline.negative),
-        unvetted_vs_baseline=safe_two_by_two(unvetted.positive, unvetted.negative,
-                                        baseline.positive, baseline.negative),
-    )
+    return _compare_groups(archive, dataset, vetted_packages,
+                           unvetted_packages, baseline_packages,
+                           baseline_window, install_increase_flag)
 
 
 def _charted_in_window(archive: CrawlArchive, package: str,
-                       window: Tuple[int, int],
-                       exclude_first_day: bool) -> Optional[bool]:
+                       window: Tuple[int, int]) -> Optional[bool]:
+    """Did the app chart on a crawl after the window's first one?
+    ``None`` when no chart crawl falls in the window or the app already
+    charted on the first."""
     start, end = window
     crawl_days = [day for day in archive.chart_days_observed()
                   if start <= day <= end]
-    if not crawl_days:
+    if not crawl_days or archive.charted_on(package, crawl_days[0]):
         return None
-    if exclude_first_day and archive.charted_on(package, crawl_days[0]):
-        return None  # excluded: already in charts at window start
-    return any(archive.charted_on(package, day)
-               for day in crawl_days[1 if exclude_first_day else 0:])
+    return any(archive.charted_on(package, day) for day in crawl_days[1:])
 
 
 def top_chart_comparison(
@@ -150,33 +161,9 @@ def top_chart_comparison(
     baseline_window: Tuple[int, int],
 ) -> ImpactComparison:
     """Table 6 (apps already charting at window start are excluded)."""
-
-    def count(packages: Sequence[str], use_dataset: bool,
-              label: str) -> GroupCount:
-        total = 0
-        positive = 0
-        for package in packages:
-            window = _window_for(package, dataset if use_dataset else None,
-                                 baseline_window)
-            flag = _charted_in_window(archive, package, window,
-                                      exclude_first_day=True)
-            if flag is None:
-                continue
-            total += 1
-            if flag:
-                positive += 1
-        return GroupCount(label=label, total=total, positive=positive)
-
-    baseline = count(baseline_packages, False, "Baseline")
-    vetted = count(vetted_packages, True, "Vetted")
-    unvetted = count(unvetted_packages, True, "Unvetted")
-    return ImpactComparison(
-        baseline=baseline, vetted=vetted, unvetted=unvetted,
-        vetted_vs_baseline=safe_two_by_two(vetted.positive, vetted.negative,
-                                      baseline.positive, baseline.negative),
-        unvetted_vs_baseline=safe_two_by_two(unvetted.positive, unvetted.negative,
-                                        baseline.positive, baseline.negative),
-    )
+    return _compare_groups(archive, dataset, vetted_packages,
+                           unvetted_packages, baseline_packages,
+                           baseline_window, _charted_in_window)
 
 
 @dataclass(frozen=True)

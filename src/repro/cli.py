@@ -112,16 +112,32 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _int(text: str) -> int:
+    """``text`` as an integer, or an argparse usage error."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
 def _positive_int(text: str) -> int:
     """Argparse type: a strictly positive integer (``--days`` and the
     serve sizes)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    value = _int(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(
             f"must be positive, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """Argparse type: an integer of at least 0 (``--installs-per-iip``,
+    where 0 is the honey dry run, and ``--batch-devices``, where 0
+    materialises)."""
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must not be negative, got {value}")
     return value
 
 
@@ -196,7 +212,8 @@ def _add_honey(subparsers) -> None:
     parser = subparsers.add_parser(
         "honey", help="run the Section-3 honey-app experiment")
     parser.add_argument("--seed", type=int, default=2019)
-    parser.add_argument("--installs-per-iip", type=int, default=None,
+    parser.add_argument("--installs-per-iip", type=_non_negative_int,
+                        default=None,
                         help="installs to purchase from each IIP "
                              "(default: the paper's 500)")
     _add_chaos_flags(parser)
@@ -212,8 +229,8 @@ def _add_wild(subparsers) -> None:
                              "(must be positive)")
     parser.add_argument("--days", type=_positive_int, default=60,
                         help="measurement days (must be positive)")
-    parser.add_argument("--batch-devices", type=int, default=0,
-                        metavar="N",
+    parser.add_argument("--batch-devices", type=_non_negative_int,
+                        default=0, metavar="N",
                         help="stream the analysis in N-row chunks and "
                              "spill the observation/archive logs to disk "
                              "(bounded peak-RSS; 0 = materialise "
@@ -259,7 +276,8 @@ def _add_detect(subparsers) -> None:
                              "advertised apps (default: 0.05)")
     parser.add_argument("--days", type=_positive_int, default=14,
                         help="wild source: measurement days (default: 14)")
-    parser.add_argument("--installs-per-iip", type=int, default=None,
+    parser.add_argument("--installs-per-iip", type=_non_negative_int,
+                        default=None,
                         help="honey source: installs to purchase from each "
                              "IIP (default: the paper's 500)")
     _add_scenario_flag(parser)
@@ -400,14 +418,7 @@ def _cmd_wild(args) -> int:
         WildScenarioConfig,
         World,
     )
-    from repro.analysis.appstore_impact import (
-        enforcement_decreases,
-        install_increase_comparison,
-        top_chart_comparison,
-    )
-    from repro.analysis.characterize import iip_summary_table, offer_type_table
-    from repro.iip.registry import VETTED_IIPS
-
+    from repro.core.paper_report import SECTIONS
     from repro.recovery import SimulatedCrash
 
     pack = _scenario_pack(args)
@@ -436,26 +447,8 @@ def _cmd_wild(args) -> int:
         for line in results.coverage_loss.summary_lines():
             print(f"  {line}")
         print()
-    print(reports.render_table3(offer_type_table(results.dataset)))
-    print()
-    print(reports.render_table4(iip_summary_table(
-        results.dataset, results.archive, VETTED_IIPS)))
-    print()
-    vetted = results.vetted_packages()
-    unvetted = results.unvetted_packages()
-    print(reports.render_table5(install_increase_comparison(
-        results.archive, results.dataset, vetted, unvetted,
-        results.baseline_packages, results.baseline_window)))
-    print()
-    print(reports.render_table6(top_chart_comparison(
-        results.archive, results.dataset, vetted, unvetted,
-        results.baseline_packages, results.baseline_window)))
-    print()
-    print(reports.render_enforcement(enforcement_decreases(results.archive, {
-        "Baseline": results.baseline_packages,
-        "Vetted": vetted,
-        "Unvetted": unvetted,
-    })))
+    print("\n\n".join(SECTIONS[name](results) for name in (
+        "table3", "table4", "table5", "table6", "enforcement")))
     if pack.adversarial:
         print(f"\nscenario: {pack.name}")
         _print_scenario_sections(world, scenario, args.days - 1)

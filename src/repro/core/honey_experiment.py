@@ -33,6 +33,7 @@ from repro.iip.offers import OfferCategory, tasks_for
 from repro.iip.platform import DeveloperCredentials
 from repro.net.client import TlsSessionCache
 from repro.obs import Observability
+from repro.obs.metrics import declare_stage_histograms
 from repro.parallel import derive_rng
 from repro.playstore.catalog import AppListing, Developer
 from repro.playstore.ledger import InstallSource
@@ -49,13 +50,6 @@ _CAMPAIGN_ORDER = ("Fyber", "ayeT-Studios", "RankApp")
 _START_DAYS = {"Fyber": 2, "ayeT-Studios": 8, "RankApp": 14}
 _WINDOW_DAYS = {"Fyber": 4, "ayeT-Studios": 4, "RankApp": 5}
 _PAYOUTS = {"Fyber": 0.10, "ayeT-Studios": 0.05, "RankApp": 0.02}
-
-#: Bucket bounds (in obs ops) for the honey op-cost histograms — same
-#: log-ish spacing as the wild stage histograms, for the same reason:
-#: campaign costs span orders of magnitude between test and bench scale.
-STAGE_OP_BOUNDS: Tuple[float, ...] = (
-    100.0, 300.0, 1_000.0, 3_000.0, 10_000.0, 30_000.0,
-    100_000.0, 300_000.0, 1_000_000.0)
 
 #: The op-cost histogram per pipeline stage.
 STAGE_HISTOGRAMS: Tuple[str, ...] = ("honey.campaign_ops", "honey.analysis_ops")
@@ -166,16 +160,8 @@ class HoneyAppExperiment:
         self.detection = detection
         self._cells = {iip_name: _CampaignCell(world, iip_name)
                        for iip_name in _CAMPAIGN_ORDER}
-        self._declare_stage_histograms()
+        declare_stage_histograms(world.obs.metrics, STAGE_HISTOGRAMS)
         self._publish_listing()
-
-    def _declare_stage_histograms(self) -> None:
-        metrics = self.world.obs.metrics
-        for name in STAGE_HISTOGRAMS:
-            try:
-                metrics.declare_histogram(name, STAGE_OP_BOUNDS)
-            except ValueError:
-                pass  # an earlier experiment on this world already did
 
     def _publish_listing(self) -> None:
         developer = Developer(

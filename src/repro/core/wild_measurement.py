@@ -40,19 +40,13 @@ from repro.net.client import CircuitBreaker, RetryPolicy
 from repro.net.ip import MILKER_COUNTRIES
 from repro.net.tls import TrustStore
 from repro.obs import Observability
+from repro.obs.metrics import declare_stage_histograms
 from repro.parallel import ShardScheduler
 from repro.playstore.frontend import PLAY_HOST
 from repro.simulation import paperdata
 from repro.simulation.scenarios import WildScenario
 from repro.simulation.world import World
 from repro.staticanalysis.libradar import LibRadarDetector
-
-#: Bucket bounds (in obs ops) for the per-stage op-cost histograms.
-#: Day-phase costs span roughly three orders of magnitude between the
-#: unit-test scale and the bench scale, hence the log-ish spacing.
-STAGE_OP_BOUNDS: Tuple[float, ...] = (
-    100.0, 300.0, 1_000.0, 3_000.0, 10_000.0, 30_000.0,
-    100_000.0, 300_000.0, 1_000_000.0)
 
 #: The op-cost histogram per pipeline stage.
 STAGE_HISTOGRAMS: Tuple[str, ...] = (
@@ -250,15 +244,7 @@ class WildMeasurement:
             decode=observed_offer_from_state,
             spill_path=(os.path.join(self.spill_root, "observations.jsonl")
                         if streaming else None))
-        self._declare_stage_histograms()
-
-    def _declare_stage_histograms(self) -> None:
-        metrics = self.world.obs.metrics
-        for name in STAGE_HISTOGRAMS:
-            try:
-                metrics.declare_histogram(name, STAGE_OP_BOUNDS)
-            except ValueError:
-                pass  # an earlier measurement on this world already did
+        declare_stage_histograms(world.obs.metrics, STAGE_HISTOGRAMS)
 
     # -- day loop ------------------------------------------------------------
 

@@ -36,7 +36,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.detection.events import DeviceInstallEvent, InstallLog
-from repro.detection.lockstep import LockstepCluster
+from repro.detection.lockstep import (
+    DetectorConfig,
+    LockstepCluster,
+    build_cluster,
+    cluster_weight,
+)
 
 
 @dataclass(frozen=True)
@@ -111,16 +116,23 @@ class HardenedLockstepDetector:
     # -- adaptive bursts ------------------------------------------------------
 
     def find_bursts(self, log: InstallLog) -> List[LockstepCluster]:
+        # Each chained window is scored as the naive detector scores
+        # its bursts, under the hardened engagement thresholds; the
+        # colocation fraction stays at the naive default (0.5).
+        scoring = DetectorConfig(
+            low_engagement_seconds=self.config.low_engagement_seconds,
+            min_low_engagement_fraction=(
+                self.config.min_low_engagement_fraction))
         clusters: List[LockstepCluster] = []
         for package in log.packages():
             events = log.events_for_package(package)
             events = sorted(events, key=lambda e: (e.timestamp_hours,
                                                    e.device_id))
-            clusters.extend(self._chain(package, events))
+            clusters.extend(self._chain(package, events, scoring))
         return clusters
 
-    def _chain(self, package: str,
-               events: List[DeviceInstallEvent]) -> List[LockstepCluster]:
+    def _chain(self, package: str, events: List[DeviceInstallEvent],
+               scoring: DetectorConfig) -> List[LockstepCluster]:
         config = self.config
         clusters: List[LockstepCluster] = []
         start = 0
@@ -135,35 +147,10 @@ class HardenedLockstepDetector:
             start = index
             if len(window) < config.min_cluster_size:
                 continue
-            cluster = self._score_window(package, window)
+            cluster = build_cluster(package, window, scoring)
             if cluster is not None:
                 clusters.append(cluster)
         return clusters
-
-    def _score_window(self, package: str,
-                      window: List[DeviceInstallEvent]
-                      ) -> Optional[LockstepCluster]:
-        config = self.config
-        low = [event for event in window
-               if not event.opened
-               or event.engagement_seconds < config.low_engagement_seconds]
-        low_fraction = len(low) / len(window)
-        if low_fraction < config.min_low_engagement_fraction:
-            return None
-        blocks = Counter(event.ip_slash24 for event in window)
-        block, block_count = blocks.most_common(1)[0]
-        dominant = block if block_count / len(window) >= 0.5 else None
-        ssids = Counter(event.ssid_hash for event in window)
-        _, ssid_count = ssids.most_common(1)[0]
-        return LockstepCluster(
-            package=package,
-            start_hour=window[0].timestamp_hours,
-            end_hour=window[-1].timestamp_hours,
-            device_ids=frozenset(event.device_id for event in window),
-            low_engagement_fraction=low_fraction,
-            dominant_slash24=dominant,
-            dominant_ssid_fraction=ssid_count / len(window),
-        )
 
     # -- co-install graph -----------------------------------------------------
 
@@ -202,7 +189,7 @@ class HardenedLockstepDetector:
         config = self.config
         participation: Counter = Counter()
         for cluster in self.find_bursts(log):
-            weight = 2 if cluster.dominant_slash24 else 1
+            weight = cluster_weight(cluster)
             for device_id in cluster.device_ids:
                 participation[device_id] += weight
         candidates = set(participation)

@@ -72,7 +72,9 @@ def build_cluster(package: str, window: List[DeviceInstallEvent],
     Shared by the batch :class:`LockstepDetector` and the online
     :class:`~repro.detection.stream.OnlineLockstepDetector` — both must
     score identical windows identically for the batch-vs-stream
-    equivalence guarantee to hold.
+    equivalence guarantee to hold — and by
+    :class:`~repro.detection.hardened.HardenedLockstepDetector`, which
+    passes its own engagement thresholds.
     """
     low = [event for event in window
            if not event.opened
@@ -132,18 +134,14 @@ class LockstepDetector:
                    <= config.burst_window_hours):
                 end += 1
             if end - start + 1 >= config.min_burst_size:
-                cluster = self._build_cluster(package, events[start:end + 1])
+                cluster = build_cluster(package, events[start:end + 1],
+                                        config)
                 if cluster is not None:
                     clusters.append(cluster)
                 start = end + 1
             else:
                 start += 1
         return clusters
-
-    def _build_cluster(self, package: str,
-                       window: List[DeviceInstallEvent]
-                       ) -> Optional[LockstepCluster]:
-        return build_cluster(package, window, self.config)
 
     # -- device flagging ------------------------------------------------------
 

@@ -28,6 +28,14 @@ class DatasetFormatError(ValueError):
     """The file is not a dataset this version can read."""
 
 
+def _list(data: Dict[str, object], key: str) -> List[object]:
+    """``data[key]``, which must be a JSON list."""
+    value = data.get(key)
+    if not isinstance(value, list):
+        raise DatasetFormatError(f"{key!r} is missing or not a list")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Offer dataset
 # ---------------------------------------------------------------------------
@@ -91,7 +99,7 @@ def load_offer_records(path: Union[str, Path]) -> List[OfferRecord]:
     if payload.get("format_version") != FORMAT_VERSION:
         raise DatasetFormatError(
             f"unsupported format version {payload.get('format_version')!r}")
-    return [_record_from_json(entry) for entry in payload["offers"]]
+    return [_record_from_json(entry) for entry in _list(payload, "offers")]
 
 
 def rehydrate_dataset(records: List[OfferRecord]) -> OfferDataset:
@@ -148,16 +156,20 @@ def load_archive(path: Union[str, Path]) -> CrawlArchive:
         raise DatasetFormatError(
             f"unsupported format version {payload.get('format_version')!r}")
     archive = CrawlArchive()
-    for entry in payload["profiles"]:
-        archive.add_profile(snapshot_from_state(entry))
-    for chart_entry in payload["charts"]:
-        chart = str(chart_entry["chart"])
-        day = int(chart_entry["day"])
-        archive.add_chart(chart, day, [
-            ChartAppearance(package=str(e["package"]), chart=chart, day=day,
-                            rank=int(e["rank"]),
-                            percentile=float(e["percentile"]))
-            for e in chart_entry["entries"]
-        ])
-    archive.crawl_days = [int(day) for day in payload["crawl_days"]]
+    try:
+        for entry in _list(payload, "profiles"):
+            archive.add_profile(snapshot_from_state(entry))
+        for chart_entry in _list(payload, "charts"):
+            chart = str(chart_entry["chart"])
+            day = int(chart_entry["day"])
+            archive.add_chart(chart, day, [
+                ChartAppearance(package=str(e["package"]), chart=chart,
+                                day=day, rank=int(e["rank"]),
+                                percentile=float(e["percentile"]))
+                for e in _list(chart_entry, "entries")
+            ])
+        archive.crawl_days = [int(day)
+                              for day in _list(payload, "crawl_days")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"malformed crawl archive: {exc}") from exc
     return archive

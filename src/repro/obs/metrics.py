@@ -15,7 +15,7 @@ nothing and never fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -24,6 +24,14 @@ LabelItems = Tuple[Tuple[str, str], ...]
 #: land in the overflow bucket).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0)
+
+#: Bucket bounds (in obs ops) for the wild and honey pipelines' per-stage
+#: op-cost histograms.  Stage costs span roughly three orders of
+#: magnitude between the unit-test scale and the bench scale, hence the
+#: log-ish spacing.
+STAGE_OP_BOUNDS: Tuple[float, ...] = (
+    100.0, 300.0, 1_000.0, 3_000.0, 10_000.0, 30_000.0,
+    100_000.0, 300_000.0, 1_000_000.0)
 
 
 def label_key(labels: Mapping[str, object]) -> LabelItems:
@@ -388,6 +396,17 @@ class MetricsRegistry:
         self._histogram_bounds = {
             name: tuple(bounds)
             for name, bounds in state["histogram_bounds"].items()}  # type: ignore[union-attr]
+
+
+def declare_stage_histograms(metrics: MetricsRegistry,
+                              names: Sequence[str]) -> None:
+    """Give each of a pipeline's per-stage op-cost histograms the
+    :data:`STAGE_OP_BOUNDS` buckets."""
+    for name in names:
+        try:
+            metrics.declare_histogram(name, STAGE_OP_BOUNDS)
+        except ValueError:
+            pass  # an earlier run on this world already did
 
 
 class NullMetricsRegistry(MetricsRegistry):

@@ -1,5 +1,6 @@
 """CLI tests: every subcommand, argument handling, export/report flow."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +29,16 @@ NON_POSITIVE_IDS = [
     f"{flag}-{value}" if subcommand == "wild"
     else f"{subcommand}-{flag}-{value}"
     for subcommand, flag, value in NON_POSITIVE_SIZES]
+
+#: Size flags where 0 means something (the honey dry run, the
+#: materialised wild run) but a negative value does not.
+NON_NEGATIVE_SIZES = [
+    ("honey", "--installs-per-iip"),
+    ("detect", "--installs-per-iip"),
+    ("wild", "--batch-devices"),
+]
+NON_NEGATIVE_IDS = [f"{subcommand}-{flag}"
+                    for subcommand, flag in NON_NEGATIVE_SIZES]
 
 
 class TestParser:
@@ -79,6 +90,20 @@ class TestParser:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "positive" in err or "is not" in err
+
+    @pytest.mark.parametrize("subcommand,flag", NON_NEGATIVE_SIZES,
+                             ids=NON_NEGATIVE_IDS)
+    def test_negative_sizes_rejected(self, capsys, subcommand, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([subcommand, flag, "-5"])
+        assert excinfo.value.code == 2
+        assert "must not be negative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand,flag", NON_NEGATIVE_SIZES,
+                             ids=NON_NEGATIVE_IDS)
+    def test_zero_sizes_accepted(self, subcommand, flag):
+        args = build_parser().parse_args([subcommand, flag, "0"])
+        assert getattr(args, flag[2:].replace("-", "_")) == 0
 
     def test_wild_streaming_arguments(self):
         args = build_parser().parse_args(
@@ -190,6 +215,18 @@ class TestCommands:
         bad.write_text("{}")
         assert main(["report", "--offers", str(bad)]) == 2
         assert "cannot load offers" in capsys.readouterr().err
+
+    def test_report_malformed_archive_fails_cleanly(self, capsys, tmp_path):
+        offers = tmp_path / "offers.json"
+        offers.write_text(json.dumps({"kind": "offer_dataset",
+                                      "format_version": 1, "offers": []}))
+        archive = tmp_path / "archive.json"
+        archive.write_text(json.dumps({
+            "kind": "crawl_archive", "format_version": 1, "crawl_days": [],
+            "charts": [], "profiles": [{"package": "com.app.one"}]}))
+        assert main(["report", "--offers", str(offers),
+                     "--archive", str(archive)]) == 2
+        assert "cannot load archive" in capsys.readouterr().err
 
 
 class TestPaperCommand:

@@ -80,6 +80,17 @@ class TestOfferDatasetRoundTrip:
         with pytest.raises(DatasetFormatError, match="malformed"):
             load_offer_records(path)
 
+    @pytest.mark.parametrize("offers", [None, 5, {"iip": "Fyber"}],
+                             ids=["missing", "number", "object"])
+    def test_offers_that_are_not_a_list_rejected(self, tmp_path, offers):
+        payload = {"kind": "offer_dataset", "format_version": 1}
+        if offers is not None:
+            payload["offers"] = offers
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DatasetFormatError, match="'offers'"):
+            load_offer_records(path)
+
 
 class TestArchiveRoundTrip:
     def _archive(self):
@@ -116,6 +127,26 @@ class TestArchiveRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "offer_dataset",
                                     "format_version": 1}))
+        with pytest.raises(DatasetFormatError):
+            load_archive(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda p: p["profiles"][0].pop("developer_website"),
+        lambda p: p["profiles"][1].update(installs_floor="many"),
+        lambda p: p.pop("profiles"),
+        lambda p: p.update(charts={"top_free": []}),
+        lambda p: p["charts"][0]["entries"][0].pop("rank"),
+        lambda p: p["charts"].append(["top_free", 4]),
+        lambda p: p.pop("crawl_days"),
+        lambda p: p.update(crawl_days=[0, None]),
+    ], ids=["profile-key", "profile-type", "profiles-key", "charts-type",
+            "entry-key", "chart-type", "crawl-days-key", "crawl-day-type"])
+    def test_malformed_archive_rejected(self, tmp_path, damage):
+        path = tmp_path / "archive.json"
+        save_archive(self._archive(), path)
+        payload = json.loads(path.read_text())
+        damage(payload)
+        path.write_text(json.dumps(payload))
         with pytest.raises(DatasetFormatError):
             load_archive(path)
 
