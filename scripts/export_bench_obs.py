@@ -15,7 +15,7 @@ Four outputs:
 
 * ``BENCH_wild.json`` / ``BENCH_honey.json`` (``--out`` /
   ``--honey-out``): the full reports, including wall times —
-  informative, not deterministic, uploaded as CI artifacts.
+  informative, not deterministic, never committed.
 * ``benchmarks/snapshots/wild_obs.json`` /
   ``benchmarks/snapshots/honey_obs.json`` (``--snapshot-out`` /
   ``--honey-snapshot-out``): the deterministic subsets (no wall

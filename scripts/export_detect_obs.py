@@ -19,7 +19,7 @@ into the naive path shows up as snapshot drift here.
 Two outputs:
 
 * ``BENCH_detect.json`` (``--out``): the full report including wall
-  times — informative, not deterministic, uploaded as a CI artifact.
+  times — informative, not deterministic, never committed.
 * ``benchmarks/snapshots/detect_obs.json`` (``--snapshot-out``): the
   deterministic subset (no wall times), committed to the repo.
   ``benchmarks/test_bench_detect.py`` fails if a fresh run drifts from
@@ -49,10 +49,9 @@ from repro import (
     World,
 )
 from repro.core import HoneyAppExperiment
-from repro.detection import HardenedDetectorConfig, HardenedLockstepDetector
-from repro.detection.evaluation import evaluate_detector
+from repro.detection import HardenedLockstepDetector
 from repro.detection.lockstep import LockstepDetector
-from repro.detection.live import HONEY_DETECTOR_CONFIG
+from repro.detection.live import HONEY_HARDENED_FLAG_THRESHOLD
 from repro.scenarios import (
     DownloadFraudDetector,
     EvasiveLiveDetection,
@@ -73,7 +72,7 @@ DEFAULT_SNAPSHOT = REPO_ROOT / "benchmarks/snapshots/detect_obs.json"
 
 def run_honey_source() -> tuple:
     world = World(seed=SEED)
-    hook = world.detection_hook("honey", config=HONEY_DETECTOR_CONFIG)
+    hook = world.detection_hook("honey")
     started = time.monotonic()
     HoneyAppExperiment(world, installs_per_iip=HONEY_INSTALLS,
                        detection=hook).run()
@@ -96,8 +95,7 @@ def run_wild_source(profile: str = "naive") -> tuple:
 def run_honey_evasive() -> tuple:
     world = World(seed=SEED)
     hook = EvasiveLiveDetection(
-        world.seeds.seed_for("honey-evasion"),
-        obs=world.obs, source="honey", config=HONEY_DETECTOR_CONFIG)
+        world.seeds.seed_for("honey-evasion"), obs=world.obs, source="honey")
     started = time.monotonic()
     HoneyAppExperiment(world, installs_per_iip=HONEY_INSTALLS,
                        detection=hook).run()
@@ -138,14 +136,10 @@ def _quality(evaluation) -> dict:
     }
 
 
-def _hardened_recovery(hook, config=None) -> dict:
+def _hardened_recovery(hook, detector: HardenedLockstepDetector) -> dict:
     """Naive degradation vs hardened recovery on one evaded log."""
-    detector = HardenedLockstepDetector(config)
     flagged = detector.flag_devices(hook.log)
-    universe = set(hook.log.devices())
-    recovered = evaluate_detector(flagged, hook.incentivized & universe,
-                                  universe)
-    report = _quality(recovered)
+    report = _quality(hook.score(flagged))
     report["flagged"] = len(flagged)
     return {"naive": _quality(hook.evaluate()), "hardened": report}
 
@@ -154,12 +148,9 @@ def evasive_report() -> tuple:
     _world, _scenario, wild_hook, wild_elapsed = run_wild_source("evasive")
     _hworld, honey_hook, honey_elapsed = run_honey_evasive()
     report = {
-        "wild": _hardened_recovery(wild_hook),
-        # Honey devices install exactly one app each: the co-install
-        # graph is definitionally empty, so burst evidence alone
-        # carries the flag (same special case as the CLI).
-        "honey": _hardened_recovery(
-            honey_hook, HardenedDetectorConfig(flag_threshold=1.0)),
+        "wild": _hardened_recovery(wild_hook, HardenedLockstepDetector()),
+        "honey": _hardened_recovery(honey_hook, HardenedLockstepDetector(
+            HONEY_HARDENED_FLAG_THRESHOLD)),
     }
     return report, wild_elapsed + honey_elapsed
 

@@ -17,8 +17,7 @@ exporter measures that trajectory at fixed seed:
   materialised runs must agree on every one of them, which
   ``benchmarks/test_bench_scale.py`` asserts;
 * peak RSS, wall time, and devices/sec land in the host-dependent
-  sections of ``BENCH_scale.json`` (uploaded as a CI artifact, never
-  committed).
+  sections of ``BENCH_scale.json`` (never committed).
 
 ``devices_per_sec`` here is simulated install events per wall second:
 install volume is the quantity that actually grows with ``--scale``

@@ -12,7 +12,7 @@ fleet's ground truth).
 Two outputs:
 
 * ``BENCH_serve.json`` (``--out``): the full report including wall
-  times — informative, not deterministic, uploaded as a CI artifact.
+  times — informative, not deterministic, never committed.
 * ``benchmarks/snapshots/serve_obs.json`` (``--snapshot-out``): the
   deterministic subset (no wall times), committed to the repo.
   ``benchmarks/test_bench_serve.py`` fails if a fresh run drifts from

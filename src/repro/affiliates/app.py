@@ -14,6 +14,10 @@ from repro.net.errors import NetError
 from repro.users.worker import OfferWorkResult, Worker
 
 
+#: Fraction of an offer's payout every affiliate app passes to its user.
+USER_SHARE = 1.0
+
+
 @dataclass(frozen=True)
 class AffiliateAppSpec:
     """Static facts about one affiliate app."""
@@ -24,14 +28,13 @@ class AffiliateAppSpec:
     integrated_iips: Tuple[str, ...]
     currency_name: str
     points_per_usd: float
-    user_share: float = 1.0
 
     def wall_config(self) -> AffiliateWallConfig:
         return AffiliateWallConfig(
             affiliate_id=self.package,
             currency_name=self.currency_name,
             points_per_usd=self.points_per_usd,
-            user_share=self.user_share,
+            user_share=USER_SHARE,
         )
 
 

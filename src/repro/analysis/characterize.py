@@ -5,7 +5,7 @@ from __future__ import annotations
 import bisect
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.classify import ClassifiedOffer, OfferClassifier
 from repro.analysis.stats import mean, median
@@ -42,8 +42,7 @@ class IipSummaryRow:
     median_app_age_days: float
 
 
-def classify_dataset(dataset: OfferDataset,
-                     classifier: Optional[OfferClassifier] = None
+def classify_dataset(dataset: OfferDataset
                      ) -> Dict[Tuple[str, str], ClassifiedOffer]:
     """(iip, offer_id) -> classification, for the whole corpus.
 
@@ -52,7 +51,7 @@ def classify_dataset(dataset: OfferDataset,
     the corpus repeats descriptions heavily, and several tables call
     this per report.
     """
-    classifier = classifier or OfferClassifier()
+    classifier = OfferClassifier()
     by_description = {
         description: classifier.classify(description)
         for description in dataset.unique_descriptions()}
@@ -64,11 +63,9 @@ def classify_dataset(dataset: OfferDataset,
     }
 
 
-def offer_type_table(dataset: OfferDataset,
-                     classifier: Optional[OfferClassifier] = None
-                     ) -> List[OfferTypeRow]:
+def offer_type_table(dataset: OfferDataset) -> List[OfferTypeRow]:
     """Table 3: prevalence and average payout per offer type."""
-    labels = classify_dataset(dataset, classifier)
+    labels = classify_dataset(dataset)
     total = dataset.offer_count()
     if total == 0:
         return []
@@ -101,8 +98,7 @@ def offer_type_table(dataset: OfferDataset,
 
 def iip_summary_table(dataset: OfferDataset,
                       archive: CrawlArchive,
-                      vetted_names: Sequence[str],
-                      classifier: Optional[OfferClassifier] = None
+                      vetted_names: Sequence[str]
                       ) -> List[IipSummaryRow]:
     """Table 4: per-IIP offers and Play metadata summary.
 
@@ -110,7 +106,7 @@ def iip_summary_table(dataset: OfferDataset,
     measures age as campaign start minus Play release date, and install
     counts as the binned value at first observation.
     """
-    labels = classify_dataset(dataset, classifier)
+    labels = classify_dataset(dataset)
     groups = GroupFold("iip_name", "payout_usd", "offer_id",
                        "package").fold(dataset.frame_chunks()).groups
     rows = []
@@ -151,15 +147,16 @@ def iip_summary_table(dataset: OfferDataset,
     return rows
 
 
-def install_count_histogram(values: Sequence[int],
-                            edges: Sequence[int] = (
-                                1_000, 10_000, 100_000, 1_000_000,
-                                10_000_000, 100_000_000, 1_000_000_000)
-                            ) -> List[Tuple[str, int]]:
+#: Figure 4's install-count bin edges (the paper's bins).
+INSTALL_COUNT_EDGES = (1_000, 10_000, 100_000, 1_000_000, 10_000_000,
+                       100_000_000, 1_000_000_000)
+
+
+def install_count_histogram(values: Sequence[int]) -> List[Tuple[str, int]]:
     """Figure 4: histogram of install counts over the paper's bins."""
     labels = ["0-1k", "1k-10k", "10k-100k", "100k-1M", "1M-10M",
               "10M-100M", "100M-1000M", "1000M+"]
     counts = [0] * len(labels)
     for value in values:
-        counts[bisect.bisect_right(edges, value)] += 1
+        counts[bisect.bisect_right(INSTALL_COUNT_EDGES, value)] += 1
     return list(zip(labels, counts))

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.classify import OfferClassifier
 from repro.analysis.characterize import classify_dataset
 from repro.analysis.stats import ChiSquaredResult, mean, safe_two_by_two
 from repro.crunchbase.database import CrunchbaseSnapshot
@@ -134,10 +133,9 @@ class FundedOfferBreakdown:
 
 
 def funded_offer_breakdown(dataset: OfferDataset,
-                           funded_packages: Sequence[str],
-                           classifier: Optional[OfferClassifier] = None
+                           funded_packages: Sequence[str]
                            ) -> FundedOfferBreakdown:
-    labels = classify_dataset(dataset, classifier)
+    labels = classify_dataset(dataset)
     funded = set(funded_packages)
     no_activity_apps = set()
     activity_apps = set()

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.analysis.classify import OfferClassifier
 from repro.analysis.characterize import classify_dataset
 from repro.iip.offers import OfferCategory
 from repro.monitor.dataset import OfferDataset
@@ -48,11 +47,10 @@ def ad_library_distribution(scan: Mapping[str, int],
     return distributions
 
 
-def split_packages_by_offer_type(dataset: OfferDataset,
-                                 classifier: Optional[OfferClassifier] = None
+def split_packages_by_offer_type(dataset: OfferDataset
                                  ) -> Dict[str, List[str]]:
     """Apps that (ever) used activity offers vs only no-activity offers."""
-    labels = classify_dataset(dataset, classifier)
+    labels = classify_dataset(dataset)
     activity_apps = set()
     all_apps = set()
     for record in dataset.offers():
@@ -90,10 +88,9 @@ class ArbitrageStats:
                 if self.unvetted_apps else 0.0)
 
 
-def arbitrage_stats(dataset: OfferDataset, vetted_names: Sequence[str],
-                    classifier: Optional[OfferClassifier] = None
+def arbitrage_stats(dataset: OfferDataset, vetted_names: Sequence[str]
                     ) -> ArbitrageStats:
-    labels = classify_dataset(dataset, classifier)
+    labels = classify_dataset(dataset)
     vetted_set = set(vetted_names)
     all_apps = set()
     arbitrage_apps = set()

@@ -16,17 +16,18 @@ question under an explicit economic model:
 * **arbitrage commission** (arbitrage offers) = a commission margin on
   the in-app offers the user completes.
 
-All model parameters are explicit in :class:`RevenueModel` so the
-conclusion can be stress-tested (the bench sweeps eCPM).
+The model's parameters are the module constants below; the
+attribution fee is :data:`repro.iip.mediator.FEE_PER_USER_USD`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
-from repro.analysis.classify import ClassifiedOffer, OfferClassifier
+from repro.analysis.classify import ClassifiedOffer
 from repro.analysis.characterize import classify_dataset
+from repro.iip.mediator import FEE_PER_USER_USD
 from repro.iip.offers import ActivityKind, OfferCategory
 from repro.monitor.dataset import OfferDataset, OfferRecord
 
@@ -39,25 +40,14 @@ SESSION_MINUTES = {
     "arbitrage": 26.0,
 }
 
-
-@dataclass(frozen=True)
-class RevenueModel:
-    """Tunable economics."""
-
-    ecpm_usd: float = 8.0              # revenue per 1000 ad impressions
-    impressions_per_minute: float = 1.2
-    max_effective_ad_libraries: int = 5
-    advertiser_markup: float = 0.5     # IIP margin over the user payout
-    attribution_fee_usd: float = 0.03
-    store_iap_cut: float = 0.30
-    arbitrage_commission: float = 0.35  # developer's share of in-app offers
-    typical_purchase_usd: float = 4.99
-
-    def __post_init__(self) -> None:
-        if self.ecpm_usd < 0 or self.impressions_per_minute < 0:
-            raise ValueError("negative revenue parameters")
-        if not 0 <= self.store_iap_cut < 1:
-            raise ValueError("store cut out of range")
+#: Revenue-model parameters.
+ECPM_USD = 8.0                     # revenue per 1000 ad impressions
+IMPRESSIONS_PER_MINUTE = 1.2
+MAX_EFFECTIVE_AD_LIBRARIES = 5
+ADVERTISER_MARKUP = 0.5            # IIP margin over the user payout
+STORE_IAP_CUT = 0.30
+ARBITRAGE_COMMISSION = 0.35        # developer's share of in-app offers
+TYPICAL_PURCHASE_USD = 4.99
 
 
 @dataclass(frozen=True)
@@ -111,27 +101,25 @@ def _offer_kind(classified: ClassifiedOffer) -> str:
 
 
 def offer_economics(record: OfferRecord, classified: ClassifiedOffer,
-                    ad_libraries: int,
-                    model: Optional[RevenueModel] = None) -> OfferEconomics:
+                    ad_libraries: int) -> OfferEconomics:
     """Per-completion cost and revenue of one observed offer."""
-    model = model or RevenueModel()
     kind = _offer_kind(classified)
-    cost = (record.payout_usd * (1.0 + model.advertiser_markup)
-            + model.attribution_fee_usd)
+    cost = (record.payout_usd * (1.0 + ADVERTISER_MARKUP)
+            + FEE_PER_USER_USD)
     minutes = SESSION_MINUTES[kind]
-    effective_libs = min(ad_libraries, model.max_effective_ad_libraries)
+    effective_libs = min(ad_libraries, MAX_EFFECTIVE_AD_LIBRARIES)
     ad_revenue = 0.0
     if effective_libs > 0:
-        impressions = minutes * model.impressions_per_minute
+        impressions = minutes * IMPRESSIONS_PER_MINUTE
         # More mediation partners, better fill: scale toward 1.0.
-        fill = effective_libs / model.max_effective_ad_libraries
-        ad_revenue = impressions * fill * model.ecpm_usd / 1000.0
+        fill = effective_libs / MAX_EFFECTIVE_AD_LIBRARIES
+        ad_revenue = impressions * fill * ECPM_USD / 1000.0
     iap_revenue = 0.0
     if kind == "purchase":
-        iap_revenue = model.typical_purchase_usd * (1.0 - model.store_iap_cut)
+        iap_revenue = TYPICAL_PURCHASE_USD * (1.0 - STORE_IAP_CUT)
     arbitrage_revenue = 0.0
     if kind == "arbitrage":
-        arbitrage_revenue = record.payout_usd * model.arbitrage_commission
+        arbitrage_revenue = record.payout_usd * ARBITRAGE_COMMISSION
     return OfferEconomics(
         iip_name=record.iip_name,
         offer_id=record.offer_id,
@@ -145,19 +133,17 @@ def offer_economics(record: OfferRecord, classified: ClassifiedOffer,
 
 
 def cost_recovery_analysis(dataset: OfferDataset,
-                           apk_scan: Mapping[str, int],
-                           model: Optional[RevenueModel] = None,
-                           classifier: Optional[OfferClassifier] = None
+                           apk_scan: Mapping[str, int]
                            ) -> List[OfferEconomics]:
     """Economics for every offer whose app's APK was scanned."""
-    labels = classify_dataset(dataset, classifier)
+    labels = classify_dataset(dataset)
     results = []
     for record in dataset.offers():
         if record.package not in apk_scan:
             continue
         classified = labels[(record.iip_name, record.offer_id)]
         results.append(offer_economics(record, classified,
-                                       apk_scan[record.package], model))
+                                       apk_scan[record.package]))
     return results
 
 

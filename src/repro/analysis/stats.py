@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-DEFAULT_SIGNIFICANCE = 0.05
+SIGNIFICANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,8 @@ class ChiSquaredResult:
     p_value: float
     dof: int
 
-    def rejects_null(self, alpha: float = DEFAULT_SIGNIFICANCE) -> bool:
-        return self.p_value < alpha
+    def rejects_null(self) -> bool:
+        return self.p_value < SIGNIFICANCE
 
 
 def _lower_gamma_series(s: float, x: float) -> float:

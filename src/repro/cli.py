@@ -35,6 +35,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.core import reports
+from repro.simulation.paperdata import HONEY_INSTALLS_PURCHASED
 
 
 #: Every chaos-capable subcommand offers the same profiles.
@@ -81,6 +82,17 @@ def _scenario_pack(args):
         raise SystemExit(2)
 
 
+def _honey_experiment(args, world, detection=None):
+    """The honey experiment ``--installs-per-iip`` asks for, or exit 2
+    on a purchase too small to run."""
+    from repro import HoneyAppExperiment
+    try:
+        return HoneyAppExperiment(world, args.installs_per_iip, detection)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _print_scenario_sections(world, scenario, through_day: int) -> None:
     """The adversarial report sections ``wild`` and ``detect`` share."""
     pack = scenario.config.scenario
@@ -100,15 +112,39 @@ def _print_scenario_sections(world, scenario, through_day: int) -> None:
                                   report, through_day))
 
 
-def _positive_float(text: str) -> float:
-    """Argparse type: a strictly positive float (every ``--scale``)."""
+def _float(text: str) -> float:
+    """``text`` as a float, or an argparse usage error."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0:
+
+
+def _positive_float(text: str) -> float:
+    """Argparse type: a strictly positive float (every ``--scale``)."""
+    value = _float(text)
+    if not value > 0:  # NaN included
         raise argparse.ArgumentTypeError(
             f"must be positive, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """Argparse type: a float of at least 0 (``serve --qps``, where 0
+    stops the token refill)."""
+    value = _float(text)
+    if not value >= 0:  # NaN included
+        raise argparse.ArgumentTypeError(
+            f"must not be negative, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    """Argparse type: a float in [0, 1] (``--crash-rate``)."""
+    value = _float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 1], got {value}")
     return value
 
 
@@ -162,7 +198,7 @@ def _add_recovery_flags(parser, stages: str) -> None:
                        action="append", default=None,
                        help="inject a SimulatedCrash at the named kill "
                             f"point (repeatable; stages: {stages})")
-    group.add_argument("--crash-rate", type=float, default=0.0,
+    group.add_argument("--crash-rate", type=_probability, default=0.0,
                        help="hashed probability of crashing at each kill "
                             "point (default: 0.0)")
     group.add_argument("--crash-seed", type=int, default=None,
@@ -213,7 +249,7 @@ def _add_honey(subparsers) -> None:
         "honey", help="run the Section-3 honey-app experiment")
     parser.add_argument("--seed", type=int, default=2019)
     parser.add_argument("--installs-per-iip", type=_non_negative_int,
-                        default=None,
+                        default=HONEY_INSTALLS_PURCHASED,
                         help="installs to purchase from each IIP "
                              "(default: the paper's 500)")
     _add_chaos_flags(parser)
@@ -277,7 +313,7 @@ def _add_detect(subparsers) -> None:
     parser.add_argument("--days", type=_positive_int, default=14,
                         help="wild source: measurement days (default: 14)")
     parser.add_argument("--installs-per-iip", type=_non_negative_int,
-                        default=None,
+                        default=HONEY_INSTALLS_PURCHASED,
                         help="honey source: installs to purchase from each "
                              "IIP (default: the paper's 500)")
     _add_scenario_flag(parser)
@@ -296,7 +332,7 @@ def _add_serve(subparsers) -> None:
     parser.add_argument("--clients", type=_positive_int, default=8,
                         help="fleet clients, each with its own derived "
                              "RNG stream (default: 8)")
-    parser.add_argument("--qps", type=float, default=1.0,
+    parser.add_argument("--qps", type=_non_negative_float, default=1.0,
                         help="admission token refill, requests per virtual "
                              "second (default: 1.0)")
     parser.add_argument("--burst", type=_positive_int, default=12,
@@ -391,13 +427,10 @@ def _cmd_tables() -> int:
 
 
 def _cmd_honey(args) -> int:
-    from repro import HoneyAppExperiment, World
+    from repro import World
     from repro.recovery import SimulatedCrash
-    from repro.simulation import paperdata
     world = World(seed=args.seed, chaos=_chaos_scenario(args))
-    installs = (args.installs_per_iip if args.installs_per_iip is not None
-                else paperdata.HONEY_INSTALLS_PURCHASED)
-    experiment = HoneyAppExperiment(world, installs_per_iip=installs)
+    experiment = _honey_experiment(args, world)
     recovery = _recovery_context(args, "honey")
     try:
         results = experiment.run(recovery=recovery)
@@ -495,7 +528,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_detect(args) -> int:
     from repro.detection.lockstep import LockstepDetector
-    from repro.detection.live import HONEY_DETECTOR_CONFIG, LiveDetection
+    from repro.detection.live import LiveDetection
     from repro.obs import Observability
 
     pack = _scenario_pack(args)
@@ -520,21 +553,16 @@ def _cmd_detect(args) -> int:
                   file=sys.stderr)
             return 2
         from repro.simulation.world import World
-        from repro.core.honey_experiment import HoneyAppExperiment
         world = World(seed=args.seed, chaos=chaos)
         obs = world.obs
         if pack.evasive:
             from repro.scenarios import EvasiveLiveDetection
             hook = EvasiveLiveDetection(
                 world.seeds.seed_for("honey-evasion"),
-                obs=obs, source="honey", config=HONEY_DETECTOR_CONFIG)
+                obs=obs, source="honey")
         else:
-            hook = world.detection_hook("honey",
-                                        config=HONEY_DETECTOR_CONFIG)
-        kwargs = {}
-        if args.installs_per_iip is not None:
-            kwargs["installs_per_iip"] = args.installs_per_iip
-        HoneyAppExperiment(world, detection=hook, **kwargs).run()
+            hook = world.detection_hook("honey")
+        _honey_experiment(args, world, hook).run()
     else:
         from repro.simulation.world import World
         from repro.simulation.scenarios import (WildScenario,
@@ -567,21 +595,14 @@ def _cmd_detect(args) -> int:
     for package in hook.online.flagged_packages(min_clusters=1):
         print(f"policy candidate: {package}")
     if pack.evasive:
-        from repro.detection import (HardenedDetectorConfig,
-                                     HardenedLockstepDetector)
-        from repro.detection.evaluation import evaluate_detector
+        from repro.detection import HardenedLockstepDetector
+        from repro.detection.live import HONEY_HARDENED_FLAG_THRESHOLD
         if args.source == "honey":
-            # Honey devices install exactly one app each, so the
-            # co-install graph is definitionally empty; burst evidence
-            # alone has to carry the flag.
-            hardened = HardenedLockstepDetector(
-                HardenedDetectorConfig(flag_threshold=1.0))
+            hardened = HardenedLockstepDetector(HONEY_HARDENED_FLAG_THRESHOLD)
         else:
             hardened = HardenedLockstepDetector()
         hardened_flagged = hardened.flag_devices(hook.log)
-        universe = set(hook.log.devices())
-        hardened_report = evaluate_detector(
-            hardened_flagged, hook.incentivized & universe, universe)
+        hardened_report = hook.score(hardened_flagged)
         print(f"hardened flagged {len(hardened_flagged)}: "
               f"precision {hardened_report.precision:.2f}, "
               f"recall {hardened_report.recall:.2f}, "

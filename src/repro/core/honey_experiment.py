@@ -20,6 +20,7 @@ byte-identical at the same seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -59,6 +60,25 @@ def _campaign_slug(iip_name: str) -> str:
     """A lowercase id-safe namespace for one campaign cell."""
     return "".join(ch if ch.isalnum() or ch == "-" else "-"
                    for ch in iip_name.lower())
+
+
+def _delivered(iip_name: str, purchased: int) -> int:
+    """Installs an IIP delivers for ``purchased`` (the paper's ratio)."""
+    return round(purchased * paperdata.HONEY_DELIVERED[iip_name]
+                 / paperdata.HONEY_INSTALLS_PURCHASED)
+
+
+def _supported(purchased: int) -> bool:
+    """Whether every campaign gets a valid user mix.  The mix spreads
+    the paper's absolute Section-3 counts (emulators, the farm,
+    day-after clicks) over the delivered installs, so a purchase too
+    small to hold them has none; every larger purchase has one."""
+    try:
+        for iip_name in _CAMPAIGN_ORDER:
+            _mix_for(iip_name, _delivered(iip_name, purchased))
+    except ValueError:
+        return False
+    return True
 
 
 def _mix_for(iip_name: str, delivered: int) -> IIPUserMix:
@@ -151,6 +171,12 @@ class HoneyAppExperiment:
                  installs_per_iip: int = paperdata.HONEY_INSTALLS_PURCHASED,
                  detection: Optional[LiveDetection] = None,
                  ) -> None:
+        if installs_per_iip and not _supported(installs_per_iip):
+            smallest = next(n for n in itertools.count(1) if _supported(n))
+            raise ValueError(
+                f"cannot purchase {installs_per_iip} installs per IIP: the "
+                f"smallest supported purchase is {smallest} (or 0 for a "
+                f"dry run)")
         self.world = world
         self.installs_per_iip = installs_per_iip
         #: Live detection hook; when set, every delivered install also
@@ -414,9 +440,7 @@ class HoneyAppExperiment:
         )
         platform.launch(campaign.campaign_id, start_day)
 
-        delivered = round(purchased
-                          * paperdata.HONEY_DELIVERED[iip_name]
-                          / paperdata.HONEY_INSTALLS_PURCHASED)
+        delivered = _delivered(iip_name, purchased)
         delivery_hours = paperdata.HONEY_DELIVERY_HOURS[iip_name]
         affiliate = platform.affiliate_ids[0] if platform.affiliate_ids else "direct"
         timestamps: List[Tuple[int, float]] = []
@@ -424,9 +448,9 @@ class HoneyAppExperiment:
         opened = 0
         paid = 0
         emulator_count = 0
-        # A tiny purchase can round to zero delivered installs; there is
-        # then no population to build (the builder rejects count == 0),
-        # no open rate to measure, and nothing for policy to review.
+        # The dry run (a purchase of 0) delivers nothing: there is then
+        # no population to build (the builder rejects count == 0), no
+        # open rate to measure, and nothing for policy to review.
         if delivered > 0:
             mix = _mix_for(iip_name, delivered)
             sample = cell.population.build(

@@ -169,8 +169,12 @@ def render_fig5(timeline: CaseStudyTimeline) -> str:
     return "\n".join(lines)
 
 
-def render_fig6(distributions: Sequence[AdLibraryCdf],
-                threshold: int = 5) -> str:
+#: Figure 6's headline ad-library count.
+FIG6_AD_LIBRARY_THRESHOLD = 5
+
+
+def render_fig6(distributions: Sequence[AdLibraryCdf]) -> str:
+    threshold = FIG6_AD_LIBRARY_THRESHOLD
     lines = ["Figure 6: unique ad libraries per app (CDF summary)"]
     for distribution in distributions:
         lines.append(

@@ -13,8 +13,7 @@ truth the paper says its methodology can supply.
 from repro.detection.events import DeviceInstallEvent, InstallLog
 from repro.detection.evaluation import (DetectionReport, evaluate_detector,
                                         sweep_thresholds)
-from repro.detection.hardened import (HardenedDetectorConfig,
-                                      HardenedLockstepDetector)
+from repro.detection.hardened import HardenedLockstepDetector
 from repro.detection.lockstep import (DetectorConfig, LockstepCluster,
                                       LockstepDetector, build_cluster,
                                       cluster_weight)
@@ -26,7 +25,6 @@ __all__ = [
     "DetectionReport",
     "DetectorConfig",
     "DeviceInstallEvent",
-    "HardenedDetectorConfig",
     "HardenedLockstepDetector",
     "InstallEventBus",
     "InstallLog",

@@ -21,16 +21,19 @@ from repro.net.ip import AsnDatabase
 from repro.users.devices import Device, DeviceFactory
 
 
+#: The corpus's fixed shape.
+ORGANIC_INSTALLS_PER_DEVICE = (2, 6)
+POPULAR_APPS = 30
+CAMPAIGN_APPS = 4
+CAMPAIGN_WINDOW_HOURS = 3.0
+FARM_CAMPAIGN_INDEX = 0            # which campaign uses a device farm
+FARM_SIZE = 15
+
+
 @dataclass(frozen=True)
 class TrainingCorpusConfig:
     organic_devices: int = 400
-    organic_installs_per_device: Tuple[int, int] = (2, 6)
-    popular_apps: int = 30
-    campaign_apps: int = 4
     workers_per_campaign: int = 60
-    campaign_window_hours: float = 3.0
-    farm_campaign_index: int = 0       # which campaign uses a device farm
-    farm_size: int = 15
     days: int = 14
 
 
@@ -41,15 +44,15 @@ def build_training_corpus(seed: int = 1,
     rng = random.Random(seed)
     factory = DeviceFactory(AsnDatabase(), rng)
     log = InstallLog()
-    popular = [f"com.popular.app{i:03d}.x" for i in range(config.popular_apps)]
+    popular = [f"com.popular.app{i:03d}.x" for i in range(POPULAR_APPS)]
     advertised = [f"com.advertised.app{i:02d}.x"
-                  for i in range(config.campaign_apps)]
+                  for i in range(CAMPAIGN_APPS)]
 
     # Organic users: installs spread across days/hours, real engagement,
     # and the occasional organic install of an advertised app too.
     for _ in range(config.organic_devices):
         device = factory.real_phone(rng.choice(("US", "DE", "IN", "BR")))
-        count = rng.randint(*config.organic_installs_per_device)
+        count = rng.randint(*ORGANIC_INSTALLS_PER_DEVICE)
         for _ in range(count):
             pool = popular if rng.random() < 0.9 else advertised
             log.add(device_event(
@@ -68,8 +71,8 @@ def build_training_corpus(seed: int = 1,
         start_day = rng.randrange(1, config.days - 1)
         start_hour = rng.uniform(6.0, 12.0)
         devices: List[Device] = []
-        if index == config.farm_campaign_index:
-            farm = factory.farm("PH", size=config.farm_size)
+        if index == FARM_CAMPAIGN_INDEX:
+            farm = factory.farm("PH", size=FARM_SIZE)
             devices.extend(farm.devices)
         while len(devices) < config.workers_per_campaign:
             # Semi-professional workers reappear across campaigns.
@@ -84,7 +87,7 @@ def build_training_corpus(seed: int = 1,
                 worker_pool.append(fresh)
                 devices.append(fresh)
         for device in devices:
-            offset = rng.uniform(0.0, config.campaign_window_hours)
+            offset = rng.uniform(0.0, CAMPAIGN_WINDOW_HOURS)
             hour = (start_hour + offset) % 24.0
             day = start_day + int((start_hour + offset) // 24.0)
             opened = rng.random() < 0.8

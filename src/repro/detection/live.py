@@ -65,6 +65,11 @@ HONEY_RETURN_BONUS_SECONDS = 360.0
 HONEY_DETECTOR_CONFIG = DetectorConfig(min_bursts_per_device=1,
                                        min_low_engagement_fraction=0.4)
 
+#: The hardened detector's flag threshold on honey telemetry.  Honey
+#: devices install exactly one app each, so the co-install graph is
+#: definitionally empty; burst evidence alone has to carry the flag.
+HONEY_HARDENED_FLAG_THRESHOLD = 1.0
+
 #: How :class:`WildEventBridge` converts offer impressions into install
 #: events.  Rates are loosely calibrated to the Section-3 ground truth
 #: (most conversions barely engage; workers take many offers; farms
@@ -138,13 +143,15 @@ class LiveDetection:
     ``finalize()`` flushes the stream; ``evaluate()`` scores the flagged
     set against the incentivized ground truth the pipelines reported and
     publishes ``detection.precision`` / ``detection.recall`` gauges.
+    The ``honey`` source runs under :data:`HONEY_DETECTOR_CONFIG`, every
+    other source under the default thresholds.
     """
 
     def __init__(self, obs: Optional[Observability] = None,
-                 source: str = "live",
-                 config: Optional[DetectorConfig] = None) -> None:
+                 source: str = "live") -> None:
         self.obs = obs or NULL_OBS
-        self.config = config or DetectorConfig()
+        self.config = (HONEY_DETECTOR_CONFIG if source == "honey"
+                       else DetectorConfig())
         self.bus = InstallEventBus(self.obs, source=source)
         self.online = OnlineLockstepDetector(self.config, self.obs)
         self.log = InstallLog()
@@ -176,18 +183,22 @@ class LiveDetection:
     def finalize(self) -> Set[str]:
         return self.online.finalize()
 
-    def evaluate(self) -> DetectionReport:
-        """Score flagged vs ground truth; publishes the gauge pair.
+    def score(self, flagged: Set[str]) -> DetectionReport:
+        """Score any flagged set against this hook's ground truth;
+        records nothing.
 
         Ground truth is intersected with the devices that actually
         produced events — a purchased install whose telemetry never
         surfaced is invisible to any store-side detector and would just
         bias recall with events nobody could have seen.
         """
-        flagged = self.online.finalize()
         universe = set(self.log.devices())
-        report = evaluate_detector(flagged, self.incentivized & universe,
-                                   universe)
+        return evaluate_detector(flagged, self.incentivized & universe,
+                                 universe)
+
+    def evaluate(self) -> DetectionReport:
+        """Score the online flagged set; publishes the gauge pair."""
+        report = self.score(self.online.finalize())
         self.obs.metrics.set_gauge("detection.precision",
                                    round(report.precision, 6))
         self.obs.metrics.set_gauge("detection.recall",

@@ -46,6 +46,10 @@ class LockstepCluster:
         return self.end_hour - self.start_hour
 
 
+#: Share of a burst behind one /24 that marks it network-colocated.
+COLOCATION_FRACTION = 0.5
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Thresholds; defaults tuned on honey-app ground truth."""
@@ -55,7 +59,6 @@ class DetectorConfig:
     low_engagement_seconds: float = 180.0
     min_low_engagement_fraction: float = 0.5
     min_bursts_per_device: int = 2
-    colocation_fraction: float = 0.5   # share of a burst behind one /24
 
     def __post_init__(self) -> None:
         if self.burst_window_hours <= 0:
@@ -85,7 +88,7 @@ def build_cluster(package: str, window: List[DeviceInstallEvent],
     blocks = Counter(event.ip_slash24 for event in window)
     block, block_count = blocks.most_common(1)[0]
     dominant_block = (block if block_count / len(window)
-                      >= config.colocation_fraction else None)
+                      >= COLOCATION_FRACTION else None)
     ssids = Counter(event.ssid_hash for event in window)
     _, ssid_count = ssids.most_common(1)[0]
     return LockstepCluster(

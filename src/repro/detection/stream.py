@@ -242,7 +242,7 @@ class OnlineLockstepDetector:
 
     def load_state(self, state: Dict[str, object]) -> None:
         self.events_seen = int(state["events_seen"])  # type: ignore[arg-type]
-        self.version = int(state.get("version", 0))  # type: ignore[arg-type]
+        self.version = int(state["version"])  # type: ignore[arg-type]
         watermark = state["watermark"]
         self._watermark = (float("-inf") if watermark is None
                            else float(watermark))  # type: ignore[arg-type]

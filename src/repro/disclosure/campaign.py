@@ -22,7 +22,7 @@ from repro.monitor.crawler import CrawlArchive
 from repro.monitor.dataset import OfferDataset
 
 #: The paper's popularity bar for manual outreach.
-DEFAULT_MIN_INSTALLS = 5_000_000
+MIN_INSTALLS = 5_000_000
 #: Observed response behaviour: 3 of 136 contacted developers replied,
 #: every respondent was unaware and blamed contracted marketers.
 RESPONSE_RATE = 3 / 136
@@ -60,11 +60,9 @@ class DeveloperResponse:
 class DisclosureCampaign:
     """Select popular advertised apps and notify their developers."""
 
-    def __init__(self, archive: CrawlArchive, dataset: OfferDataset,
-                 min_installs: int = DEFAULT_MIN_INSTALLS) -> None:
+    def __init__(self, archive: CrawlArchive, dataset: OfferDataset) -> None:
         self._archive = archive
         self._dataset = dataset
-        self.min_installs = min_installs
         self.notices: List[DisclosureNotice] = []
         self.responses: List[DeveloperResponse] = []
         self.google_acknowledged = False
@@ -77,7 +75,7 @@ class DisclosureCampaign:
         by_package = self._dataset.offers_by_package()
         for package in self._dataset.unique_packages():
             profile = self._archive.last_profile(package)
-            if profile is None or profile.installs_floor < self.min_installs:
+            if profile is None or profile.installs_floor < MIN_INSTALLS:
                 continue
             iips = tuple(sorted({record.iip_name
                                  for record in by_package[package]}))
@@ -154,7 +152,7 @@ class DisclosureCampaign:
         summary = self.summary()
         lines = [
             "Responsible disclosure (Section 5.1)",
-            f"popular advertised apps (>= {self.min_installs:,} installs): "
+            f"popular advertised apps (>= {MIN_INSTALLS:,} installs): "
             f"{summary['apps_selected']}",
             f"notices sent: {summary['notices_sent']}",
             f"responses: {summary['responses']} "

@@ -21,6 +21,9 @@ from repro.honeyapp.server import StoredEvent, TelemetryServer
 from repro.honeyapp.telemetry import EVENT_OPEN, EVENT_RECORD_CLICK
 from repro.users.devices import looks_like_emulator
 
+#: Installs from one /24 at which the block is reported as a device farm.
+FARM_MIN_INSTALLS = 10
+
 
 @dataclass(frozen=True)
 class CampaignWindow:
@@ -202,7 +205,7 @@ class HoneyExperimentAnalysis:
 
     # -- automation signals -------------------------------------------------------
 
-    def automation(self, farm_threshold: int = 10) -> AutomationSummary:
+    def automation(self) -> AutomationSummary:
         emulator_by_iip: Dict[str, int] = Counter()
         cloud_by_iip: Dict[str, int] = Counter()
         block_devices: Dict[str, Set[str]] = defaultdict(set)
@@ -216,7 +219,7 @@ class HoneyExperimentAnalysis:
             block_devices[payload.ip_slash24].add(device_id)
         farms = []
         for block, devices in sorted(block_devices.items()):
-            if len(devices) < farm_threshold:
+            if len(devices) < FARM_MIN_INSTALLS:
                 continue
             rooted = [d for d in devices
                       if self._device_events[d][0].payload.is_rooted]

@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+from repro.honeyapp.app import COLLECT_HOST
 from repro.honeyapp.telemetry import (
     EVENT_OPEN,
     EVENT_RECORD_CLICK,
@@ -27,20 +28,21 @@ class StoredEvent:
 
 
 class TelemetryServer:
-    """HTTPS collector at ``collect.research.example``.
+    """HTTPS collector at :data:`~repro.honeyapp.app.COLLECT_HOST`.
 
     Stores every valid payload along with the ASN the connection came
     from (the payload itself only ever contains the sanitised /24).
     """
 
-    def __init__(self, fabric, ca: CertificateAuthority, rng: random.Random,
-                 hostname: str = "collect.research.example") -> None:
-        self.hostname = hostname
+    def __init__(self, fabric, ca: CertificateAuthority,
+                 rng: random.Random) -> None:
+        self.hostname = COLLECT_HOST
         self.events: List[StoredEvent] = []
         self._asn_db = fabric.asn_db
         address = fabric.asn_db.allocate(16509, rng)
-        identity = issue_server_identity(ca, hostname, rng)
-        self._server = HttpsServer(fabric, hostname, address, identity, rng)
+        identity = issue_server_identity(ca, COLLECT_HOST, rng)
+        self._server = HttpsServer(fabric, COLLECT_HOST, address, identity,
+                                   rng)
         self._server.router.post("/v1/telemetry", self._ingest)
 
     def _ingest(self, request: HttpRequest, context: RequestContext) -> HttpResponse:

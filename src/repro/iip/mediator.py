@@ -15,6 +15,9 @@ from typing import Dict, List, Optional, Set, Tuple
 #: The mediator's fee per attributed user (appsflyer's pricing).
 FEE_PER_USER_USD = 0.03
 
+#: The mediator named in every disbursement.
+MEDIATOR_NAME = "appsflyer.example"
+
 
 @dataclass(frozen=True)
 class Conversion:
@@ -29,8 +32,8 @@ class Conversion:
 class AttributionMediator:
     """Tracks SDK postbacks and certifies completions."""
 
-    def __init__(self, name: str = "appsflyer.example") -> None:
-        self.name = name
+    def __init__(self) -> None:
+        self.name = MEDIATOR_NAME
         self._conversions: List[Conversion] = []
         self._seen: Set[Tuple[str, str]] = set()  # (offer, device) dedup
 

@@ -43,11 +43,6 @@ class FuzzReport:
 class UiFuzzer:
     """Drives any affiliate app to exhaustively load its offer walls."""
 
-    def __init__(self, max_scrolls_per_tab: int = MAX_SCROLLS_PER_TAB) -> None:
-        if max_scrolls_per_tab <= 0:
-            raise ValueError("scroll budget must be positive")
-        self._max_scrolls = max_scrolls_per_tab
-
     def run(self, runtime: AffiliateAppRuntime) -> FuzzReport:
         report = FuzzReport(app_package=runtime.spec.package)
         root = runtime.open()
@@ -67,7 +62,7 @@ class UiFuzzer:
                 continue
             report.tabs_opened.append(tab.iip_name)
             report.log(f"tap {tab.view_id}")
-            for _ in range(self._max_scrolls):
+            for _ in range(MAX_SCROLLS_PER_TAB):
                 try:
                     more = runtime.scroll()
                 except Exception as exc:  # noqa: BLE001

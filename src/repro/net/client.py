@@ -39,6 +39,9 @@ RETRIABLE_STATUSES: Tuple[int, ...] = (429, 500, 502, 503, 504)
 #: will not change between attempts.
 _PERMANENT_ERRORS = (CertificatePinningError, CertificateVerificationError)
 
+#: Port of the cleartext transport (:meth:`HttpClient.request_plain`).
+HTTP_PORT = 80
+
 
 class RetryPolicy:
     """Deterministic retry schedule for one client.
@@ -339,27 +342,25 @@ class HttpClient:
 
     # -- public API ----------------------------------------------------------
 
-    def get(self, host: str, path: str, params: Optional[Mapping[str, str]] = None,
-            port: int = HTTPS_PORT) -> HttpResponse:
+    def get(self, host: str, path: str,
+            params: Optional[Mapping[str, str]] = None) -> HttpResponse:
         request = HttpRequest.get(path, host, params=params)
-        return self.request(host, request, port=port)
+        return self.request(host, request)
 
-    def post_json(self, host: str, path: str, payload: object,
-                  port: int = HTTPS_PORT) -> HttpResponse:
+    def post_json(self, host: str, path: str, payload: object) -> HttpResponse:
         request = HttpRequest.post_json(path, host, payload)
-        return self.request(host, request, port=port)
+        return self.request(host, request)
 
-    def request(self, host: str, request: HttpRequest,
-                port: int = HTTPS_PORT) -> HttpResponse:
+    def request(self, host: str, request: HttpRequest) -> HttpResponse:
         """Send one HTTPS request (possibly through the proxy)."""
         if self.proxy is not None:
-            return self._resilient(host, request, port, self._send_via_proxy)
-        return self._resilient(host, request, port, self._send_direct)
+            return self._resilient(host, request, HTTPS_PORT,
+                                   self._send_via_proxy)
+        return self._resilient(host, request, HTTPS_PORT, self._send_direct)
 
-    def request_plain(self, host: str, request: HttpRequest,
-                      port: int = 80) -> HttpResponse:
+    def request_plain(self, host: str, request: HttpRequest) -> HttpResponse:
         """Send one cleartext HTTP request (no TLS)."""
-        return self._resilient(host, request, port, self._send_plain)
+        return self._resilient(host, request, HTTP_PORT, self._send_plain)
 
     # -- resilience ------------------------------------------------------------
 

@@ -216,12 +216,11 @@ class HttpRequest:
         path: str,
         host: str,
         params: Optional[Mapping[str, str]] = None,
-        headers: Optional[Iterable[Tuple[str, str]]] = None,
     ) -> "HttpRequest":
         target = quote(path, safe="/%")
         if params:
             target = f"{target}?{urlencode(sorted(params.items()))}"
-        header_obj = Headers(headers)
+        header_obj = Headers()
         header_obj.set("Host", host)
         return cls(method="GET", target=target, headers=header_obj)
 
@@ -231,10 +230,9 @@ class HttpRequest:
         path: str,
         host: str,
         payload: object,
-        headers: Optional[Iterable[Tuple[str, str]]] = None,
     ) -> "HttpRequest":
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        header_obj = Headers(headers)
+        header_obj = Headers()
         header_obj.set("Host", host)
         header_obj.set("Content-Type", "application/json")
         header_obj.set("Content-Length", str(len(body)))
@@ -304,9 +302,9 @@ class HttpResponse:
         return cls(status=status, headers=headers, body=body)
 
     @classmethod
-    def text_response(cls, text: str, status: int = 200, content_type: str = "text/plain") -> "HttpResponse":
+    def text_response(cls, text: str, status: int = 200) -> "HttpResponse":
         body = text.encode("utf-8")
-        headers = Headers([("Content-Type", content_type), ("Content-Length", str(len(body)))])
+        headers = Headers([("Content-Type", "text/plain"), ("Content-Length", str(len(body)))])
         return cls(status=status, headers=headers, body=body)
 
     @classmethod

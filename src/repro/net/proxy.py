@@ -39,6 +39,9 @@ from repro.net.tls import (
 )
 from repro.obs import Observability
 
+#: Port every proxy listens on.
+PROXY_PORT = 8080
+
 
 def _parse_connect_target(request: HttpRequest) -> Tuple[str, int]:
     if request.method != "CONNECT":
@@ -89,11 +92,11 @@ class ForwardProxy:
     """A relay-only CONNECT proxy bound on the fabric."""
 
     def __init__(self, fabric: NetworkFabric, hostname: str,
-                 address: IPv4Address, port: int = 8080,
+                 address: IPv4Address,
                  obs: Optional[Observability] = None) -> None:
         self.fabric = fabric
         self.hostname = hostname
-        self.port = port
+        self.port = PROXY_PORT
         self.endpoint = Endpoint(address=address, hostname=hostname)
         self.obs = obs or fabric.obs
 
@@ -102,7 +105,7 @@ class ForwardProxy:
             return _TunnelHandler(info, fabric, self.endpoint, obs=self.obs)
 
         fabric.register_host(hostname, address)
-        fabric.listen(hostname, port, factory)
+        fabric.listen(hostname, PROXY_PORT, factory)
 
 
 @dataclass(frozen=True)
@@ -210,15 +213,13 @@ class MitmProxy:
         hostname: str,
         address: IPv4Address,
         rng: random.Random,
-        port: int = 8080,
         upstream_trust: Optional[TrustStore] = None,
-        upstream_proxy: Optional[Tuple[str, int]] = None,
         obs: Optional[Observability] = None,
         current_day: Optional[Callable[[], int]] = None,
     ) -> None:
         self.fabric = fabric
         self.hostname = hostname
-        self.port = port
+        self.port = PROXY_PORT
         self.endpoint = Endpoint(address=address, hostname=hostname)
         self.obs = obs or fabric.obs
         self._current_day = current_day
@@ -229,7 +230,8 @@ class MitmProxy:
         #: When set, outbound connections tunnel through this forward
         #: proxy (e.g. a VPN country exit), so origin servers see the
         #: exit's address -- how the paper milked from eight countries.
-        self.upstream_proxy = upstream_proxy
+        #: The milker sets it per country.
+        self.upstream_proxy: Optional[Tuple[str, int]] = None
         #: Ticket table for the client-facing leg: devices that carry a
         #: :class:`~repro.net.client.TlsSessionCache` resume against the
         #: minted impersonation identities in one flight.
@@ -241,7 +243,8 @@ class MitmProxy:
         self.upstream_sessions = TlsSessionCache()
         self.intercepted: List[InterceptedExchange] = []
         fabric.register_host(hostname, address)
-        fabric.listen(hostname, port, lambda info: _MitmHandler(info, self))
+        fabric.listen(hostname, PROXY_PORT,
+                      lambda info: _MitmHandler(info, self))
 
     def ca_certificate(self):
         """The self-signed root to install on instrumented devices."""

@@ -138,12 +138,10 @@ class HttpsServer:
         address: IPv4Address,
         identity: ServerIdentity,
         rng: random.Random,
-        port: int = HTTPS_PORT,
         obs: Optional[Observability] = None,
     ) -> None:
         self.fabric = fabric
         self.hostname = hostname
-        self.port = port
         self.identity = identity
         self.router = Router()
         self.obs = obs or fabric.obs
@@ -156,7 +154,7 @@ class HttpsServer:
         fabric.register_host(hostname, address)
         fabric.listen(
             hostname,
-            port,
+            HTTPS_PORT,
             lambda info: TlsServerHandler(
                 info,
                 identity,

@@ -16,9 +16,9 @@ from repro.obs.observability import Observability
 PathLike = Union[str, Path]
 
 
-def to_json(obs: Observability, indent: int = 1) -> str:
+def to_json(obs: Observability) -> str:
     """The whole context (metrics + spans) as canonical JSON text."""
-    return json.dumps(obs.snapshot(), indent=indent, sort_keys=True)
+    return json.dumps(obs.snapshot(), indent=1, sort_keys=True)
 
 
 def save_snapshot(obs: Observability, path: PathLike) -> Path:

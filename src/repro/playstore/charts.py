@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.playstore.catalog import Catalog
-from repro.playstore.engagement import EngagementBook
+from repro.playstore.engagement import TRAILING_WINDOW_DAYS, EngagementBook
 from repro.playstore.ledger import InstallLedger
 
 
@@ -67,7 +67,6 @@ INSTALL_VELOCITY_WEIGHT = 0.35
 ACTIVE_USER_WEIGHT = 0.01
 SESSION_SECOND_WEIGHT = 0.00003
 REGISTRATION_WEIGHT = 0.8
-TRAILING_WINDOW_DAYS = 7
 
 
 class ChartsEngine:

@@ -13,6 +13,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+#: Days of engagement every chart score looks back over.
+TRAILING_WINDOW_DAYS = 7
+
 
 @dataclass
 class DailyEngagement:
@@ -83,21 +86,19 @@ class EngagementBook:
                    for (pkg, d), e in self._days.items()
                    if pkg == package and d <= day)
 
-    def engagement_score(self, package: str, day: int,
-                         trailing_days: int = 7) -> float:
+    def engagement_score(self, package: str, day: int) -> float:
         """The chart-ranking score: a trailing-window engagement blend.
 
         Weighted mix of active users, time-in-app, and registrations --
         exactly the metrics the paper shows activity offers inflating.
         """
-        start = max(0, day - trailing_days + 1)
+        start = max(0, day - TRAILING_WINDOW_DAYS + 1)
         window = self.window(package, start, day)
         return (window.active_users
                 + 0.01 * window.session_seconds / 60.0
                 + 2.0 * window.registrations)
 
-    def grossing_score(self, package: str, day: int,
-                       trailing_days: int = 7) -> float:
-        start = max(0, day - trailing_days + 1)
+    def grossing_score(self, package: str, day: int) -> float:
+        start = max(0, day - TRAILING_WINDOW_DAYS + 1)
         return sum(self.for_day(package, d).purchase_revenue_usd
                    for d in range(start, day + 1))

@@ -38,20 +38,12 @@ class PlayStoreFrontend:
         ca: CertificateAuthority,
         rng: random.Random,
         current_day: Callable[[], int],
-        hostname: str = PLAY_HOST,
-        max_requests_per_day: int = 0,
     ) -> None:
-        """``max_requests_per_day`` > 0 enables per-/24 daily rate
-        limiting (429 beyond the budget) -- real stores throttle
-        scrapers, and the crawler must tolerate it."""
         self.store = store
-        self.hostname = hostname
         self._current_day = current_day
-        self.max_requests_per_day = max_requests_per_day
-        self._request_counts: dict = {}
         address = fabric.asn_db.allocate(15169, rng)  # Google Cloud ASN
-        identity = issue_server_identity(ca, hostname, rng)
-        self._server = HttpsServer(fabric, hostname, address, identity, rng)
+        identity = issue_server_identity(ca, PLAY_HOST, rng)
+        self._server = HttpsServer(fabric, PLAY_HOST, address, identity, rng)
         self._server.router.get("/store/apps/details", self._details)
         self._server.router.get("/store/charts/{kind}", self._chart)
 
@@ -63,31 +55,12 @@ class PlayStoreFrontend:
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> dict:
-        return {
-            "server": self._server.state_dict(),
-            "request_counts": [
-                [block, day, count]
-                for (block, day), count in sorted(
-                    self._request_counts.items())],
-        }
+        return {"server": self._server.state_dict()}
 
     def load_state(self, state: dict) -> None:
         self._server.load_state(state["server"])
-        self._request_counts = {
-            (str(block), int(day)): int(count)
-            for block, day, count in state["request_counts"]}
-
-    def _throttled(self, context: RequestContext) -> bool:
-        if self.max_requests_per_day <= 0:
-            return False
-        key = (context.client_address.anonymized(), self._current_day())
-        count = self._request_counts.get(key, 0) + 1
-        self._request_counts[key] = count
-        return count > self.max_requests_per_day
 
     def _details(self, request: HttpRequest, context: RequestContext) -> HttpResponse:
-        if self._throttled(context):
-            return HttpResponse.error(429, "slow down")
         package = request.query.get("id")
         if not package:
             return HttpResponse.error(400, "missing id parameter")
@@ -99,8 +72,6 @@ class PlayStoreFrontend:
         return HttpResponse.json_response(profile)
 
     def _chart(self, request: HttpRequest, context: RequestContext) -> HttpResponse:
-        if self._throttled(context):
-            return HttpResponse.error(429, "slow down")
         kind_text = context.path_params["kind"]
         try:
             kind = ChartKind(kind_text)

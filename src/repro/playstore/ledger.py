@@ -119,12 +119,9 @@ class InstallLedger:
 
     # -- queries -----------------------------------------------------------
 
-    def installs_by_source(self, package: str,
-                           through_day: Optional[int] = None) -> Dict[InstallSource, int]:
+    def installs_by_source(self, package: str) -> Dict[InstallSource, int]:
         totals: Dict[InstallSource, int] = {source: 0 for source in InstallSource}
-        for day, by_source in self._daily.get(package, {}).items():
-            if through_day is not None and day > through_day:
-                continue
+        for by_source in self._daily.get(package, {}).values():
             for source, count in by_source.items():
                 totals[source] += count
         return totals

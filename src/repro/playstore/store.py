@@ -23,12 +23,12 @@ class PlayStore:
     (public profiles, top charts).
     """
 
-    def __init__(self, chart_size: int = 200) -> None:
+    def __init__(self) -> None:
         self.catalog = Catalog()
         self.ledger = InstallLedger()
         self.engagement = EngagementBook()
         self.charts = ChartsEngine(self.catalog, self.engagement,
-                                   chart_size=chart_size, ledger=self.ledger)
+                                   ledger=self.ledger)
         self.console = DeveloperConsole(self.catalog, self.ledger)
         self.enforcement = EnforcementEngine(self.ledger)
         self.reviews = ReviewBook()

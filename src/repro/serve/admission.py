@@ -76,10 +76,11 @@ class TokenBucket:
                                * self._rate)
             self._last_refill = now
 
-    def try_acquire(self, tokens: float = 1.0) -> bool:
+    def try_acquire(self) -> bool:
+        """Take one token if the bucket holds one."""
         self._refill()
-        if self._tokens >= tokens:
-            self._tokens -= tokens
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
 

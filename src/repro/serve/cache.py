@@ -27,6 +27,10 @@ from repro.obs import NULL_OBS, Observability
 CacheKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 
+#: Entries the cache holds before FIFO eviction starts.
+MAX_ENTRIES = 512
+
+
 def params_key(params: Mapping[str, object]) -> Tuple[Tuple[str, str], ...]:
     """Canonical hashable form of a request's params (order-free)."""
     return tuple(sorted((str(k), str(v)) for k, v in params.items()))
@@ -35,16 +39,11 @@ def params_key(params: Mapping[str, object]) -> Tuple[Tuple[str, str], ...]:
 class WatermarkCache:
     """Response cache with per-entry invalidation."""
 
-    def __init__(self, obs: Optional[Observability] = None,
-                 max_entries: int = 512) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
+    def __init__(self, obs: Optional[Observability] = None) -> None:
         self.obs = obs or NULL_OBS
-        self.max_entries = max_entries
         #: key -> (freshness token at store time, body).
         self._entries: "OrderedDict[CacheKey, Tuple[int, object]]" = (
             OrderedDict())
-        self._watermark = -1
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -53,10 +52,6 @@ class WatermarkCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def watermark(self) -> int:
-        return self._watermark
-
     def lookup(self, endpoint: str, params: Mapping[str, object],
                token: int) -> Tuple[bool, object]:
         """``(hit, body)``; body is only meaningful when hit is True.
@@ -64,7 +59,6 @@ class WatermarkCache:
         ``token`` is the endpoint's current freshness token (the
         service's call).
         """
-        self._watermark = max(self._watermark, token)
         key = (endpoint, params_key(params))
         entry = self._entries.get(key)
         if entry is not None:
@@ -84,10 +78,9 @@ class WatermarkCache:
 
     def store(self, endpoint: str, params: Mapping[str, object],
               token: int, body: object) -> None:
-        self._watermark = max(self._watermark, token)
         key = (endpoint, params_key(params))
         self._entries[key] = (token, body)
-        if len(self._entries) > self.max_entries:
+        if len(self._entries) > MAX_ENTRIES:
             self._entries.popitem(last=False)
             self.evictions += 1
             self.obs.metrics.inc("serve.cache_evictions")
@@ -106,7 +99,6 @@ class WatermarkCache:
         tuple->list laundering of a JSON round trip is harmless.
         """
         return {
-            "watermark": self._watermark,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -118,7 +110,6 @@ class WatermarkCache:
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        self._watermark = int(state["watermark"])  # type: ignore[arg-type]
         self.hits = int(state["hits"])             # type: ignore[arg-type]
         self.misses = int(state["misses"])         # type: ignore[arg-type]
         self.evictions = int(state["evictions"])   # type: ignore[arg-type]

@@ -150,9 +150,6 @@ class FleetClient:
 
     # -- traffic generation --------------------------------------------------
 
-    async def run(self) -> None:
-        await self.run_until(self.config.days * DAY_SECONDS)
-
     async def run_until(self, stop_vt: float) -> None:
         """Send requests until the next arrival falls at or past
         ``stop_vt`` (capped at the run horizon), then park.
@@ -409,10 +406,6 @@ class ClientFleet:
     @property
     def simulated_users(self) -> int:
         return self.config.clients * self.config.population_per_client
-
-    async def run(self) -> None:
-        await asyncio.gather(*(asyncio.ensure_future(client.run())
-                               for client in self.clients))
 
     async def run_until(self, stop_vt: float) -> None:
         """One day segment: every client runs to ``stop_vt`` and parks.

@@ -11,10 +11,8 @@ from __future__ import annotations
 class SimulationClock:
     """A monotonically advancing day counter."""
 
-    def __init__(self, start_day: int = 0) -> None:
-        if start_day < 0:
-            raise ValueError("clock cannot start before day 0")
-        self._day = start_day
+    def __init__(self) -> None:
+        self._day = 0
 
     @property
     def day(self) -> int:

@@ -29,7 +29,11 @@ from repro.iip.registry import UNVETTED_IIPS, VETTED_IIPS
 from repro.net.ip import MILKER_COUNTRIES, WORLD_COUNTRIES
 from repro.parallel import derive_rng
 from repro.playstore.catalog import GENRES, AppListing, Developer
-from repro.playstore.charts import INSTALL_VELOCITY_WEIGHT, ChartKind
+from repro.playstore.charts import (
+    DEFAULT_CHART_SIZE,
+    INSTALL_VELOCITY_WEIGHT,
+    ChartKind,
+)
 from repro.playstore.engagement import DailyEngagement
 from repro.playstore.ledger import InstallSource
 from repro.playstore.policy import CampaignSignals
@@ -235,7 +239,7 @@ class WildScenario:
         # apps that chart (and hence Table 6 exclusion rates) is
         # scale-invariant.
         self.world.store.charts.chart_size = max(
-            20, self.config.scaled(200))
+            20, self.config.scaled(DEFAULT_CHART_SIZE))
         self._generate_advertised_apps()
         self._generate_baseline_apps()
         self._create_campaigns()

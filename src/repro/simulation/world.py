@@ -127,17 +127,18 @@ class World:
                           retry_policy=retry_policy,
                           session_cache=TlsSessionCache())
 
-    def detection_hook(self, source: str, config=None):
+    def detection_hook(self, source: str):
         """A :class:`~repro.detection.live.LiveDetection` hook bound to
         this world's observability context.
 
         Pass it as ``detection=`` to either core pipeline; ``source``
         labels the ``detection.events_ingested`` counter (``honey`` /
-        ``wild`` / ``corpus``).  Imported lazily so worlds that never
-        detect don't pay for the detection package.
+        ``wild`` / ``corpus``) and picks the detector thresholds.
+        Imported lazily so worlds that never detect don't pay for the
+        detection package.
         """
         from repro.detection.live import LiveDetection
-        return LiveDetection(obs=self.obs, source=source, config=config)
+        return LiveDetection(obs=self.obs, source=source)
 
     def build_mitm(self, hostname: str = "mitm.lab.example") -> MitmProxy:
         # Seeded per hostname so several mitm proxies (one per milk

@@ -21,7 +21,6 @@ class Apk:
     """
 
     package: str
-    version_code: int
     dex_prefixes: FrozenSet[str]
     size_bytes: int
 
@@ -45,8 +44,7 @@ class ApkBuilder:
         self._common_names = sorted(COMMON_NON_AD_LIBRARIES)
 
     def build(self, package: str, ad_library_count: int,
-              obfuscate_fraction: float = 0.0,
-              version_code: int = 1) -> Apk:
+              obfuscate_fraction: float = 0.0) -> Apk:
         """An APK embedding ``ad_library_count`` distinct ad SDKs.
 
         ``obfuscate_fraction`` of those SDKs get ProGuard-renamed and
@@ -70,7 +68,6 @@ class ApkBuilder:
             prefixes.add(COMMON_NON_AD_LIBRARIES[name])
         return Apk(
             package=package,
-            version_code=version_code,
             dex_prefixes=frozenset(prefixes),
             size_bytes=4_000_000 + 900_000 * len(prefixes),
         )

@@ -102,8 +102,7 @@ class Device:
         }
 
     @classmethod
-    def from_state(cls, state: dict,
-                   trust_store: Optional[TrustStore] = None) -> "Device":
+    def from_state(cls, state: dict) -> "Device":
         profile = DeviceProfile(
             device_id=str(state["device_id"]),
             build=str(state["build"]),
@@ -111,7 +110,7 @@ class Device:
             ssid=str(state["ssid"]),
             country=str(state["country"]),
         )
-        device = cls(profile, IPv4Address(int(state["address"])), trust_store)
+        device = cls(profile, IPv4Address(int(state["address"])))
         for package in state["installed"]:
             device.install(str(package))
         return device
@@ -147,7 +146,7 @@ class DeviceFactory:
         self._counter = int(state["counter"])
         load_rng(self._rng, state["rng"])
 
-    def real_phone(self, country: str, rooted: bool = False,
+    def real_phone(self, country: str,
                    trust_store: Optional[TrustStore] = None) -> Device:
         """An ordinary handset on an eyeball ASN in ``country``."""
         asns = self._asn_db.asns_in_country(country, kind="eyeball")
@@ -158,7 +157,7 @@ class DeviceFactory:
         profile = DeviceProfile(
             device_id=self._next_id("dev"),
             build=self._rng.choice(REAL_BUILDS),
-            is_rooted=rooted,
+            is_rooted=False,
             ssid=f"home-wifi-{self._rng.randrange(10 ** 6):06d}",
             country=country,
         )

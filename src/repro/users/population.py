@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.net.ip import WORLD_COUNTRIES, AsnDatabase
 from repro.net.tls import TrustStore
 from repro.users.devices import Device, DeviceFactory
 from repro.users.worker import Worker, WorkerBehavior
+
+#: Countries crowd workers are drawn from (farms included).
+WORKER_COUNTRIES = ("IN", "PH", "ID", "BR", "US", "RU", "VN", "PK", "BD",
+                    "EG", "MX", "NG")
 
 #: Package-name stems for miscellaneous (non-affiliate) apps found on
 #: worker devices; used to synthesise the 17k-package co-install corpus.
@@ -45,8 +49,6 @@ class IIPUserMix:
     #: the platform's most popular affiliate app and its share of workers
     flagship_affiliate: Optional[str] = None
     flagship_share: float = 0.0
-    countries: Tuple[str, ...] = ("IN", "PH", "ID", "BR", "US", "RU", "VN",
-                                  "PK", "BD", "EG", "MX", "NG")
 
     def __post_init__(self) -> None:
         total = self.emulator_fraction + self.cloud_phone_fraction + self.farm_fraction
@@ -124,7 +126,7 @@ class PopulationBuilder:
         farm_quota = int(round(mix.farm_fraction * count))
         if 0 < farm_quota:
             farm = self._factory.farm(
-                country=rng.choice(mix.countries),
+                country=rng.choice(WORKER_COUNTRIES),
                 size=min(farm_quota, mix.farm_size),
                 rooted_fraction=mix.farm_rooted_fraction,
                 trust_store=trust_store)
@@ -140,7 +142,7 @@ class PopulationBuilder:
                 device = self._factory.cloud_phone(trust_store)
             else:
                 device = self._factory.real_phone(
-                    rng.choice(mix.countries), trust_store=trust_store)
+                    rng.choice(WORKER_COUNTRIES), trust_store=trust_store)
             self._install_background_apps(device, mix)
             workers.append(Worker(self._worker_id(), device, mix.behavior))
         return PopulationSample(workers=workers, farm_device_ids=farm_ids)

@@ -49,11 +49,6 @@ class TestTargetSelection:
         assert not by_package["com.pop.nosite"].deliverable
         assert by_package["com.pop.big"].deliverable
 
-    def test_threshold_is_configurable(self, world_slice):
-        dataset, archive = world_slice
-        campaign = DisclosureCampaign(archive, dataset, min_installs=500)
-        assert len(campaign.select_targets()) == 3
-
 
 class TestOutreach:
     def test_notify_sends_only_deliverable(self, world_slice):

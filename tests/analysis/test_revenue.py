@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.analysis import revenue
 from repro.analysis.classify import OfferClassifier
 from repro.analysis.revenue import (
-    RevenueModel,
     cost_recovery_analysis,
     offer_economics,
     summarize_cost_recovery,
@@ -75,12 +75,6 @@ class TestOfferEconomics:
         many = offer_economics(record, text, ad_libraries=5)
         assert many.ad_revenue > few.ad_revenue
 
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            RevenueModel(ecpm_usd=-1)
-        with pytest.raises(ValueError):
-            RevenueModel(store_iap_cut=1.0)
-
 
 class TestCostRecoveryAnalysis:
     def test_analysis_covers_scanned_apps_only(self):
@@ -109,13 +103,13 @@ class TestCostRecoveryAnalysis:
         assert economics
         assert all(not e.recoups_cost for e in economics)
 
-    def test_high_ecpm_changes_the_answer(self):
+    def test_high_ecpm_changes_the_answer(self, monkeypatch):
         # The conclusion is an economics statement, not hard-coded:
         # crank eCPM and usage offers start recouping.
         dataset = build_dataset()
         scan = {p: 5 for p in dataset.unique_packages()}
-        rich = RevenueModel(ecpm_usd=60.0)
-        economics = [e for e in cost_recovery_analysis(dataset, scan, rich)
+        monkeypatch.setattr(revenue, "ECPM_USD", 60.0)
+        economics = [e for e in cost_recovery_analysis(dataset, scan)
                      if e.offer_kind == "usage"]
         assert any(e.recoups_cost for e in economics)
 

@@ -17,11 +17,12 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 #: one of them: 0 is a valid refill rate.
 NON_POSITIVE_SIZES = [
     ("wild", "--scale", "0"), ("wild", "--scale", "-0.5"),
-    ("wild", "--scale", "banana"), ("wild", "--days", "0"),
+    ("wild", "--scale", "banana"), ("wild", "--scale", "nan"),
+    ("wild", "--days", "0"),
     ("wild", "--days", "-3"), ("wild", "--days", "2.5"),
     ("serve", "--clients", "0"), ("serve", "--days", "0"),
     ("serve", "--shards", "0"), ("serve", "--burst", "0"),
-    ("serve", "--scale", "0"),
+    ("serve", "--scale", "0"), ("serve", "--scale", "nan"),
     ("detect", "--scale", "0"), ("detect", "--days", "0"),
     ("paper", "--scale", "0"), ("paper", "--days", "0"),
 ]
@@ -31,11 +32,13 @@ NON_POSITIVE_IDS = [
     for subcommand, flag, value in NON_POSITIVE_SIZES]
 
 #: Size flags where 0 means something (the honey dry run, the
-#: materialised wild run) but a negative value does not.
+#: materialised wild run, a token bucket that never refills) but a
+#: negative value does not.
 NON_NEGATIVE_SIZES = [
     ("honey", "--installs-per-iip"),
     ("detect", "--installs-per-iip"),
     ("wild", "--batch-devices"),
+    ("serve", "--qps"),
 ]
 NON_NEGATIVE_IDS = [f"{subcommand}-{flag}"
                     for subcommand, flag in NON_NEGATIVE_SIZES]
@@ -105,6 +108,22 @@ class TestParser:
         args = build_parser().parse_args([subcommand, flag, "0"])
         assert getattr(args, flag[2:].replace("-", "_")) == 0
 
+    @pytest.mark.parametrize("subcommand", ["honey", "wild", "serve"])
+    @pytest.mark.parametrize("rate", ["-0.5", "7", "nan"])
+    def test_crash_rate_outside_a_probability_rejected(self, capsys,
+                                                       subcommand, rate):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([subcommand, "--crash-rate", rate])
+        assert excinfo.value.code == 2
+        assert "must be in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["honey", "wild", "serve"])
+    def test_crash_rate_bounds_accepted(self, subcommand):
+        for rate in (0.0, 1.0):
+            args = build_parser().parse_args(
+                [subcommand, "--crash-rate", str(rate)])
+            assert args.crash_rate == rate
+
     def test_wild_streaming_arguments(self):
         args = build_parser().parse_args(
             ["wild", "--batch-devices", "256", "--spill-dir", "/tmp/s"])
@@ -158,6 +177,20 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "total installs: 1679" in out
         assert "1000+" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["honey", "--installs-per-iip", "1"],
+        ["honey", "--installs-per-iip", "21"],
+        ["detect", "--source", "honey", "--installs-per-iip", "5"],
+    ])
+    def test_unsupported_honey_purchase_fails_cleanly(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "smallest supported purchase is 22" in captured.err
 
     def test_wild_with_export_and_report_round_trip(self, capsys, tmp_path):
         offers = tmp_path / "offers.json"

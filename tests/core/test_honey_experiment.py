@@ -159,6 +159,26 @@ class TestZeroDeliveredCampaigns:
         assert experiment_results.enforcement_actions == 0
 
 
+class TestSmallPurchases:
+    """A purchase too small to hold the paper's absolute Section-3
+    counts (emulators, the device farm, day-after clicks) has no valid
+    user mix; it is refused up front, naming the smallest one."""
+
+    @pytest.mark.parametrize("installs", [1, 5, 21])
+    def test_unsupported_purchase_refused_at_construction(self, installs):
+        world = World(seed=2019)
+        with pytest.raises(ValueError,
+                           match="smallest supported purchase is 22"):
+            HoneyAppExperiment(world, installs_per_iip=installs)
+        # Refused before the experiment touched the world.
+        assert HONEY_PACKAGE not in world.store.catalog
+
+    def test_smallest_supported_purchase_runs(self):
+        world = World(seed=2019)
+        results = HoneyAppExperiment(world, installs_per_iip=22).run()
+        assert all(record.delivered > 0 for record in results.campaigns)
+
+
 class TestTlsResumption:
     """Repeat telemetry uploads resume their campaign's TLS session
     instead of paying the handshake round trips again."""

@@ -2,11 +2,10 @@
 
 from repro.core.honey_experiment import HoneyAppExperiment
 from repro.core.wild_measurement import WildMeasurement, WildMeasurementConfig
-from repro.detection.evaluation import evaluate_detector
+from repro.detection import hardened
 from repro.detection.events import DeviceInstallEvent, InstallLog
-from repro.detection.hardened import (HardenedDetectorConfig,
-                                      HardenedLockstepDetector)
-from repro.detection.live import HONEY_DETECTOR_CONFIG
+from repro.detection.hardened import (HardenedLockstepDetector,
+                                      calibrate_from_honey)
 from repro.scenarios import parse_scenario
 from repro.simulation.scenarios import WildScenario, WildScenarioConfig
 from repro.simulation.world import World
@@ -64,7 +63,7 @@ class TestCoInstallGraph:
 class TestFromHoney:
     def run_honey(self, installs):
         world = World(seed=2019)
-        hook = world.detection_hook("honey", config=HONEY_DETECTOR_CONFIG)
+        hook = world.detection_hook("honey")
         HoneyAppExperiment(world, installs_per_iip=installs,
                            detection=hook).run()
         return hook
@@ -73,11 +72,10 @@ class TestFromHoney:
         # The derivation reads honey observables that do not move with
         # the purchase volume (burst span, engagement floor), so buying
         # more honey installs must not change the calibration — and at
-        # the pinned bench seed it reproduces the class defaults.
+        # the pinned bench seed it reproduces the module constants.
         hook = self.run_honey(120)
-        config = HardenedDetectorConfig.from_honey(hook.log,
-                                                   hook.incentivized)
-        assert config == HardenedDetectorConfig()
+        assert calibrate_from_honey(hook.log, hook.incentivized) == (
+            hardened.MAX_GAP_HOURS, hardened.LOW_ENGAGEMENT_SECONDS)
 
 
 class TestEvasiveRecovery:
@@ -95,11 +93,8 @@ class TestEvasiveRecovery:
             measurement_days=self.DAYS), detection=hook).run()
         return hook
 
-    def hardened_report(self, hook, config=None):
-        flagged = HardenedLockstepDetector(config).flag_devices(hook.log)
-        universe = set(hook.log.devices())
-        return evaluate_detector(flagged, hook.incentivized & universe,
-                                 universe)
+    def hardened_report(self, hook):
+        return hook.score(HardenedLockstepDetector().flag_devices(hook.log))
 
     def test_evasion_degrades_naive_and_hardened_recovers(self):
         naive_report = self.run_wild("naive").evaluate()
@@ -121,13 +116,11 @@ class TestEvasiveRecovery:
         previous = None
         previous_recall = None
         for threshold in (1.0, 2.0, 3.0, 4.0):
-            config = HardenedDetectorConfig(flag_threshold=threshold)
-            flagged = HardenedLockstepDetector(config).flag_devices(hook.log)
+            flagged = HardenedLockstepDetector(threshold).flag_devices(
+                hook.log)
             if previous is not None:
                 assert flagged <= previous
-            universe = set(hook.log.devices())
-            report = evaluate_detector(flagged,
-                                       hook.incentivized & universe, universe)
+            report = hook.score(flagged)
             if previous_recall is not None:
                 assert report.recall <= previous_recall
             previous, previous_recall = flagged, report.recall

@@ -7,7 +7,6 @@ CI job and ``benchmarks/test_bench_detect.py``.
 from repro.core.honey_experiment import HoneyAppExperiment
 from repro.core.wild_measurement import WildMeasurement, WildMeasurementConfig
 from repro.detection.lockstep import LockstepDetector
-from repro.detection.live import HONEY_DETECTOR_CONFIG
 from repro.obs import Observability
 from repro.simulation.scenarios import WildScenario, WildScenarioConfig
 from repro.simulation.world import World
@@ -18,7 +17,7 @@ WILD_SCALE = 0.03
 
 def run_honey(seed=11, obs=None):
     world = World(seed=seed, obs=obs)
-    hook = world.detection_hook("honey", config=HONEY_DETECTOR_CONFIG)
+    hook = world.detection_hook("honey")
     HoneyAppExperiment(world, installs_per_iip=120, detection=hook).run()
     return world, hook
 

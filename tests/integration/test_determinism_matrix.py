@@ -41,7 +41,6 @@ from repro.core import reports
 from repro.core.honey_experiment import HoneyAppExperiment
 from repro.core.paper_report import analyse
 from repro.core.wild_measurement import WildMeasurement, WildMeasurementConfig
-from repro.detection.live import HONEY_DETECTOR_CONFIG
 from repro.detection.lockstep import LockstepDetector
 from repro.monitor.storage import save_archive, save_dataset
 from repro.net.chaos import ChaosScenario
@@ -152,7 +151,7 @@ def run_honey(setting: Setting, workdir: Path, recovery) -> Dict[str, str]:
     world = World(seed=setting.seed,
                   chaos=ChaosScenario.profile(setting.chaos,
                                               seed=setting.chaos_seed))
-    hook = world.detection_hook("honey", config=HONEY_DETECTOR_CONFIG)
+    hook = world.detection_hook("honey")
     results = HoneyAppExperiment(
         world, installs_per_iip=HONEY_INSTALLS, detection=hook,
     ).run(recovery=recovery)

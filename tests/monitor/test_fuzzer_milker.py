@@ -10,7 +10,6 @@ from repro.iip.mediator import AttributionMediator
 from repro.iip.offerwall import OfferWallServer
 from repro.iip.registry import build_platforms
 from repro.monitor.dataset import OfferDataset
-from repro.monitor.fuzzer import UiFuzzer
 from repro.monitor.milker import Milker
 from repro.net.ip import AsnDatabase
 from repro.net.proxy import MitmProxy
@@ -156,9 +155,3 @@ class TestMilker:
         dataset = OfferDataset({})
         with pytest.raises(KeyError):
             dataset.ingest(run.offers[0])
-
-
-class TestFuzzerUnit:
-    def test_bad_budget_rejected(self):
-        with pytest.raises(ValueError):
-            UiFuzzer(max_scrolls_per_tab=0)

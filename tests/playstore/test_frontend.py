@@ -64,78 +64,3 @@ class TestFrontend:
         client = make_client(fabric, trust_store, rng)
         assert client.get(PLAY_HOST, "/store/charts/top_paid").status == 404
 
-
-class TestRateLimiting:
-    @pytest.fixture()
-    def throttled_play(self, fabric, root_ca, rng):
-        store = PlayStore()
-        developer = Developer(developer_id="dev1", name="X", country="US")
-        store.publish(AppListing(package="com.app.one", title="One",
-                                 genre="Tools", developer=developer,
-                                 release_day=0))
-        clock = {"day": 0}
-        frontend = PlayStoreFrontend(fabric, store, root_ca, rng,
-                                     current_day=lambda: clock["day"],
-                                     hostname="throttled.play.example",
-                                     max_requests_per_day=3)
-        return frontend, clock
-
-    def test_budget_enforced_per_day(self, throttled_play, fabric,
-                                     trust_store, rng):
-        frontend, clock = throttled_play
-        client = make_client(fabric, trust_store, rng)
-        for _ in range(3):
-            response = client.get(frontend.hostname, "/store/apps/details",
-                                  params={"id": "com.app.one"})
-            assert response.ok
-        throttled = client.get(frontend.hostname, "/store/apps/details",
-                               params={"id": "com.app.one"})
-        assert throttled.status == 429
-
-    def test_budget_resets_next_day(self, throttled_play, fabric,
-                                    trust_store, rng):
-        frontend, clock = throttled_play
-        client = make_client(fabric, trust_store, rng)
-        for _ in range(4):
-            client.get(frontend.hostname, "/store/apps/details",
-                       params={"id": "com.app.one"})
-        clock["day"] = 1
-        response = client.get(frontend.hostname, "/store/apps/details",
-                              params={"id": "com.app.one"})
-        assert response.ok
-
-    def test_charts_count_against_budget(self, throttled_play, fabric,
-                                         trust_store, rng):
-        frontend, _ = throttled_play
-        client = make_client(fabric, trust_store, rng)
-        for _ in range(3):
-            assert client.get(frontend.hostname,
-                              "/store/charts/top_free").ok
-        assert client.get(frontend.hostname,
-                          "/store/charts/top_free").status == 429
-
-    def test_crawler_records_throttling_as_failures(self, throttled_play,
-                                                    fabric, trust_store, rng):
-        from repro.monitor.crawler import PlayStoreCrawler
-        frontend, _ = throttled_play
-        crawler = PlayStoreCrawler(make_client(fabric, trust_store, rng),
-                                   frontend.hostname)
-        crawler.crawl_everything(["com.app.one"] * 5, day=0)
-        assert crawler.failures > 0
-        # The snapshots that did land are intact.
-        assert crawler.archive.first_profile("com.app.one") is None or \
-            crawler.archive.first_profile("com.app.one").installs_floor >= 0
-
-    def test_disabled_by_default(self, fabric, root_ca, trust_store, rng):
-        store = PlayStore()
-        developer = Developer(developer_id="dev1", name="X", country="US")
-        store.publish(AppListing(package="com.app.two", title="Two",
-                                 genre="Tools", developer=developer,
-                                 release_day=0))
-        frontend = PlayStoreFrontend(fabric, store, root_ca, rng,
-                                     current_day=lambda: 0,
-                                     hostname="open.play.example")
-        client = make_client(fabric, trust_store, rng)
-        for _ in range(20):
-            assert client.get(frontend.hostname, "/store/apps/details",
-                              params={"id": "com.app.two"}).ok

@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs import Observability
 from repro.serve import WatermarkCache, params_key
+from repro.serve.cache import MAX_ENTRIES
 
 
 class TestParamsKey:
@@ -37,16 +38,18 @@ class TestWatermarkCache:
             WatermarkCache(Observability(), policy="keyed")
 
     def test_fifo_eviction_drops_the_oldest_entry(self):
-        cache = WatermarkCache(Observability(), max_entries=2)
-        cache.store("datasets", {"n": 1}, 0, "one")
-        cache.store("datasets", {"n": 2}, 0, "two")
+        cache = WatermarkCache(Observability())
+        for n in range(MAX_ENTRIES):
+            cache.store("datasets", {"n": n}, 0, n)
+        assert cache.evictions == 0
         # A hit must NOT refresh recency: FIFO, not LRU.
-        assert cache.lookup("datasets", {"n": 1}, 0)[0]
-        cache.store("datasets", {"n": 3}, 0, "three")
+        assert cache.lookup("datasets", {"n": 0}, 0)[0]
+        cache.store("datasets", {"n": MAX_ENTRIES}, 0, MAX_ENTRIES)
         assert cache.evictions == 1
-        assert not cache.lookup("datasets", {"n": 1}, 0)[0]
-        assert cache.lookup("datasets", {"n": 2}, 0)[0]
-        assert cache.lookup("datasets", {"n": 3}, 0)[0]
+        assert len(cache) == MAX_ENTRIES
+        assert not cache.lookup("datasets", {"n": 0}, 0)[0]
+        assert cache.lookup("datasets", {"n": 1}, 0)[0]
+        assert cache.lookup("datasets", {"n": MAX_ENTRIES}, 0)[0]
 
 
 class TestKeyedPolicy:
@@ -67,16 +70,14 @@ class TestKeyedPolicy:
         cache.store("metrics", {}, 7, "wm7")
         assert cache.lookup("datasets", {}, 0)[0]
         assert cache.lookup("metrics", {}, 7)[0]
-        # The shared watermark property still tracks the max token seen.
-        assert cache.watermark == 7
 
     def test_restored_cache_behaves_identically(self):
-        cache = WatermarkCache(Observability(), max_entries=3)
+        cache = WatermarkCache(Observability())
         cache.store("flagged", {}, 1, "one")
         cache.store("datasets", {"n": 1}, 0, "two")
         cache.lookup("flagged", {}, 1)
         cache.lookup("flagged", {}, 2)  # stale drop
-        clone = WatermarkCache(Observability(), max_entries=3)
+        clone = WatermarkCache(Observability())
         clone.load_state(cache.state_dict())
         assert clone.state_dict() == cache.state_dict()
         assert (clone.hits, clone.misses, clone.invalidations) == (1, 1, 1)

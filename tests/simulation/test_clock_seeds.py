@@ -19,8 +19,6 @@ class TestClock:
     def test_no_time_travel(self):
         with pytest.raises(ValueError):
             SimulationClock().advance(-1)
-        with pytest.raises(ValueError):
-            SimulationClock(start_day=-1)
 
 
 class TestSeedSequence:
