@@ -63,11 +63,6 @@ class TelemetryServer:
 
     # -- checkpoint/restore ---------------------------------------------------
 
-    @property
-    def server(self):
-        """The underlying HTTPS server (exposed for checkpointing)."""
-        return self._server
-
     def state_dict(self) -> Dict[str, object]:
         return {
             "server": self._server.state_dict(),

@@ -9,6 +9,7 @@ longitudinal analysis has to work from.
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -431,15 +432,18 @@ class PlayStoreCrawler:
                     response.status in RETRIABLE_STATUSES)
         try:
             payload = response.json()
+            # Every crawl repeats an app's genre and developer; interning
+            # keeps one copy of each across the profiles a run keeps.
             snapshot = ProfileSnapshot(
                 package=payload["package"],
                 day=int(payload["crawl_day"]),
                 installs_floor=int(payload["installs_floor"]),
-                genre=str(payload["genre"]),
+                genre=sys.intern(str(payload["genre"])),
                 release_day=int(payload["release_day"]),
-                developer_id=str(payload["developer"]["id"]),
-                developer_name=str(payload["developer"]["name"]),
-                developer_country=str(payload["developer"]["country"]),
+                developer_id=sys.intern(str(payload["developer"]["id"])),
+                developer_name=sys.intern(str(payload["developer"]["name"])),
+                developer_country=sys.intern(
+                    str(payload["developer"]["country"])),
                 developer_website=payload["developer"]["website"],
                 is_game=bool(payload["is_game"]),
             )

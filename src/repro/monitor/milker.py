@@ -10,6 +10,7 @@ intercepted offer-wall response into :class:`ObservedOffer` records.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -201,18 +202,21 @@ class Milker:
                 metrics.inc("monitor.corrupt_wall_responses",
                             host=exchange.host)
                 continue
-            iip_name = str(payload.get("iip", ""))
+            # The same offer is milked again and again; interning keeps
+            # one copy of each string across the offers a run keeps.
+            iip_name = sys.intern(str(payload.get("iip", "")))
             for entry in payload["offers"]:
                 try:
                     observed.append(ObservedOffer(
                         iip_name=iip_name,
-                        offer_id=str(entry["offer_id"]),
-                        package=str(entry["app"]["package"]),
-                        app_title=str(entry["app"]["title"]),
-                        play_store_url=str(entry["app"]["play_store_url"]),
-                        description=str(entry["description"]),
+                        offer_id=sys.intern(str(entry["offer_id"])),
+                        package=sys.intern(str(entry["app"]["package"])),
+                        app_title=sys.intern(str(entry["app"]["title"])),
+                        play_store_url=sys.intern(
+                            str(entry["app"]["play_store_url"])),
+                        description=sys.intern(str(entry["description"])),
                         payout_points=int(entry["payout"]["points"]),
-                        currency=str(entry["payout"]["currency"]),
+                        currency=sys.intern(str(entry["payout"]["currency"])),
                         affiliate_package=spec.package,
                         country=country,
                         day=day,

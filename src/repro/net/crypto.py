@@ -218,21 +218,10 @@ def keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
             ^ int.from_bytes(stream, "big")).to_bytes(length, "big")
 
 
-#: HMAC objects with the key pads absorbed, memoised per key: a TLS
-#: session MACs every record with the same key, and re-deriving the
-#: inner/outer pads per record costs two extra compressions each time.
-#: Forking a copy yields the same digest as ``hmac.new(key, data)``.
-_HMAC_BASES: dict = {}
-
-
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
-    base = _HMAC_BASES.get(key)
-    if base is None:
-        base = _hmac.new(key, digestmod=hashlib.sha256)
-        _HMAC_BASES[key] = base
-    mac = base.copy()
-    mac.update(data)
-    return mac.digest()
+    # One-shot, with no per-key context cache: a session's keys die with
+    # its connection, so such a cache only grows with the session count.
+    return _hmac.digest(key, data, "sha256")
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

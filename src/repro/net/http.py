@@ -133,12 +133,17 @@ def _parse_header_lines(lines: Iterable[bytes]) -> Headers:
 
 
 def _check_body(headers: Headers, body: bytes) -> bytes:
-    length_text = headers.get("content-length")
-    if length_text is None:
+    lengths = headers.get_all("content-length")
+    if not lengths:
         if body:
             raise HttpProtocolError("body without Content-Length")
         return b""
-    if not length_text.isdigit():
+    if len(set(lengths)) > 1:  # RFC 9112 section 6.3: invalid framing
+        raise HttpProtocolError(f"conflicting Content-Length: {lengths!r}")
+    length_text = lengths[0]
+    # ``str.isdigit`` alone also accepts superscripts such as "\xb2",
+    # which ``int`` rejects.
+    if not (length_text.isascii() and length_text.isdigit()):
         raise HttpProtocolError(f"bad Content-Length: {length_text!r}")
     length = int(length_text)
     if length > len(body):

@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.net import crypto
 from repro.net.errors import (
@@ -35,6 +37,8 @@ _RESUME_MAGIC = b"TLSS"
 _MAC_LEN = 32
 _KEY_BITS = 256  # tiny keys: handshakes must be fast inside tests
 _TICKET_LEN = 16
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -280,6 +284,17 @@ def _parse_handshake(data: bytes, expected_type: str) -> Dict[str, object]:
     return message
 
 
+def _handshake_field(message: Mapping[str, object], name: str,
+                     parse: Callable[[str], T]) -> T:
+    """``parse(str(message[name]))``; a missing or malformed field is a
+    :class:`TlsError`, like every other bad handshake message."""
+    try:
+        return parse(str(message[name]))
+    except (KeyError, ValueError) as exc:
+        raise TlsError(
+            f"missing or malformed handshake field {name!r}") from exc
+
+
 def is_handshake_bytes(data: bytes) -> bool:
     return data[:4] == _HANDSHAKE_MAGIC
 
@@ -430,7 +445,8 @@ class TlsClientSession:
             raise CertificatePinningError(
                 f"pinned key mismatch for {self._hostname!r}")
         self.server_certificate = leaf
-        server_random = bytes.fromhex(str(server_hello["server_random"]))
+        server_random = _handshake_field(
+            server_hello, "server_random", bytes.fromhex)
         pre_master = rng.getrandbits(192).to_bytes(24, "big")
         encrypted = crypto.encrypt(
             int.from_bytes(pre_master, "big"), leaf.public_key)
@@ -593,7 +609,8 @@ class TlsServerHandler(ConnectionHandler):
 
     def _handle_hello(self, data: bytes) -> bytes:
         message = _parse_handshake(data, "client_hello")
-        self._client_random = bytes.fromhex(str(message["client_random"]))
+        self._client_random = _handshake_field(
+            message, "client_random", bytes.fromhex)
         self._server_random = self._rng.getrandbits(128).to_bytes(16, "big")
         self._state = "expect_key_exchange"
         template = _server_hello_template(self._identity)
@@ -609,8 +626,11 @@ class TlsServerHandler(ConnectionHandler):
 
     def _handle_key_exchange(self, data: bytes) -> bytes:
         message = _parse_handshake(data, "client_key_exchange")
-        encrypted = int(str(message["encrypted_pre_master"]), 16)
+        encrypted = _handshake_field(
+            message, "encrypted_pre_master", lambda text: int(text, 16))
         pre_master_int = crypto.decrypt(encrypted, self._identity.private_key)
+        if pre_master_int >= 1 << 192:
+            raise TlsError("pre-master secret out of range")
         pre_master = pre_master_int.to_bytes(24, "big")
         enc_key, mac_key = crypto.derive_keys(
             pre_master, self._client_random, self._server_random)

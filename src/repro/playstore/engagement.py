@@ -86,18 +86,6 @@ class EngagementBook:
                    for (pkg, d), e in self._days.items()
                    if pkg == package and d <= day)
 
-    def engagement_score(self, package: str, day: int) -> float:
-        """The chart-ranking score: a trailing-window engagement blend.
-
-        Weighted mix of active users, time-in-app, and registrations --
-        exactly the metrics the paper shows activity offers inflating.
-        """
-        start = max(0, day - TRAILING_WINDOW_DAYS + 1)
-        window = self.window(package, start, day)
-        return (window.active_users
-                + 0.01 * window.session_seconds / 60.0
-                + 2.0 * window.registrations)
-
     def grossing_score(self, package: str, day: int) -> float:
         start = max(0, day - TRAILING_WINDOW_DAYS + 1)
         return sum(self.for_day(package, d).purchase_revenue_usd

@@ -47,11 +47,6 @@ class PlayStoreFrontend:
         self._server.router.get("/store/apps/details", self._details)
         self._server.router.get("/store/charts/{kind}", self._chart)
 
-    @property
-    def server(self) -> HttpsServer:
-        """The underlying HTTPS server (exposed for checkpointing)."""
-        return self._server
-
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> dict:

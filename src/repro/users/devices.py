@@ -76,9 +76,6 @@ class Device:
     def install(self, package: str) -> None:
         self.installed_packages.add(package)
 
-    def uninstall(self, package: str) -> None:
-        self.installed_packages.discard(package)
-
     def has_installed(self, package: str) -> bool:
         return package in self.installed_packages
 

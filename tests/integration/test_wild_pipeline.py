@@ -95,6 +95,23 @@ class TestPipeline:
             start, end = results.dataset.campaign_window(package)
             assert 0 <= start <= end < DAYS
 
+    def test_kept_records_share_one_string_per_value(self, wild):
+        _, _, results = wild
+        kept = [
+            (list(results.observations),
+             ("iip_name", "offer_id", "package", "app_title",
+              "play_store_url", "description", "currency")),
+            (list(results.archive.iter_profiles()),
+             ("genre", "developer_id", "developer_name",
+              "developer_country")),
+        ]
+        for records, fields in kept:
+            assert records
+            for name in fields:
+                values = [getattr(record, name) for record in records]
+                objects = {id(value) for value in values}
+                assert len(objects) == len(set(values)), name
+
 
 class TestAnalyses:
     def test_offer_type_table_covers_both_categories(self, wild):

@@ -5,7 +5,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.errors import HttpProtocolError
+from repro.net.fabric import ConnectionInfo
 from repro.net.http import Headers, HttpRequest, HttpResponse
+from repro.net.ip import IPv4Address
+from repro.net.server import HttpConnectionHandler, Router
+
+#: Content-Length headers whose framing is invalid: a latin-1 superscript
+#: that ``str.isdigit`` accepts but ``int`` does not, and two headers
+#: that disagree (RFC 9112 section 6.3).
+BAD_CONTENT_LENGTHS = [
+    pytest.param(b"Content-Length: \xb2\r\n", id="superscript-two"),
+    pytest.param(b"Content-Length: 1\r\nContent-Length: 5\r\n",
+                 id="conflicting"),
+]
 
 
 class TestHeaders:
@@ -95,6 +107,25 @@ class TestRequestCodec:
         wire = b"POST /x HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcdef"
         assert HttpRequest.from_bytes(wire).body == b"abc"
 
+    @pytest.mark.parametrize("headers", BAD_CONTENT_LENGTHS)
+    def test_bad_content_length_rejected(self, headers):
+        with pytest.raises(HttpProtocolError, match="Content-Length"):
+            HttpRequest.from_bytes(
+                b"POST /x HTTP/1.1\r\n" + headers + b"\r\nabcde")
+
+    def test_identical_duplicate_content_lengths_parse(self):
+        wire = (b"POST /x HTTP/1.1\r\nContent-Length: 3\r\n"
+                b"Content-Length: 3\r\n\r\nabcdef")
+        assert HttpRequest.from_bytes(wire).body == b"abc"
+
+    def test_bad_content_length_answers_400(self):
+        info = ConnectionInfo(client_address=IPv4Address.from_string("10.0.0.1"),
+                              server_host="api.example.com", server_port=443)
+        handler = HttpConnectionHandler(info, Router())
+        reply = handler.on_data(
+            b"POST /x HTTP/1.1\r\nContent-Length: \xb2\r\n\r\nab")
+        assert HttpResponse.from_bytes(reply).status == 400
+
     def test_header_without_colon_rejected(self):
         with pytest.raises(HttpProtocolError):
             HttpRequest.from_bytes(b"GET / HTTP/1.1\r\nNoColonHere\r\n\r\n")
@@ -134,6 +165,12 @@ class TestResponseCodec:
     def test_malformed_status_code(self):
         with pytest.raises(HttpProtocolError):
             HttpResponse.from_bytes(b"HTTP/1.1 abc OK\r\n\r\n")
+
+    @pytest.mark.parametrize("headers", BAD_CONTENT_LENGTHS)
+    def test_bad_content_length_rejected(self, headers):
+        with pytest.raises(HttpProtocolError, match="Content-Length"):
+            HttpResponse.from_bytes(
+                b"HTTP/1.1 200 OK\r\n" + headers + b"\r\nabcde")
 
     def test_text_round_trip_unicode(self):
         response = HttpResponse.text_response("premio 💰")

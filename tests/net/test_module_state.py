@@ -1,0 +1,64 @@
+"""Hidden process-wide state: requests must not grow module-level containers.
+
+A module-level ``dict``, ``list`` or ``set`` outlives every run in the
+process, so one that grows per request is both a leak and state no
+checkpoint sees.  After a warm-up request on each path, 200 more HTTPS
+requests (full handshakes, resumptions through a ``TlsSessionCache``,
+and requests through the mitm proxy) must leave every such container in
+every loaded ``repro.*`` module at its length.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from repro.net.client import TlsSessionCache
+from repro.net.proxy import MitmProxy
+from repro.net.tls import TrustStore
+
+from tests.conftest import make_client
+
+HOST = "api.example.com"
+REQUESTS = 200
+
+
+def module_container_sizes():
+    sizes = {}
+    for module_name, module in list(sys.modules.items()):
+        if module_name != "repro" and not module_name.startswith("repro."):
+            continue
+        for name, value in vars(module).items():
+            if not name.startswith("__") and isinstance(value,
+                                                        (dict, list, set)):
+                sizes[f"{module_name}.{name}"] = len(value)
+    return sizes
+
+
+def test_requests_leave_module_containers_unchanged(fabric, root_ca,
+                                                    trust_store, rng,
+                                                    https_server):
+    full_handshakes = make_client(fabric, trust_store, rng)
+    resuming = make_client(fabric, trust_store, rng)
+    resuming.session_cache = TlsSessionCache()
+    mitm = MitmProxy(fabric, "mitm.example",
+                     fabric.asn_db.allocate(16509, rng), rng,
+                     upstream_trust=trust_store)
+    phone_trust = TrustStore()
+    phone_trust.add_root(mitm.ca_certificate())
+    intercepted = make_client(fabric, phone_trust, rng,
+                              proxy=(mitm.hostname, mitm.port))
+    intercepted.session_cache = TlsSessionCache()
+    clients = [full_handshakes, resuming, intercepted]
+    for client in clients:
+        assert client.get(HOST, "/json", params={"n": "warm-up"}).ok
+    before = module_container_sizes()
+
+    for index in range(REQUESTS):
+        client = clients[index % len(clients)]
+        assert client.get(HOST, "/json", params={"n": str(index)}).ok
+
+    after = module_container_sizes()
+    grown = {name: (before.get(name), size) for name, size in after.items()
+             if before.get(name) != size}
+    assert not grown, f"module-level containers changed size: {grown}"
+    assert len(mitm.intercepted) == 1 + REQUESTS // len(clients)

@@ -4,18 +4,20 @@ import random
 
 import pytest
 
+from repro.net import crypto
 from repro.net.errors import (
     CertificatePinningError,
     CertificateVerificationError,
     TlsError,
 )
-from repro.net.fabric import PacketCapture
+from repro.net.fabric import Endpoint, PacketCapture
 from repro.net.http import HttpRequest
 from repro.net.tls import (
     Certificate,
     CertificateAuthority,
     TlsClientSession,
     TrustStore,
+    _handshake_message,
     is_handshake_bytes,
     is_record_bytes,
     issue_server_identity,
@@ -143,7 +145,6 @@ class TestHandshakeEndToEnd:
         # Handshake normally, then replay the first sealed record.
         asn = fabric.asn_db.eyeball_asns()[0]
         address = fabric.asn_db.allocate(asn.number, rng)
-        from repro.net.fabric import Endpoint
         connection = fabric.connect(Endpoint(address=address),
                                     "api.example.com", 443)
         session = TlsClientSession(connection, "api.example.com",
@@ -153,3 +154,57 @@ class TestHandshakeEndToEnd:
         connection.roundtrip(sealed)
         with pytest.raises(TlsError, match="replay|MAC"):
             connection.roundtrip(sealed)
+
+
+class TestMalformedHandshakeFields:
+    """A missing or malformed handshake field is a ``TlsError`` (so a
+    ``NetError`` callers handle), never a bare ``KeyError``/``ValueError``."""
+
+    HELLO = {"type": "client_hello", "client_random": "00" * 16,
+             "sni": "api.example.com"}
+
+    @staticmethod
+    def connect(fabric, rng):
+        asn = fabric.asn_db.eyeball_asns()[0]
+        address = fabric.asn_db.allocate(asn.number, rng)
+        return fabric.connect(Endpoint(address=address), "api.example.com", 443)
+
+    @pytest.mark.parametrize("fields", [{}, {"client_random": "zz"}],
+                             ids=["missing", "not-hex"])
+    def test_server_rejects_bad_client_random(self, fabric, rng,
+                                              https_server, fields):
+        connection = self.connect(fabric, rng)
+        hello = _handshake_message({"type": "client_hello", **fields})
+        with pytest.raises(TlsError, match="client_random"):
+            connection.roundtrip(hello)
+
+    @pytest.mark.parametrize("value", [None, "xyz", "decrypts-too-long"])
+    def test_server_rejects_bad_pre_master(self, fabric, rng, https_server,
+                                           value):
+        if value == "decrypts-too-long":
+            leaf_key = https_server.identity.leaf.public_key
+            value = f"{crypto.encrypt(1 << 192, leaf_key):x}"
+        fields = {} if value is None else {"encrypted_pre_master": value}
+        connection = self.connect(fabric, rng)
+        connection.roundtrip(_handshake_message(self.HELLO))
+        with pytest.raises(TlsError):
+            connection.roundtrip(_handshake_message(
+                {"type": "client_key_exchange", **fields}))
+
+    @pytest.mark.parametrize("fields", [{}, {"server_random": "zz"}],
+                             ids=["missing", "not-hex"])
+    def test_client_rejects_bad_server_random(self, trust_store, rng,
+                                              https_server, fields):
+        server_hello = _handshake_message({
+            "type": "server_hello",
+            "chain": [cert.to_json() for cert in https_server.identity.chain],
+            **fields,
+        })
+
+        class ServerHelloOnly:
+            def roundtrip(self, data):
+                return server_hello
+
+        with pytest.raises(TlsError, match="server_random"):
+            TlsClientSession(ServerHelloOnly(), "api.example.com",
+                             trust_store, rng)

@@ -4,7 +4,11 @@ import pytest
 
 from repro.playstore.catalog import AppListing, Catalog, Developer
 from repro.playstore.charts import ChartKind, ChartsEngine
-from repro.playstore.engagement import DailyEngagement, EngagementBook
+from repro.playstore.engagement import (
+    TRAILING_WINDOW_DAYS,
+    DailyEngagement,
+    EngagementBook,
+)
 
 
 def publish(catalog, package, genre="Tools", price=0.0):
@@ -46,17 +50,6 @@ class TestEngagementBook:
         assert self.book.revenue_through("com.a", 1) == pytest.approx(4.99)
         assert self.book.revenue_through("com.a", 2) == pytest.approx(5.98)
 
-    def test_engagement_score_rises_with_activity(self):
-        self.book.record_session("com.a", 0, seconds=60)
-        low = self.book.engagement_score("com.a", 0)
-        for _ in range(50):
-            self.book.record_session("com.a", 0, seconds=600, registered=True)
-        assert self.book.engagement_score("com.a", 0) > low
-
-    def test_score_uses_trailing_window_only(self):
-        self.book.record_session("com.a", 0, seconds=60)
-        assert self.book.engagement_score("com.a", 30) == 0.0
-
     def test_merge(self):
         a = DailyEngagement(active_users=1, sessions=2, session_seconds=30)
         a.merge(DailyEngagement(active_users=3, purchase_revenue_usd=1.0))
@@ -79,6 +72,18 @@ class TestChartsEngine:
             "com.top", "com.mid", "com.low"]
         assert snapshot.entries[0].rank == 1
         assert snapshot.entries[0].percentile == 1.0
+
+    def test_trending_score_rises_with_activity(self):
+        self.book.record_session("com.a", 0, seconds=60)
+        low = self.engine.trending_score("com.a", 0)
+        for _ in range(50):
+            self.book.record_session("com.a", 0, seconds=600, registered=True)
+        assert self.engine.trending_score("com.a", 0) > low
+
+    def test_trending_score_uses_trailing_window_only(self):
+        self.book.record_session("com.a", 0, seconds=60)
+        assert self.engine.trending_score("com.a", TRAILING_WINDOW_DAYS - 1) > 0
+        assert self.engine.trending_score("com.a", TRAILING_WINDOW_DAYS) == 0.0
 
     def test_chart_size_truncates(self):
         for index in range(6):

@@ -71,8 +71,6 @@ class TestDeviceFactory:
         device = factory.real_phone("US")
         device.install("com.whatsapp")
         assert device.has_installed("com.whatsapp")
-        device.uninstall("com.whatsapp")
-        assert not device.has_installed("com.whatsapp")
 
 
 class TestDeviceFarm:
