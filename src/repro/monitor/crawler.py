@@ -353,40 +353,22 @@ class PlayStoreCrawler:
 
     def state_dict(self) -> Dict[str, object]:
         """Crawler progress: counters, the transient-failure retry
-        queue, the per-(key, day) memo caches, and chart follow state.
-        The archive and the HTTP client are serialized by their owners
-        (the pipeline), which also decides sharing."""
-        from repro.recovery.state import join_key
+        queue, and chart follow state.  The archive and the HTTP client
+        are serialized by their owners (the pipeline), which also
+        decides sharing.  The per-(key, day) memo is absent: a
+        checkpoint closes its day, and no later visit looks up an
+        earlier day's key."""
         return {
             "requests_made": self.requests_made,
             "failures": self.failures,
             "retry_queue": list(self.retry_queue),
-            "profile_cache": {
-                join_key(package, str(day)): snapshot_to_state(snapshot)
-                for (package, day), snapshot in sorted(
-                    self._profile_cache.items())},
-            "chart_cache": {
-                join_key(chart, str(day)): [_appearance_to_state(a)
-                                            for a in appearances]
-                for (chart, day), appearances in sorted(
-                    self._chart_cache.items())},
             "followed": list(self._followed),
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        from repro.recovery.state import split_key
         self.requests_made = int(state["requests_made"])  # type: ignore[arg-type]
         self.failures = int(state["failures"])  # type: ignore[arg-type]
         self.retry_queue = [str(p) for p in state["retry_queue"]]  # type: ignore[union-attr]
-        self._profile_cache = {}
-        for key, data in state["profile_cache"].items():  # type: ignore[union-attr]
-            package, day = split_key(key)
-            self._profile_cache[(package, int(day))] = snapshot_from_state(data)
-        self._chart_cache = {}
-        for key, items in state["chart_cache"].items():  # type: ignore[union-attr]
-            chart, day = split_key(key)
-            self._chart_cache[(chart, int(day))] = [
-                _appearance_from_state(item) for item in items]
         self._followed = [str(p) for p in state["followed"]]  # type: ignore[union-attr]
         self._followed_set = set(self._followed)
 

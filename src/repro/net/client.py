@@ -226,26 +226,6 @@ class TlsSessionCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "entries": [
-                [host, entry.day, entry.ticket.hex(),
-                 entry.enc_key.hex(), entry.mac_key.hex(), entry.uses]
-                for host, entry in sorted(self._entries.items())],
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._entries = {}
-        for host, day, ticket, enc_key, mac_key, uses in (
-                state["entries"]):  # type: ignore[union-attr]
-            entry = _SessionEntry(int(day), bytes.fromhex(ticket),
-                                  bytes.fromhex(enc_key),
-                                  bytes.fromhex(mac_key))
-            entry.uses = int(uses)
-            self._entries[str(host)] = entry
-
 
 class HttpClient:
     """One logical client device/process on the network.
@@ -315,18 +295,19 @@ class HttpClient:
 
     def state_dict(self) -> Dict[str, object]:
         """The client's mutable surfaces: handshake RNG, the clock it
-        stamps requests with, and (when wired) its breaker and session
-        cache.  Callers sharing a breaker or cache across clients may
-        serialize it repeatedly; every copy is taken at the same
-        quiescent barrier, so repeated loads are idempotent."""
+        stamps requests with, and (when wired) its breaker.  Callers
+        sharing a breaker across clients may serialize it repeatedly;
+        every copy is taken at the same quiescent barrier, so repeated
+        loads are idempotent.  The session cache is absent: each entry
+        is stamped with the day it was banked on, and a request on any
+        other day evicts it instead of resuming, so no entry is used
+        past the day barrier a checkpoint is taken at."""
         from repro.recovery.state import dump_rng
         return {
             "rng": dump_rng(self.rng),
             "today": self.today,
             "breaker": (None if self.breaker is None
                         else self.breaker.state_dict()),
-            "session_cache": (None if self.session_cache is None
-                              else self.session_cache.state_dict()),
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
@@ -335,10 +316,6 @@ class HttpClient:
         self.today = int(state["today"])  # type: ignore[arg-type]
         if self.breaker is not None and state["breaker"] is not None:
             self.breaker.load_state(state["breaker"])  # type: ignore[arg-type]
-        if (self.session_cache is not None
-                and state["session_cache"] is not None):
-            self.session_cache.load_state(
-                state["session_cache"])  # type: ignore[arg-type]
 
     # -- public API ----------------------------------------------------------
 
@@ -499,8 +476,7 @@ class HttpClient:
             metrics.inc("net.client.tls_resumptions", host=host)
             return response
         session = self._handshake(connection, host)
-        if (cache is not None and session.session_ticket is not None
-                and session.base_keys is not None):
+        if cache is not None:
             enc_key, mac_key = session.base_keys
             cache.store(host, self.today,
                         session.session_ticket, enc_key, mac_key)

@@ -132,6 +132,14 @@ def _parse_header_lines(lines: Iterable[bytes]) -> Headers:
     return headers
 
 
+def ascii_digits(text: str) -> bool:
+    """Whether ``text`` is one or more ASCII digits, the only form a
+    numeric HTTP field takes.  ``str.isdigit`` alone also accepts
+    superscripts such as "\\xb2", which ``int`` rejects, and ``int``
+    alone accepts signs, ``_`` separators and surrounding spaces."""
+    return text.isascii() and text.isdigit()
+
+
 def _check_body(headers: Headers, body: bytes) -> bytes:
     lengths = headers.get_all("content-length")
     if not lengths:
@@ -141,9 +149,7 @@ def _check_body(headers: Headers, body: bytes) -> bytes:
     if len(set(lengths)) > 1:  # RFC 9112 section 6.3: invalid framing
         raise HttpProtocolError(f"conflicting Content-Length: {lengths!r}")
     length_text = lengths[0]
-    # ``str.isdigit`` alone also accepts superscripts such as "\xb2",
-    # which ``int`` rejects.
-    if not (length_text.isascii() and length_text.isdigit()):
+    if not ascii_digits(length_text):
         raise HttpProtocolError(f"bad Content-Length: {length_text!r}")
     length = int(length_text)
     if length > len(body):
@@ -286,10 +292,10 @@ class HttpResponse:
         parts = lines[0].decode("latin-1").split(" ", 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/"):
             raise HttpProtocolError(f"malformed status line: {lines[0]!r}")
-        try:
-            status = int(parts[1])
-        except ValueError:
-            raise HttpProtocolError(f"bad status code: {parts[1]!r}") from None
+        # RFC 9112 section 4: status-code = 3DIGIT.
+        if len(parts[1]) != 3 or not ascii_digits(parts[1]):
+            raise HttpProtocolError(f"bad status code: {parts[1]!r}")
+        status = int(parts[1])
         reason = parts[2] if len(parts) == 3 else ""
         headers = _parse_header_lines(lines[1:])
         return cls(

@@ -26,12 +26,11 @@ from repro.net.fabric import (
     Endpoint,
     NetworkFabric,
 )
-from repro.net.http import HttpRequest, HttpResponse
+from repro.net.http import HttpRequest, HttpResponse, ascii_digits
 from repro.net.ip import IPv4Address
 from repro.net.tls import (
     CertificateAuthority,
     ServerIdentity,
-    ServerSessionStore,
     TlsClientSession,
     TlsServerHandler,
     TrustStore,
@@ -47,7 +46,7 @@ def _parse_connect_target(request: HttpRequest) -> Tuple[str, int]:
     if request.method != "CONNECT":
         raise HttpProtocolError("proxy expected CONNECT")
     host, _, port_text = request.target.partition(":")
-    if not host or not port_text.isdigit():
+    if not host or not ascii_digits(port_text):
         raise HttpProtocolError(f"bad CONNECT target {request.target!r}")
     return host, int(port_text)
 
@@ -232,10 +231,11 @@ class MitmProxy:
         #: exit's address -- how the paper milked from eight countries.
         #: The milker sets it per country.
         self.upstream_proxy: Optional[Tuple[str, int]] = None
-        #: Ticket table for the client-facing leg: devices that carry a
-        #: :class:`~repro.net.client.TlsSessionCache` resume against the
-        #: minted impersonation identities in one flight.
-        self.sessions = ServerSessionStore()
+        #: Ticket table for the client-facing leg (ticket -> base record
+        #: keys): devices that carry a
+        #: :class:`~repro.net.client.TlsSessionCache` resume against
+        #: the minted impersonation identities in one flight.
+        self.tickets: Dict[bytes, Tuple[bytes, bytes]] = {}
         #: Ticket cache for the upstream leg: one full handshake per
         #: (host, day), every later intercepted connection that day
         #: resumes.  The proxy is per-cell state and its cell's runs
@@ -261,7 +261,11 @@ class MitmProxy:
     def state_dict(self) -> dict:
         """RNG position, the minted-identity cache, and the CA serial.
         ``intercepted`` is deliberately absent: every milk run clears it
-        before driving traffic, so at a day barrier it is dead state."""
+        before driving traffic, so at a day barrier it is dead state.
+        So are both TLS tables: ``upstream_sessions`` is keyed by the
+        clock day, which a checkpoint's barrier has just advanced, and
+        a ``tickets`` entry is only presented by the milk run's own
+        phone cache, which dies with the run."""
         from repro.net.tls import identity_to_state
         from repro.recovery.state import dump_rng
         return {
@@ -270,8 +274,6 @@ class MitmProxy:
             "identities": {
                 host: identity_to_state(identity)
                 for host, identity in sorted(self._identity_cache.items())},
-            "sessions": self.sessions.state_dict(),
-            "upstream_sessions": self.upstream_sessions.state_dict(),
         }
 
     def load_state(self, state: dict) -> None:
@@ -282,8 +284,6 @@ class MitmProxy:
         self._identity_cache = {
             str(host): identity_from_state(data)
             for host, data in state["identities"].items()}
-        self.sessions.load_state(state["sessions"])
-        self.upstream_sessions.load_state(state["upstream_sessions"])
         self.intercepted.clear()
 
     # -- internals ----------------------------------------------------------
@@ -327,7 +327,7 @@ class MitmProxy:
             lambda inner_info: _MitmInnerHandler(
                 inner_info, upstream_session, host, port, self),
             self._rng,
-            session_store=self.sessions,
+            self.tickets,
         )
 
     def _open_upstream(self, connection: Connection,
@@ -343,10 +343,9 @@ class MitmProxy:
                 connection, host, ticket, enc_key, mac_key, counter)
         session = TlsClientSession(
             connection, host, self.upstream_trust, self._rng)
-        if session.session_ticket is not None and session.base_keys is not None:
-            enc_key, mac_key = session.base_keys
-            self.upstream_sessions.store(
-                host, day, session.session_ticket, enc_key, mac_key)
+        enc_key, mac_key = session.base_keys
+        self.upstream_sessions.store(
+            host, day, session.session_ticket, enc_key, mac_key)
         return session
 
 

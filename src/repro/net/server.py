@@ -18,7 +18,7 @@ from repro.net.errors import HttpProtocolError
 from repro.net.fabric import ConnectionHandler, ConnectionInfo, NetworkFabric
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.ip import IPv4Address
-from repro.net.tls import ServerIdentity, ServerSessionStore, TlsServerHandler
+from repro.net.tls import ServerIdentity, TlsServerHandler
 from repro.obs import NULL_OBS, Observability
 
 HTTPS_PORT = 443
@@ -148,9 +148,10 @@ class HttpsServer:
         # Kept for checkpointing: every connection handler shares this
         # RNG, so its position is part of the server's resumable state.
         self.rng = rng
-        # Session tickets this server has minted; lets clients resume
-        # and skip both handshake round trips on repeat visits.
-        self.sessions = ServerSessionStore()
+        # Session tickets this server has minted (ticket -> base record
+        # keys); lets clients resume and skip both handshake round trips
+        # on repeat visits.
+        self.tickets: Dict[bytes, Tuple[bytes, bytes]] = {}
         fabric.register_host(hostname, address)
         fabric.listen(
             hostname,
@@ -162,18 +163,20 @@ class HttpsServer:
                                                          self.obs,
                                                          chaos=fabric.chaos),
                 rng,
-                session_store=self.sessions,
+                self.tickets,
             ),
         )
 
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> dict:
+        """The handshake RNG.  ``tickets`` is absent: only the client
+        cache that banked a ticket presents it, and no cache holds a
+        usable entry past a checkpoint barrier (wild's caches drop an
+        earlier day's entries; each honey campaign has its own cache)."""
         from repro.recovery.state import dump_rng
-        return {"rng": dump_rng(self.rng),
-                "sessions": self.sessions.state_dict()}
+        return {"rng": dump_rng(self.rng)}
 
     def load_state(self, state: dict) -> None:
         from repro.recovery.state import load_rng
         load_rng(self.rng, state["rng"])
-        self.sessions.load_state(state["sessions"])

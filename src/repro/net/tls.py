@@ -311,18 +311,27 @@ def is_resume_bytes(data: bytes) -> bool:
 # Session resumption
 # ---------------------------------------------------------------------------
 #
-# A compressed session-ticket scheme.  When the server carries a
-# :class:`ServerSessionStore`, its ``server_finished`` message includes a
-# ticket bound (by HMAC) to the record keys both sides just derived.  A
-# client holding the ticket and the base keys can later send a single
-# ``TLSS`` flight — ticket, a resumption counter, and its first sealed
-# record — skipping both handshake round trips.  Every quantity involved
-# is a pure function of the original handshake transcript, so resumption
-# never draws on an RNG and seeded runs stay byte-identical.
+# A compressed session-ticket scheme.  Every server's ``server_finished``
+# message carries a ticket bound (by HMAC) to the record keys both sides
+# just derived, and the server files the keys under the ticket in its
+# ticket table, a plain ``{ticket: (enc_key, mac_key)}`` dict shared by
+# its connections.  A client holding the ticket and the base keys can
+# later send a single ``TLSS`` flight — ticket, a resumption counter, and
+# its first sealed record — skipping both handshake round trips.  Every
+# quantity involved is a pure function of the original handshake
+# transcript, so resumption never draws on an RNG and seeded runs stay
+# byte-identical.
 
 
 def _mint_ticket(mac_key: bytes) -> bytes:
     return crypto.hmac_sha256(mac_key, b"session-ticket")[:_TICKET_LEN]
+
+
+def _parse_ticket(text: str) -> bytes:
+    ticket = bytes.fromhex(text)
+    if len(ticket) != _TICKET_LEN:
+        raise ValueError(f"session ticket of {len(ticket)} bytes")
+    return ticket
 
 
 def _resumption_keys(enc_key: bytes, mac_key: bytes,
@@ -331,40 +340,6 @@ def _resumption_keys(enc_key: bytes, mac_key: bytes,
     label = counter.to_bytes(4, "big")
     return (crypto.hmac_sha256(enc_key, b"resume-enc" + label),
             crypto.hmac_sha256(mac_key, b"resume-mac" + label))
-
-
-class ServerSessionStore:
-    """Server-side ticket table: ticket -> base record keys.
-
-    One store per listening server, shared across its connections.
-    """
-
-    def __init__(self) -> None:
-        self._tickets: Dict[bytes, Tuple[bytes, bytes]] = {}
-
-    def put(self, ticket: bytes, enc_key: bytes, mac_key: bytes) -> None:
-        self._tickets[ticket] = (enc_key, mac_key)
-
-    def get(self, ticket: bytes) -> Optional[Tuple[bytes, bytes]]:
-        return self._tickets.get(ticket)
-
-    def __len__(self) -> int:
-        return len(self._tickets)
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "tickets": [
-                [ticket.hex(), enc_key.hex(), mac_key.hex()]
-                for ticket, (enc_key, mac_key) in sorted(
-                    self._tickets.items())],
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._tickets = {
-            bytes.fromhex(ticket): (bytes.fromhex(enc_key),
-                                    bytes.fromhex(mac_key))
-            for ticket, enc_key, mac_key in (
-                state["tickets"])}  # type: ignore[union-attr]
 
 
 # ---------------------------------------------------------------------------
@@ -462,15 +437,9 @@ class TlsClientSession:
         if str(finished.get("verify_data")) != verify_data.hex():
             raise TlsError("server finished verification failed")
         self._codec = _RecordCodec(enc_key, mac_key)
-        ticket_hex = finished.get("session_ticket")
-        if isinstance(ticket_hex, str):
-            try:
-                ticket = bytes.fromhex(ticket_hex)
-            except ValueError as exc:
-                raise TlsError("malformed session ticket") from exc
-            if len(ticket) == _TICKET_LEN:
-                self.session_ticket = ticket
-                self.base_keys = (enc_key, mac_key)
+        self.session_ticket = _handshake_field(
+            finished, "session_ticket", _parse_ticket)
+        self.base_keys = (enc_key, mac_key)
 
     def send(self, plaintext: bytes) -> bytes:
         """One encrypted application-data round trip."""
@@ -509,28 +478,27 @@ class ServerIdentity:
 _HELLO_PLACEHOLDER = "@" * 32
 
 
-def _server_hello_template(identity: ServerIdentity) -> Optional[Tuple[str, str]]:
+def _server_hello_template(identity: ServerIdentity) -> Tuple[str, str]:
     """(prefix, suffix) around the ``server_random`` value in this
-    identity's serialised server_hello, or ``None`` if splicing is not
-    provably safe.  The chain dominates the message and never changes
-    for a given identity, so serialising it on every handshake is pure
-    waste; the spliced output is byte-identical to a fresh
-    ``json.dumps`` because the random is a fixed-width hex string.
+    identity's serialised server_hello.  The chain dominates the message
+    and never changes for a given identity, so serialising it on every
+    handshake is pure waste; the spliced output is byte-identical to a
+    fresh ``json.dumps`` because the random is a fixed-width hex string.
+    The marker occurs exactly once: ``json.dumps`` escapes every ``"``
+    inside a string, so ``"server_random": "`` can only be the real key,
+    whatever text the certificates carry.
     """
-    template = getattr(identity, "_hello_template", False)
-    if template is not False:
+    template = getattr(identity, "_hello_template", None)
+    if template is not None:
         return template
     text = json.dumps({
         "type": "server_hello",
         "server_random": _HELLO_PLACEHOLDER,
         "chain": [certificate.to_json() for certificate in identity.chain],
     }, sort_keys=True)
-    marker = '"server_random": "' + _HELLO_PLACEHOLDER + '"'
-    if text.count(marker) == 1:
-        prefix, suffix = text.split(marker)
-        template = (prefix + '"server_random": "', '"' + suffix)
-    else:  # a certificate field contains the marker; don't splice
-        template = None
+    prefix, suffix = text.split(
+        '"server_random": "' + _HELLO_PLACEHOLDER + '"')
+    template = (prefix + '"server_random": "', '"' + suffix)
     identity._hello_template = template  # type: ignore[attr-defined]
     return template
 
@@ -584,13 +552,13 @@ class TlsServerHandler(ConnectionHandler):
         identity: ServerIdentity,
         inner_factory,
         rng: random.Random,
-        session_store: Optional[ServerSessionStore] = None,
+        tickets: Dict[bytes, Tuple[bytes, bytes]],
     ) -> None:
         super().__init__(info)
         self._identity = identity
         self._inner = inner_factory(info)
         self._rng = rng
-        self._session_store = session_store
+        self._tickets = tickets
         self._state = "expect_hello"
         self._client_random = b""
         self._server_random = b""
@@ -613,16 +581,9 @@ class TlsServerHandler(ConnectionHandler):
             message, "client_random", bytes.fromhex)
         self._server_random = self._rng.getrandbits(128).to_bytes(16, "big")
         self._state = "expect_key_exchange"
-        template = _server_hello_template(self._identity)
-        if template is not None:
-            prefix, suffix = template
-            return _HANDSHAKE_MAGIC + (
-                prefix + self._server_random.hex() + suffix).encode("utf-8")
-        return _handshake_message({
-            "type": "server_hello",
-            "server_random": self._server_random.hex(),
-            "chain": [certificate.to_json() for certificate in self._identity.chain],
-        })
+        prefix, suffix = _server_hello_template(self._identity)
+        return _HANDSHAKE_MAGIC + (
+            prefix + self._server_random.hex() + suffix).encode("utf-8")
 
     def _handle_key_exchange(self, data: bytes) -> bytes:
         message = _parse_handshake(data, "client_key_exchange")
@@ -638,26 +599,22 @@ class TlsServerHandler(ConnectionHandler):
         verify_data = crypto.hmac_sha256(
             mac_key, b"finished" + self._client_random + self._server_random)
         self._state = "established"
-        finished: Dict[str, object] = {
+        ticket = _mint_ticket(mac_key)
+        self._tickets[ticket] = (enc_key, mac_key)
+        return _handshake_message({
             "type": "server_finished",
             "verify_data": verify_data.hex(),
-        }
-        if self._session_store is not None:
-            ticket = _mint_ticket(mac_key)
-            self._session_store.put(ticket, enc_key, mac_key)
-            finished["session_ticket"] = ticket.hex()
-        return _handshake_message(finished)
+            "session_ticket": ticket.hex(),
+        })
 
     def _handle_resume(self, data: bytes) -> bytes:
         """One-flight resumption: ticket + counter + first sealed record."""
-        if self._session_store is None:
-            raise TlsError("server does not accept session resumption")
         header_len = 4 + _TICKET_LEN + 4
         if len(data) < header_len:
             raise TlsError("truncated resumption flight")
         ticket = data[4:4 + _TICKET_LEN]
         counter = int.from_bytes(data[4 + _TICKET_LEN:header_len], "big")
-        base_keys = self._session_store.get(ticket)
+        base_keys = self._tickets.get(ticket)
         if base_keys is None:
             raise TlsError("unknown session ticket")
         resume_enc, resume_mac = _resumption_keys(*base_keys, counter=counter)

@@ -16,7 +16,6 @@ from repro.playstore.catalog import AppListing, Developer
 from repro.playstore.frontend import PLAY_HOST, PlayStoreFrontend
 from repro.playstore.ledger import InstallSource
 from repro.playstore.store import PlayStore
-from repro.recovery.state import split_key
 from tests.conftest import make_client
 
 HTTPS = 443
@@ -69,10 +68,8 @@ class TestProfileCache:
         crawler.crawl_everything(["com.app.alpha"], day=0)
         clock["day"] = 2
         crawler.capture_offer_pages(["com.app.beta"], day=2)
-        state = crawler.state_dict()
-        assert state["chart_cache"] == {}
-        assert [split_key(key) for key in state["profile_cache"]] == [
-            ["com.app.beta", "2"]]
+        assert crawler._chart_cache == {}
+        assert list(crawler._profile_cache) == [("com.app.beta", 2)]
 
     def test_failed_fetch_is_not_cached(self, rig):
         _, _, crawler, fabric = rig

@@ -166,6 +166,13 @@ class TestResponseCodec:
         with pytest.raises(HttpProtocolError):
             HttpResponse.from_bytes(b"HTTP/1.1 abc OK\r\n\r\n")
 
+    # RFC 9112 section 4: status-code = 3DIGIT; ``int`` alone reads all
+    # three of these as 200.
+    @pytest.mark.parametrize("status", [b"2_00", b"+200", b"0200"])
+    def test_status_code_is_three_ascii_digits(self, status):
+        with pytest.raises(HttpProtocolError, match="status code"):
+            HttpResponse.from_bytes(b"HTTP/1.1 " + status + b" OK\r\n\r\n")
+
     @pytest.mark.parametrize("headers", BAD_CONTENT_LENGTHS)
     def test_bad_content_length_rejected(self, headers):
         with pytest.raises(HttpProtocolError, match="Content-Length"):

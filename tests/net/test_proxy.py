@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.net.errors import CertificateVerificationError
+from repro.net.errors import CertificateVerificationError, HttpProtocolError
+from repro.net.fabric import Endpoint
 from repro.net.proxy import ForwardProxy, MitmProxy
 from repro.net.tls import TrustStore
 from repro.net.vpn import VpnExitPool
@@ -102,6 +103,24 @@ class TestMitmProxy:
         assert mitm.exchanges_for_host("other.example") == []
         mitm.clear()
         assert mitm.intercepted == []
+
+
+class TestConnectTarget:
+    @pytest.mark.parametrize("make_proxy", [
+        lambda fabric, rng, trust: _forward_proxy(fabric, rng),
+        lambda fabric, rng, trust: _mitm_proxy(fabric, rng, trust),
+    ], ids=["forward", "mitm"])
+    def test_superscript_port_is_a_protocol_error(self, fabric, rng,
+                                                  trust_store, make_proxy):
+        # "\xb2" passes ``str.isdigit`` but not ``int``: the port must be
+        # ASCII digits, or the proxy's handler raises a bare ValueError.
+        proxy = make_proxy(fabric, rng, trust_store)
+        asn = fabric.asn_db.eyeball_asns()[0]
+        endpoint = Endpoint(address=fabric.asn_db.allocate(asn.number, rng))
+        connection = fabric.connect(endpoint, proxy.hostname, proxy.port)
+        with pytest.raises(HttpProtocolError, match="bad CONNECT target"):
+            connection.roundtrip(
+                b"CONNECT api.example.com:\xb2 HTTP/1.1\r\n\r\n")
 
 
 class TestVpnExitPool:

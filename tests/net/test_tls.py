@@ -1,5 +1,6 @@
 """TLS layer tests: certificates, trust, handshake, records, pinning."""
 
+import json
 import random
 
 import pytest
@@ -10,12 +11,14 @@ from repro.net.errors import (
     CertificateVerificationError,
     TlsError,
 )
-from repro.net.fabric import Endpoint, PacketCapture
+from repro.net.fabric import ConnectionInfo, Endpoint, PacketCapture
 from repro.net.http import HttpRequest
+from repro.net.ip import IPv4Address
 from repro.net.tls import (
     Certificate,
     CertificateAuthority,
     TlsClientSession,
+    TlsServerHandler,
     TrustStore,
     _handshake_message,
     is_handshake_bytes,
@@ -208,3 +211,48 @@ class TestMalformedHandshakeFields:
         with pytest.raises(TlsError, match="server_random"):
             TlsClientSession(ServerHelloOnly(), "api.example.com",
                              trust_store, rng)
+
+    @pytest.mark.parametrize("ticket", [None, "zz", "00" * 15],
+                             ids=["missing", "not-hex", "wrong-length"])
+    def test_client_rejects_bad_session_ticket(self, fabric, rng,
+                                               trust_store, https_server,
+                                               ticket):
+        connection = self.connect(fabric, rng)
+
+        class TamperedFinished:
+            """Relays the real handshake, rewriting the ticket the
+            server_finished carries."""
+
+            def roundtrip(self, data):
+                reply = connection.roundtrip(data)
+                message = json.loads(reply[4:])
+                if message["type"] != "server_finished":
+                    return reply
+                del message["session_ticket"]
+                if ticket is not None:
+                    message["session_ticket"] = ticket
+                return _handshake_message(message)
+
+        with pytest.raises(TlsError, match="session_ticket"):
+            TlsClientSession(TamperedFinished(), "api.example.com",
+                             trust_store, rng)
+
+    def test_server_hello_splices_names_holding_the_marker(self, rng):
+        # The server pre-serialises its hello around a placeholder
+        # random.  Certificate text that spells out the placeholder's
+        # key and value is escaped by ``json.dumps``, so the splice
+        # still yields a fresh serialisation byte for byte.
+        marker = '"server_random": "' + "@" * 32 + '"'
+        ca = CertificateAuthority("Root CA " + marker, rng)
+        identity = issue_server_identity(ca, marker + " api.example.com", rng)
+        info = ConnectionInfo(
+            client_address=IPv4Address.from_string("10.0.0.1"),
+            server_host="api.example.com", server_port=443)
+        handler = TlsServerHandler(info, identity, lambda inner: None, rng, {})
+        reply = handler.on_data(_handshake_message(self.HELLO))
+        server_random = json.loads(reply[4:])["server_random"]
+        assert reply == _handshake_message({
+            "type": "server_hello",
+            "server_random": server_random,
+            "chain": [cert.to_json() for cert in identity.chain],
+        })

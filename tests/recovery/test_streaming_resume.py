@@ -4,7 +4,8 @@ A streamed checkpoint resumed materialised, or a checkpoint written by
 an earlier format version (such as the removed worker-process
 backend's), must raise rather than corrupt the run.  That a streamed
 crash + resume replays byte-identically, spill truncation included, is
-a cell of ``test_determinism_matrix.py``.
+a cell of ``test_determinism_matrix.py``.  Checkpoints also hold no
+state keyed by a day they have closed: no later day reads it.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import json
 import pytest
 
 from repro.analysis.streams import SpillError
+from repro.core.honey_experiment import HoneyAppExperiment
 from repro.core.wild_measurement import WildMeasurement, WildMeasurementConfig
 from repro.recovery import (CheckpointStore, CrashPlan, RecoveryContext,
                             SimulatedCrash)
@@ -52,13 +54,18 @@ class TestStreamedResume:
             measurement.run(recovery=resuming)
 
 
-def crash_then_restamp(root, version, edit):
-    """Crash a wild run on day 2, then rewrite its newest checkpoint as
-    a hash-valid ``version`` document whose state ``edit`` reshaped."""
+def crash_wild(root):
+    """Crash a wild run on day 2, leaving the checkpoints of days 0-1."""
     crashing = RecoveryContext.create(
         root, "wild", crash=CrashPlan.at("wild.day", 2))
     with pytest.raises(SimulatedCrash):
         build().run(recovery=crashing)
+
+
+def crash_then_restamp(root, version, edit):
+    """Crash a wild run on day 2, then rewrite its newest checkpoint as
+    a hash-valid ``version`` document whose state ``edit`` reshaped."""
+    crash_wild(root)
     store = CheckpointStore(root, "wild")
     day, state = store.latest()
     edit(state)
@@ -95,3 +102,45 @@ class TestProcessBackendResume:
                                   443): 1}))
         with pytest.raises(CheckpointMismatch, match="version in .*: 2"):
             CheckpointStore(root, "wild").latest()
+
+    def test_memo_and_session_checkpoint_refused_by_latest(self, tmp_path):
+        # Version 4 carried TLS session tables and the crawler's
+        # (key, day) memo; it is refused by its version, like 1 and 2.
+        root = tmp_path / "ckpt"
+        crash_then_restamp(root, 4, lambda state: state["crawler"].update(
+            profile_cache={}, chart_cache={}))
+        with pytest.raises(CheckpointMismatch, match="version in .*: 4"):
+            CheckpointStore(root, "wild").latest()
+
+
+#: Checkpoint keys of state keyed by a day the checkpoint has closed:
+#: TLS session tables and caches, and the crawler's (key, day) memo.
+CLOSED_DAY_KEYS = {"sessions", "upstream_sessions", "session_cache",
+                   "profile_cache", "chart_cache"}
+
+
+def state_keys(node):
+    """Every dict key anywhere in a checkpoint's state."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from state_keys(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from state_keys(item)
+
+
+class TestNoClosedDayState:
+    def test_wild_checkpoint(self, tmp_path):
+        crash_wild(tmp_path)
+        _, state = CheckpointStore(tmp_path, "wild").latest()
+        assert CLOSED_DAY_KEYS.isdisjoint(state_keys(state))
+
+    def test_honey_checkpoint(self, tmp_path):
+        crashing = RecoveryContext.create(
+            tmp_path, "honey", crash=CrashPlan.at("honey.campaign", 1))
+        with pytest.raises(SimulatedCrash):
+            HoneyAppExperiment(World(seed=SEED), installs_per_iip=40).run(
+                recovery=crashing)
+        _, state = CheckpointStore(tmp_path, "honey").latest()
+        assert CLOSED_DAY_KEYS.isdisjoint(state_keys(state))
