@@ -17,7 +17,7 @@ import hashlib
 import hmac as _hmac
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 _MR_ROUNDS = 24
 
@@ -92,12 +92,11 @@ class RsaPublicKey:
 class RsaPrivateKey:
     modulus: int
     exponent: int  # private exponent d
-    #: The modulus factors, when known (fresh keypairs keep them;
-    #: keys restored from a pre-factor checkpoint may not).  They allow
-    #: CRT decryption — two half-width exponentiations instead of one
-    #: full-width one, with a bit-identical result.
-    prime_p: Optional[int] = None
-    prime_q: Optional[int] = None
+    #: The modulus factors.  They allow CRT decryption — two half-width
+    #: exponentiations instead of one full-width one, with a
+    #: bit-identical result.
+    prime_p: int
+    prime_q: int
 
     @property
     def public(self) -> RsaPublicKey:
@@ -185,8 +184,6 @@ _CRT_CACHE: dict = {}
 
 def decrypt(ciphertext_int: int, key: RsaPrivateKey) -> int:
     p, q = key.prime_p, key.prime_q
-    if p is None or q is None:
-        return pow(ciphertext_int, key.exponent, key.modulus)
     # CRT decryption: exact same integer as the full-width pow, via two
     # half-width exponentiations (~4x fewer word operations).
     cache_key = (key.modulus, key.exponent)

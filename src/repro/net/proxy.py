@@ -51,6 +51,13 @@ def _parse_connect_target(request: HttpRequest) -> Tuple[str, int]:
     return host, int(port_text)
 
 
+def _bad_request(obs: Observability, info: ConnectionInfo,
+                 exc: HttpProtocolError) -> bytes:
+    """Answer a malformed first request with 400, as the HTTP server does."""
+    obs.metrics.inc("net.proxy.bad_requests", proxy=info.server_host)
+    return HttpResponse.error(400, str(exc)).to_bytes()
+
+
 class _TunnelHandler(ConnectionHandler):
     """After CONNECT, relay every round trip verbatim to the upstream."""
 
@@ -65,8 +72,11 @@ class _TunnelHandler(ConnectionHandler):
 
     def on_data(self, data: bytes) -> bytes:
         if self._upstream is None:
-            request = HttpRequest.from_bytes(data)
-            host, port = _parse_connect_target(request)
+            try:
+                host, port = _parse_connect_target(
+                    HttpRequest.from_bytes(data))
+            except HttpProtocolError as exc:
+                return _bad_request(self._obs, self.info, exc)
             try:
                 self._upstream = self._fabric.connect(
                     self._proxy_endpoint, host, port)
@@ -177,8 +187,11 @@ class _MitmHandler(ConnectionHandler):
 
     def on_data(self, data: bytes) -> bytes:
         if self._tls is None:
-            request = HttpRequest.from_bytes(data)
-            host, port = _parse_connect_target(request)
+            try:
+                host, port = _parse_connect_target(
+                    HttpRequest.from_bytes(data))
+            except HttpProtocolError as exc:
+                return _bad_request(self._proxy.obs, self.info, exc)
             try:
                 self._tls = self._proxy._build_impersonator(self.info, host, port)
             except NetError as exc:

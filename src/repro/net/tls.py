@@ -505,28 +505,24 @@ def _server_hello_template(identity: ServerIdentity) -> Tuple[str, str]:
 
 def identity_to_state(identity: ServerIdentity) -> Dict[str, object]:
     """JSON form of a minted identity (checkpointing mitm caches)."""
-    state = {
+    key = identity.private_key
+    return {
         "chain": [cert.to_json() for cert in identity.chain],
-        "private_modulus": f"{identity.private_key.modulus:x}",
-        "private_exponent": f"{identity.private_key.exponent:x}",
+        "private_modulus": f"{key.modulus:x}",
+        "private_exponent": f"{key.exponent:x}",
+        "private_primes": [f"{key.prime_p:x}", f"{key.prime_q:x}"],
     }
-    if identity.private_key.prime_p is not None:
-        state["private_primes"] = [f"{identity.private_key.prime_p:x}",
-                                   f"{identity.private_key.prime_q:x}"]
-    return state
 
 
 def identity_from_state(state: Dict[str, object]) -> ServerIdentity:
-    primes = state.get("private_primes")  # type: ignore[union-attr]
-    prime_p = int(str(primes[0]), 16) if primes else None
-    prime_q = int(str(primes[1]), 16) if primes else None
+    prime_p, prime_q = state["private_primes"]  # type: ignore[misc]
     return ServerIdentity(
         chain=[Certificate.from_json(data)
                for data in state["chain"]],  # type: ignore[union-attr]
         private_key=crypto.RsaPrivateKey(
             modulus=int(str(state["private_modulus"]), 16),
             exponent=int(str(state["private_exponent"]), 16),
-            prime_p=prime_p, prime_q=prime_q),
+            prime_p=int(str(prime_p), 16), prime_q=int(str(prime_q), 16)),
     )
 
 

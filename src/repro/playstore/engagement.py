@@ -5,13 +5,20 @@ manipulate: daily active users, session counts and lengths, registered
 accounts, and in-app revenue.  The top-charts engine ranks apps by a
 score computed from this book (Google Play "places apps in top charts
 based on user engagement metrics", paper Section 4.3.1).
+
+Each package's days live in one day-indexed column per
+:class:`DailyEngagement` field (:mod:`repro.playstore.columns`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from array import array
+from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import Dict, Tuple
+
+from repro.playstore.columns import day_span, extend_to
 
 #: Days of engagement every chart score looks back over.
 TRAILING_WINDOW_DAYS = 7
@@ -28,14 +35,6 @@ class DailyEngagement:
     purchase_revenue_usd: float = 0.0
     ad_impressions: int = 0
 
-    def merge(self, other: "DailyEngagement") -> None:
-        self.active_users += other.active_users
-        self.sessions += other.sessions
-        self.session_seconds += other.session_seconds
-        self.registrations += other.registrations
-        self.purchase_revenue_usd += other.purchase_revenue_usd
-        self.ad_impressions += other.ad_impressions
-
     @property
     def mean_session_seconds(self) -> float:
         if self.sessions == 0:
@@ -43,14 +42,34 @@ class DailyEngagement:
         return self.session_seconds / self.sessions
 
 
+#: Column type codes in :class:`DailyEngagement` field order.
+_TYPECODES = ("q", "q", "d", "q", "d", "q")
+#: Index of the ``purchase_revenue_usd`` column.
+_REVENUE = 4
+
+
 class EngagementBook:
     """The store's ledger of engagement signals."""
 
     def __init__(self) -> None:
-        self._days: Dict[Tuple[str, int], DailyEngagement] = defaultdict(DailyEngagement)
+        self._columns: Dict[str, Tuple[array, ...]] = {}
 
     def record(self, package: str, day: int, engagement: DailyEngagement) -> None:
-        self._days[(package, day)].merge(engagement)
+        if day < 0:
+            raise ValueError("negative day")
+        columns = self._columns.get(package)
+        if columns is None:
+            columns = self._columns[package] = tuple(
+                array(code) for code in _TYPECODES)
+        for column in columns:
+            extend_to(column, day)
+        users, sessions, seconds, registrations, revenue, ads = columns
+        users[day] += engagement.active_users
+        sessions[day] += engagement.sessions
+        seconds[day] += engagement.session_seconds
+        registrations[day] += engagement.registrations
+        revenue[day] += engagement.purchase_revenue_usd
+        ads[day] += engagement.ad_impressions
 
     def record_session(self, package: str, day: int, seconds: float,
                        registered: bool = False,
@@ -67,26 +86,37 @@ class EngagementBook:
         ))
 
     def for_day(self, package: str, day: int) -> DailyEngagement:
-        found = self._days.get((package, day))
-        if found is None:
+        columns = self._columns.get(package)
+        if columns is None or not 0 <= day < len(columns[0]):
             return DailyEngagement()
-        return found
+        return DailyEngagement(*(column[day] for column in columns))
 
     def window(self, package: str, start_day: int, end_day: int) -> DailyEngagement:
-        """Aggregate over [start_day, end_day] inclusive."""
-        total = DailyEngagement()
-        for day in range(start_day, end_day + 1):
-            found = self._days.get((package, day))
-            if found is not None:
-                total.merge(found)
-        return total
+        """Aggregate over [start_day, end_day] inclusive.
 
-    def revenue_through(self, package: str, day: int) -> float:
-        return sum(e.purchase_revenue_usd
-                   for (pkg, d), e in self._days.items()
-                   if pkg == package and d <= day)
+        Seconds and revenue fold day by day from ``0.0`` in day order,
+        the sum a running ``+=`` makes: float addition does not
+        associate, and chart scores reach the output bytes.  A stored
+        day starts as ``+0.0 + x``, so it is never ``-0.0`` and a zero
+        day adds nothing.
+        """
+        columns = self._columns.get(package)
+        if columns is None:
+            return DailyEngagement()
+        days = day_span(start_day, end_day)
+        return DailyEngagement(*(
+            reduce(add, column[days], 0.0) if column.typecode == "d"
+            else sum(column[days])
+            for column in columns))
 
     def grossing_score(self, package: str, day: int) -> float:
         start = max(0, day - TRAILING_WINDOW_DAYS + 1)
-        return sum(self.for_day(package, d).purchase_revenue_usd
+        columns = self._columns.get(package)
+        revenue = columns[_REVENUE] if columns is not None else ()
+        # One value per trailing day, zeros past the column's end
+        # included, added by ``sum``: ``sum`` compensates float error
+        # from Python 3.12 and a fold does not, so another primitive or
+        # another sequence could move a score's last bit (or turn 0.0
+        # into 0) on some interpreter.
+        return sum(revenue[d] if d < len(revenue) else 0.0
                    for d in range(start, day + 1))

@@ -6,18 +6,23 @@ can retroactively filter installs it attributes to incentivized
 campaigns -- the observable the paper uses to gauge Google's policing
 ("a decrease in the install counts of advertised apps").
 
-Internally the ledger keeps per-package daily indexes so that the
-profile front end (which computes cumulative counts on every crawl) and
-the charts engine (which computes trailing install velocity for every
-eligible app) stay O(days) per query instead of O(total batches).
+Each package's installs live in one day-indexed count column per
+source (:mod:`repro.playstore.columns`), so the cumulative count the
+profile front end computes on every crawl and the trailing install
+velocity the charts engine computes for every eligible app are slice
+sums.  Campaign totals and enforcement removals are small maps beside
+the columns.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
+
+from repro.playstore.columns import day_span, extend_to
 
 
 class InstallSource(enum.Enum):
@@ -45,34 +50,34 @@ class InstallBatch:
             raise ValueError("negative day")
 
 
+_SOURCES = tuple(InstallSource)
+#: The columns of a package with no installs.
+_NO_INSTALLS = ((),) * len(_SOURCES)
+
+
 class InstallLedger:
-    """Append-only record of install batches plus enforcement removals."""
+    """Per-source daily install counts plus enforcement removals."""
 
     def __init__(self) -> None:
-        self._batches: List[InstallBatch] = []
-        # package -> day -> source -> count
-        self._daily: Dict[str, Dict[int, Dict[InstallSource, int]]] = (
-            defaultdict(lambda: defaultdict(lambda: defaultdict(int))))
-        # package -> day -> gross count (all sources); derived mirror of
-        # ``_daily`` so the cumulative-total query the frontend runs on
-        # every profile render sums ints instead of per-source dicts.
-        self._gross: Dict[str, Dict[int, int]] = defaultdict(lambda: defaultdict(int))
+        # package -> one count column per source, in ``_SOURCES`` order
+        self._installs: Dict[str, Tuple[array, ...]] = {}
         self._campaign_totals: Dict[str, int] = defaultdict(int)
-        self._campaign_batches: Dict[str, List[InstallBatch]] = defaultdict(list)
-        self._removed: Dict[Tuple[str, int], int] = defaultdict(int)
-        # (package, day-removal-was-applied) -> count removed
-        self._removed_by_package: Dict[str, Dict[int, int]] = (
+        # package -> day the removal was applied -> count removed
+        self._removed: Dict[str, Dict[int, int]] = (
             defaultdict(lambda: defaultdict(int)))
 
     # -- recording -----------------------------------------------------------
 
     def record(self, batch: InstallBatch) -> None:
-        self._batches.append(batch)
-        self._daily[batch.package][batch.day][batch.source] += batch.count
-        self._gross[batch.package][batch.day] += batch.count
+        columns = self._installs.get(batch.package)
+        if columns is None:
+            columns = self._installs[batch.package] = tuple(
+                array("q") for _ in _SOURCES)
+        column = columns[_SOURCES.index(batch.source)]
+        extend_to(column, batch.day)
+        column[batch.day] += batch.count
         if batch.campaign_id is not None:
             self._campaign_totals[batch.campaign_id] += batch.count
-            self._campaign_batches[batch.campaign_id].append(batch)
 
     def record_install(self, package: str, day: int, source: InstallSource,
                        campaign_id: Optional[str] = None) -> None:
@@ -83,99 +88,71 @@ class InstallLedger:
         """Enforcement: filter ``count`` installs effective on ``day``."""
         if count <= 0:
             raise ValueError("removal count must be positive")
-        self._removed[(package, day)] += count
-        self._removed_by_package[package][day] += count
+        self._removed[package][day] += count
 
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """Batches in append order plus removals; the daily/campaign
-        indexes are derived, so restore rebuilds them via ``record``."""
+        """The install columns, the campaign totals and the removals."""
         from repro.recovery.state import join_key
         return {
-            "batches": [
-                [batch.package, batch.day, batch.source.value,
-                 batch.count, batch.campaign_id]
-                for batch in self._batches],
+            "installs": {
+                package: {source.value: column.tolist()
+                          for source, column in zip(_SOURCES, columns)}
+                for package, columns in sorted(self._installs.items())},
+            "campaigns": dict(sorted(self._campaign_totals.items())),
             "removed": {
                 join_key(package, str(day)): count
-                for (package, day), count in sorted(self._removed.items())},
+                for package, days in sorted(self._removed.items())
+                for day, count in sorted(days.items())},
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
         from repro.recovery.state import split_key
         self.__init__()  # type: ignore[misc]
-        for package, day, source, count, campaign_id in (
-                state["batches"]):  # type: ignore[union-attr]
-            self.record(InstallBatch(
-                package=str(package), day=int(day),
-                source=InstallSource(source), count=int(count),
-                campaign_id=(None if campaign_id is None
-                             else str(campaign_id))))
+        for package, by_source in state["installs"].items():  # type: ignore[union-attr]
+            self._installs[str(package)] = tuple(
+                array("q", by_source[source.value]) for source in _SOURCES)
+        for campaign_id, count in state["campaigns"].items():  # type: ignore[union-attr]
+            self._campaign_totals[str(campaign_id)] = int(count)
         for key, count in state["removed"].items():  # type: ignore[union-attr]
             package, day = split_key(key)
-            self._removed[(package, int(day))] = int(count)
-            self._removed_by_package[package][int(day)] = int(count)
+            self._removed[package][int(day)] = int(count)
 
     # -- queries -----------------------------------------------------------
 
     def installs_by_source(self, package: str) -> Dict[InstallSource, int]:
-        totals: Dict[InstallSource, int] = {source: 0 for source in InstallSource}
-        for by_source in self._daily.get(package, {}).values():
-            for source, count in by_source.items():
-                totals[source] += count
-        return totals
+        columns = self._installs.get(package, _NO_INSTALLS)
+        return {source: sum(column)
+                for source, column in zip(_SOURCES, columns)}
 
     def total_installs(self, package: str, through_day: Optional[int] = None) -> int:
         """Cumulative installs net of enforcement removals (floored at 0)."""
-        days = self._gross.get(package)
-        if days is None:
-            gross = 0
-        elif through_day is None:
-            gross = sum(days.values())
-        else:
-            gross = sum(count for day, count in days.items()
-                        if day <= through_day)
-        removals = self._removed_by_package.get(package)
-        if removals is None:
-            removed = 0
-        elif through_day is None:
-            removed = sum(removals.values())
-        else:
-            removed = sum(count for day, count in removals.items()
-                          if day <= through_day)
+        days = slice(None) if through_day is None else day_span(0, through_day)
+        gross = sum(sum(column[days])
+                    for column in self._installs.get(package, _NO_INSTALLS))
+        removed = sum(count for day, count
+                      in self._removed.get(package, {}).items()
+                      if through_day is None or day <= through_day)
         return max(0, gross - removed)
 
     def daily_installs(self, package: str, day: int) -> Dict[InstallSource, int]:
-        totals: Dict[InstallSource, int] = {source: 0 for source in InstallSource}
-        for source, count in self._daily.get(package, {}).get(day, {}).items():
-            totals[source] += count
-        return totals
+        columns = self._installs.get(package, _NO_INSTALLS)
+        return {source: column[day] if 0 <= day < len(column) else 0
+                for source, column in zip(_SOURCES, columns)}
 
     def installs_in_window(self, package: str, start_day: int,
                            end_day: int) -> int:
         """Gross installs over [start_day, end_day] inclusive (velocity)."""
-        days = self._gross.get(package)
-        if not days:
-            return 0
-        # A long-running app accumulates one entry per active day, so
-        # probe the (typically 7-day) window rather than scanning the
-        # whole history once the history is the bigger side.
-        if end_day - start_day + 1 < len(days):
-            return sum(days.get(day, 0)
-                       for day in range(start_day, end_day + 1))
-        return sum(count for day, count in days.items()
-                   if start_day <= day <= end_day)
+        days = day_span(start_day, end_day)
+        return sum(sum(column[days])
+                   for column in self._installs.get(package, _NO_INSTALLS))
 
     def campaign_installs(self, campaign_id: str) -> int:
         return self._campaign_totals.get(campaign_id, 0)
 
-    def campaign_batches(self, campaign_id: str) -> List[InstallBatch]:
-        return list(self._campaign_batches.get(campaign_id, ()))
-
     def packages(self) -> Iterable[str]:
-        return sorted(self._daily)
+        return sorted(self._installs)
 
     def removals_for(self, package: str) -> int:
-        removals = self._removed_by_package.get(package)
-        return sum(removals.values()) if removals else 0
+        return sum(self._removed.get(package, {}).values())

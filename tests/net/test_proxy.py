@@ -4,23 +4,26 @@ import random
 
 import pytest
 
-from repro.net.errors import CertificateVerificationError, HttpProtocolError
+from repro.net.errors import CertificateVerificationError
 from repro.net.fabric import Endpoint
+from repro.net.http import HttpResponse
 from repro.net.proxy import ForwardProxy, MitmProxy
 from repro.net.tls import TrustStore
 from repro.net.vpn import VpnExitPool
+from repro.obs import Observability
 from tests.conftest import make_client, make_https_server
 
 
-def _forward_proxy(fabric, rng, hostname="fwd.example"):
+def _forward_proxy(fabric, rng, hostname="fwd.example", obs=None):
     address = fabric.asn_db.allocate(16509, rng)
-    return ForwardProxy(fabric, hostname, address)
+    return ForwardProxy(fabric, hostname, address, obs=obs)
 
 
-def _mitm_proxy(fabric, rng, upstream_trust, hostname="mitm.example"):
+def _mitm_proxy(fabric, rng, upstream_trust, hostname="mitm.example",
+                obs=None):
     address = fabric.asn_db.allocate(16509, rng)
     return MitmProxy(fabric, hostname, address, rng,
-                     upstream_trust=upstream_trust)
+                     upstream_trust=upstream_trust, obs=obs)
 
 
 class TestForwardProxy:
@@ -105,22 +108,51 @@ class TestMitmProxy:
         assert mitm.intercepted == []
 
 
+PROXIES = pytest.mark.parametrize("make_proxy", [
+    lambda fabric, rng, trust, obs: _forward_proxy(fabric, rng, obs=obs),
+    lambda fabric, rng, trust, obs: _mitm_proxy(fabric, rng, trust, obs=obs),
+], ids=["forward", "mitm"])
+
+
 class TestConnectTarget:
-    @pytest.mark.parametrize("make_proxy", [
-        lambda fabric, rng, trust: _forward_proxy(fabric, rng),
-        lambda fabric, rng, trust: _mitm_proxy(fabric, rng, trust),
-    ], ids=["forward", "mitm"])
-    def test_superscript_port_is_a_protocol_error(self, fabric, rng,
-                                                  trust_store, make_proxy):
-        # "\xb2" passes ``str.isdigit`` but not ``int``: the port must be
-        # ASCII digits, or the proxy's handler raises a bare ValueError.
-        proxy = make_proxy(fabric, rng, trust_store)
+    """A malformed first request gets a 400, as from the HTTP server,
+    not an exception out of ``roundtrip``."""
+
+    def _first_response(self, fabric, rng, trust_store, make_proxy, data):
+        obs = Observability()
+        proxy = make_proxy(fabric, rng, trust_store, obs)
         asn = fabric.asn_db.eyeball_asns()[0]
         endpoint = Endpoint(address=fabric.asn_db.allocate(asn.number, rng))
         connection = fabric.connect(endpoint, proxy.hostname, proxy.port)
-        with pytest.raises(HttpProtocolError, match="bad CONNECT target"):
-            connection.roundtrip(
-                b"CONNECT api.example.com:\xb2 HTTP/1.1\r\n\r\n")
+        response = HttpResponse.from_bytes(connection.roundtrip(data))
+        assert obs.metrics.counter_total_by_label(
+            "net.proxy.bad_requests", "proxy", proxy.hostname) == 1
+        return response
+
+    @PROXIES
+    def test_superscript_port_is_a_protocol_error(self, fabric, rng,
+                                                  trust_store, make_proxy):
+        # "\xb2" passes ``str.isdigit`` but not ``int``: the port must be
+        # ASCII digits.
+        response = self._first_response(
+            fabric, rng, trust_store, make_proxy,
+            b"CONNECT api.example.com:\xb2 HTTP/1.1\r\n\r\n")
+        assert response.status == 400
+        assert b"bad CONNECT target" in response.body
+
+    @PROXIES
+    @pytest.mark.parametrize("data, reason", [
+        (b"GET / HTTP/1.1\r\nHost: api.example.com\r\n\r\n",
+         b"proxy expected CONNECT"),
+        (b"CONNECT api.example.com:443 HTTP/1.1\r\n",
+         b"missing header terminator"),
+    ], ids=["not-connect", "unterminated-head"])
+    def test_malformed_first_request_answers_400(
+            self, fabric, rng, trust_store, make_proxy, data, reason):
+        response = self._first_response(fabric, rng, trust_store,
+                                        make_proxy, data)
+        assert response.status == 400
+        assert reason in response.body
 
 
 class TestVpnExitPool:

@@ -44,18 +44,6 @@ class TestEngagementBook:
         window = self.book.window("com.a", 1, 3)
         assert window.sessions == 3
 
-    def test_revenue_tracking(self):
-        self.book.record_session("com.a", 0, seconds=30, purchase_usd=4.99)
-        self.book.record_session("com.a", 2, seconds=30, purchase_usd=0.99)
-        assert self.book.revenue_through("com.a", 1) == pytest.approx(4.99)
-        assert self.book.revenue_through("com.a", 2) == pytest.approx(5.98)
-
-    def test_merge(self):
-        a = DailyEngagement(active_users=1, sessions=2, session_seconds=30)
-        a.merge(DailyEngagement(active_users=3, purchase_revenue_usd=1.0))
-        assert a.active_users == 4
-        assert a.purchase_revenue_usd == 1.0
-
 
 class TestChartsEngine:
     def setup_method(self):
