@@ -39,7 +39,7 @@ from export_scale_obs import (  # noqa: E402
 )
 
 #: Peak-RSS ceiling for the streamed run at the top (10x) scale point.
-#: Measured 95 MB streamed and 126 MB materialised at scale 3.5 / 14
+#: Measured 92 MB streamed and 123 MB materialised at scale 3.5 / 14
 #: days (2-core box, Python 3.11.7), so the ceiling is a backstop for
 #: runaway growth; the streamed-against-materialised checks below are
 #: what catch a return to materialised growth.

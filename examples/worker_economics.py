@@ -89,7 +89,7 @@ def main() -> None:
           f"paid: {paid}")
 
     print("\nledger entries:")
-    for entry in ledger.entries:
+    for entry in ledger.entries():
         print(f"  day {entry.day}: {entry.source:>12} -> "
               f"{entry.destination:<14} ${entry.amount_usd:8.4f}  ({entry.memo})")
 

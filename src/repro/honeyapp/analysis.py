@@ -8,6 +8,11 @@ Joins three sources, exactly as the paper does:
   record button, when, and from what network), and
 * the campaign schedule (non-overlapping windows, so every install is
   attributable to one IIP).
+
+The telemetry is read from the collector's columns by index: one walk
+in canonical order keeps, per device, the index of its first upload and
+whether it ever clicked, clicked the day after its first upload, or
+uploaded from a datacenter ASN.  No row is built per upload.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.affiliates.registry import has_money_keyword
-from repro.honeyapp.server import StoredEvent, TelemetryServer
-from repro.honeyapp.telemetry import EVENT_OPEN, EVENT_RECORD_CLICK
+from repro.honeyapp.server import TelemetryServer
+from repro.honeyapp.telemetry import EVENT_RECORD_CLICK
 from repro.users.devices import looks_like_emulator
 
 #: Installs from one /24 at which the block is reported as a device farm.
@@ -106,12 +111,16 @@ class HoneyExperimentAnalysis:
             available to developers in near-real-time charts).
         """
         self._windows = list(windows)
-        self._telemetry = telemetry
+        self._columns = telemetry.columns
         self._console = dict(console_installs)
         self._install_days = {key: list(value)
                               for key, value in install_days.items()}
+        #: device -> column index of its first upload (canonical order).
+        self._first: Dict[str, int] = {}
         self._device_window: Dict[str, CampaignWindow] = {}
-        self._device_events: Dict[str, List[StoredEvent]] = defaultdict(list)
+        self._clicked: Set[str] = set()
+        self._clicked_day_after: Set[str] = set()
+        self._cloud: Set[str] = set()
         self._assign_devices()
 
     # -- attribution -------------------------------------------------------
@@ -127,23 +136,29 @@ class HoneyExperimentAnalysis:
 
         Events are walked in canonical ``(day, hour, device, event)``
         order, not server arrival order, so the analysis never depends
-        on the order in which uploads happened to land.
+        on the order in which uploads happened to land.  A device's
+        first event is its first in that order, and the day after is
+        counted from that event's day.
         """
-        first_event: Dict[str, StoredEvent] = {}
-        ordered = sorted(
-            self._telemetry.events,
-            key=lambda stored: (stored.payload.day, stored.payload.hour,
-                                stored.payload.device_id,
-                                stored.payload.event))
-        for stored in ordered:
-            device_id = stored.payload.device_id
-            self._device_events[device_id].append(stored)
-            current = first_event.get(device_id)
-            key = (stored.payload.day, stored.payload.hour)
-            if current is None or key < (current.payload.day, current.payload.hour):
-                first_event[device_id] = stored
-        for device_id, stored in first_event.items():
-            window = self._window_for_day(stored.payload.day)
+        columns = self._columns
+        days, hours = columns.day, columns.hour
+        device_ids, events = columns.device_id, columns.event
+        kinds = columns.source_asn_kind
+        order = sorted(range(len(columns)),
+                       key=lambda i: (days[i], hours[i], device_ids[i],
+                                      events[i]))
+        first = self._first
+        for index in order:
+            device_id = device_ids[index]
+            start = first.setdefault(device_id, index)
+            if events[index] == EVENT_RECORD_CLICK:
+                self._clicked.add(device_id)
+                if days[index] == days[start] + 1:
+                    self._clicked_day_after.add(device_id)
+            if kinds[index] == "datacenter":
+                self._cloud.add(device_id)
+        for device_id, index in first.items():
+            window = self._window_for_day(days[index])
             if window is not None:
                 self._device_window[device_id] = window
 
@@ -183,17 +198,10 @@ class HoneyExperimentAnalysis:
         summaries = []
         for window in self._windows:
             installs = self._console.get(window.campaign_id, 0)
-            clicked: Set[str] = set()
-            clicked_day_after = 0
-            for device_id in self.devices_for(window.iip_name):
-                events = self._device_events[device_id]
-                clicks = [e for e in events
-                          if e.payload.event == EVENT_RECORD_CLICK]
-                if clicks:
-                    clicked.add(device_id)
-                first_day = min(e.payload.day for e in events)
-                if any(e.payload.day == first_day + 1 for e in clicks):
-                    clicked_day_after += 1
+            devices = self.devices_for(window.iip_name)
+            clicked = self._clicked.intersection(devices)
+            clicked_day_after = len(self._clicked_day_after.intersection(
+                devices))
             summaries.append(EngagementSummary(
                 iip_name=window.iip_name,
                 installs=installs,
@@ -209,21 +217,21 @@ class HoneyExperimentAnalysis:
         emulator_by_iip: Dict[str, int] = Counter()
         cloud_by_iip: Dict[str, int] = Counter()
         block_devices: Dict[str, Set[str]] = defaultdict(set)
+        columns = self._columns
         for device_id, window in self._device_window.items():
-            events = self._device_events[device_id]
-            payload = events[0].payload
-            if looks_like_emulator(payload.build):
+            first = self._first[device_id]
+            if looks_like_emulator(columns.build[first]):
                 emulator_by_iip[window.iip_name] += 1
-            if any(e.source_asn_kind == "datacenter" for e in events):
+            if device_id in self._cloud:
                 cloud_by_iip[window.iip_name] += 1
-            block_devices[payload.ip_slash24].add(device_id)
+            block_devices[columns.ip_slash24[first]].add(device_id)
         farms = []
         for block, devices in sorted(block_devices.items()):
             if len(devices) < FARM_MIN_INSTALLS:
                 continue
             rooted = [d for d in devices
-                      if self._device_events[d][0].payload.is_rooted]
-            ssids = Counter(self._device_events[d][0].payload.ssid_hash
+                      if columns.is_rooted[self._first[d]]]
+            ssids = Counter(columns.ssid_hash[self._first[d]]
                             for d in rooted)
             shared = max(ssids.values()) if ssids else 0
             farms.append(FarmReport(
@@ -253,8 +261,8 @@ class HoneyExperimentAnalysis:
             with_keyword = 0
             package_counter: Counter = Counter()
             for device_id in devices:
-                packages = set(self._device_events[device_id][0]
-                               .payload.installed_packages)
+                packages = set(self._columns.installed_packages(
+                    self._first[device_id]))
                 all_packages.update(packages)
                 money_apps = {p for p in packages if has_money_keyword(p)}
                 if money_apps:

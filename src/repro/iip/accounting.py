@@ -5,12 +5,19 @@ developer deposits with the IIP (1b), the IIP pays the affiliate app
 after certified completion (6), and the affiliate pays the user (7),
 each intermediary keeping a cut.  ``MoneyLedger.disburse`` implements
 exactly that waterfall and the tests assert conservation.
+
+The transfer log is append-only and kept as columns: day and amount in
+stdlib ``array``s, and per transfer a reference to its owners' names
+(the wallets' own strings) and to its memo (one string per distinct
+memo text).  An amount is stored as a float.  :class:`LedgerEntry` rows
+are built only when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from array import array
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Tuple
 
 
 @dataclass
@@ -58,12 +65,22 @@ class Disbursement:
     mediator_fee_usd: float
 
 
+#: The source named by a :meth:`MoneyLedger.mint`.
+_EXTERNAL = "<external>"
+
+
 class MoneyLedger:
     """All wallets plus an append-only transfer log."""
 
     def __init__(self) -> None:
         self._wallets: Dict[str, Wallet] = {}
-        self.entries: List[LedgerEntry] = []
+        self._days = array("q")
+        self._amounts = array("d")
+        self._sources: List[str] = []
+        self._destinations: List[str] = []
+        self._memos: List[str] = []
+        #: Each distinct memo text, mapped to itself.
+        self._memo_texts: Dict[str, str] = {}
 
     def wallet(self, owner: str) -> Wallet:
         found = self._wallets.get(owner)
@@ -72,22 +89,44 @@ class MoneyLedger:
             self._wallets[owner] = found
         return found
 
+    def _owner(self, name: str) -> str:
+        """``name`` as the log keeps it: its wallet's own string."""
+        wallet = self._wallets.get(name)
+        return name if wallet is None else wallet.owner
+
+    def _log(self, day: int, source: str, destination: str, amount: float,
+             memo: str) -> None:
+        self._days.append(day)
+        self._amounts.append(amount)
+        self._sources.append(source)
+        self._destinations.append(destination)
+        self._memos.append(self._memo_texts.setdefault(memo, memo))
+
     def mint(self, owner: str, amount: float, day: int, memo: str = "external deposit") -> None:
         """Money entering the system from outside (developer's bank)."""
-        self.wallet(owner).deposit(amount)
-        self.entries.append(LedgerEntry(day=day, source="<external>",
-                                        destination=owner,
-                                        amount_usd=amount, memo=memo))
+        wallet = self.wallet(owner)
+        wallet.deposit(amount)
+        self._log(day, _EXTERNAL, wallet.owner, amount, memo)
 
     def transfer(self, source: str, destination: str, amount: float,
                  day: int, memo: str) -> None:
         if amount < 0:
             raise ValueError("negative transfer")
-        self.wallet(source).withdraw(amount)
-        self.wallet(destination).deposit(amount)
-        self.entries.append(LedgerEntry(day=day, source=source,
-                                        destination=destination,
-                                        amount_usd=amount, memo=memo))
+        paying = self.wallet(source)
+        paying.withdraw(amount)
+        receiving = self.wallet(destination)
+        receiving.deposit(amount)
+        self._log(day, paying.owner, receiving.owner, amount, memo)
+
+    def _rows(self) -> Iterator[Tuple[int, str, str, float, str]]:
+        return zip(self._days, self._sources, self._destinations,
+                   self._amounts, self._memos)
+
+    def entries(self) -> List[LedgerEntry]:
+        """The transfer log as rows, in order."""
+        return [LedgerEntry(day=day, source=source, destination=destination,
+                            amount_usd=amount, memo=memo)
+                for day, source, destination, amount, memo in self._rows()]
 
     # -- checkpoint/restore ---------------------------------------------------
 
@@ -95,10 +134,7 @@ class MoneyLedger:
         return {
             "wallets": {owner: wallet.balance_usd
                         for owner, wallet in sorted(self._wallets.items())},
-            "entries": [
-                [entry.day, entry.source, entry.destination,
-                 entry.amount_usd, entry.memo]
-                for entry in self.entries],
+            "entries": [list(row) for row in self._rows()],
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
@@ -106,20 +142,25 @@ class MoneyLedger:
             str(owner): Wallet(owner=str(owner),
                                balance_usd=float(balance))
             for owner, balance in state["wallets"].items()}  # type: ignore[union-attr]
-        self.entries = [
-            LedgerEntry(day=int(day), source=str(source),
-                        destination=str(destination),
-                        amount_usd=float(amount), memo=str(memo))
-            for day, source, destination, amount, memo in (
-                state["entries"])]  # type: ignore[union-attr]
+        self._days = array("q")
+        self._amounts = array("d")
+        self._sources, self._destinations, self._memos = [], [], []
+        self._memo_texts = {}
+        for day, source, destination, amount, memo in (
+                state["entries"]):  # type: ignore[union-attr]
+            self._log(int(day), self._owner(str(source)),
+                      self._owner(str(destination)), float(amount),
+                      str(memo))
 
     def total_received(self, owner: str) -> float:
-        return sum(entry.amount_usd for entry in self.entries
-                   if entry.destination == owner)
+        return sum(amount for amount, destination
+                   in zip(self._amounts, self._destinations)
+                   if destination == owner)
 
     def total_sent(self, owner: str) -> float:
-        return sum(entry.amount_usd for entry in self.entries
-                   if entry.source == owner)
+        return sum(amount for amount, source
+                   in zip(self._amounts, self._sources)
+                   if source == owner)
 
     def disburse(
         self,

@@ -5,12 +5,18 @@ advertised app embeds the mediator's SDK, the SDK reports installs and
 task completions, and the IIP only disburses payouts that the mediator
 certifies.  The paper cites appsflyer's 0.03 USD/user pricing, which is
 the fee here.
+
+Certified conversions are kept as columns: the day in a stdlib
+``array``, and per conversion a reference to its offer id, its device
+id and its task list (one tuple per distinct list).  :class:`Conversion`
+rows are built only when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from array import array
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: The mediator's fee per attributed user (appsflyer's pricing).
 FEE_PER_USER_USD = 0.03
@@ -34,50 +40,66 @@ class AttributionMediator:
 
     def __init__(self) -> None:
         self.name = MEDIATOR_NAME
-        self._conversions: List[Conversion] = []
-        self._seen: Set[Tuple[str, str]] = set()  # (offer, device) dedup
+        self._offer_ids: List[str] = []
+        self._device_ids: List[str] = []
+        self._days = array("q")
+        self._tasks: List[Tuple[str, ...]] = []
+        #: Each distinct task list, mapped to itself.
+        self._task_lists: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        #: offer -> the devices certified for it (the dedup), as dict
+        #: keys: a dict holds them in a fraction of a set's memory.
+        self._certified: Dict[str, Dict[str, None]] = {}
 
     def report_completion(self, offer_id: str, device_id: str, day: int,
                           tasks_completed: Tuple[str, ...]) -> Optional[Conversion]:
         """SDK postback.  Duplicate (offer, device) pairs are rejected --
         attribution services dedup so one device cannot be paid twice."""
-        key = (offer_id, device_id)
-        if key in self._seen:
+        devices = self._certified.setdefault(offer_id, {})
+        if device_id in devices:
             return None
-        self._seen.add(key)
-        conversion = Conversion(offer_id=offer_id, device_id=device_id,
-                                day=day, tasks_completed=tasks_completed)
-        self._conversions.append(conversion)
-        return conversion
+        devices[device_id] = None
+        tasks = self._task_lists.setdefault(tasks_completed, tasks_completed)
+        self._offer_ids.append(offer_id)
+        self._device_ids.append(device_id)
+        self._days.append(day)
+        self._tasks.append(tasks)
+        return Conversion(offer_id=offer_id, device_id=device_id, day=day,
+                          tasks_completed=tasks)
+
+    def _rows(self) -> Iterator[Tuple[str, str, int, Tuple[str, ...]]]:
+        return zip(self._offer_ids, self._device_ids, self._days,
+                   self._tasks)
 
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
         return {
             "conversions": [
-                [c.offer_id, c.device_id, c.day, list(c.tasks_completed)]
-                for c in self._conversions],
+                [offer_id, device_id, day, list(tasks)]
+                for offer_id, device_id, day, tasks in self._rows()],
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        self._conversions = [
-            Conversion(offer_id=str(offer_id), device_id=str(device_id),
-                       day=int(day),
-                       tasks_completed=tuple(str(t) for t in tasks))
-            for offer_id, device_id, day, tasks in (
-                state["conversions"])]  # type: ignore[union-attr]
-        self._seen = {(c.offer_id, c.device_id)
-                      for c in self._conversions}
+        self._offer_ids, self._device_ids, self._tasks = [], [], []
+        self._days = array("q")
+        self._task_lists, self._certified = {}, {}
+        for offer_id, device_id, day, tasks in (
+                state["conversions"]):  # type: ignore[union-attr]
+            self.report_completion(str(offer_id), str(device_id), int(day),
+                                   tuple(str(t) for t in tasks))
 
     def certify(self, offer_id: str, device_id: str) -> bool:
-        return (offer_id, device_id) in self._seen
+        return device_id in self._certified.get(offer_id, ())
 
     def conversions_for(self, offer_id: str) -> List[Conversion]:
-        return [c for c in self._conversions if c.offer_id == offer_id]
+        return [Conversion(offer_id=offer, device_id=device_id, day=day,
+                           tasks_completed=tasks)
+                for offer, device_id, day, tasks in self._rows()
+                if offer == offer_id]
 
     def conversion_count(self, offer_id: str) -> int:
-        return len(self.conversions_for(offer_id))
+        return self._offer_ids.count(offer_id)
 
     @property
     def total_conversions(self) -> int:
-        return len(self._conversions)
+        return len(self._days)

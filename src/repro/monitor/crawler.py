@@ -255,14 +255,14 @@ def snapshot_to_state(snapshot: ProfileSnapshot) -> Dict[str, object]:
 def snapshot_from_state(state: Dict[str, object]) -> ProfileSnapshot:
     website = state["developer_website"]
     return ProfileSnapshot(
-        package=str(state["package"]),
+        package=sys.intern(str(state["package"])),
         day=int(state["day"]),                      # type: ignore[arg-type]
         installs_floor=int(state["installs_floor"]),  # type: ignore[arg-type]
-        genre=str(state["genre"]),
+        genre=sys.intern(str(state["genre"])),
         release_day=int(state["release_day"]),      # type: ignore[arg-type]
-        developer_id=str(state["developer_id"]),
-        developer_name=str(state["developer_name"]),
-        developer_country=str(state["developer_country"]),
+        developer_id=sys.intern(str(state["developer_id"])),
+        developer_name=sys.intern(str(state["developer_name"])),
+        developer_country=sys.intern(str(state["developer_country"])),
         developer_website=None if website is None else str(website),
         is_game=bool(state["is_game"]),
     )
@@ -280,8 +280,8 @@ def _appearance_to_state(appearance: ChartAppearance) -> Dict[str, object]:
 
 def _appearance_from_state(state: Dict[str, object]) -> ChartAppearance:
     return ChartAppearance(
-        package=str(state["package"]),
-        chart=str(state["chart"]),
+        package=sys.intern(str(state["package"])),
+        chart=sys.intern(str(state["chart"])),
         day=int(state["day"]),                # type: ignore[arg-type]
         rank=int(state["rank"]),              # type: ignore[arg-type]
         percentile=float(state["percentile"]),  # type: ignore[arg-type]
@@ -414,10 +414,11 @@ class PlayStoreCrawler:
                     response.status in RETRIABLE_STATUSES)
         try:
             payload = response.json()
-            # Every crawl repeats an app's genre and developer; interning
-            # keeps one copy of each across the profiles a run keeps.
+            # Every crawl repeats an app's name, genre and developer;
+            # interning keeps one copy of each across the profiles a run
+            # keeps and the archive's locator keys.
             snapshot = ProfileSnapshot(
-                package=payload["package"],
+                package=sys.intern(str(payload["package"])),
                 day=int(payload["crawl_day"]),
                 installs_floor=int(payload["installs_floor"]),
                 genre=sys.intern(str(payload["genre"])),
@@ -485,7 +486,7 @@ class PlayStoreCrawler:
                 chart_day = int(payload["day"])
                 appearances = [
                     ChartAppearance(
-                        package=str(entry["package"]),
+                        package=sys.intern(str(entry["package"])),
                         chart=kind.value,
                         day=chart_day,
                         rank=int(entry["rank"]),

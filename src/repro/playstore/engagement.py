@@ -71,20 +71,6 @@ class EngagementBook:
         revenue[day] += engagement.purchase_revenue_usd
         ads[day] += engagement.ad_impressions
 
-    def record_session(self, package: str, day: int, seconds: float,
-                       registered: bool = False,
-                       purchase_usd: float = 0.0,
-                       ad_impressions: int = 0) -> None:
-        """Record one user session (one active user, one session)."""
-        self.record(package, day, DailyEngagement(
-            active_users=1,
-            sessions=1,
-            session_seconds=seconds,
-            registrations=1 if registered else 0,
-            purchase_revenue_usd=purchase_usd,
-            ad_impressions=ad_impressions,
-        ))
-
     def for_day(self, package: str, day: int) -> DailyEngagement:
         columns = self._columns.get(package)
         if columns is None or not 0 <= day < len(columns[0]):

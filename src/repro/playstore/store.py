@@ -55,14 +55,6 @@ class PlayStore:
                                         source=source, count=count,
                                         campaign_id=campaign_id))
 
-    def record_session(self, package: str, day: int, seconds: float,
-                       registered: bool = False, purchase_usd: float = 0.0,
-                       ad_impressions: int = 0) -> None:
-        self.engagement.record_session(package, day, seconds,
-                                       registered=registered,
-                                       purchase_usd=purchase_usd,
-                                       ad_impressions=ad_impressions)
-
     def record_engagement(self, package: str, day: int,
                           engagement: DailyEngagement) -> None:
         self.engagement.record(package, day, engagement)

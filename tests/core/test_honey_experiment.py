@@ -112,7 +112,7 @@ class TestSideEffects:
     def test_workers_got_paid(self, results):
         _, world = results
         worker_wallets = [
-            entry for entry in world.money.entries
+            entry for entry in world.money.entries()
             if entry.destination.startswith("worker-")]
         assert len(worker_wallets) > 1000
 
@@ -122,9 +122,9 @@ class TestSideEffects:
 
     def test_telemetry_arrived_over_https_only(self, results):
         _, world = results
-        assert world.telemetry.events
+        assert world.telemetry.events()
         # Every stored payload carries only sanitised network data.
-        for stored in world.telemetry.events[:200]:
+        for stored in world.telemetry.events()[:200]:
             assert stored.payload.ip_slash24.endswith("/24")
             assert len(stored.payload.ssid_hash) == 16
 
@@ -155,7 +155,7 @@ class TestZeroDeliveredCampaigns:
             assert record.completions_paid == 0
             assert record.total_cost_usd == 0.0
         # No population was built, so no telemetry and no enforcement.
-        assert world.telemetry.events == []
+        assert world.telemetry.events() == []
         assert experiment_results.enforcement_actions == 0
 
 

@@ -15,7 +15,9 @@ from repro.honeyapp.telemetry import (
     sanitize_ssid,
 )
 from repro.net.client import HttpClient
+from repro.net.http import HttpRequest
 from repro.net.ip import AsnDatabase
+from repro.net.server import RequestContext
 from repro.users.devices import DeviceFactory
 from tests.conftest import make_client
 
@@ -73,6 +75,37 @@ class TestPayload:
         assert sanitize_ssid("home-1") == sanitize_ssid("home-1")
         assert sanitize_ssid("home-1") != sanitize_ssid("home-2")
 
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("installed_packages", ["com.a", 1], id="package-int"),
+        pytest.param("installed_packages", "com.a", id="packages-string"),
+        pytest.param("installed_packages", [["com.a"]], id="packages-nested"),
+        pytest.param("is_rooted", "false", id="rooted-string"),
+        pytest.param("day", 2.7, id="day-float"),
+        pytest.param("day", True, id="day-bool"),
+        pytest.param("day", 2 ** 63, id="day-past-64-bits"),
+        pytest.param("hour", "3", id="hour-string"),
+        pytest.param("hour", True, id="hour-bool"),
+        pytest.param("hour", 10 ** 400, id="hour-past-float"),
+        pytest.param("device_id", None, id="device-id-null"),
+    ])
+    def test_from_json_checks_instead_of_coercing(self, rng, field, value):
+        upload = build_payload(EVENT_OPEN, make_device(rng), day=0,
+                               hour=1.0).to_json()
+        upload[field] = value
+        with pytest.raises(ValueError):
+            TelemetryPayload.from_json(upload)
+
+    def test_last_moment_of_a_day_round_trips(self, rng):
+        payload = build_payload(EVENT_OPEN, make_device(rng), day=0,
+                                hour=23.9999)
+        assert TelemetryPayload.from_json(payload.to_json()).hour == 23.999
+
+    def test_from_json_takes_an_int_hour(self, rng):
+        upload = build_payload(EVENT_OPEN, make_device(rng), day=0,
+                               hour=1.0).to_json()
+        upload["hour"] = 2
+        assert TelemetryPayload.from_json(upload).hour == 2.0
+
 
 @pytest.fixture()
 def collector(fabric, root_ca, rng):
@@ -114,7 +147,7 @@ class TestHoneyAppAndServer:
         emulator = make_device(rng, kind="emulator")
         app = make_honey_app(fabric, trust_store, rng, emulator)
         app.open(day=0, hour=0.0)
-        stored = collector.events[0]
+        stored = collector.events()[0]
         assert stored.source_asn_kind == "datacenter"
 
     def test_server_rejects_malformed_payload(self, fabric, trust_store, rng,
@@ -124,7 +157,28 @@ class TestHoneyAppAndServer:
         response = client.post_json(collector.hostname, "/v1/telemetry",
                                     {"event": "open"})
         assert response.status == 400
-        assert collector.events == []
+        assert collector.events() == []
+
+    def test_server_answers_a_body_that_is_not_json_with_400(
+            self, fabric, rng, collector):
+        context = RequestContext(
+            client_address=fabric.asn_db.allocate(16509, rng),
+            server_host=collector.hostname, server_port=443,
+            path_params={})
+        response = collector._ingest(
+            HttpRequest("POST", "/v1/telemetry", body=b"not json"), context)
+        assert response.status == 400
+
+    def test_mistyped_upload_is_refused_and_checkpoints(
+            self, fabric, trust_store, rng, collector):
+        device = make_device(rng)
+        client = HttpClient(fabric, device.endpoint, trust_store, rng)
+        upload = build_payload(EVENT_OPEN, device, day=0, hour=1.0).to_json()
+        upload["installed_packages"] = ["com.a", 1]
+        response = client.post_json(collector.hostname, "/v1/telemetry",
+                                    upload)
+        assert response.status == 400
+        assert collector.state_dict()["events"] == []
 
     def test_upload_failure_does_not_crash_app(self, fabric, trust_store, rng,
                                                collector):

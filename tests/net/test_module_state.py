@@ -1,20 +1,23 @@
-"""Hidden process-wide state: requests must not grow module-level containers.
+"""Hidden process-wide state: runs must not grow module-level containers.
 
 A module-level ``dict``, ``list`` or ``set`` outlives every run in the
 process, so one that grows per request is both a leak and state no
 checkpoint sees.  After a warm-up request on each path, 200 more HTTPS
 requests (full handshakes, resumptions through a ``TlsSessionCache``,
 and requests through the mitm proxy) must leave every such container in
-every loaded ``repro.*`` module at its length.
+every loaded ``repro.*`` module at its length.  So must a honey run in a
+fresh ``World`` after a smaller one.
 """
 
 from __future__ import annotations
 
 import sys
 
+from repro.core.honey_experiment import HoneyAppExperiment
 from repro.net.client import TlsSessionCache
 from repro.net.proxy import MitmProxy
 from repro.net.tls import TrustStore
+from repro.simulation.world import World
 
 from tests.conftest import make_client
 
@@ -32,6 +35,12 @@ def module_container_sizes():
                                                         (dict, list, set)):
                 sizes[f"{module_name}.{name}"] = len(value)
     return sizes
+
+
+def assert_unchanged(before, after):
+    grown = {name: (before.get(name), size) for name, size in after.items()
+             if before.get(name) != size}
+    assert not grown, f"module-level containers changed size: {grown}"
 
 
 def test_requests_leave_module_containers_unchanged(fabric, root_ca,
@@ -57,8 +66,12 @@ def test_requests_leave_module_containers_unchanged(fabric, root_ca,
         client = clients[index % len(clients)]
         assert client.get(HOST, "/json", params={"n": str(index)}).ok
 
-    after = module_container_sizes()
-    grown = {name: (before.get(name), size) for name, size in after.items()
-             if before.get(name) != size}
-    assert not grown, f"module-level containers changed size: {grown}"
+    assert_unchanged(before, module_container_sizes())
     assert len(mitm.intercepted) == 1 + REQUESTS // len(clients)
+
+
+def test_honey_run_leaves_module_containers_unchanged():
+    HoneyAppExperiment(World(seed=2019), installs_per_iip=40).run()
+    before = module_container_sizes()
+    HoneyAppExperiment(World(seed=2019), installs_per_iip=80).run()
+    assert_unchanged(before, module_container_sizes())

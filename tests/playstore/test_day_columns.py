@@ -262,8 +262,10 @@ def reachable(root):
 def objects_after(days):
     book, ledger = EngagementBook(), InstallLedger()
     for day in range(days):
-        book.record_session("com.a", day, seconds=30.0 + day,
-                            registered=day % 2 == 0, purchase_usd=0.99)
+        book.record("com.a", day, DailyEngagement(
+            active_users=1, sessions=1, session_seconds=30.0 + day,
+            registrations=1 if day % 2 == 0 else 0,
+            purchase_revenue_usd=0.99))
         for source in InstallSource:
             ledger.record(InstallBatch("com.a", day, source, 1 + day % 5,
                                        campaign_id="c1"))

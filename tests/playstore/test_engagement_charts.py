@@ -24,8 +24,11 @@ class TestEngagementBook:
         self.book = EngagementBook()
 
     def test_sessions_accumulate(self):
-        self.book.record_session("com.a", 0, seconds=60)
-        self.book.record_session("com.a", 0, seconds=120, registered=True)
+        self.book.record("com.a", 0, DailyEngagement(
+            active_users=1, sessions=1, session_seconds=60))
+        self.book.record("com.a", 0, DailyEngagement(
+            active_users=1, sessions=1, session_seconds=120,
+            registrations=1))
         day = self.book.for_day("com.a", 0)
         assert day.active_users == 2
         assert day.sessions == 2
@@ -40,7 +43,8 @@ class TestEngagementBook:
 
     def test_window_aggregation(self):
         for day in range(5):
-            self.book.record_session("com.a", day, seconds=10)
+            self.book.record("com.a", day, DailyEngagement(
+                active_users=1, sessions=1, session_seconds=10))
         window = self.book.window("com.a", 1, 3)
         assert window.sessions == 3
 
@@ -62,14 +66,18 @@ class TestChartsEngine:
         assert snapshot.entries[0].percentile == 1.0
 
     def test_trending_score_rises_with_activity(self):
-        self.book.record_session("com.a", 0, seconds=60)
+        self.book.record("com.a", 0, DailyEngagement(
+            active_users=1, sessions=1, session_seconds=60))
         low = self.engine.trending_score("com.a", 0)
         for _ in range(50):
-            self.book.record_session("com.a", 0, seconds=600, registered=True)
+            self.book.record("com.a", 0, DailyEngagement(
+                active_users=1, sessions=1, session_seconds=600,
+                registrations=1))
         assert self.engine.trending_score("com.a", 0) > low
 
     def test_trending_score_uses_trailing_window_only(self):
-        self.book.record_session("com.a", 0, seconds=60)
+        self.book.record("com.a", 0, DailyEngagement(
+            active_users=1, sessions=1, session_seconds=60))
         assert self.engine.trending_score("com.a", TRAILING_WINDOW_DAYS - 1) > 0
         assert self.engine.trending_score("com.a", TRAILING_WINDOW_DAYS) == 0.0
 
