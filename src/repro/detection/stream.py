@@ -54,7 +54,7 @@ from repro.detection.lockstep import (
     build_cluster,
     cluster_weight,
 )
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, Observability, label_key
 
 Subscriber = Callable[[DeviceInstallEvent], None]
 
@@ -73,6 +73,7 @@ class InstallEventBus:
                  source: str = "live") -> None:
         self.obs = obs or NULL_OBS
         self.source = source
+        self._ingested_key = label_key({"source": source})
         self.events_published = 0
         self._subscribers: List[Subscriber] = []
 
@@ -81,7 +82,8 @@ class InstallEventBus:
 
     def publish(self, event: DeviceInstallEvent) -> None:
         self.events_published += 1
-        self.obs.metrics.inc("detection.events_ingested", source=self.source)
+        self.obs.metrics.inc_keyed("detection.events_ingested",
+                                   self._ingested_key)
         for subscriber in self._subscribers:
             subscriber(event)
 

@@ -18,18 +18,15 @@ import json
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.honeyapp.app import COLLECT_HOST
-from repro.honeyapp.telemetry import (
-    EVENT_OPEN,
-    EVENT_RECORD_CLICK,
-    TelemetryPayload,
-)
+from repro.honeyapp.telemetry import TelemetryPayload
 from repro.net.errors import HttpProtocolError
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.server import HttpsServer, RequestContext
 from repro.net.tls import CertificateAuthority, issue_server_identity
+from repro.obs import LabelKeys
 
 #: Encodes an installed-package list as the store keeps it.
 _encode_packages = json.JSONEncoder(separators=(",", ":")).encode
@@ -143,6 +140,7 @@ class TelemetryServer:
         self._server = HttpsServer(fabric, COLLECT_HOST, address, identity,
                                    rng)
         self._server.router.post("/v1/telemetry", self._ingest)
+        self._event_keys = LabelKeys("event")
 
     def _ingest(self, request: HttpRequest, context: RequestContext) -> HttpResponse:
         try:
@@ -155,8 +153,9 @@ class TelemetryServer:
             source_asn=record.number if record else None,
             source_asn_kind=record.kind if record else None,
             source_country=record.country if record else None)
-        self._server.obs.metrics.inc("honeyapp.telemetry_events",
-                                     event=self.columns.event[-1])
+        self._server.obs.metrics.inc_keyed(
+            "honeyapp.telemetry_events",
+            self._event_keys[self.columns.event[-1]])
         return HttpResponse.json_response({"status": "ok"}, status=201)
 
     # -- checkpoint/restore ---------------------------------------------------
@@ -190,15 +189,3 @@ class TelemetryServer:
     def events(self) -> List[StoredEvent]:
         """Every stored upload as a row, in arrival order."""
         return list(map(self.columns.stored, range(len(self.columns))))
-
-    def devices_that_opened(self) -> Set[str]:
-        return self._devices_with(EVENT_OPEN)
-
-    def devices_that_clicked(self) -> Set[str]:
-        return self._devices_with(EVENT_RECORD_CLICK)
-
-    def _devices_with(self, event: str) -> Set[str]:
-        columns = self.columns
-        return {device_id for device_id, stored_event
-                in zip(columns.device_id, columns.event)
-                if stored_event == event}

@@ -152,16 +152,6 @@ class MoneyLedger:
                       self._owner(str(destination)), float(amount),
                       str(memo))
 
-    def total_received(self, owner: str) -> float:
-        return sum(amount for amount, destination
-                   in zip(self._amounts, self._destinations)
-                   if destination == owner)
-
-    def total_sent(self, owner: str) -> float:
-        return sum(amount for amount, source
-                   in zip(self._amounts, self._sources)
-                   if source == owner)
-
     def disburse(
         self,
         offer_id: str,

@@ -8,8 +8,8 @@ the fee here.
 
 Certified conversions are kept as columns: the day in a stdlib
 ``array``, and per conversion a reference to its offer id, its device
-id and its task list (one tuple per distinct list).  :class:`Conversion`
-rows are built only when asked for.
+id and its task list (one tuple per distinct list).  The only
+:class:`Conversion` row built is the one ``report_completion`` returns.
 """
 
 from __future__ import annotations
@@ -90,15 +90,6 @@ class AttributionMediator:
 
     def certify(self, offer_id: str, device_id: str) -> bool:
         return device_id in self._certified.get(offer_id, ())
-
-    def conversions_for(self, offer_id: str) -> List[Conversion]:
-        return [Conversion(offer_id=offer, device_id=device_id, day=day,
-                           tasks_completed=tasks)
-                for offer, device_id, day, tasks in self._rows()
-                if offer == offer_id]
-
-    def conversion_count(self, offer_id: str) -> int:
-        return self._offer_ids.count(offer_id)
 
     @property
     def total_conversions(self) -> int:

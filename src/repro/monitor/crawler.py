@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.analysis.streams import SpillableLog
 from repro.net.client import RETRIABLE_STATUSES, HttpClient
 from repro.net.errors import NetError
-from repro.obs import Observability
+from repro.obs import Observability, label_key
 from repro.parallel import ShardScheduler
 from repro.playstore.charts import ChartKind
 
@@ -291,6 +291,11 @@ def _appearance_from_state(state: Dict[str, object]) -> ChartAppearance:
 #: A side-effect-free fetch result: (snapshot, failure label, retryable).
 FetchOutcome = Tuple[Optional[ProfileSnapshot], Optional[str], bool]
 
+#: Label keys of the per-lookup cache and request counters.
+_CHART_KEY = label_key({"kind": "chart"})
+_PROFILE_KEY = label_key({"kind": "profile"})
+_OFFER_PAGE_KEY = label_key({"kind": "offer_page"})
+
 
 class PlayStoreCrawler:
     """Scrapes profiles and charts off the HTTPS front end.
@@ -461,13 +466,13 @@ class PlayStoreCrawler:
         for kind in ChartKind:
             cached = self._chart_cache.get((kind.value, day))
             if cached is not None:
-                self.obs.metrics.inc("crawler.cache_hits", kind="chart")
+                self.obs.metrics.inc_keyed("crawler.cache_hits", _CHART_KEY)
                 self.archive.add_chart(kind.value, day, cached)
                 day_seen = day
                 continue
-            self.obs.metrics.inc("crawler.cache_misses", kind="chart")
+            self.obs.metrics.inc_keyed("crawler.cache_misses", _CHART_KEY)
             self.requests_made += 1
-            self.obs.metrics.inc("monitor.crawl_requests", kind="chart")
+            self.obs.metrics.inc_keyed("monitor.crawl_requests", _CHART_KEY)
             try:
                 response = self._client.get(self._play_host,
                                             f"/store/charts/{kind.value}")
@@ -520,16 +525,18 @@ class PlayStoreCrawler:
                 self.obs.metrics.inc("monitor.crawl_retry_drained")
             cached = self._profile_cache.get((package, day))
             if cached is not None:
-                self.obs.metrics.inc("crawler.cache_hits", kind="profile")
+                self.obs.metrics.inc_keyed("crawler.cache_hits",
+                                           _PROFILE_KEY)
                 best_day = cached.day
                 continue
-            self.obs.metrics.inc("crawler.cache_misses", kind="profile")
+            self.obs.metrics.inc_keyed("crawler.cache_misses", _PROFILE_KEY)
             to_fetch.append((package, is_retry))
         specs = [(package, package) for package, _ in to_fetch]
         outcomes = ShardScheduler.run_specs(specs, self.run_fetch_payload)
         for (package, is_retry), outcome in zip(to_fetch, outcomes):
             self.requests_made += 1
-            self.obs.metrics.inc("monitor.crawl_requests", kind="profile")
+            self.obs.metrics.inc_keyed("monitor.crawl_requests",
+                                       _PROFILE_KEY)
             snapshot = self._apply_profile_outcome(package, outcome, is_retry)
             if snapshot is not None:
                 best_day = snapshot.day
@@ -554,7 +561,8 @@ class PlayStoreCrawler:
             if package in seen_today:
                 # Served by the (package, day) entry the first
                 # impression's fetch populated.
-                self.obs.metrics.inc("crawler.cache_hits", kind="offer_page")
+                self.obs.metrics.inc_keyed("crawler.cache_hits",
+                                           _OFFER_PAGE_KEY)
                 continue
             seen_today.add(package)
             queue.append(package)

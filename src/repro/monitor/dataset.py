@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from repro.affiliates.app import AffiliateAppSpec
 from repro.analysis.columnar import ColumnarFrame
 from repro.analysis.streams import fold_distinct, fold_group_min_max
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, LabelKeys, Observability
 
 #: The record attributes the dataset's columnar frame carries — what
 #: the analysis tables consume (sets like ``countries`` stay on the
@@ -108,6 +108,7 @@ class OfferDataset:
         #: every mutation; all aggregate queries below run against it.
         self._frame: Optional[ColumnarFrame] = None
         self._windows: Optional[Dict[str, Tuple[int, int]]] = None
+        self._iip_keys = LabelKeys("iip")
 
     # -- ingestion ------------------------------------------------------------
 
@@ -126,8 +127,8 @@ class OfferDataset:
         self._windows = None
         record = self._records.get(key)
         if record is None:
-            self.obs.metrics.inc("monitor.offers_new",
-                                 iip=observation.iip_name)
+            self.obs.metrics.inc_keyed("monitor.offers_new",
+                                       self._iip_keys[observation.iip_name])
             self._records[key] = OfferRecord(
                 iip_name=observation.iip_name,
                 offer_id=observation.offer_id,
@@ -142,7 +143,8 @@ class OfferDataset:
                 affiliates={observation.affiliate_package},
             )
             return
-        self.obs.metrics.inc("monitor.dedup_hits", iip=observation.iip_name)
+        self.obs.metrics.inc_keyed("monitor.dedup_hits",
+                                   self._iip_keys[observation.iip_name])
         record.first_seen_day = min(record.first_seen_day, observation.day)
         record.last_seen_day = max(record.last_seen_day, observation.day)
         if observation.country:

@@ -28,7 +28,7 @@ from repro.net.errors import NetError, TlsError
 from repro.net.fabric import NetworkFabric
 from repro.net.proxy import MitmProxy
 from repro.net.vpn import VpnExitPool
-from repro.obs import Observability
+from repro.obs import LabelKeys, Observability
 from repro.users.devices import Device
 
 
@@ -88,6 +88,7 @@ class Milker:
         self.obs = obs or fabric.obs
         self.retry_policy = retry_policy
         self.breaker = breaker
+        self._offer_keys = LabelKeys("iip", "country")
 
     # -- checkpoint/restore ---------------------------------------------------
 
@@ -126,9 +127,10 @@ class Milker:
         metrics = obs.metrics
         metrics.inc("monitor.milk_runs", app=spec.package,
                     country=country or "-")
+        offer_keys, country_label = self._offer_keys, country or "-"
         for offer in run.offers:
-            metrics.inc("monitor.offers_milked", iip=offer.iip_name,
-                        country=country or "-")
+            metrics.inc_keyed("monitor.offers_milked",
+                              offer_keys[offer.iip_name, country_label])
         if run.errors:
             metrics.inc("monitor.milk_errors", len(run.errors),
                         app=spec.package)

@@ -473,7 +473,8 @@ class HttpClient:
                                 error=type(exc).__name__)
                 cache.invalidate(host)
                 raise
-            metrics.inc("net.client.tls_resumptions", host=host)
+            metrics.inc_keyed("net.client.tls_resumptions",
+                              self.fabric.host_keys[host])
             return response
         session = self._handshake(connection, host)
         if cache is not None:
@@ -492,7 +493,8 @@ class HttpClient:
     def _handshake(self, connection, host: str) -> TlsClientSession:
         """Open the TLS session, counting handshakes and their failures."""
         metrics = self.obs.metrics
-        metrics.inc("net.client.tls_handshakes", host=host)
+        metrics.inc_keyed("net.client.tls_handshakes",
+                          self.fabric.host_keys[host])
         try:
             return TlsClientSession(
                 connection, host, self.trust_store, self.rng,
@@ -507,8 +509,9 @@ class HttpClient:
 
     def _record(self, host: str, request: HttpRequest,
                 response: HttpResponse) -> None:
-        self.obs.metrics.inc("net.client.requests", host=host,
-                             method=request.method, status=str(response.status))
+        self.obs.metrics.inc_keyed(
+            "net.client.requests",
+            self.fabric.request_keys[host, request.method, response.status])
 
 
 __all__ = [

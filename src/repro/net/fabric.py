@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.net.chaos import FaultPlan
 from repro.net.errors import ConnectionRefusedFabricError, NetError
 from repro.net.ip import AsnDatabase, IPv4Address
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, LabelKeys, Observability, label_key
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ TapCallback = Callable[["Frame"], None]
 
 #: Pre-computed label keys for the two per-frame counters (see
 #: ``MetricsRegistry.inc_keyed``).
-_REQUEST_LABELS = (("direction", "request"),)
-_RESPONSE_LABELS = (("direction", "response"),)
+_REQUEST_LABELS = label_key({"direction": "request"})
+_RESPONSE_LABELS = label_key({"direction": "response"})
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,11 @@ class NetworkFabric:
         #: The chaos fault plan.  Always present (inert by default);
         #: ``inject_fault`` and the chaos CLI both schedule through it.
         self.chaos: FaultPlan = FaultPlan()
+        #: Label keys for the per-request counters of this fabric's
+        #: connections and clients.  They live here because the fabric
+        #: outlives every client (one per milk run or honey device).
+        self.host_keys = LabelKeys("host")
+        self.request_keys = LabelKeys("host", "method", "status")
 
     # -- DNS ---------------------------------------------------------------
 
@@ -202,7 +207,8 @@ class NetworkFabric:
             server_port=port,
         )
         listener.connections_accepted += 1
-        self.obs.metrics.inc("net.fabric.connections", host=hostname)
+        self.obs.metrics.inc_keyed("net.fabric.connections",
+                                   self.host_keys[hostname])
         handler = listener.factory(info)
         return Connection(self, handler, info)
 

@@ -36,7 +36,7 @@ from repro.net.tls import (
     TrustStore,
     issue_server_identity,
 )
-from repro.obs import Observability
+from repro.obs import LabelKeys, Observability, label_key
 
 #: Port every proxy listens on.
 PROXY_PORT = 8080
@@ -108,9 +108,10 @@ class ForwardProxy:
         self.port = PROXY_PORT
         self.endpoint = Endpoint(address=address, hostname=hostname)
         self.obs = obs or fabric.obs
+        tunnel_key = label_key({"proxy": hostname})
 
         def factory(info: ConnectionInfo) -> ConnectionHandler:
-            self.obs.metrics.inc("net.proxy.tunnels", proxy=hostname)
+            self.obs.metrics.inc_keyed("net.proxy.tunnels", tunnel_key)
             return _TunnelHandler(info, fabric, self.endpoint, obs=self.obs)
 
         fabric.register_host(hostname, address)
@@ -255,6 +256,8 @@ class MitmProxy:
         #: execute in a fixed order, so the reuse order is deterministic.
         self.upstream_sessions = TlsSessionCache()
         self.intercepted: List[InterceptedExchange] = []
+        self._host_keys = LabelKeys("host")
+        self._exchange_keys = LabelKeys("host", "status")
         fabric.register_host(hostname, address)
         fabric.listen(hostname, PROXY_PORT,
                       lambda info: _MitmHandler(info, self))
@@ -305,8 +308,9 @@ class MitmProxy:
         return self._current_day() if self._current_day is not None else -1
 
     def _log_exchange(self, exchange: InterceptedExchange) -> None:
-        self.obs.metrics.inc("net.proxy.intercepted", host=exchange.host,
-                             status=str(exchange.response.status))
+        self.obs.metrics.inc_keyed(
+            "net.proxy.intercepted",
+            self._exchange_keys[exchange.host, exchange.response.status])
         self.intercepted.append(exchange)
 
     def _connect_upstream(self, host: str, port: int) -> Connection:
@@ -326,7 +330,8 @@ class MitmProxy:
 
     def _build_impersonator(self, info: ConnectionInfo, host: str,
                             port: int) -> TlsServerHandler:
-        self.obs.metrics.inc("net.proxy.intercept_sessions", host=host)
+        self.obs.metrics.inc_keyed("net.proxy.intercept_sessions",
+                                   self._host_keys[host])
         upstream_connection = self._connect_upstream(host, port)
         upstream_session = self._open_upstream(upstream_connection, host)
         identity = self._identity_cache.get(host)
@@ -351,7 +356,8 @@ class MitmProxy:
         claimed = self.upstream_sessions.checkout(host, day)
         if claimed is not None:
             ticket, enc_key, mac_key, counter = claimed
-            self.obs.metrics.inc("net.proxy.upstream_resumptions", host=host)
+            self.obs.metrics.inc_keyed("net.proxy.upstream_resumptions",
+                                       self._host_keys[host])
             return TlsClientSession.resume(
                 connection, host, ticket, enc_key, mac_key, counter)
         session = TlsClientSession(

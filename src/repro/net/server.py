@@ -19,7 +19,7 @@ from repro.net.fabric import ConnectionHandler, ConnectionInfo, NetworkFabric
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.ip import IPv4Address
 from repro.net.tls import ServerIdentity, TlsServerHandler
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, LabelKeys, Observability
 
 HTTPS_PORT = 443
 
@@ -46,6 +46,9 @@ class Router:
 
     def __init__(self) -> None:
         self._routes: List[Tuple[str, Pattern[str], RouteHandler]] = []
+        #: ``net.server.requests`` label keys, kept here because the
+        #: router outlives every connection handler it serves.
+        self.request_keys = LabelKeys("host", "method", "status")
 
     def add(self, method: str, pattern: str, handler: RouteHandler) -> None:
         regex = re.compile(
@@ -107,10 +110,7 @@ class HttpConnectionHandler(ConnectionHandler):
             self._obs.metrics.inc("net.server.chaos_errors",
                                   host=self.info.server_host,
                                   status=str(fault.status))
-            self._obs.metrics.inc("net.server.requests",
-                                  host=self.info.server_host,
-                                  method=request.method,
-                                  status=str(response.status))
+            self._record(request, response)
             return response.to_bytes()
         try:
             response = self._router.dispatch(request, self.info)
@@ -121,11 +121,13 @@ class HttpConnectionHandler(ConnectionHandler):
             response.body = FaultPlan.corrupt_json_body(response.body)
             self._obs.metrics.inc("net.server.chaos_corrupted",
                                   host=self.info.server_host)
-        self._obs.metrics.inc("net.server.requests",
-                              host=self.info.server_host,
-                              method=request.method,
-                              status=str(response.status))
+        self._record(request, response)
         return response.to_bytes()
+
+    def _record(self, request: HttpRequest, response: HttpResponse) -> None:
+        self._obs.metrics.inc_keyed(
+            "net.server.requests", self._router.request_keys[
+                self.info.server_host, request.method, response.status])
 
 
 class HttpsServer:

@@ -25,6 +25,7 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     HistogramState,
+    LabelKeys,
     MetricsRegistry,
     NullMetricsRegistry,
     OpCounter,
@@ -37,6 +38,7 @@ from repro.obs.tracing import NullTracer, SpanRecord, Tracer
 __all__ = [
     "DEFAULT_BUCKETS",
     "HistogramState",
+    "LabelKeys",
     "MetricsRegistry",
     "NULL_OBS",
     "NullMetricsRegistry",

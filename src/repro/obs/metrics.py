@@ -7,6 +7,16 @@ reads the wall clock or any randomness source: snapshots are pure
 functions of the sequence of recording calls, which is what makes
 exports byte-identical across runs with the same scenario seed.
 
+Each metric kind has one implementation, its keyed method
+(:meth:`MetricsRegistry.inc_keyed`, ``observe_keyed``,
+``set_gauge_keyed``), which takes the series key ready-made; the keyword
+methods (``inc(name, **labels)`` and friends) only build that key with
+:func:`label_key` first.  Hot call sites skip the build: a fixed label
+set is a module constant, and labels whose values vary live in a
+:class:`LabelKeys` on the site's long-lived owner.  A key is a plain
+tuple, valid in every registry, so it survives ``load_state``, merges
+and the task-local contexts pipelines pass per call.
+
 A :class:`NullMetricsRegistry` accepts every call and records nothing;
 instrumented code defaults to it so un-wired call sites cost almost
 nothing and never fail.
@@ -47,6 +57,36 @@ def label_key(labels: Mapping[str, object]) -> LabelItems:
         ((key, value),) = labels.items()
         return ((key, value if type(value) is str else str(value)),)
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+class LabelKeys(dict):
+    """Label values -> their :func:`label_key`, built on first use.
+
+    A hot recording site whose label values vary keeps one of these on
+    its long-lived owner and indexes it with the value of its one label
+    name, or with the tuple of values in ``names`` order::
+
+        self._keys = LabelKeys("host", "status")
+        metrics.inc_keyed("requests", self._keys[host, status])
+
+    Values that compare equal must render equally (do not mix ``1`` and
+    ``True`` under one name), since they share one entry.
+    """
+
+    __slots__ = ("_names",)
+
+    def __init__(self, *names: str) -> None:
+        super().__init__()
+        self._names = names
+
+    def __missing__(self, values: object) -> LabelItems:
+        names = self._names
+        if len(names) == 1:
+            labels = {names[0]: values}
+        else:
+            labels = dict(zip(names, values))  # type: ignore[call-overload]
+        key = self[values] = label_key(labels)
+        return key
 
 
 class OpCounter:
@@ -108,12 +148,20 @@ class HistogramState:
     def observe(self, value: Number) -> None:
         self.count += 1
         self.total += value
-        self.minimum = value if self.minimum is None else min(self.minimum, value)
-        self.maximum = value if self.maximum is None else max(self.maximum, value)
-        for index, bound in enumerate(self.bounds):
+        # The comparisons ``min``/``max`` make: the kept extreme stays
+        # unless the value is strictly beyond it (ties and NaN keep it).
+        minimum = self.minimum
+        if minimum is None or value < minimum:
+            self.minimum = value
+        maximum = self.maximum
+        if maximum is None or value > maximum:
+            self.maximum = value
+        index = 0
+        for bound in self.bounds:
             if value <= bound:
                 self.bucket_counts[index] += 1
                 return
+            index += 1
         self.bucket_counts[-1] += 1
 
     @property
@@ -227,48 +275,60 @@ class MetricsRegistry:
     def enabled(self) -> bool:
         return True
 
-    def _tick(self) -> None:
-        if self._counter is not None:
-            self._counter.tick()
-
     # -- recording -----------------------------------------------------------
-
-    def inc(self, name: str, value: Number = 1, **labels: object) -> None:
-        self._tick()
-        key = label_key(labels)
-        series = self._counters.setdefault(name, {})
-        series[key] = series.get(key, 0) + value
+    #
+    # The keyed methods are the one implementation of each metric kind;
+    # they tick the shared op counter inline (one tick per recording).
 
     def inc_keyed(self, name: str, key: LabelItems, value: Number = 1) -> None:
-        """`inc` with a pre-computed :func:`label_key` tuple.
-
-        Hot callers (the fabric observes two counters per wire frame)
-        pass a module-level constant key instead of rebuilding the same
-        kwargs dict and sorting it on every call.
-        """
-        self._tick()
-        series = self._counters.setdefault(name, {})
+        """`inc` with a ready :func:`label_key` tuple (a module constant
+        or a :class:`LabelKeys` entry on the call site's owner)."""
+        counter = self._counter
+        if counter is not None:
+            counter._value += 1
+        series = self._counters.get(name)
+        if series is None:
+            series = self._counters[name] = {}
         series[key] = series.get(key, 0) + value
 
+    def set_gauge_keyed(self, name: str, key: LabelItems,
+                        value: Number) -> None:
+        counter = self._counter
+        if counter is not None:
+            counter._value += 1
+        series = self._gauges.get(name)
+        if series is None:
+            series = self._gauges[name] = {}
+        series[key] = value
+
+    def observe_keyed(self, name: str, key: LabelItems,
+                      value: Number) -> None:
+        counter = self._counter
+        if counter is not None:
+            counter._value += 1
+        series = self._histograms.get(name)
+        if series is None:
+            series = self._histograms[name] = {}
+        state = series.get(key)
+        if state is None:
+            bounds = self._histogram_bounds.get(name, DEFAULT_BUCKETS)
+            state = series[key] = HistogramState(bounds=bounds)
+        state.observe(value)
+
+    def inc(self, name: str, value: Number = 1, **labels: object) -> None:
+        self.inc_keyed(name, label_key(labels), value)
+
     def set_gauge(self, name: str, value: Number, **labels: object) -> None:
-        self._tick()
-        self._gauges.setdefault(name, {})[label_key(labels)] = value
+        self.set_gauge_keyed(name, label_key(labels), value)
+
+    def observe(self, name: str, value: Number, **labels: object) -> None:
+        self.observe_keyed(name, label_key(labels), value)
 
     def declare_histogram(self, name: str, bounds: Tuple[float, ...]) -> None:
         """Set custom bucket bounds for ``name`` (before first observe)."""
         if name in self._histograms:
             raise ValueError(f"histogram {name!r} already has observations")
         self._histogram_bounds[name] = tuple(bounds)
-
-    def observe(self, name: str, value: Number, **labels: object) -> None:
-        self._tick()
-        key = label_key(labels)
-        series = self._histograms.setdefault(name, {})
-        state = series.get(key)
-        if state is None:
-            bounds = self._histogram_bounds.get(name, DEFAULT_BUCKETS)
-            state = series[key] = HistogramState(bounds=bounds)
-        state.observe(value)
 
     # -- merging -------------------------------------------------------------
 
@@ -416,19 +476,27 @@ class NullMetricsRegistry(MetricsRegistry):
     def enabled(self) -> bool:
         return False
 
-    def inc(self, name: str, value: Number = 1, **labels: object) -> None:
+    def inc_keyed(self, name: str, key: LabelItems, value: Number = 1) -> None:
         pass
 
-    def inc_keyed(self, name: str, key: LabelItems, value: Number = 1) -> None:
+    def set_gauge_keyed(self, name: str, key: LabelItems,
+                        value: Number) -> None:
+        pass
+
+    def observe_keyed(self, name: str, key: LabelItems,
+                      value: Number) -> None:
+        pass
+
+    def inc(self, name: str, value: Number = 1, **labels: object) -> None:
         pass
 
     def set_gauge(self, name: str, value: Number, **labels: object) -> None:
         pass
 
-    def declare_histogram(self, name: str, bounds: Tuple[float, ...]) -> None:
+    def observe(self, name: str, value: Number, **labels: object) -> None:
         pass
 
-    def observe(self, name: str, value: Number, **labels: object) -> None:
+    def declare_histogram(self, name: str, bounds: Tuple[float, ...]) -> None:
         pass
 
     def merge(self, other: MetricsRegistry) -> None:

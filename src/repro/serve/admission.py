@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, LabelKeys, Observability
 
 #: Admission decisions.
 ADMIT = "admit"
@@ -35,11 +35,12 @@ class AdmissionConfig:
     max_queue: int = 48
 
     def __post_init__(self) -> None:
-        if self.qps < 0:
+        # Negated so NaN fails too (every comparison with NaN is false).
+        if not self.qps >= 0:
             raise ValueError("qps cannot be negative")
-        if self.burst < 1:
+        if not self.burst >= 1:
             raise ValueError("burst must admit at least one request")
-        if self.max_queue < 1:
+        if not self.max_queue >= 1:
             raise ValueError("max_queue must hold at least one request")
 
 
@@ -53,9 +54,9 @@ class TokenBucket:
 
     def __init__(self, rate: float, capacity: float,
                  now: Callable[[], float]) -> None:
-        if rate < 0:
+        if not rate >= 0:
             raise ValueError("rate cannot be negative")
-        if capacity <= 0:
+        if not capacity > 0:
             raise ValueError("capacity must be positive")
         self._rate = float(rate)
         self._capacity = float(capacity)
@@ -122,26 +123,28 @@ class AdmissionController:
         #: between them), so this must stay zero; the serve bench
         #: asserts it.
         self.unshed_overflows = 0
+        self._endpoint_keys = LabelKeys("endpoint")
+        self._shed_keys = LabelKeys("endpoint", "reason")
 
     def decide(self, endpoint: str, queue_depth: int) -> str:
         """One admission decision; returns :data:`ADMIT` or a shed
         reason (``"queue"`` / ``"rate"``)."""
         metrics = self.obs.metrics
+        key = self._endpoint_keys[endpoint]
         self.offered += 1
-        metrics.inc("serve.requests_offered", endpoint=endpoint)
+        metrics.inc_keyed("serve.requests_offered", key)
         if queue_depth >= self.config.max_queue:
-            self.shed += 1
-            metrics.inc("serve.shed_requests", endpoint=endpoint,
-                        reason=SHED_QUEUE)
-            return SHED_QUEUE
-        if not self.bucket.try_acquire():
-            self.shed += 1
-            metrics.inc("serve.shed_requests", endpoint=endpoint,
-                        reason=SHED_RATE)
-            return SHED_RATE
-        self.admitted += 1
-        metrics.inc("serve.requests_admitted", endpoint=endpoint)
-        return ADMIT
+            reason = SHED_QUEUE
+        elif not self.bucket.try_acquire():
+            reason = SHED_RATE
+        else:
+            self.admitted += 1
+            metrics.inc_keyed("serve.requests_admitted", key)
+            return ADMIT
+        self.shed += 1
+        metrics.inc_keyed("serve.shed_requests",
+                          self._shed_keys[endpoint, reason])
+        return reason
 
     def record_unshed_overflow(self, endpoint: str) -> None:
         """An admitted request found the queue full anyway — the

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, LabelKeys, Observability
 
 CacheKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
@@ -48,6 +48,7 @@ class WatermarkCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self._endpoint_keys = LabelKeys("endpoint")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -65,7 +66,8 @@ class WatermarkCache:
             stored_token, body = entry
             if stored_token == token:
                 self.hits += 1
-                self.obs.metrics.inc("serve.cache_hits", endpoint=endpoint)
+                self.obs.metrics.inc_keyed("serve.cache_hits",
+                                           self._endpoint_keys[endpoint])
                 return True, body
             # Stale: drop in place so the slot is reused by the fresh
             # store that follows this miss.
@@ -73,7 +75,8 @@ class WatermarkCache:
             self.invalidations += 1
             self.obs.metrics.inc("serve.cache_invalidations")
         self.misses += 1
-        self.obs.metrics.inc("serve.cache_misses", endpoint=endpoint)
+        self.obs.metrics.inc_keyed("serve.cache_misses",
+                                   self._endpoint_keys[endpoint])
         return False, None
 
     def store(self, endpoint: str, params: Mapping[str, object],

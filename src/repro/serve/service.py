@@ -64,7 +64,7 @@ from repro.detection.lockstep import DetectorConfig
 from repro.detection.stream import InstallEventBus, OnlineLockstepDetector
 from repro.net.chaos import ChaosScenario, hashed_roll, injected_status
 from repro.net.errors import TransientNetworkError
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, LabelKeys, Observability
 from repro.recovery.checkpoint import RecoveryContext
 from repro.serve.admission import ADMIT, AdmissionConfig, AdmissionController
 from repro.serve.cache import WatermarkCache
@@ -192,12 +192,18 @@ class DetectionService:
     """The long-lived service: state, frontdoor, workers, handlers."""
 
     #: Attributes deliberately left out of :meth:`state_dict`, with why.
-    _TRANSIENT = dict.fromkeys(
-        ("_fold_devices", "_fold_flagged", "_fold_labels",
-         "_seen_incentivized", "_flagged_incentivized"),
-        "derived state of the evaluate_now fold: a resume rebuilds the "
-        "log and detector by WAL replay and the labels by load_state, "
-        "then the fold refills from cursor 0")
+    _TRANSIENT = {
+        **dict.fromkeys(
+            ("_fold_devices", "_fold_flagged", "_fold_labels",
+             "_seen_incentivized", "_flagged_incentivized"),
+            "derived state of the evaluate_now fold: a resume rebuilds "
+            "the log and detector by WAL replay and the labels by "
+            "load_state, then the fold refills from cursor 0"),
+        **dict.fromkeys(
+            ("_endpoint_keys", "_response_keys"),
+            "metric label keys, a pure function of the label values; "
+            "refilled on first use"),
+    }
 
     def __init__(self, vclock: VirtualClock,
                  clock: Optional[SimulationClock] = None,
@@ -240,6 +246,8 @@ class DetectionService:
         #: re-stamping ``_started_at`` (and re-counting
         #: ``serve.started``) on a resumed run.
         self._restored = False
+        self._endpoint_keys = LabelKeys("endpoint")
+        self._response_keys = LabelKeys("endpoint", "status")
         self._handlers: Dict[str, Callable[[Mapping[str, object]],
                                            Dict[str, object]]] = {
             "ingest": self._handle_ingest,
@@ -348,12 +356,13 @@ class DetectionService:
         service_ms = (CACHE_HIT_MS if cached
                       else BASE_SERVICE_MS + PER_OP_MS * ops_delta)
         await self.vclock.sleep(service_ms / 1000.0)
-        metrics.observe("serve.request_ops", ops_delta, endpoint=endpoint)
-        metrics.observe("serve.request_vtime_ms",
-                        round((self.vclock.now() - enqueued_at) * 1000.0, 3),
-                        endpoint=endpoint)
-        metrics.inc("serve.responses", endpoint=endpoint,
-                    status=str(response.status))
+        key = self._endpoint_keys[endpoint]
+        metrics.observe_keyed("serve.request_ops", key, ops_delta)
+        metrics.observe_keyed(
+            "serve.request_vtime_ms", key,
+            round((self.vclock.now() - enqueued_at) * 1000.0, 3))
+        metrics.inc_keyed("serve.responses",
+                          self._response_keys[endpoint, response.status])
         return response
 
     def _handle(self, request: ServeRequest) -> ServeResponse:

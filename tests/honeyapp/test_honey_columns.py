@@ -82,14 +82,6 @@ class RowCollector:
                         source_country=item["source_country"])
             for item in items]
 
-    def devices_that_opened(self):
-        return {s.payload.device_id for s in self.events
-                if s.payload.event == EVENT_OPEN}
-
-    def devices_that_clicked(self):
-        return {s.payload.device_id for s in self.events
-                if s.payload.event == EVENT_RECORD_CLICK}
-
 
 class RowAnalysis:
     """Reference: the Section-3 analysis over ``StoredEvent`` rows."""
@@ -252,13 +244,6 @@ class RowMoneyLedger:
             "entries": [[e.day, e.source, e.destination, e.amount_usd,
                          e.memo] for e in self.entries]}
 
-    def total_received(self, owner):
-        return sum(e.amount_usd for e in self.entries
-                   if e.destination == owner)
-
-    def total_sent(self, owner):
-        return sum(e.amount_usd for e in self.entries if e.source == owner)
-
 
 class RowMediator:
     """Reference: one ``Conversion`` per certified completion."""
@@ -282,12 +267,6 @@ class RowMediator:
 
     def certify(self, offer_id, device_id):
         return (offer_id, device_id) in self._seen
-
-    def conversions_for(self, offer_id):
-        return [c for c in self._conversions if c.offer_id == offer_id]
-
-    def conversion_count(self, offer_id):
-        return len(self.conversions_for(offer_id))
 
     @property
     def total_conversions(self):
@@ -388,17 +367,14 @@ def analysis_answers(analysis):
 
 
 def collector_answers(server):
-    return exact([server.events(), server.devices_that_opened(),
-                  server.devices_that_clicked()])
+    return exact(server.events())
 
 
 @settings(max_examples=150, deadline=None)
 @given(drawn=uploads, kinds=senders, bad=mistyped)
 def test_collector_and_analysis_answer_as_the_rows(drawn, kinds, bad):
     server, reference = collect(drawn, kinds, bad)
-    assert collector_answers(server) == exact([
-        reference.events, reference.devices_that_opened(),
-        reference.devices_that_clicked()])
+    assert collector_answers(server) == exact(reference.events)
     assert analysis_answers(HoneyExperimentAnalysis(
         WINDOWS, server, CONSOLE, INSTALL_DAYS)) == analysis_answers(
         RowAnalysis(WINDOWS, reference, CONSOLE, INSTALL_DAYS))
@@ -409,9 +385,7 @@ def test_collector_and_analysis_answer_as_the_rows(drawn, kinds, bad):
     restored = TelemetryServer(NetworkFabric(), CA, random.Random(5))
     restored.load_state(json.loads(json.dumps(state)))
     reference.load_events(json.loads(json.dumps(state["events"])))
-    assert collector_answers(restored) == exact([
-        reference.events, reference.devices_that_opened(),
-        reference.devices_that_clicked()])
+    assert collector_answers(restored) == exact(reference.events)
     assert json.dumps(restored.state_dict()) == json.dumps(state)
 
 
@@ -441,10 +415,7 @@ def apply(ledger, operation):
 
 
 def ledger_answers(ledger, entries):
-    return exact([entries,
-                  [ledger.total_received(owner) for owner in OWNERS],
-                  [ledger.total_sent(owner) for owner in OWNERS],
-                  json.dumps(ledger.state_dict())])
+    return exact([entries, json.dumps(ledger.state_dict())])
 
 
 @settings(max_examples=150, deadline=None)
@@ -472,8 +443,6 @@ def mediator_answers(mediator):
     return exact([
         [[mediator.certify(offer, device) for device in DEVICES[:5]]
          for offer in OFFERS + ("o3",)],
-        [mediator.conversions_for(offer) for offer in OFFERS + ("o3",)],
-        [mediator.conversion_count(offer) for offer in OFFERS + ("o3",)],
         mediator.total_conversions,
         json.dumps(mediator.state_dict())])
 

@@ -123,7 +123,9 @@ class TestHoneyAppAndServer:
         device = make_device(rng)
         app = make_honey_app(fabric, trust_store, rng, device)
         app.open(day=1, hour=10.0)
-        assert collector.devices_that_opened() == {device.device_id}
+        assert [(stored.payload.event, stored.payload.device_id)
+                for stored in collector.events()] == [
+            (EVENT_OPEN, device.device_id)]
         assert app.upload_failures == 0
 
     def test_record_click_uploads_and_counts(self, fabric, trust_store, rng,
@@ -132,7 +134,10 @@ class TestHoneyAppAndServer:
         app = make_honey_app(fabric, trust_store, rng, device)
         app.open(day=1, hour=10.0)
         app.click_record(day=1, hour=10.1)
-        assert collector.devices_that_clicked() == {device.device_id}
+        assert [(stored.payload.event, stored.payload.device_id)
+                for stored in collector.events()] == [
+            (EVENT_OPEN, device.device_id),
+            (EVENT_RECORD_CLICK, device.device_id)]
         assert len(app.memos_recorded) == 1
 
     def test_requires_install(self, fabric, trust_store, rng, collector):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.iip.accounting import MoneyLedger, Wallet
+from repro.iip.accounting import LedgerEntry, MoneyLedger, Wallet
 
 
 class TestWallet:
@@ -42,8 +42,11 @@ class TestMoneyLedger:
     def test_entry_log(self):
         self.ledger.mint("dev", 10, day=0)
         self.ledger.transfer("dev", "iip", 10, day=0, memo="deposit")
-        assert self.ledger.total_sent("dev") == pytest.approx(10)
-        assert self.ledger.total_received("iip") == pytest.approx(10)
+        assert self.ledger.entries() == [
+            LedgerEntry(day=0, source="<external>", destination="dev",
+                        amount_usd=10.0, memo="external deposit"),
+            LedgerEntry(day=0, source="dev", destination="iip",
+                        amount_usd=10.0, memo="deposit")]
 
     def test_disbursement_waterfall_conserves_money(self):
         self.ledger.mint("dev", 100, day=0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.iip.campaigns import Campaign, CampaignState
-from repro.iip.mediator import AttributionMediator
+from repro.iip.mediator import AttributionMediator, Conversion
 from repro.iip.offers import OfferCategory, tasks_for
 from tests.iip.test_offers import make_offer
 
@@ -89,7 +89,7 @@ class TestMediator:
         duplicate = mediator.report_completion("o1", "d1", 1, ("install",))
         assert first is not None
         assert duplicate is None
-        assert mediator.conversion_count("o1") == 1
+        assert mediator.total_conversions == 1
 
     def test_same_device_different_offers_allowed(self):
         mediator = AttributionMediator()
@@ -105,11 +105,13 @@ class TestMediator:
 
     def test_conversions_for(self):
         mediator = AttributionMediator()
-        mediator.report_completion("o1", "d1", 3, ("install", "open"))
-        conversions = mediator.conversions_for("o1")
-        assert len(conversions) == 1
-        assert conversions[0].tasks_completed == ("install", "open")
-        assert mediator.conversions_for("o2") == []
+        conversion = mediator.report_completion(
+            "o1", "d1", 3, ("install", "open"))
+        assert conversion == Conversion(
+            offer_id="o1", device_id="d1", day=3,
+            tasks_completed=("install", "open"))
+        assert mediator.total_conversions == 1
+        assert not mediator.certify("o2", "d1")
 
 
 class TestPurchaseValidation:

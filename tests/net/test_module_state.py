@@ -6,7 +6,8 @@ checkpoint sees.  After a warm-up request on each path, 200 more HTTPS
 requests (full handshakes, resumptions through a ``TlsSessionCache``,
 and requests through the mitm proxy) must leave every such container in
 every loaded ``repro.*`` module at its length.  So must a honey run in a
-fresh ``World`` after a smaller one.
+fresh ``World`` after a smaller one, and serve runs with two clients
+after runs with one.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.core.honey_experiment import HoneyAppExperiment
 from repro.net.client import TlsSessionCache
 from repro.net.proxy import MitmProxy
 from repro.net.tls import TrustStore
+from repro.serve import ServeRunConfig, run_serve
 from repro.simulation.world import World
 
 from tests.conftest import make_client
@@ -74,4 +76,16 @@ def test_honey_run_leaves_module_containers_unchanged():
     HoneyAppExperiment(World(seed=2019), installs_per_iip=40).run()
     before = module_container_sizes()
     HoneyAppExperiment(World(seed=2019), installs_per_iip=80).run()
+    assert_unchanged(before, module_container_sizes())
+
+
+def test_serve_runs_leave_module_containers_unchanged():
+    def run_profiles(clients):
+        for profile in ("query-heavy", "ingest-heavy"):
+            run_serve(ServeRunConfig(days=1, clients=clients,
+                                     profile=profile))
+
+    run_profiles(clients=1)
+    before = module_container_sizes()
+    run_profiles(clients=2)
     assert_unchanged(before, module_container_sizes())

@@ -1,8 +1,22 @@
 """Unit tests for the metrics registry."""
 
-import pytest
+import json
+import math
 
-from repro.obs import MetricsRegistry, NullMetricsRegistry, OpCounter, render_key
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import (
+    DEFAULT_BUCKETS,
+    HistogramState,
+    LabelKeys,
+    MetricsRegistry,
+    NullMetricsRegistry,
+    OpCounter,
+    label_key,
+    render_key,
+)
 
 
 class TestCounters:
@@ -145,3 +159,142 @@ class TestNullRegistry:
         assert registry.snapshot() == {"counters": {}, "gauges": {},
                                        "histograms": {}}
         assert not registry.enabled
+
+    def test_keyed_methods_record_nothing(self):
+        registry = NullMetricsRegistry()
+        key = label_key({"host": "h"})
+        registry.inc_keyed("a", key)
+        registry.set_gauge_keyed("b", key, 2)
+        registry.observe_keyed("c", key, 3.0)
+        assert registry.snapshot() == {"counters": {}, "gauges": {},
+                                       "histograms": {}}
+
+
+class TestLabelKeys:
+    def test_one_label_indexes_by_its_value(self):
+        keys = LabelKeys("endpoint")
+        assert keys["ingest"] == label_key({"endpoint": "ingest"})
+        assert keys[7] == (("endpoint", "7"),)
+
+    def test_several_labels_index_by_a_value_tuple(self):
+        keys = LabelKeys("status", "host")
+        assert keys["h", 200] == label_key({"host": 200, "status": "h"})
+        assert keys["h", 200] == (("host", "200"), ("status", "h"))
+
+    def test_each_key_is_built_once(self):
+        keys = LabelKeys("host")
+        assert keys["a"] is keys["a"]
+        assert len(keys) == 1
+
+
+# -- keyed and keyword recording agree ---------------------------------------
+
+#: Custom bounds mixing ints and floats, declared on both registries.
+CUSTOM_BOUNDS = (1, 2.5, 10, 1e6)
+
+#: The bucket bounds themselves (ints and floats), signed zeros and
+#: non-finites.
+EDGE_VALUES = [*DEFAULT_BUCKETS, *CUSTOM_BOUNDS,
+               0, 0.0, -0.0, math.nan, math.inf, -math.inf]
+
+numbers = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.integers(min_value=-10, max_value=2000),
+    st.floats(allow_nan=True, allow_infinity=True))
+label_values = st.one_of(
+    st.sampled_from(["a", "b", "200"]), st.integers(-1, 300), st.booleans())
+# 0-3 distinct label names, in a random keyword order.
+label_sets = st.lists(
+    st.tuples(st.sampled_from(["host", "kind", "status"]), label_values),
+    max_size=3, unique_by=lambda pair: pair[0]).flatmap(st.permutations)
+operations = st.lists(st.tuples(
+    st.sampled_from(["inc", "set_gauge", "observe"]),
+    st.sampled_from(["m.default", "m.custom"]),
+    numbers, label_sets), max_size=40)
+
+
+def _record(keyword, keyed, operation):
+    kind, name, value, pairs = operation
+    labels = dict(pairs)
+    if kind == "inc":
+        keyword.inc(name, value, **labels)
+        keyed.inc_keyed(name, label_key(labels), value)
+    elif kind == "set_gauge":
+        keyword.set_gauge(name, value, **labels)
+        keyed.set_gauge_keyed(name, label_key(labels), value)
+    else:
+        keyword.observe(name, value, **labels)
+        keyed.observe_keyed(name, label_key(labels), value)
+
+
+def _dumps(data):
+    """JSON text: tells 1 from 1.0 and -0.0 from 0.0, and NaN == NaN."""
+    return json.dumps(data, sort_keys=True)
+
+
+def _assert_same(keyword, keyed):
+    assert _dumps(keyword.state_dict()) == _dumps(keyed.state_dict())
+    assert _dumps(keyword.snapshot()) == _dumps(keyed.snapshot())
+    assert keyword._counter.value == keyed._counter.value
+
+
+def _registry():
+    registry = MetricsRegistry(counter=OpCounter())
+    registry.declare_histogram("m.custom", CUSTOM_BOUNDS)
+    return registry
+
+
+@settings(max_examples=150, deadline=None)
+@given(before=operations, after=operations)
+def test_keyed_recording_matches_keyword_recording(before, after):
+    keyword, keyed = _registry(), _registry()
+    for operation in before:
+        _record(keyword, keyed, operation)
+    _assert_same(keyword, keyed)
+    # A checkpoint restore rebuilds every series key from JSON; keys
+    # built by label_key still land on the restored series.
+    state = json.loads(_dumps(keyword.state_dict()))
+    keyword.load_state(state)
+    keyed.load_state(state)
+    for operation in after:
+        _record(keyword, keyed, operation)
+    _assert_same(keyword, keyed)
+    merged_keyword, merged_keyed = _registry(), _registry()
+    merged_keyword.load_state(state)
+    merged_keyed.load_state(state)
+    merged_keyword.merge(keyword)
+    merged_keyed.merge(keyed)
+    assert (_dumps(merged_keyword.state_dict())
+            == _dumps(merged_keyed.state_dict()))
+
+
+def _reference_observe(bounds, minimum, maximum, value):
+    """``HistogramState.observe``'s bucket choice and extremes as first
+    written: ``enumerate`` over the bounds, ``min()`` and ``max()``."""
+    minimum = value if minimum is None else min(minimum, value)
+    maximum = value if maximum is None else max(maximum, value)
+    for index, bound in enumerate(bounds):
+        if value <= bound:
+            return index, minimum, maximum
+    return len(bounds), minimum, maximum
+
+
+def _exact(value):
+    return None if value is None else (type(value), float.hex(float(value)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=st.sampled_from([DEFAULT_BUCKETS, CUSTOM_BOUNDS, (0.0,)]),
+       values=st.lists(numbers, max_size=30))
+def test_histogram_observe_matches_the_reference_loop(bounds, values):
+    state = HistogramState(bounds=bounds)
+    counts = [0] * (len(bounds) + 1)
+    minimum = maximum = None
+    for value in values:
+        index, minimum, maximum = _reference_observe(
+            bounds, minimum, maximum, value)
+        counts[index] += 1
+        state.observe(value)
+        assert state.bucket_counts == counts
+        assert _exact(state.minimum) == _exact(minimum)
+        assert _exact(state.maximum) == _exact(maximum)

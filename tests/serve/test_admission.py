@@ -1,5 +1,7 @@
 """Admission control: token bucket refill, shed reasons, accounting."""
 
+import math
+
 import pytest
 
 from repro.obs import Observability
@@ -51,6 +53,24 @@ class TestTokenBucket:
             TokenBucket(rate=-1.0, capacity=1, now=clock)
         with pytest.raises(ValueError):
             TokenBucket(rate=1.0, capacity=0, now=clock)
+        # NaN passes every ordered comparison's negation: a NaN rate
+        # would refill the bucket to capacity on every call.
+        with pytest.raises(ValueError):
+            TokenBucket(rate=math.nan, capacity=1, now=clock)
+        with pytest.raises(ValueError):
+            TokenBucket(rate=1.0, capacity=math.nan, now=clock)
+
+
+class TestAdmissionConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("qps", -1.0), ("qps", math.nan), ("burst", 0), ("burst", math.nan),
+        ("max_queue", 0), ("max_queue", math.nan)])
+    def test_rejects_bad_limits(self, field, value):
+        with pytest.raises(ValueError):
+            AdmissionConfig(**{field: value})
+
+    def test_zero_qps_is_allowed(self):
+        assert AdmissionConfig(qps=0.0).qps == 0.0
 
 
 class TestAdmissionController:
