@@ -70,7 +70,7 @@ def test_fig1_workflow(benchmark):
     assert campaign.delivered == 1
     assert mediator.total_conversions == 1
 
-    balances = {owner: ledger.wallet(owner).balance_usd
+    balances = {owner: ledger.balance(owner)
                 for owner in ("dev", "Fyber", "com.aff.app", "worker-1",
                               mediator.name)}
     # Money is conserved across the waterfall.

@@ -96,7 +96,7 @@ def main() -> None:
     print("\nfinal balances:")
     for owner in ("dev-studio", "OfferToro", "com.bigcash.app",
                   "worker-ph-01", mediator.name):
-        print(f"  {owner:<20} ${ledger.wallet(owner).balance_usd:10.4f}")
+        print(f"  {owner:<20} ${ledger.balance(owner):10.4f}")
     print(f"\nworker's in-app balance: {worker.points_earned:.0f} points "
           f"(redeemable for ~${worker.points_earned / 10_000:.2f} in gift cards)")
 

@@ -222,8 +222,6 @@ class HoneyAppExperiment:
         store = self.world.store
         tracer = self.world.obs.tracer
         records: List[HoneyCampaignRecord] = []
-        windows: List[CampaignWindow] = []
-        console_installs: Dict[str, int] = {}
         install_days: Dict[str, List[Tuple[int, float]]] = {}
         start_index = 0
         adopted_span = None
@@ -234,20 +232,16 @@ class HoneyAppExperiment:
                 start_index = cursor + 1
                 active = state["obs"]["tracer"]["active"]
                 adopted_span = active[0] if active else None
-                self._restore_state(state, records, windows,
-                                    console_installs, install_days)
+                self._restore_state(state, records, install_days)
                 recovery.mark_resumed(cursor)
         before = store.displayed_installs(HONEY_PACKAGE, 0)
         run_span = (tracer.adopt(adopted_span) if adopted_span is not None
                     else tracer.span("honey.run"))
         return self._run_campaigns(
-            run_span, start_index, recovery, records, windows,
-            console_installs, install_days, before)
+            run_span, start_index, recovery, records, install_days, before)
 
     def _run_campaigns(self, run_span, start_index: int, recovery,
                        records: List[HoneyCampaignRecord],
-                       windows: List[CampaignWindow],
-                       console_installs: Dict[str, int],
                        install_days: Dict[str, List[Tuple[int, float]]],
                        before: int) -> HoneyExperimentResults:
         store = self.world.store
@@ -260,14 +254,18 @@ class HoneyAppExperiment:
                     recovery.crash_point("honey.campaign", index)
                 outcome, task_obs = self.run_campaign_payload(iip_name)
                 self.world.obs.merge(task_obs)
-                self._merge_outcome(iip_name, outcome, records, windows,
-                                    console_installs, install_days)
+                self._merge_outcome(iip_name, outcome, records,
+                                    install_days)
                 if recovery is not None:
                     recovery.store.write(index, self._checkpoint_state(
-                        records, console_installs, install_days))
+                        records, install_days))
                     recovery.crash_point("honey.checkpoint", index)
+            windows = [record.window for record in records]
             last_day = max(w.end_day for w in windows) + 1
             after = store.displayed_installs(HONEY_PACKAGE, last_day + 30)
+            # The developer console's install count per campaign.
+            console_installs = {record.campaign_id: record.delivered
+                                for record in records}
             with tracer.span("honey.analysis") as span:
                 analysis = HoneyExperimentAnalysis(
                     windows, self.world.telemetry, console_installs,
@@ -287,8 +285,6 @@ class HoneyAppExperiment:
 
     def _merge_outcome(self, iip_name: str, outcome,
                        records: List[HoneyCampaignRecord],
-                       windows: List[CampaignWindow],
-                       console_installs: Dict[str, int],
                        install_days: Dict[str, List[Tuple[int, float]]],
                        ) -> None:
         """Fold one finished campaign into the world: publish its
@@ -308,22 +304,20 @@ class HoneyAppExperiment:
         metrics.inc("core.honey.completions_paid",
                     record.completions_paid, iip=iip_name)
         records.append(record)
-        windows.append(record.window)
-        console_installs[record.campaign_id] = record.delivered
         install_days[record.campaign_id] = timestamps
 
     # -- checkpoint/restore ---------------------------------------------------
 
     def _checkpoint_state(self, records: List[HoneyCampaignRecord],
-                          console_installs: Dict[str, int],
                           install_days: Dict[str, List[Tuple[int, float]]],
                           ) -> Dict[str, object]:
         """Shared surfaces the finished campaigns wrote plus the
         accumulated outcomes.  Campaign cells are absent: a cell is
         touched only by its own campaign, so unfinished cells are still
-        in their deterministic post-construction state on resume.
-        Observability comes last (ordering invariant; see the wild
-        pipeline)."""
+        in their deterministic post-construction state on resume.  So
+        are the campaign windows and console install counts: each is a
+        field of its campaign's record.  Observability comes last
+        (ordering invariant; see the wild pipeline)."""
         world = self.world
         return {
             "records": [
@@ -336,7 +330,6 @@ class HoneyAppExperiment:
                  "completions_paid": record.completions_paid,
                  "total_cost_usd": record.total_cost_usd}
                 for record in records],
-            "console_installs": dict(sorted(console_installs.items())),
             "install_days": {
                 campaign_id: [[day, hour] for day, hour in timestamps]
                 for campaign_id, timestamps in sorted(install_days.items())},
@@ -353,8 +346,6 @@ class HoneyAppExperiment:
 
     def _restore_state(self, state: Dict[str, object],
                        records: List[HoneyCampaignRecord],
-                       windows: List[CampaignWindow],
-                       console_installs: Dict[str, int],
                        install_days: Dict[str, List[Tuple[int, float]]],
                        ) -> None:
         world = self.world
@@ -372,10 +363,6 @@ class HoneyAppExperiment:
                 delivered=int(data["delivered"]),
                 completions_paid=int(data["completions_paid"]),
                 total_cost_usd=float(data["total_cost_usd"])))
-            windows.append(window)
-        console_installs.update(
-            {str(k): int(v)
-             for k, v in state["console_installs"].items()})  # type: ignore[union-attr]
         for campaign_id, timestamps in (
                 state["install_days"].items()):  # type: ignore[union-attr]
             install_days[str(campaign_id)] = [

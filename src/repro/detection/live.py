@@ -152,12 +152,16 @@ class LiveDetection:
         self.obs = obs or NULL_OBS
         self.config = (HONEY_DETECTOR_CONFIG if source == "honey"
                        else DetectorConfig())
+        self._open_stream(source)
+        self.incentivized: Set[str] = set()
+
+    def _open_stream(self, source: str) -> None:
+        """A fresh bus feeding a fresh install log and online detector."""
         self.bus = InstallEventBus(self.obs, source=source)
         self.online = OnlineLockstepDetector(self.config, self.obs)
         self.log = InstallLog()
         self.bus.subscribe(self.log.add)
         self.bus.subscribe(self.online.ingest)
-        self.incentivized: Set[str] = set()
 
     def publish_batch(self, events: Iterable[DeviceInstallEvent]) -> None:
         """Publish one pipeline batch, sorted into stream order.
@@ -208,24 +212,24 @@ class LiveDetection:
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
+        """The install log and the ground truth; the bus count and the
+        online detector are folds of the log, rebuilt on load."""
         return {
-            "events_published": self.bus.events_published,
             "log": [event.to_dict() for event in self.log.events()],
-            "online": self.online.state_dict(),
             "incentivized": sorted(self.incentivized),
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        """Restore the stream state without re-publishing: the log is
-        refilled directly and the detector fold is reloaded, so no
-        ``detection.*`` counters move (the checkpointed registry
-        already contains them)."""
-        self.bus.events_published = int(
-            state["events_published"])  # type: ignore[arg-type]
-        self.log = InstallLog(DeviceInstallEvent.from_dict(item)
-                              for item in state["log"])  # type: ignore[union-attr]
-        self.bus._subscribers = [self.log.add, self.online.ingest]
-        self.online.load_state(state["online"])  # type: ignore[arg-type]
+        """Republish the logged events, in log order, through a fresh
+        stream: that rebuilds the log, the online detector (clusters,
+        flags and ``version``) and ``events_published`` exactly as the
+        checkpointed run built them.  Events go through ``bus.publish``
+        as logged, so an evasive hook does not evade them twice.  The
+        replay ticks ``detection.*`` counters; the pipeline loads its
+        observability snapshot afterwards, which overwrites them."""
+        self._open_stream(self.bus.source)
+        for item in state["log"]:  # type: ignore[union-attr]
+            self.bus.publish(DeviceInstallEvent.from_dict(item))
         self.incentivized = set(state["incentivized"])  # type: ignore[arg-type]
 
 

@@ -18,6 +18,7 @@ a burst by coincidence but not repeatedly.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
@@ -102,6 +103,42 @@ def build_cluster(package: str, window: List[DeviceInstallEvent],
     )
 
 
+def scan_bursts(package: str, events: List[DeviceInstallEvent],
+                config: DetectorConfig, horizon: float = math.inf,
+                ) -> Tuple[List[LockstepCluster], int]:
+    """Greedy maximal burst windows over one package's time-sorted
+    events; returns the scored clusters and how many leading events the
+    scan consumed.
+
+    A window anchored at an event is scanned only once ``horizon`` is
+    past ``anchor + burst_window_hours``: no event at or beyond the
+    horizon can join it.  The batch :class:`LockstepDetector` scans the
+    whole log at the default infinite horizon; the online
+    :class:`~repro.detection.stream.OnlineLockstepDetector` scans its
+    pending suffix at the stream watermark and keeps the unconsumed
+    rest.  One loop for both is what makes online == batch hold.
+    """
+    clusters: List[LockstepCluster] = []
+    start = 0
+    while start < len(events):
+        anchor = events[start].timestamp_hours
+        if horizon <= anchor + config.burst_window_hours:
+            break  # a future event could still join this window
+        end = start
+        while (end + 1 < len(events)
+               and events[end + 1].timestamp_hours - anchor
+               <= config.burst_window_hours):
+            end += 1
+        if end - start + 1 >= config.min_burst_size:
+            cluster = build_cluster(package, events[start:end + 1], config)
+            if cluster is not None:
+                clusters.append(cluster)
+            start = end + 1
+        else:
+            start += 1
+    return clusters, start
+
+
 def cluster_weight(cluster: LockstepCluster) -> int:
     """Participation weight of one burst (colocation counts double)."""
     return 2 if cluster.dominant_slash24 else 1
@@ -119,31 +156,9 @@ class LockstepDetector:
         """Sliding-window burst discovery, per app."""
         clusters: List[LockstepCluster] = []
         for package in log.packages():
-            events = log.events_for_package(package)
-            clusters.extend(self._bursts_for(package, events))
-        return clusters
-
-    def _bursts_for(self, package: str,
-                    events: List[DeviceInstallEvent]) -> List[LockstepCluster]:
-        config = self.config
-        clusters: List[LockstepCluster] = []
-        start = 0
-        while start < len(events):
-            # Greedy maximal window anchored at `start`.
-            end = start
-            while (end + 1 < len(events)
-                   and events[end + 1].timestamp_hours
-                   - events[start].timestamp_hours
-                   <= config.burst_window_hours):
-                end += 1
-            if end - start + 1 >= config.min_burst_size:
-                cluster = build_cluster(package, events[start:end + 1],
-                                        config)
-                if cluster is not None:
-                    clusters.append(cluster)
-                start = end + 1
-            else:
-                start += 1
+            found, _ = scan_bursts(package, log.events_for_package(package),
+                                   self.config)
+            clusters.extend(found)
         return clusters
 
     # -- device flagging ------------------------------------------------------

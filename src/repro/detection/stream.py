@@ -36,10 +36,16 @@ timestamp published so far).  A window anchored at event ``s`` is
 *closed* — provably maximal — once the watermark passes
 ``s.timestamp + burst_window_hours``: every future event carries a
 timestamp at or beyond the watermark, so none of them can extend the
-window.  Closed windows are scored with the same
-:func:`~repro.detection.lockstep.build_cluster` the batch detector
-uses, and ``finalize()`` flushes the undecided suffix with an infinite
-horizon, mirroring the batch scan's end-of-log behaviour.
+window.  Both detectors scan with the one loop,
+:func:`~repro.detection.lockstep.scan_bursts`: the online one at the
+watermark over its pending suffix, the batch one at an infinite
+horizon over each package's whole log, and ``finalize()`` flushes the
+undecided suffix at that same infinite horizon.
+
+Being a pure fold, the detector is never checkpointed: a resumed
+pipeline rebuilds it by republishing the install log it checkpoints
+(:meth:`~repro.detection.live.LiveDetection.load_state`), as serve
+rebuilds its own by replaying the write-ahead log.
 """
 
 from __future__ import annotations
@@ -51,8 +57,8 @@ from repro.detection.events import DeviceInstallEvent
 from repro.detection.lockstep import (
     DetectorConfig,
     LockstepCluster,
-    build_cluster,
     cluster_weight,
+    scan_bursts,
 )
 from repro.obs import NULL_OBS, Observability, label_key
 
@@ -185,26 +191,12 @@ class OnlineLockstepDetector:
         """Consume every window of ``package`` that is closed under
         ``horizon`` (no event at or beyond ``horizon`` can extend it)."""
         events = self._pending[package]
-        config = self.config
-        start = 0
-        while start < len(events):
-            anchor = events[start].timestamp_hours
-            if horizon <= anchor + config.burst_window_hours:
-                break  # a future event could still join this window
-            end = start
-            while (end + 1 < len(events)
-                   and events[end + 1].timestamp_hours - anchor
-                   <= config.burst_window_hours):
-                end += 1
-            if end - start + 1 >= config.min_burst_size:
-                cluster = build_cluster(package, events[start:end + 1], config)
-                if cluster is not None:
-                    self._emit(cluster)
-                start = end + 1
-            else:
-                start += 1
-        if start:
-            del events[:start]
+        clusters, consumed = scan_bursts(package, events, self.config,
+                                         horizon)
+        for cluster in clusters:
+            self._emit(cluster)
+        if consumed:
+            del events[:consumed]
 
     def _emit(self, cluster: LockstepCluster) -> None:
         self.clusters.append(cluster)
@@ -223,43 +215,6 @@ class OnlineLockstepDetector:
         if newly_flagged:
             self.obs.metrics.inc("detection.flagged_devices", newly_flagged)
 
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """The whole fold state: emitted clusters, the undecided
-        per-package suffixes, the watermark, and flag bookkeeping."""
-        return {
-            "events_seen": self.events_seen,
-            "version": self.version,
-            "watermark": (None if self._watermark == float("-inf")
-                          else self._watermark),
-            "finalized": self._finalized,
-            "clusters": [_cluster_to_state(c) for c in self.clusters],
-            "pending": {package: [event.to_dict() for event in events]
-                        for package, events in sorted(self._pending.items())
-                        if events},
-            "participation": dict(sorted(self._participation.items())),
-            "flagged": sorted(self._flagged),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.events_seen = int(state["events_seen"])  # type: ignore[arg-type]
-        self.version = int(state["version"])  # type: ignore[arg-type]
-        watermark = state["watermark"]
-        self._watermark = (float("-inf") if watermark is None
-                           else float(watermark))  # type: ignore[arg-type]
-        self._finalized = bool(state["finalized"])
-        self.clusters = [_cluster_from_state(item)
-                         for item in state["clusters"]]  # type: ignore[union-attr]
-        self._pending = defaultdict(list)
-        for package, events in state["pending"].items():  # type: ignore[union-attr]
-            self._pending[package] = [DeviceInstallEvent.from_dict(item)
-                                      for item in events]
-        self._participation = Counter(
-            {str(k): v for k, v in state["participation"].items()})  # type: ignore[union-attr]
-        self._flag_order = list(state["flagged"])  # type: ignore[arg-type]
-        self._flagged = set(self._flag_order)
-
     # -- queries -------------------------------------------------------------
 
     def flagged_packages(self, min_clusters: int = 2) -> List[str]:
@@ -269,29 +224,3 @@ class OnlineLockstepDetector:
             per_app[cluster.package] += 1
         return sorted(package for package, count in per_app.items()
                       if count >= min_clusters)
-
-
-def _cluster_to_state(cluster: LockstepCluster) -> Dict[str, object]:
-    return {
-        "package": cluster.package,
-        "start_hour": cluster.start_hour,
-        "end_hour": cluster.end_hour,
-        "device_ids": sorted(cluster.device_ids),
-        "low_engagement_fraction": cluster.low_engagement_fraction,
-        "dominant_slash24": cluster.dominant_slash24,
-        "dominant_ssid_fraction": cluster.dominant_ssid_fraction,
-    }
-
-
-def _cluster_from_state(state: Dict[str, object]) -> LockstepCluster:
-    return LockstepCluster(
-        package=str(state["package"]),
-        start_hour=float(state["start_hour"]),  # type: ignore[arg-type]
-        end_hour=float(state["end_hour"]),      # type: ignore[arg-type]
-        device_ids=frozenset(state["device_ids"]),  # type: ignore[arg-type]
-        low_engagement_fraction=float(
-            state["low_engagement_fraction"]),  # type: ignore[arg-type]
-        dominant_slash24=state["dominant_slash24"],  # type: ignore[arg-type]
-        dominant_ssid_fraction=float(
-            state["dominant_ssid_fraction"]),  # type: ignore[arg-type]
-    )

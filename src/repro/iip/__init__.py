@@ -6,7 +6,7 @@ requirements, campaign lifecycle and money flow, offer-wall HTTP
 servers, and third-party attribution mediators.
 """
 
-from repro.iip.accounting import LedgerEntry, MoneyLedger, Wallet
+from repro.iip.accounting import LedgerEntry, MoneyLedger
 from repro.iip.campaigns import Campaign, CampaignState
 from repro.iip.mediator import AttributionMediator, Conversion
 from repro.iip.offers import (
@@ -35,6 +35,5 @@ __all__ = [
     "OfferCategory",
     "OfferDescriptionGenerator",
     "TaskSpec",
-    "Wallet",
     "build_platforms",
 ]

@@ -1,4 +1,4 @@
-"""Money flow: wallets and the disbursement ledger.
+"""Money flow: balances and the disbursement ledger.
 
 Figure 1 of the paper traces one dollar through the ecosystem: the
 developer deposits with the IIP (1b), the IIP pays the affiliate app
@@ -8,9 +8,11 @@ exactly that waterfall and the tests assert conservation.
 
 The transfer log is append-only and kept as columns: day and amount in
 stdlib ``array``s, and per transfer a reference to its owners' names
-(the wallets' own strings) and to its memo (one string per distinct
-memo text).  An amount is stored as a float.  :class:`LedgerEntry` rows
-are built only when asked for.
+and to its memo (one string per distinct memo text).  An amount is
+stored as a float.  :class:`LedgerEntry` rows are built only when
+asked for.  Each owner's balance is one float in a dict keyed by
+owner: a fold of the log, so a checkpoint holds the log alone and a
+restore replays it.
 """
 
 from __future__ import annotations
@@ -20,31 +22,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 
-@dataclass
-class Wallet:
-    """A named account with a non-negative balance."""
-
-    owner: str
-    balance_usd: float = 0.0
-
-    def deposit(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("cannot deposit a negative amount")
-        self.balance_usd += amount
-
-    def withdraw(self, amount: float) -> None:
-        if amount < 0:
-            raise ValueError("cannot withdraw a negative amount")
-        if amount > self.balance_usd + 1e-9:
-            raise ValueError(
-                f"insufficient funds for {self.owner!r}: "
-                f"have {self.balance_usd:.2f}, need {amount:.2f}")
-        self.balance_usd -= amount
-
-
 @dataclass(frozen=True)
 class LedgerEntry:
-    """One transfer between two wallets."""
+    """One transfer between two owners."""
 
     day: int
     source: str
@@ -70,10 +50,12 @@ _EXTERNAL = "<external>"
 
 
 class MoneyLedger:
-    """All wallets plus an append-only transfer log."""
+    """Every owner's balance plus an append-only transfer log."""
 
     def __init__(self) -> None:
-        self._wallets: Dict[str, Wallet] = {}
+        #: Owner -> balance in USD; an owner the ledger never paid or
+        #: charged has none and reads 0.0.
+        self._balances: Dict[str, float] = {}
         self._days = array("q")
         self._amounts = array("d")
         self._sources: List[str] = []
@@ -82,17 +64,8 @@ class MoneyLedger:
         #: Each distinct memo text, mapped to itself.
         self._memo_texts: Dict[str, str] = {}
 
-    def wallet(self, owner: str) -> Wallet:
-        found = self._wallets.get(owner)
-        if found is None:
-            found = Wallet(owner=owner)
-            self._wallets[owner] = found
-        return found
-
-    def _owner(self, name: str) -> str:
-        """``name`` as the log keeps it: its wallet's own string."""
-        wallet = self._wallets.get(name)
-        return name if wallet is None else wallet.owner
+    def balance(self, owner: str) -> float:
+        return self._balances.get(owner, 0.0)
 
     def _log(self, day: int, source: str, destination: str, amount: float,
              memo: str) -> None:
@@ -104,19 +77,23 @@ class MoneyLedger:
 
     def mint(self, owner: str, amount: float, day: int, memo: str = "external deposit") -> None:
         """Money entering the system from outside (developer's bank)."""
-        wallet = self.wallet(owner)
-        wallet.deposit(amount)
-        self._log(day, _EXTERNAL, wallet.owner, amount, memo)
+        if amount < 0:
+            raise ValueError("cannot deposit a negative amount")
+        self._balances[owner] = self.balance(owner) + amount
+        self._log(day, _EXTERNAL, owner, amount, memo)
 
     def transfer(self, source: str, destination: str, amount: float,
                  day: int, memo: str) -> None:
         if amount < 0:
             raise ValueError("negative transfer")
-        paying = self.wallet(source)
-        paying.withdraw(amount)
-        receiving = self.wallet(destination)
-        receiving.deposit(amount)
-        self._log(day, paying.owner, receiving.owner, amount, memo)
+        have = self.balance(source)
+        if amount > have + 1e-9:
+            raise ValueError(
+                f"insufficient funds for {source!r}: "
+                f"have {have:.2f}, need {amount:.2f}")
+        self._balances[source] = have - amount
+        self._balances[destination] = self.balance(destination) + amount
+        self._log(day, source, destination, amount, memo)
 
     def _rows(self) -> Iterator[Tuple[int, str, str, float, str]]:
         return zip(self._days, self._sources, self._destinations,
@@ -131,26 +108,28 @@ class MoneyLedger:
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        return {
-            "wallets": {owner: wallet.balance_usd
-                        for owner, wallet in sorted(self._wallets.items())},
-            "entries": [list(row) for row in self._rows()],
-        }
+        return {"entries": [list(row) for row in self._rows()]}
 
     def load_state(self, state: Dict[str, object]) -> None:
-        self._wallets = {
-            str(owner): Wallet(owner=str(owner),
-                               balance_usd=float(balance))
-            for owner, balance in state["wallets"].items()}  # type: ignore[union-attr]
+        """Replay the logged entries through :meth:`mint` and
+        :meth:`transfer`: the same float operations in the same order
+        give every balance bit for bit.  Decoded names go through one
+        dict, so the restored log keeps one string per owner."""
+        self._balances = {}
         self._days = array("q")
         self._amounts = array("d")
         self._sources, self._destinations, self._memos = [], [], []
         self._memo_texts = {}
+        owners: Dict[str, str] = {}
         for day, source, destination, amount, memo in (
                 state["entries"]):  # type: ignore[union-attr]
-            self._log(int(day), self._owner(str(source)),
-                      self._owner(str(destination)), float(amount),
-                      str(memo))
+            destination = owners.setdefault(destination, destination)
+            if source == _EXTERNAL:
+                self.mint(destination, float(amount), int(day), str(memo))
+            else:
+                self.transfer(owners.setdefault(source, source),
+                              destination, float(amount), int(day),
+                              str(memo))
 
     def disburse(
         self,

@@ -128,7 +128,7 @@ class IncentivizedInstallPlatform:
                 f"developer {developer_id!r} is not registered with {self.name}")
         cost_per_install = payout_usd * (1.0 + self.config.advertiser_markup)
         budget = (cost_per_install + FEE_PER_USER_USD) * installs
-        balance = self.ledger.wallet(developer_id).balance_usd
+        balance = self.ledger.balance(developer_id)
         required = max(budget, self.config.min_deposit_usd)
         if balance + 1e-9 < required:
             raise VettingError(

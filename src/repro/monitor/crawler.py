@@ -47,22 +47,29 @@ class ChartAppearance:
     percentile: float
 
 
+#: One crawled chart on one day, as the archive's log records it:
+#: ``(chart, day, appearances)``.
+ChartDay = Tuple[str, int, List[ChartAppearance]]
+
+
 class CrawlArchive:
     """Everything the crawler has collected, indexed for analysis.
 
-    Profile snapshots — the archive's only store that grows with the
-    device population — live in a :class:`SpillableLog`: in memory, or
-    with ``spill_path`` set in an append-only JSONL file on disk.  The
-    archive keeps a ``(package, day) -> locator`` index into that log
-    and the per-package ``(day, installs_floor)`` series the analyses
-    query, so an install series reads no snapshot.  Chart appearances
-    stay resident: their size is fixed by the chart roster, not the
-    device population.  Queries behave identically in both modes; only
-    peak RSS differs.
+    Every profile snapshot and every crawled chart day is one record of
+    a :class:`SpillableLog`: in memory, or with ``spill_path`` set in an
+    append-only JSONL file on disk.  A checkpoint holds that log's
+    state — its cursor when spilled — plus the crawl days, and resume
+    rebuilds every index below in one replay of the log.  The archive
+    keeps a ``(package, day) -> locator`` index into the log and the
+    per-package ``(day, installs_floor)`` series the analyses query, so
+    an install series reads no snapshot.  Chart appearances also stay
+    resident, indexed by ``(chart, day)`` and by package: their size is
+    fixed by the chart roster, not the device population.  Queries
+    behave identically in both modes; only peak RSS differs.
     """
 
     def __init__(self, spill_path: Optional[str] = None) -> None:
-        self._log = SpillableLog(snapshot_to_state, snapshot_from_state,
+        self._log = SpillableLog(_record_to_state, _record_from_state,
                                  spill_path)
         self._locators: Dict[Tuple[str, int], int] = {}
         self._chart_days: Dict[Tuple[str, int], List[ChartAppearance]] = {}
@@ -97,13 +104,21 @@ class CrawlArchive:
 
     def add_chart(self, chart: str, day: int,
                   appearances: Sequence[ChartAppearance]) -> None:
+        # Re-adding a (chart, day) appends a fresh record, which replaces
+        # the earlier one in the indexes and on replay.
+        record: ChartDay = (chart, day, list(appearances))
+        self._log.append(record)
+        self._index_chart(record)
+
+    def _index_chart(self, record: ChartDay) -> None:
+        chart, day, appearances = record
         key = (chart, day)
         replacing = key in self._chart_days
-        self._chart_days[key] = list(appearances)
+        self._chart_days[key] = appearances
         if replacing:
             self._rebuild_chart_index()
         else:
-            for appearance in self._chart_days[key]:
+            for appearance in appearances:
                 self._chart_by_package.setdefault(
                     appearance.package, []).append(appearance)
 
@@ -121,31 +136,21 @@ class CrawlArchive:
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        from repro.recovery.state import join_key
-        return {
-            "profiles": self._log.state_dict(),
-            "chart_days": {
-                join_key(chart, str(day)): [_appearance_to_state(a)
-                                            for a in appearances]
-                for (chart, day), appearances in sorted(
-                    self._chart_days.items())},
-            "crawl_days": list(self.crawl_days),
-        }
+        return {"log": self._log.state_dict(),
+                "crawl_days": list(self.crawl_days)}
 
     def load_state(self, state: Dict[str, object]) -> None:
-        from repro.recovery.state import split_key
-        self._log.load_state(state["profiles"])
+        self._log.load_state(state["log"])
         self._locators = {}
         self._package_series = {}
-        for locator, snapshot in self._log.items():
-            self._index_profile(snapshot, locator)
         self._chart_days = {}
-        for key, items in state["chart_days"].items():  # type: ignore[union-attr]
-            chart, day = split_key(key)
-            self._chart_days[(chart, int(day))] = [
-                _appearance_from_state(item) for item in items]
+        self._chart_by_package = {}
+        for locator, record in self._log.items():
+            if isinstance(record, ProfileSnapshot):
+                self._index_profile(record, locator)
+            else:
+                self._index_chart(record)  # type: ignore[arg-type]
         self.crawl_days = [int(day) for day in state["crawl_days"]]  # type: ignore[union-attr]
-        self._rebuild_chart_index()
 
     # -- profile queries -------------------------------------------------------
 
@@ -266,6 +271,23 @@ def snapshot_from_state(state: Dict[str, object]) -> ProfileSnapshot:
         developer_website=None if website is None else str(website),
         is_game=bool(state["is_game"]),
     )
+
+
+def _record_to_state(record: object) -> Dict[str, object]:
+    """A log record's JSON form: a profile, or a chart day."""
+    if isinstance(record, ProfileSnapshot):
+        return snapshot_to_state(record)
+    chart, day, appearances = record  # type: ignore[misc]
+    return {"chart": chart, "day": day,
+            "appearances": [_appearance_to_state(a) for a in appearances]}
+
+
+def _record_from_state(state: Dict[str, object]) -> object:
+    if "appearances" not in state:
+        return snapshot_from_state(state)
+    return (sys.intern(str(state["chart"])), int(state["day"]),  # type: ignore[arg-type]
+            [_appearance_from_state(item)
+             for item in state["appearances"]])  # type: ignore[union-attr]
 
 
 def _appearance_to_state(appearance: ChartAppearance) -> Dict[str, object]:

@@ -31,9 +31,12 @@ Why resume == uninterrupted holds
 Checkpoints are only written at quiescent barriers (end of a wild milk
 day, end of a honey campaign merge, end of a serve virtual day with the
 queue drained).  At such a barrier the pipeline's mutable state is a
-finite, enumerable set of objects — RNGs, breakers, caches, ledgers,
-detector folds, the observability context itself — each of which
-serialises exactly.  Everything *else* (the simulated world) is rebuilt
+finite, enumerable set of objects — RNGs, breakers, record logs, the
+observability context itself — each of which serialises exactly, and
+each fact is stored once: an append-only log is its cursor or its
+records, and a fold of a log (the online detector, the money ledger's
+balances) is rebuilt on resume by replaying the log before the
+observability snapshot loads.  Everything *else* (the simulated world) is rebuilt
 by re-running its deterministic constructor and replaying the
 scenario's wire-free day loop, which consumes only the scenario's own
 RNG stream.  Execution from a restored barrier is therefore the same

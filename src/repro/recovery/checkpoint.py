@@ -3,7 +3,7 @@
 File format (one JSON document per checkpoint, on one line)::
 
     {"payload":{"day":<cursor: first unit of work NOT covered>,
-                "format_version":6,
+                "format_version":7,
                 "kind":"wild" | "honey" | "serve",
                 "state":{...}},   # pipeline-specific state dict
      "sha256":"<hex digest of the canonical payload encoding>"}
@@ -37,7 +37,7 @@ from repro.recovery.wal import WriteAheadLog
 
 #: Bumped whenever a component's state layout changes; ``load``
 #: refuses every other version.
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 #: Name of the recovery-counter export inside the checkpoint directory.
 RECOVERY_METRICS_FILE = "recovery_metrics.json"

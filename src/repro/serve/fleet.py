@@ -32,6 +32,7 @@ cache — the bench pins the resulting hit rate.
 from __future__ import annotations
 
 import asyncio
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -96,8 +97,12 @@ class FleetConfig:
                 f"unknown fleet profile {self.profile!r} (known: {known})")
         if self.clients < 1 or self.days < 1:
             raise ValueError("fleet needs at least one client and one day")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        for name in ("scale", "requests_per_client_day"):
+            value = getattr(self, name)
+            # Written so that NaN fails too.
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value!r}")
 
     @property
     def population_per_client(self) -> int:

@@ -153,6 +153,14 @@ def run_serve(config: ServeRunConfig,
               obs: Optional[Observability] = None,
               recovery: Optional[RecoveryContext] = None) -> ServeRunReport:
     """One full deterministic service run."""
+    # First, so a bad load shape fails before anything is built.
+    fleet_config = FleetConfig(
+        clients=config.clients,
+        days=config.days,
+        profile=config.profile,
+        scale=config.scale,
+        requests_per_client_day=config.requests_per_client_day,
+    )
     obs = obs or Observability()
     clock = SimulationClock()
     obs.bind_clock(clock.now)
@@ -184,13 +192,7 @@ def run_serve(config: ServeRunConfig,
         chaos=chaos,
         seed=config.seed,
     )
-    fleet = ClientFleet(service, vclock, FleetConfig(
-        clients=config.clients,
-        days=config.days,
-        profile=config.profile,
-        scale=config.scale,
-        requests_per_client_day=config.requests_per_client_day,
-    ), config.seed, obs=obs)
+    fleet = ClientFleet(service, vclock, fleet_config, config.seed, obs=obs)
     if recovery is not None:
         service.attach_recovery(recovery)
 

@@ -128,7 +128,7 @@ class TestRuntime:
         paid = runtime.complete_offer(wall_offer, worker, result, day=0)
         assert paid
         assert worker.points_earned == 150
-        assert ledger.wallet("w1").balance_usd == pytest.approx(0.06)
+        assert ledger.balance("w1") == pytest.approx(0.06)
         # A second report for the same device is rejected by attribution.
         assert not runtime.complete_offer(wall_offer, worker, result, day=0)
 

@@ -37,7 +37,7 @@ from repro.honeyapp.telemetry import (
     EVENT_RECORD_CLICK,
     TelemetryPayload,
 )
-from repro.iip.accounting import LedgerEntry, MoneyLedger, Wallet
+from repro.iip.accounting import LedgerEntry, MoneyLedger
 from repro.iip.mediator import AttributionMediator, Conversion
 from repro.net.fabric import NetworkFabric
 from repro.net.http import HttpRequest
@@ -215,34 +215,38 @@ class RowAnalysis:
 
 
 class RowMoneyLedger:
-    """Reference: one ``LedgerEntry`` per transfer."""
+    """Reference: one ``LedgerEntry`` per transfer, and a balance per
+    owner moved by each one."""
 
     def __init__(self):
-        self._wallets = {}
+        self.balances = {}
         self.entries = []
 
-    def wallet(self, owner):
-        return self._wallets.setdefault(owner, Wallet(owner=owner))
-
     def mint(self, owner, amount, day, memo="external deposit"):
-        self.wallet(owner).deposit(amount)
+        if amount < 0:
+            raise ValueError("cannot deposit a negative amount")
+        self.balances[owner] = self.balances.get(owner, 0.0) + amount
         self.entries.append(LedgerEntry(day, "<external>", owner, amount,
                                         memo))
 
     def transfer(self, source, destination, amount, day, memo):
         if amount < 0:
             raise ValueError("negative transfer")
-        self.wallet(source).withdraw(amount)
-        self.wallet(destination).deposit(amount)
+        have = self.balances.get(source, 0.0)
+        if amount > have + 1e-9:
+            raise ValueError(f"insufficient funds for {source!r}")
+        self.balances[source] = have - amount
+        self.balances[destination] = (self.balances.get(destination, 0.0)
+                                      + amount)
         self.entries.append(LedgerEntry(day, source, destination, amount,
                                         memo))
 
+    def balance(self, owner):
+        return self.balances.get(owner, 0.0)
+
     def state_dict(self):
-        return {
-            "wallets": {owner: wallet.balance_usd
-                        for owner, wallet in sorted(self._wallets.items())},
-            "entries": [[e.day, e.source, e.destination, e.amount_usd,
-                         e.memo] for e in self.entries]}
+        return {"entries": [[e.day, e.source, e.destination, e.amount_usd,
+                             e.memo] for e in self.entries]}
 
 
 class RowMediator:
@@ -415,7 +419,8 @@ def apply(ledger, operation):
 
 
 def ledger_answers(ledger, entries):
-    return exact([entries, json.dumps(ledger.state_dict())])
+    return exact([entries, [ledger.balance(owner) for owner in OWNERS],
+                  json.dumps(ledger.state_dict())])
 
 
 @settings(max_examples=150, deadline=None)

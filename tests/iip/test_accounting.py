@@ -1,28 +1,38 @@
-"""Money-ledger tests: wallets, transfers, the Figure-1 waterfall."""
+"""Money-ledger tests: balances, transfers, the Figure-1 waterfall."""
 
 import pytest
 
-from repro.iip.accounting import LedgerEntry, MoneyLedger, Wallet
+from repro.iip.accounting import LedgerEntry, MoneyLedger
 
 
 class TestWallet:
+    """One owner's balance, as the ledger keeps it."""
+
     def test_deposit_withdraw(self):
-        wallet = Wallet(owner="dev")
-        wallet.deposit(100)
-        wallet.withdraw(40)
-        assert wallet.balance_usd == pytest.approx(60)
+        ledger = MoneyLedger()
+        ledger.mint("dev", 100, day=0)
+        ledger.transfer("dev", "iip", 40, day=0, memo="deposit")
+        assert ledger.balance("dev") == pytest.approx(60)
+        assert ledger.balance("nobody") == 0.0
 
     def test_overdraft_rejected(self):
-        wallet = Wallet(owner="dev", balance_usd=5)
-        with pytest.raises(ValueError, match="insufficient"):
-            wallet.withdraw(10)
+        ledger = MoneyLedger()
+        ledger.mint("dev", 5, day=0)
+        with pytest.raises(ValueError, match="insufficient funds for 'dev': "
+                                             "have 5.00, need 10.00"):
+            ledger.transfer("dev", "iip", 10, day=0, memo="x")
+        assert ledger.balance("dev") == 5.0
+        assert len(ledger.entries()) == 1
 
     def test_negative_amounts_rejected(self):
-        wallet = Wallet(owner="dev")
-        with pytest.raises(ValueError):
-            wallet.deposit(-1)
-        with pytest.raises(ValueError):
-            wallet.withdraw(-1)
+        ledger = MoneyLedger()
+        with pytest.raises(ValueError, match="cannot deposit a negative"):
+            ledger.mint("dev", -1, day=0)
+        ledger.mint("dev", 5, day=0)
+        with pytest.raises(ValueError, match="negative transfer"):
+            ledger.transfer("dev", "iip", -1, day=0, memo="x")
+        assert ledger.balance("dev") == 5.0
+        assert ledger.balance("iip") == 0.0
 
 
 class TestMoneyLedger:
@@ -32,8 +42,8 @@ class TestMoneyLedger:
     def test_mint_and_transfer(self):
         self.ledger.mint("dev", 100, day=0)
         self.ledger.transfer("dev", "iip", 30, day=1, memo="deposit")
-        assert self.ledger.wallet("dev").balance_usd == pytest.approx(70)
-        assert self.ledger.wallet("iip").balance_usd == pytest.approx(30)
+        assert self.ledger.balance("dev") == pytest.approx(70)
+        assert self.ledger.balance("iip") == pytest.approx(30)
 
     def test_transfer_without_funds_fails(self):
         with pytest.raises(ValueError):
@@ -60,7 +70,7 @@ class TestMoneyLedger:
         assert disbursement.affiliate_cut_usd == pytest.approx(0.02)
         assert disbursement.user_payout_usd == pytest.approx(0.06)
         balances = {
-            owner: self.ledger.wallet(owner).balance_usd
+            owner: self.ledger.balance(owner)
             for owner in ("dev", "Fyber", "cashapp", "worker-1", "appsflyer")
         }
         assert balances["dev"] == pytest.approx(100 - 0.10 - 0.03)

@@ -174,10 +174,10 @@ class TestCampaignLifecycle:
         fyber.launch(campaign.campaign_id, day=0)
         fyber.complete_offer(campaign.offer.offer_id, "d1", 0,
                              "cashapp", "worker-9", ("install",))
-        assert ledger.wallet("worker-9").balance_usd == pytest.approx(0.10)
-        assert ledger.wallet("Fyber").balance_usd > 0
+        assert ledger.balance("worker-9") == pytest.approx(0.10)
+        assert ledger.balance("Fyber") > 0
         # After forwarding the user's reward the affiliate keeps its cut.
-        assert 0 < ledger.wallet("cashapp").balance_usd < 0.10
+        assert 0 < ledger.balance("cashapp") < 0.10
 
     def test_campaign_validation(self, ecosystem):
         ledger, _, platforms = ecosystem

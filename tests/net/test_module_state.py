@@ -6,8 +6,9 @@ checkpoint sees.  After a warm-up request on each path, 200 more HTTPS
 requests (full handshakes, resumptions through a ``TlsSessionCache``,
 and requests through the mitm proxy) must leave every such container in
 every loaded ``repro.*`` module at its length.  So must a honey run in a
-fresh ``World`` after a smaller one, and serve runs with two clients
-after runs with one.
+fresh ``World`` after a smaller one, a 4-day wild run with a detection
+hook after a 2-day one, and serve runs with two clients after runs with
+one.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from __future__ import annotations
 import sys
 
 from repro.core.honey_experiment import HoneyAppExperiment
+from repro.core.wild_measurement import WildMeasurement, WildMeasurementConfig
 from repro.net.client import TlsSessionCache
 from repro.net.proxy import MitmProxy
 from repro.net.tls import TrustStore
 from repro.serve import ServeRunConfig, run_serve
+from repro.simulation.scenarios import WildScenario, WildScenarioConfig
 from repro.simulation.world import World
 
 from tests.conftest import make_client
@@ -76,6 +79,27 @@ def test_honey_run_leaves_module_containers_unchanged():
     HoneyAppExperiment(World(seed=2019), installs_per_iip=40).run()
     before = module_container_sizes()
     HoneyAppExperiment(World(seed=2019), installs_per_iip=80).run()
+    assert_unchanged(before, module_container_sizes())
+
+
+def test_wild_run_leaves_module_containers_unchanged():
+    def run_wild(days):
+        world = World(seed=2019)
+        scenario = WildScenario(world, WildScenarioConfig(
+            scale=0.02, measurement_days=days))
+        scenario.build()
+        WildMeasurement(world, scenario, WildMeasurementConfig(
+            measurement_days=days),
+            detection=world.detection_hook("wild")).run()
+
+    # The warm-up: ``repro.net.crypto`` memoises RSA work per distinct
+    # certificate, and days 2-3 milk through two mitm cells that days
+    # 0-1 never use, so a 4-day run first mints every certificate the
+    # runs below see.
+    run_wild(days=4)
+    run_wild(days=2)
+    before = module_container_sizes()
+    run_wild(days=4)
     assert_unchanged(before, module_container_sizes())
 
 

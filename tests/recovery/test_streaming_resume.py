@@ -5,7 +5,9 @@ an earlier format version (such as the removed worker-process
 backend's), must raise rather than corrupt the run.  That a streamed
 crash + resume replays byte-identically, spill truncation included, is
 a cell of ``test_determinism_matrix.py``.  Checkpoints also hold no
-state keyed by a day they have closed: no later day reads it.
+state keyed by a day they have closed: no later day reads it.  And
+they hold each fact once: a log's records or its cursor, never a fold
+of the log beside it.
 """
 
 import hashlib
@@ -113,6 +115,17 @@ class TestProcessBackendResume:
             CheckpointStore(root, "wild").latest()
 
 
+    def test_chart_day_checkpoint_refused_by_latest(self, tmp_path):
+        # Version 6 wrote every chart day, the detector's fold and the
+        # ledger's balances beside the logs they are computed from; it
+        # is refused by its version, like 1, 2 and 4.
+        root = tmp_path / "ckpt"
+        crash_then_restamp(root, 6, lambda state: state["archive"].update(
+            chart_days={join_key("top_free", "0"): []}))
+        with pytest.raises(CheckpointMismatch, match="version in .*: 6"):
+            CheckpointStore(root, "wild").latest()
+
+
 #: Checkpoint keys of state keyed by a day the checkpoint has closed:
 #: TLS session tables and caches, and the crawler's (key, day) memo.
 CLOSED_DAY_KEYS = {"sessions", "upstream_sessions", "session_cache",
@@ -144,3 +157,61 @@ class TestNoClosedDayState:
                 recovery=crashing)
         _, state = CheckpointStore(tmp_path, "honey").latest()
         assert CLOSED_DAY_KEYS.isdisjoint(state_keys(state))
+
+
+#: Checkpoint keys of state computed from a log the checkpoint also
+#: holds: the archive's chart days (records of its log), the online
+#: detector and its bus count (folds of the install log), the ledger's
+#: balances (a fold of its transfers) and honey's console counts (each
+#: campaign record's ``delivered``).
+DERIVED_KEYS = {"chart_days", "online", "events_published", "wallets",
+                "console_installs"}
+
+
+def checkpoints(root, kind):
+    """Every checkpoint's state in ``root``, oldest first."""
+    store = CheckpointStore(root, kind)
+    return [store.load(path)[1]
+            for path in sorted(root.glob("checkpoint_*.json"))]
+
+
+class TestEachFactOnce:
+    def test_wild_checkpoints(self, tmp_path):
+        world = World(seed=SEED)
+        scenario = WildScenario(world, WildScenarioConfig(
+            scale=SCALE, measurement_days=DAYS))
+        scenario.build()
+        WildMeasurement(world, scenario, WildMeasurementConfig(
+            measurement_days=DAYS), detection=world.detection_hook("wild"),
+        ).run(recovery=RecoveryContext.create(tmp_path, "wild"))
+        states = checkpoints(tmp_path, "wild")
+        assert len(states) == DAYS
+        for state in states:
+            assert DERIVED_KEYS.isdisjoint(state_keys(state))
+
+    def test_honey_checkpoints(self, tmp_path):
+        world = World(seed=SEED)
+        HoneyAppExperiment(world, installs_per_iip=40,
+                           detection=world.detection_hook("honey")).run(
+            recovery=RecoveryContext.create(tmp_path, "honey"))
+        states = checkpoints(tmp_path, "honey")
+        assert len(states) == 3
+        for state in states:
+            assert DERIVED_KEYS.isdisjoint(state_keys(state))
+
+    def test_streamed_archive_section_is_a_cursor(self, tmp_path):
+        # Chart days are records of the archive's spilled log, so each
+        # checkpoint's archive section is the log's (count, offset)
+        # cursor plus the crawl days, however many charts were crawled.
+        build(batch=7, spill_dir=tmp_path / "spill").run(
+            recovery=RecoveryContext.create(tmp_path / "ckpt", "wild"))
+        states = checkpoints(tmp_path / "ckpt", "wild")
+        assert len(states) == DAYS
+        for state in states:
+            archive = state["archive"]
+            assert set(archive) == {"log", "crawl_days"}
+            assert set(archive["log"]) == {"spill"}
+            assert len(json.dumps(archive, sort_keys=True,
+                                  separators=(",", ":"))) < 1024
+        assert states[-1]["archive"]["log"]["spill"]["count"] > \
+            states[0]["archive"]["log"]["spill"]["count"]

@@ -1,10 +1,14 @@
-"""End-to-end serve runs: chaos changes the run, not its invariants.
+"""End-to-end serve runs: chaos changes the run, not its invariants,
+and a load shape that cannot run is refused before the run starts.
 
 Same-seed identity and seed sensitivity are cells of
 ``tests/integration/test_determinism_matrix.py``.
 """
 
 import json
+import math
+
+import pytest
 
 from repro.serve import ServeRunConfig, run_serve
 
@@ -50,3 +54,12 @@ class TestServeDeterminism:
         for stats in endpoints.values():
             latency = stats["latency_vtime_ms"]
             assert latency["p50"] <= latency["p95"] <= latency["p99"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -5.0])
+@pytest.mark.parametrize("field", ["scale", "requests_per_client_day"])
+def test_bad_load_shape_refused_at_construction(field, value):
+    # NaN requests per day used to spin forever, 0 divided by zero and
+    # a negative rate ran a flood; each is now refused at once.
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        run_serve(small_config(**{field: value}))
