@@ -31,6 +31,8 @@ reports and metric exports to an uninterrupted one.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -206,7 +208,7 @@ def _add_recovery_flags(parser, stages: str) -> None:
                             "(defaults to --seed)")
 
 
-def _recovery_context(args, kind: str, with_wal: bool = False):
+def _recovery_context(args, kind: str):
     """Build the :class:`RecoveryContext` the recovery flags describe,
     ``None`` when recovery is off.  Exits with a usage error when a
     recovery flag is given without ``--checkpoint-dir``.
@@ -233,15 +235,34 @@ def _recovery_context(args, kind: str, with_wal: bool = False):
         crash = CrashPlan(seed=seed, rate=args.crash_rate,
                           kill_points=points)
     return RecoveryContext.create(args.checkpoint_dir, kind, crash=crash,
-                                  resume=args.resume, with_wal=with_wal)
+                                  resume=args.resume)
 
 
-def _crashed(recovery, exc) -> int:
-    """Report an injected crash the way a real fault would look."""
-    print(f"simulated crash: {exc}", file=sys.stderr)
-    print(f"resume with: --checkpoint-dir "
-          f"{recovery.store.root} --resume", file=sys.stderr)
-    return CRASH_EXIT_CODE
+def _run_recovering(run, recovery):
+    """``run(recovery=recovery)``, then the recovery counters' export.
+
+    Returns the run's result, or an exit code: :data:`CRASH_EXIT_CODE`
+    after an injected crash, reported the way a real fault would look,
+    and 2 when the checkpoint directory holds a run this one cannot
+    resume (another pipeline's, another format version's, or a streamed
+    run resumed materialised and vice versa).
+    """
+    from repro.analysis.streams import SpillError
+    from repro.recovery import CheckpointError, SimulatedCrash
+    try:
+        result = run(recovery=recovery)
+    except SimulatedCrash as exc:
+        recovery.export_metrics()
+        print(f"simulated crash: {exc}", file=sys.stderr)
+        print(f"resume with: --checkpoint-dir "
+              f"{recovery.store.root} --resume", file=sys.stderr)
+        return CRASH_EXIT_CODE
+    except (CheckpointError, SpillError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if recovery is not None:
+        recovery.export_metrics()
+    return result
 
 
 def _add_honey(subparsers) -> None:
@@ -275,9 +296,10 @@ def _add_wild(subparsers) -> None:
                              "same seed")
     parser.add_argument("--spill-dir", metavar="DIR", default=None,
                         help="directory for the streamed append-only "
-                             "spill files (default: a fresh temporary "
-                             "directory, removed at exit); required to "
-                             "--resume a streamed run")
+                             "spill files (default: a spill/ "
+                             "subdirectory of --checkpoint-dir when one is "
+                             "given, so the run can --resume; otherwise a "
+                             "fresh temporary directory, removed at exit)")
     parser.add_argument("--export-offers", metavar="PATH",
                         help="write the offer corpus JSON here")
     parser.add_argument("--export-archive", metavar="PATH",
@@ -428,17 +450,12 @@ def _cmd_tables() -> int:
 
 def _cmd_honey(args) -> int:
     from repro import World
-    from repro.recovery import SimulatedCrash
     world = World(seed=args.seed, chaos=_chaos_scenario(args))
     experiment = _honey_experiment(args, world)
-    recovery = _recovery_context(args, "honey")
-    try:
-        results = experiment.run(recovery=recovery)
-    except SimulatedCrash as exc:
-        recovery.export_metrics()
-        return _crashed(recovery, exc)
-    if recovery is not None:
-        recovery.export_metrics()
+    results = _run_recovering(experiment.run,
+                              _recovery_context(args, "honey"))
+    if isinstance(results, int):
+        return results
     print(reports.render_honey_report(results))
     return _maybe_dump_metrics(args, world.obs)
 
@@ -452,7 +469,6 @@ def _cmd_wild(args) -> int:
         World,
     )
     from repro.core.paper_report import SECTIONS
-    from repro.recovery import SimulatedCrash
 
     pack = _scenario_pack(args)
     chaos = _chaos_scenario(args)
@@ -460,17 +476,17 @@ def _cmd_wild(args) -> int:
     scenario = WildScenario(world, WildScenarioConfig(
         scale=args.scale, measurement_days=args.days, scenario=pack))
     scenario.build()
+    spill_dir = args.spill_dir
+    if spill_dir is None and args.checkpoint_dir is not None:
+        # Spill files a checkpoint points into must outlive the process.
+        spill_dir = os.path.join(args.checkpoint_dir, "spill")
     measurement = WildMeasurement(world, scenario, WildMeasurementConfig(
         measurement_days=args.days, batch_devices=args.batch_devices,
-        spill_dir=args.spill_dir))
-    recovery = _recovery_context(args, "wild")
-    try:
-        results = measurement.run(recovery=recovery)
-    except SimulatedCrash as exc:
-        recovery.export_metrics()
-        return _crashed(recovery, exc)
-    if recovery is not None:
-        recovery.export_metrics()
+        spill_dir=spill_dir))
+    results = _run_recovering(measurement.run,
+                              _recovery_context(args, "wild"))
+    if isinstance(results, int):
+        return results
     print(f"{results.dataset.offer_count()} offers from "
           f"{len(results.dataset.unique_packages())} apps "
           f"({results.milk_runs} milk runs, "
@@ -613,7 +629,6 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.recovery import SimulatedCrash
     from repro.serve import ServeRunConfig, run_serve
     config = ServeRunConfig(
         seed=args.seed,
@@ -627,14 +642,10 @@ def _cmd_serve(args) -> int:
         chaos_profile=args.chaos_profile,
         chaos_seed=args.chaos_seed,
     )
-    recovery = _recovery_context(args, "serve", with_wal=True)
-    try:
-        result = run_serve(config, recovery=recovery)
-    except SimulatedCrash as exc:
-        recovery.export_metrics()
-        return _crashed(recovery, exc)
-    if recovery is not None:
-        recovery.export_metrics()
+    result = _run_recovering(functools.partial(run_serve, config),
+                             _recovery_context(args, "serve"))
+    if isinstance(result, int):
+        return result
     print(result.render())
     if args.flagged_out:
         try:

@@ -167,6 +167,13 @@ class HoneyExperimentResults:
 class HoneyAppExperiment:
     """Runs the whole Section-3 experiment inside a world."""
 
+    _TRANSIENT = {
+        "_cells": "a cell is touched only by its own campaign: a "
+                  "finished campaign's cell is never read again, and an "
+                  "unfinished one is still in its post-construction "
+                  "state on resume",
+    }
+
     def __init__(self, world: World,
                  installs_per_iip: int = paperdata.HONEY_INSTALLS_PURCHASED,
                  detection: Optional[LiveDetection] = None,
@@ -186,6 +193,10 @@ class HoneyAppExperiment:
         self.detection = detection
         self._cells = {iip_name: _CampaignCell(world, iip_name)
                        for iip_name in _CAMPAIGN_ORDER}
+        #: The finished campaigns' records, and each campaign's install
+        #: (day, hour) stamps by campaign id.
+        self._records: List[HoneyCampaignRecord] = []
+        self._install_days: Dict[str, List[Tuple[int, float]]] = {}
         declare_stage_histograms(world.obs.metrics, STAGE_HISTOGRAMS)
         self._publish_listing()
 
@@ -213,16 +224,16 @@ class HoneyAppExperiment:
         from campaigns still to run.  Recovery adds no work to that
         schedule, so a plain run, a recovery-mode run, and a
         crash+resume run are byte-identical.  Resume restores the
-        shared ledgers, the telemetry collector, the accumulated
-        per-campaign outcomes, and observability (last),
-        then runs only the remaining campaigns: cells derive their RNG
-        streams from their own keys, so skipping finished campaigns
-        cannot perturb the rest.
+        checkpoint roots (:meth:`_checkpoint_roots`: the accumulated
+        per-campaign outcomes, the IIP platforms, the shared ledgers,
+        the telemetry collector, and observability last), then runs
+        only the remaining campaigns: cells derive their RNG streams
+        from their own keys, so skipping finished campaigns cannot
+        perturb the rest.
         """
         store = self.world.store
         tracer = self.world.obs.tracer
-        records: List[HoneyCampaignRecord] = []
-        install_days: Dict[str, List[Tuple[int, float]]] = {}
+        self._records, self._install_days = [], {}
         start_index = 0
         adopted_span = None
         if recovery is not None and recovery.resume:
@@ -232,21 +243,18 @@ class HoneyAppExperiment:
                 start_index = cursor + 1
                 active = state["obs"]["tracer"]["active"]
                 adopted_span = active[0] if active else None
-                self._restore_state(state, records, install_days)
-                recovery.mark_resumed(cursor)
+                recovery.restore(cursor, self._checkpoint_roots(), state)
         before = store.displayed_installs(HONEY_PACKAGE, 0)
         run_span = (tracer.adopt(adopted_span) if adopted_span is not None
                     else tracer.span("honey.run"))
-        return self._run_campaigns(
-            run_span, start_index, recovery, records, install_days, before)
+        return self._run_campaigns(run_span, start_index, recovery, before)
 
     def _run_campaigns(self, run_span, start_index: int, recovery,
-                       records: List[HoneyCampaignRecord],
-                       install_days: Dict[str, List[Tuple[int, float]]],
                        before: int) -> HoneyExperimentResults:
         store = self.world.store
         tracer = self.world.obs.tracer
         metrics = self.world.obs.metrics
+        records = self._records
         with run_span:
             for index in range(start_index, len(_CAMPAIGN_ORDER)):
                 iip_name = _CAMPAIGN_ORDER[index]
@@ -254,12 +262,9 @@ class HoneyAppExperiment:
                     recovery.crash_point("honey.campaign", index)
                 outcome, task_obs = self.run_campaign_payload(iip_name)
                 self.world.obs.merge(task_obs)
-                self._merge_outcome(iip_name, outcome, records,
-                                    install_days)
+                self._merge_outcome(iip_name, outcome)
                 if recovery is not None:
-                    recovery.store.write(index, self._checkpoint_state(
-                        records, install_days))
-                    recovery.crash_point("honey.checkpoint", index)
+                    recovery.checkpoint(index, self._checkpoint_roots())
             windows = [record.window for record in records]
             last_day = max(w.end_day for w in windows) + 1
             after = store.displayed_installs(HONEY_PACKAGE, last_day + 30)
@@ -269,7 +274,7 @@ class HoneyAppExperiment:
             with tracer.span("honey.analysis") as span:
                 analysis = HoneyExperimentAnalysis(
                     windows, self.world.telemetry, console_installs,
-                    install_days)
+                    self._install_days)
             metrics.observe("honey.analysis_ops", span.duration_ops)
         total_cost = sum(record.total_cost_usd for record in records)
         total_installs = sum(record.delivered for record in records)
@@ -283,10 +288,7 @@ class HoneyAppExperiment:
                                    if total_installs else 0.0),
         )
 
-    def _merge_outcome(self, iip_name: str, outcome,
-                       records: List[HoneyCampaignRecord],
-                       install_days: Dict[str, List[Tuple[int, float]]],
-                       ) -> None:
+    def _merge_outcome(self, iip_name: str, outcome) -> None:
         """Fold one finished campaign into the world: publish its
         install events and roll up its metrics.  The caller has already
         merged the campaign's task obs."""
@@ -303,22 +305,34 @@ class HoneyAppExperiment:
                     record.delivered, iip=iip_name)
         metrics.inc("core.honey.completions_paid",
                     record.completions_paid, iip=iip_name)
-        records.append(record)
-        install_days[record.campaign_id] = timestamps
+        self._records.append(record)
+        self._install_days[record.campaign_id] = timestamps
 
     # -- checkpoint/restore ---------------------------------------------------
 
-    def _checkpoint_state(self, records: List[HoneyCampaignRecord],
-                          install_days: Dict[str, List[Tuple[int, float]]],
-                          ) -> Dict[str, object]:
-        """Shared surfaces the finished campaigns wrote plus the
-        accumulated outcomes.  Campaign cells are absent: a cell is
-        touched only by its own campaign, so unfinished cells are still
-        in their deterministic post-construction state on resume.  So
-        are the campaign windows and console install counts: each is a
-        field of its campaign's record.  Observability comes last
-        (ordering invariant; see the wild pipeline)."""
+    def _checkpoint_roots(self) -> Dict[str, object]:
+        """The shared surfaces the finished campaigns wrote plus their
+        outcomes, in restore order, observability last (see the wild
+        pipeline).  Campaign cells are absent (see ``_TRANSIENT``), and
+        so are the campaign windows and console install counts: each is
+        a field of its campaign's record."""
         world = self.world
+        return {
+            "honey": self,
+            "platforms": world.platforms,
+            "root_ca": world.root_ca,
+            "ledger": world.store.ledger,
+            "enforcement": world.store.enforcement,
+            "telemetry": world.telemetry,
+            "money": world.money,
+            "mediator": world.mediator,
+            "fault_plan": world.fabric.chaos,
+            "detection": self.detection,
+            "obs": world.obs,
+        }
+
+    def state_dict(self) -> Dict[str, object]:
+        """The finished campaigns' records and install stamps."""
         return {
             "records": [
                 {"iip_name": record.iip_name,
@@ -329,33 +343,21 @@ class HoneyAppExperiment:
                  "delivered": record.delivered,
                  "completions_paid": record.completions_paid,
                  "total_cost_usd": record.total_cost_usd}
-                for record in records],
+                for record in self._records],
             "install_days": {
                 campaign_id: [[day, hour] for day, hour in timestamps]
-                for campaign_id, timestamps in sorted(install_days.items())},
-            "ledger": world.store.ledger.state_dict(),
-            "enforcement": world.store.enforcement.state_dict(),
-            "telemetry": world.telemetry.state_dict(),
-            "money": world.money.state_dict(),
-            "mediator": world.mediator.state_dict(),
-            "fault_plan": world.fabric.chaos.state_dict(),
-            "detection": (None if self.detection is None
-                          else self.detection.state_dict()),
-            "obs": world.obs.state_dict(),
+                for campaign_id, timestamps in self._install_days.items()},
         }
 
-    def _restore_state(self, state: Dict[str, object],
-                       records: List[HoneyCampaignRecord],
-                       install_days: Dict[str, List[Tuple[int, float]]],
-                       ) -> None:
-        world = self.world
+    def load_state(self, state: Dict[str, object]) -> None:
+        self._records = []
         for data in state["records"]:  # type: ignore[union-attr]
             window = CampaignWindow(
                 iip_name=str(data["iip_name"]),
                 campaign_id=str(data["campaign_id"]),
                 start_day=int(data["start_day"]),
                 end_day=int(data["end_day"]))
-            records.append(HoneyCampaignRecord(
+            self._records.append(HoneyCampaignRecord(
                 iip_name=window.iip_name,
                 campaign_id=window.campaign_id,
                 window=window,
@@ -363,19 +365,11 @@ class HoneyAppExperiment:
                 delivered=int(data["delivered"]),
                 completions_paid=int(data["completions_paid"]),
                 total_cost_usd=float(data["total_cost_usd"])))
-        for campaign_id, timestamps in (
-                state["install_days"].items()):  # type: ignore[union-attr]
-            install_days[str(campaign_id)] = [
-                (int(day), float(hour)) for day, hour in timestamps]
-        world.store.ledger.load_state(state["ledger"])
-        world.store.enforcement.load_state(state["enforcement"])
-        world.telemetry.load_state(state["telemetry"])
-        world.money.load_state(state["money"])
-        world.mediator.load_state(state["mediator"])
-        world.fabric.chaos.load_state(state["fault_plan"])
-        if state["detection"] is not None and self.detection is not None:
-            self.detection.load_state(state["detection"])
-        world.obs.load_state(state["obs"])
+        self._install_days = {
+            str(campaign_id): [(int(day), float(hour))
+                               for day, hour in timestamps]
+            for campaign_id, timestamps in (
+                state["install_days"].items())}  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------
 

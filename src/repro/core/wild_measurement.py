@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.affiliates.registry import AFFILIATE_SPECS
 from repro.analysis.streams import SpillableLog
+from repro.checkpointed import Checkpointed
 from repro.crunchbase.database import CrunchbaseSnapshot
 from repro.detection.live import LiveDetection, WildEventBridge
 from repro.iip.registry import UNVETTED_IIPS, VETTED_IIPS
@@ -38,7 +39,6 @@ from repro.monitor.dataset import (
 from repro.monitor.milker import Milker, MilkRun
 from repro.net.client import CircuitBreaker, RetryPolicy
 from repro.net.ip import MILKER_COUNTRIES
-from repro.net.tls import TrustStore
 from repro.obs import Observability
 from repro.obs.metrics import declare_stage_histograms
 from repro.parallel import ShardScheduler
@@ -160,7 +160,7 @@ class WildResults:
         return self.dataset.unique_packages()
 
 
-class WildMeasurement:
+class WildMeasurement(Checkpointed):
     """Owns the measurement infrastructure and runs the day loop.
 
     The milk and crawl phases run as task specs through
@@ -172,6 +172,10 @@ class WildMeasurement:
     canonical ``(app, country)`` order; the crawler fetches in queue
     order on its own client — see DESIGN.md.
     """
+
+    _STATE = ("phone", "_milk_runs", "_milk_errors", "dataset",
+              "_observations", "crawler", "cells", "detection",
+              "_detection_bridge")
 
     def __init__(self, world: World, scenario: WildScenario,
                  config: Optional[WildMeasurementConfig] = None,
@@ -278,8 +282,7 @@ class WildMeasurement:
                     self.world.clock.advance()
                 active = state["obs"]["tracer"]["active"]
                 adopted_span = active[0] if active else None
-                self._restore_state(state)
-                recovery.mark_resumed(day)
+                recovery.restore(day, self._checkpoint_roots(), state)
         run_span = (tracer.adopt(adopted_span) if adopted_span is not None
                     else tracer.span("wild.run",
                                      days=config.measurement_days))
@@ -312,8 +315,7 @@ class WildMeasurement:
                 metrics.inc("core.wild.days")
                 self.world.clock.advance()
                 if recovery is not None:
-                    recovery.store.write(day, self._checkpoint_state())
-                    recovery.crash_point("wild.checkpoint", day)
+                    recovery.checkpoint(day, self._checkpoint_roots())
             with tracer.span("wild.finalize"):
                 results = self._finalize()
         metrics.set_gauge("core.wild.dataset_offers",
@@ -324,61 +326,23 @@ class WildMeasurement:
 
     # -- checkpoint/restore ---------------------------------------------------
 
-    def _checkpoint_state(self) -> Dict[str, object]:
+    def _checkpoint_roots(self) -> Dict[str, object]:
         """Everything mutable the measurement tier owns or shares with
-        the wire, captured at the end-of-day barrier.  Scenario and
-        store state are deliberately absent: they are reconstructed by
-        deterministic replay on resume.  Observability is captured last
-        so its op counter covers every state-gathering read above it
-        (the reads cost no ops; the invariant is about ordering)."""
+        the wire, in restore order.  Scenario and store state are
+        deliberately absent: resume rebuilds them by deterministic
+        replay.  Observability comes last, so its snapshot overwrites
+        the counters the detection hook's log replay ticks."""
         world = self.world
-        state: Dict[str, object] = {
-            "phone_installed": sorted(self.phone.installed_packages),
-            "dataset": self.dataset.state_dict(),
-            "observations": self._observations.state_dict(),
-            "milk_runs": self._milk_runs,
-            "milk_errors": list(self._milk_errors),
-            "crawler": self.crawler.state_dict(),
-            "archive": self.crawler.archive.state_dict(),
-            "crawler_client": self.crawler.client.state_dict(),
-            "cells": {country: self.cells[country].state_dict()
-                      for country in sorted(self.cells)},
-            "frontend": world.frontend.state_dict(),
-            "walls": {name: world.walls[name].server.state_dict()
-                      for name in sorted(world.walls)},
-            "fault_plan": world.fabric.chaos.state_dict(),
-            "root_ca": world.root_ca.state_dict(),
-            "device_factory": world.device_factory.state_dict(),
-            "detection": (None if self.detection is None else {
-                "live": self.detection.state_dict(),
-                "bridge": self._detection_bridge.state_dict(),
-            }),
+        return {
+            "wild": self,
+            "frontend": world.frontend,
+            # Every wall's server shares this RNG: the walls' one fact.
+            "wall_rng": world.wall_rng,
+            "fault_plan": world.fabric.chaos,
+            "root_ca": world.root_ca,
+            "device_factory": world.device_factory,
+            "obs": world.obs,
         }
-        state["obs"] = world.obs.state_dict()
-        return state
-
-    def _restore_state(self, state: Dict[str, object]) -> None:
-        world = self.world
-        self.phone.installed_packages = set(state["phone_installed"])
-        self.dataset.load_state(state["dataset"])
-        self._observations.load_state(state["observations"])
-        self._milk_runs = int(state["milk_runs"])
-        self._milk_errors = [str(err) for err in state["milk_errors"]]
-        self.crawler.load_state(state["crawler"])
-        self.crawler.archive.load_state(state["archive"])
-        self.crawler.client.load_state(state["crawler_client"])
-        for country, cell_state in state["cells"].items():
-            self.cells[country].load_state(cell_state)
-        world.frontend.load_state(state["frontend"])
-        for name, wall_state in state["walls"].items():
-            world.walls[name].server.load_state(wall_state)
-        world.fabric.chaos.load_state(state["fault_plan"])
-        world.root_ca.load_state(state["root_ca"])
-        world.device_factory.load_state(state["device_factory"])
-        if state["detection"] is not None and self.detection is not None:
-            self.detection.load_state(state["detection"]["live"])
-            self._detection_bridge.load_state(state["detection"]["bridge"])
-        world.obs.load_state(state["obs"])
 
     def _countries_for(self, day: int) -> Sequence[str]:
         start = day // MILK_CADENCE_DAYS * COUNTRIES_PER_MILK_DAY

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.checkpointed import Checkpointed, join_key, split_key
 from repro.detection.evaluation import DetectionReport, evaluate_detector
 from repro.detection.events import DeviceInstallEvent, InstallLog
 from repro.detection.lockstep import DetectorConfig
@@ -233,7 +234,7 @@ class LiveDetection:
         self.incentivized = set(state["incentivized"])  # type: ignore[arg-type]
 
 
-class WildEventBridge:
+class WildEventBridge(Checkpointed):
     """Turns the milker's offer impressions into install events.
 
     Call :meth:`on_milk_day` once per milk day with the canonically
@@ -260,18 +261,17 @@ class WildEventBridge:
     # worker pools (devices with installed-package memories).  Per-day
     # RNG streams are freshly derived, so nothing else persists.
 
+    _STATE = ("factory",)
+
     def state_dict(self) -> Dict[str, object]:
-        from repro.recovery.state import join_key
-        return {
-            "factory": self.factory.state_dict(),
-            "pools": {join_key(iip, country):
-                      [device.to_state() for device in pool]
-                      for (iip, country), pool in sorted(self._pools.items())},
-        }
+        state = super().state_dict()
+        state["pools"] = {
+            join_key(iip, country): [device.to_state() for device in pool]
+            for (iip, country), pool in sorted(self._pools.items())}
+        return state
 
     def load_state(self, state: Dict[str, object]) -> None:
-        from repro.recovery.state import split_key
-        self.factory.load_state(state["factory"])  # type: ignore[arg-type]
+        super().load_state(state)
         self._pools = {}
         for key, pool in state["pools"].items():  # type: ignore[union-attr]
             iip, country = split_key(key)

@@ -20,6 +20,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
+from repro.checkpointed import Checkpointed
 from repro.honeyapp.app import COLLECT_HOST
 from repro.honeyapp.telemetry import TelemetryPayload
 from repro.net.errors import HttpProtocolError
@@ -123,12 +124,14 @@ class TelemetryColumns:
         )
 
 
-class TelemetryServer:
+class TelemetryServer(Checkpointed):
     """HTTPS collector at :data:`~repro.honeyapp.app.COLLECT_HOST`.
 
     Stores every valid payload along with the ASN the connection came
     from (the payload itself only ever contains the sanitised /24).
     """
+
+    _STATE = ("_server",)
 
     def __init__(self, fabric, ca: CertificateAuthority,
                  rng: random.Random) -> None:
@@ -161,18 +164,17 @@ class TelemetryServer:
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        return {
-            "server": self._server.state_dict(),
-            "events": [
-                {"payload": stored.payload.to_json(),
-                 "source_asn": stored.source_asn,
-                 "source_asn_kind": stored.source_asn_kind,
-                 "source_country": stored.source_country}
-                for stored in self.events()],
-        }
+        state = super().state_dict()
+        state["events"] = [
+            {"payload": stored.payload.to_json(),
+             "source_asn": stored.source_asn,
+             "source_asn_kind": stored.source_asn_kind,
+             "source_country": stored.source_country}
+            for stored in self.events()]
+        return state
 
     def load_state(self, state: Dict[str, object]) -> None:
-        self._server.load_state(state["server"])
+        super().load_state(state)
         self.columns = columns = TelemetryColumns()
         for item in state["events"]:  # type: ignore[union-attr]
             columns.append(

@@ -73,11 +73,6 @@ class OfferWallServer:
         self._server.router.get("/api/v1/offers", self._offers)
         self._fabric = fabric
 
-    @property
-    def server(self) -> HttpsServer:
-        """The underlying HTTPS server (exposed for checkpointing)."""
-        return self._server
-
     def register_affiliate(self, config: AffiliateWallConfig) -> None:
         self._affiliates[config.affiliate_id] = config
         self.platform.attach_affiliate(config.affiliate_id)

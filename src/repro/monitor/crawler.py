@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.streams import SpillableLog
+from repro.checkpointed import Checkpointed
 from repro.net.client import RETRIABLE_STATUSES, HttpClient
 from repro.net.errors import NetError
 from repro.obs import Observability, label_key
@@ -319,7 +320,7 @@ _PROFILE_KEY = label_key({"kind": "profile"})
 _OFFER_PAGE_KEY = label_key({"kind": "offer_page"})
 
 
-class PlayStoreCrawler:
+class PlayStoreCrawler(Checkpointed):
     """Scrapes profiles and charts off the HTTPS front end.
 
     Request-level memoisation: successful profile fetches are cached
@@ -341,7 +342,19 @@ class PlayStoreCrawler:
     its store day, so with a :class:`~repro.net.client.TlsSessionCache`
     wired in the day's first fetch handshakes in full and every later
     fetch that day resumes.
+
+    A checkpoint holds the counters, the retry queue, the follow list,
+    the archive and the client.
     """
+
+    _STATE = ("requests_made", "failures", "retry_queue", "_followed",
+              "archive", "_client")
+    _TRANSIENT = {
+        **dict.fromkeys(
+            ("_profile_cache", "_chart_cache"),
+            "the per-(key, day) memo: a checkpoint closes its day, and "
+            "no later visit looks up an earlier day's key"),
+    }
 
     def __init__(self, client: HttpClient, play_host: str,
                  archive: Optional[CrawlArchive] = None,
@@ -371,32 +384,10 @@ class PlayStoreCrawler:
     def should_crawl(self, day: int) -> bool:
         return day % CRAWL_CADENCE_DAYS == 0
 
-    @property
-    def client(self) -> HttpClient:
-        """The crawler's HTTP client (exposed for checkpointing)."""
-        return self._client
-
     # -- checkpoint/restore ---------------------------------------------------
 
-    def state_dict(self) -> Dict[str, object]:
-        """Crawler progress: counters, the transient-failure retry
-        queue, and chart follow state.  The archive and the HTTP client
-        are serialized by their owners (the pipeline), which also
-        decides sharing.  The per-(key, day) memo is absent: a
-        checkpoint closes its day, and no later visit looks up an
-        earlier day's key."""
-        return {
-            "requests_made": self.requests_made,
-            "failures": self.failures,
-            "retry_queue": list(self.retry_queue),
-            "followed": list(self._followed),
-        }
-
     def load_state(self, state: Dict[str, object]) -> None:
-        self.requests_made = int(state["requests_made"])  # type: ignore[arg-type]
-        self.failures = int(state["failures"])  # type: ignore[arg-type]
-        self.retry_queue = [str(p) for p in state["retry_queue"]]  # type: ignore[union-attr]
-        self._followed = [str(p) for p in state["followed"]]  # type: ignore[union-attr]
+        super().load_state(state)
         self._followed_set = set(self._followed)
 
     @property

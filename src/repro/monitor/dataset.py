@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from repro.affiliates.app import AffiliateAppSpec
 from repro.analysis.columnar import ColumnarFrame
 from repro.analysis.streams import fold_distinct, fold_group_min_max
+from repro.checkpointed import join_key
 from repro.obs import NULL_OBS, LabelKeys, Observability
 
 #: The record attributes the dataset's columnar frame carries — what
@@ -93,6 +94,13 @@ def observed_offer_from_state(state: Dict[str, object]) -> ObservedOffer:
 class OfferDataset:
     """Accumulates milk runs into the deduplicated offer corpus."""
 
+    _TRANSIENT = {
+        **dict.fromkeys(
+            ("_frame", "_windows"),
+            "a memo of the records (the columnar view, the campaign "
+            "windows), dropped on every ingest and rebuilt on first use"),
+    }
+
     def __init__(self, affiliate_specs: Mapping[str, AffiliateAppSpec],
                  obs: Optional[Observability] = None,
                  batch_rows: int = 0) -> None:
@@ -158,7 +166,6 @@ class OfferDataset:
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        from repro.recovery.state import join_key
         return {
             "records": {
                 join_key(iip, offer_id): {

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.affiliates.app import AffiliateAppRuntime, AffiliateAppSpec
+from repro.checkpointed import Checkpointed
 from repro.iip.offerwall import OfferWallServer
 from repro.monitor.dataset import ObservedOffer
 from repro.monitor.fuzzer import FuzzReport, UiFuzzer
@@ -52,8 +53,14 @@ class MilkRun:
         return bool(self.walls_lost)
 
 
-class Milker:
-    """Owns the measurement phone, the mitm proxy, and the fuzzer."""
+class Milker(Checkpointed):
+    """Owns the measurement phone, the mitm proxy, and the fuzzer.
+
+    One milk cell's checkpoint is the phone client's RNG, the cell's
+    circuit breaker and the mitm proxy.
+    """
+
+    _STATE = ("_rng", "breaker", "mitm")
 
     def __init__(
         self,
@@ -89,27 +96,6 @@ class Milker:
         self.retry_policy = retry_policy
         self.breaker = breaker
         self._offer_keys = LabelKeys("iip", "country")
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """One milk cell's mutable surfaces: the phone-client RNG, the
-        per-cell circuit breaker, and the mitm proxy (its RNG, minted
-        identities, and CA serial)."""
-        from repro.recovery.state import dump_rng
-        return {
-            "rng": dump_rng(self._rng),
-            "breaker": (None if self.breaker is None
-                        else self.breaker.state_dict()),
-            "mitm": self.mitm.state_dict(),
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.recovery.state import load_rng
-        load_rng(self._rng, state["rng"])
-        if self.breaker is not None and state["breaker"] is not None:
-            self.breaker.load_state(state["breaker"])
-        self.mitm.load_state(state["mitm"])
 
     def milk(self, spec: AffiliateAppSpec, day: int,
              country: Optional[str] = None,

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.checkpointed import Checkpointed, join_key, split_key
 from repro.net.errors import (
     ConnectionRefusedFabricError,
     TransientNetworkError,
@@ -156,7 +157,7 @@ def clone_exception(error: Exception) -> Exception:
     return copy
 
 
-class FaultPlan:
+class FaultPlan(Checkpointed):
     """Schedules faults per (host, port) on the simulation day clock.
 
     All randomness is hashed from the scenario seed; the plan keeps only
@@ -312,31 +313,23 @@ class FaultPlan:
     # The plan's only mutable state is the per-host sequence counters
     # (and the decision totals shown in reports).  Restoring them makes
     # the resumed run consult the hashed schedule at exactly the offsets
-    # the uninterrupted run would have reached.
+    # the uninterrupted run would have reached.  The connect counters
+    # are keyed by (host, port), which the codec leaves to this pair.
+
+    _STATE = ("_http_seq", "_frame_seq", "decisions")
 
     def state_dict(self) -> Dict[str, object]:
-        from repro.recovery.state import join_key
-        return {
-            "connect_seq": {join_key(*key): seq
-                            for key, seq in self._connect_seq.items()},
-            "http_seq": dict(self._http_seq),
-            "frame_seq": dict(self._frame_seq),
-            "decisions": dict(self.decisions),
-        }
+        state = super().state_dict()
+        state["connect_seq"] = {join_key(*key): seq
+                                for key, seq in self._connect_seq.items()}
+        return state
 
     def load_state(self, state: Dict[str, object]) -> None:
-        from repro.recovery.state import split_key
+        super().load_state(state)
         self._connect_seq = {}
         for key, seq in state["connect_seq"].items():  # type: ignore[union-attr]
             hostname, port = split_key(key)
             self._connect_seq[(hostname, int(port))] = int(seq)
-        self._http_seq = {str(host): int(seq)
-                          for host, seq in state["http_seq"].items()}  # type: ignore[union-attr]
-        self._frame_seq = {str(host): int(seq)
-                           for host, seq in state["frame_seq"].items()}  # type: ignore[union-attr]
-        self.decisions = {str(k): int(v)
-                          for k, v in state["decisions"].items()}  # type: ignore[union-attr]
-
 
 __all__ = [
     "CHAOS_PROFILES",

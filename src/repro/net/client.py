@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.checkpointed import Checkpointed
 from repro.net.errors import (
     CertificatePinningError,
     CertificateVerificationError,
@@ -69,7 +70,7 @@ class RetryPolicy:
         return status in RETRIABLE_STATUSES
 
 
-class CircuitBreaker:
+class CircuitBreaker(Checkpointed):
     """Per-host quarantine: open after consecutive failures, half-open
     after a recovery window on the op clock.
 
@@ -78,6 +79,8 @@ class CircuitBreaker:
     internal counter ticked once per guarded attempt — both are
     deterministic.
     """
+
+    _STATE = ("_internal_ops", "_failures", "_opened_at", "_probing")
 
     def __init__(self, failure_threshold: int = 5, recovery_ops: int = 50,
                  op_clock=None, obs: Optional[Observability] = None) -> None:
@@ -149,25 +152,6 @@ class CircuitBreaker:
             if metrics is not None:
                 metrics.inc("net.client.circuit_opened", host=host)
 
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "internal_ops": self._internal_ops,
-            "failures": dict(self._failures),
-            "opened_at": dict(self._opened_at),
-            "probing": dict(self._probing),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._internal_ops = int(state["internal_ops"])  # type: ignore[arg-type]
-        self._failures = {str(k): int(v)
-                          for k, v in state["failures"].items()}  # type: ignore[union-attr]
-        self._opened_at = {str(k): int(v)
-                           for k, v in state["opened_at"].items()}  # type: ignore[union-attr]
-        self._probing = {str(k): bool(v)
-                         for k, v in state["probing"].items()}  # type: ignore[union-attr]
-
 
 class _SessionEntry:
     __slots__ = ("day", "ticket", "enc_key", "mac_key", "uses")
@@ -227,7 +211,7 @@ class TlsSessionCache:
         return len(self._entries)
 
 
-class HttpClient:
+class HttpClient(Checkpointed):
     """One logical client device/process on the network.
 
     Parameters
@@ -261,7 +245,20 @@ class HttpClient:
         requests to a host on the same ``today`` resume the TLS session
         (one round trip) instead of re-handshaking (two).  Without one,
         every request handshakes in full.
+
+    A checkpoint holds the handshake RNG, the day requests are stamped
+    with and (when wired) the breaker.  Clients sharing a breaker each
+    write a copy, all taken at the same barrier, so loading them all is
+    idempotent.
     """
+
+    _STATE = ("rng", "today", "breaker")
+    _TRANSIENT = {
+        "session_cache": "each entry is stamped with the day it was "
+                         "banked on and a request on any other day "
+                         "evicts it, so no entry is used past the day "
+                         "barrier a checkpoint is taken at",
+    }
 
     def __init__(
         self,
@@ -290,32 +287,6 @@ class HttpClient:
         self.session_cache = session_cache
         if breaker is not None and breaker.obs is None:
             breaker.obs = self.obs
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """The client's mutable surfaces: handshake RNG, the clock it
-        stamps requests with, and (when wired) its breaker.  Callers
-        sharing a breaker across clients may serialize it repeatedly;
-        every copy is taken at the same quiescent barrier, so repeated
-        loads are idempotent.  The session cache is absent: each entry
-        is stamped with the day it was banked on, and a request on any
-        other day evicts it instead of resuming, so no entry is used
-        past the day barrier a checkpoint is taken at."""
-        from repro.recovery.state import dump_rng
-        return {
-            "rng": dump_rng(self.rng),
-            "today": self.today,
-            "breaker": (None if self.breaker is None
-                        else self.breaker.state_dict()),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        from repro.recovery.state import load_rng
-        load_rng(self.rng, state["rng"])
-        self.today = int(state["today"])  # type: ignore[arg-type]
-        if self.breaker is not None and state["breaker"] is not None:
-            self.breaker.load_state(state["breaker"])  # type: ignore[arg-type]
 
     # -- public API ----------------------------------------------------------
 

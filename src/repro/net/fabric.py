@@ -124,6 +124,11 @@ class Connection:
 
 @dataclass
 class _Listener:
+    _TRANSIENT = {
+        "connections_accepted": "a diagnostic count no export reads; a "
+                                "resumed run's listener restarts it",
+    }
+
     factory: HandlerFactory
     connections_accepted: int = 0
 

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.checkpointed import Checkpointed
 from repro.net.client import TlsSessionCache
 from repro.net.errors import HttpProtocolError, NetError
 from repro.net.fabric import (
@@ -34,6 +35,8 @@ from repro.net.tls import (
     TlsClientSession,
     TlsServerHandler,
     TrustStore,
+    identity_from_state,
+    identity_to_state,
     issue_server_identity,
 )
 from repro.obs import LabelKeys, Observability, label_key
@@ -212,13 +215,25 @@ class _MitmHandler(ConnectionHandler):
             self._tls.on_close()
 
 
-class MitmProxy:
+class MitmProxy(Checkpointed):
     """TLS-interception proxy with its own CA, as in the paper's setup.
 
     Install :meth:`ca_certificate` into a client's trust store to let the
     proxy decrypt that client's traffic; read :attr:`intercepted` to see
     the decrypted offer-wall exchanges.
     """
+
+    _STATE = ("_rng", "ca")
+    _TRANSIENT = {
+        "intercepted": "every milk run clears it before driving traffic, "
+                       "so at a day barrier it is dead state",
+        "upstream_proxy": "every milk run points it at its VPN exit "
+                          "before driving traffic",
+        "upstream_sessions": "keyed by the clock day, which a "
+                             "checkpoint's barrier has just advanced",
+        "tickets": "presented only by the milk run's own phone cache, "
+                   "which dies with the run",
+    }
 
     def __init__(
         self,
@@ -275,32 +290,18 @@ class MitmProxy:
     # -- checkpoint/restore --------------------------------------------------
 
     def state_dict(self) -> dict:
-        """RNG position, the minted-identity cache, and the CA serial.
-        ``intercepted`` is deliberately absent: every milk run clears it
-        before driving traffic, so at a day barrier it is dead state.
-        So are both TLS tables: ``upstream_sessions`` is keyed by the
-        clock day, which a checkpoint's barrier has just advanced, and
-        a ``tickets`` entry is only presented by the milk run's own
-        phone cache, which dies with the run."""
-        from repro.net.tls import identity_to_state
-        from repro.recovery.state import dump_rng
-        return {
-            "rng": dump_rng(self._rng),
-            "ca": self.ca.state_dict(),
-            "identities": {
-                host: identity_to_state(identity)
-                for host, identity in sorted(self._identity_cache.items())},
-        }
+        """RNG position and CA serial, plus the minted identities."""
+        state = super().state_dict()
+        state["identities"] = {
+            host: identity_to_state(identity)
+            for host, identity in sorted(self._identity_cache.items())}
+        return state
 
     def load_state(self, state: dict) -> None:
-        from repro.net.tls import identity_from_state
-        from repro.recovery.state import load_rng
-        load_rng(self._rng, state["rng"])
-        self.ca.load_state(state["ca"])
+        super().load_state(state)
         self._identity_cache = {
             str(host): identity_from_state(data)
             for host, data in state["identities"].items()}
-        self.intercepted.clear()
 
     # -- internals ----------------------------------------------------------
 

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Pattern, Tuple
 
+from repro.checkpointed import Checkpointed
 from repro.net.chaos import FaultPlan
 from repro.net.errors import HttpProtocolError
 from repro.net.fabric import ConnectionHandler, ConnectionInfo, NetworkFabric
@@ -130,8 +131,16 @@ class HttpConnectionHandler(ConnectionHandler):
                 self.info.server_host, request.method, response.status])
 
 
-class HttpsServer:
+class HttpsServer(Checkpointed):
     """An HTTPS service: HTTP routing behind a TLS server handler."""
+
+    _STATE = ("rng",)
+    _TRANSIENT = {
+        "tickets": "only the client cache that banked a ticket presents "
+                   "it, and no cache holds a usable entry past a "
+                   "checkpoint barrier (wild's caches drop an earlier "
+                   "day's entries; each honey campaign has its own cache)",
+    }
 
     def __init__(
         self,
@@ -168,17 +177,3 @@ class HttpsServer:
                 self.tickets,
             ),
         )
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """The handshake RNG.  ``tickets`` is absent: only the client
-        cache that banked a ticket presents it, and no cache holds a
-        usable entry past a checkpoint barrier (wild's caches drop an
-        earlier day's entries; each honey campaign has its own cache)."""
-        from repro.recovery.state import dump_rng
-        return {"rng": dump_rng(self.rng)}
-
-    def load_state(self, state: dict) -> None:
-        from repro.recovery.state import load_rng
-        load_rng(self.rng, state["rng"])

@@ -23,6 +23,7 @@ from typing import (
     Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar,
 )
 
+from repro.checkpointed import Checkpointed
 from repro.net import crypto
 from repro.net.errors import (
     CertificatePinningError,
@@ -104,8 +105,14 @@ class Certificate:
             raise TlsError(f"malformed certificate: {exc}") from exc
 
 
-class CertificateAuthority:
-    """Issues certificates; may be a root (self-signed) or an attacker CA."""
+class CertificateAuthority(Checkpointed):
+    """Issues certificates; may be a root (self-signed) or an attacker CA.
+
+    Only the serial counter moves after construction; the keypair is a
+    deterministic function of the construction RNG.
+    """
+
+    _STATE = ("_next_serial",)
 
     def __init__(self, name: str, rng: random.Random) -> None:
         self.name = name
@@ -115,14 +122,6 @@ class CertificateAuthority:
     @property
     def public_key(self) -> crypto.RsaPublicKey:
         return self._keypair.public
-
-    def state_dict(self) -> Dict[str, object]:
-        """Only the serial counter moves after construction; the keypair
-        is a deterministic function of the construction RNG."""
-        return {"next_serial": self._next_serial}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._next_serial = int(state["next_serial"])  # type: ignore[arg-type]
 
     def self_certificate(self, not_before: int = 0, not_after: int = 10_000) -> Certificate:
         return self._issue(self.name, self._keypair.public, not_before, not_after)
@@ -463,6 +462,12 @@ class TlsClientSession:
 @dataclass
 class ServerIdentity:
     """A server's certificate chain and matching private key."""
+
+    _TRANSIENT = {
+        "_hello_template": "a memo of the pre-serialised server hello, "
+                           "a pure function of the identity; rebuilt on "
+                           "first use",
+    }
 
     chain: List[Certificate]
     private_key: crypto.RsaPrivateKey

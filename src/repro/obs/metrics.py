@@ -75,6 +75,11 @@ class LabelKeys(dict):
 
     __slots__ = ("_names",)
 
+    _TRANSIENT = {
+        "items": "a memo: each key is a pure function of its label "
+                 "values, refilled on first use",
+    }
+
     def __init__(self, *names: str) -> None:
         super().__init__()
         self._names = names

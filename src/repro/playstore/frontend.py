@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
+from repro.checkpointed import Checkpointed
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.ip import IPv4Address
 from repro.net.server import HttpsServer, RequestContext
@@ -28,8 +29,10 @@ from repro.playstore.store import PlayStore
 PLAY_HOST = "play.google.example"
 
 
-class PlayStoreFrontend:
+class PlayStoreFrontend(Checkpointed):
     """Binds the store's public read path onto the fabric."""
+
+    _STATE = ("_server",)
 
     def __init__(
         self,
@@ -46,14 +49,6 @@ class PlayStoreFrontend:
         self._server = HttpsServer(fabric, PLAY_HOST, address, identity, rng)
         self._server.router.get("/store/apps/details", self._details)
         self._server.router.get("/store/charts/{kind}", self._chart)
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> dict:
-        return {"server": self._server.state_dict()}
-
-    def load_state(self, state: dict) -> None:
-        self._server.load_state(state["server"])
 
     def _details(self, request: HttpRequest, context: RequestContext) -> HttpResponse:
         package = request.query.get("id")

@@ -22,6 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
+from repro.checkpointed import join_key, split_key
 from repro.playstore.columns import day_span, extend_to
 
 
@@ -94,7 +95,6 @@ class InstallLedger:
 
     def state_dict(self) -> Dict[str, object]:
         """The install columns, the campaign totals and the removals."""
-        from repro.recovery.state import join_key
         return {
             "installs": {
                 package: {source.value: column.tolist()
@@ -108,7 +108,6 @@ class InstallLedger:
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        from repro.recovery.state import split_key
         self.__init__()  # type: ignore[misc]
         for package, by_source in state["installs"].items():  # type: ignore[union-attr]
             self._installs[str(package)] = tuple(

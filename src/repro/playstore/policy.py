@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.checkpointed import Checkpointed
 from repro.playstore.ledger import InstallLedger
 
 
@@ -53,7 +54,7 @@ class EnforcementAction:
     installs_removed: int
 
 
-class EnforcementEngine:
+class EnforcementEngine(Checkpointed):
     """Weak retroactive filtering of incentivized installs."""
 
     #: Weight on the never-opened fraction (squared: only extreme
@@ -63,6 +64,8 @@ class EnforcementEngine:
     EMULATOR_WEIGHT = 0.20
     #: Extra score for campaigns delivered implausibly fast (<2h).
     BURST_BONUS = 0.005
+
+    _STATE = ("_reviewed",)
 
     def __init__(self, ledger: InstallLedger) -> None:
         self._ledger = ledger
@@ -104,18 +107,17 @@ class EnforcementEngine:
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> dict:
-        return {
-            "actions": [
-                [action.campaign_id, action.package, action.day,
-                 action.installs_removed]
-                for action in self.actions],
-            "reviewed": sorted(self._reviewed),
-        }
+        state = super().state_dict()
+        state["actions"] = [
+            [action.campaign_id, action.package, action.day,
+             action.installs_removed]
+            for action in self.actions]
+        return state
 
     def load_state(self, state: dict) -> None:
+        super().load_state(state)
         self.actions = [
             EnforcementAction(campaign_id=str(campaign_id),
                               package=str(package), day=int(day),
                               installs_removed=int(removed))
             for campaign_id, package, day, removed in state["actions"]]
-        self._reviewed = set(state["reviewed"])

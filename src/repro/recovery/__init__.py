@@ -52,7 +52,6 @@ from repro.recovery.checkpoint import (
     RecoveryContext,
 )
 from repro.recovery.crash import CrashPlan, SimulatedCrash, parse_kill_point
-from repro.recovery.state import rng_state_from_json, rng_state_to_json
 from repro.recovery.wal import WriteAheadLog
 
 __all__ = [
@@ -63,6 +62,4 @@ __all__ = [
     "SimulatedCrash",
     "WriteAheadLog",
     "parse_kill_point",
-    "rng_state_from_json",
-    "rng_state_to_json",
 ]

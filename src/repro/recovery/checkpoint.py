@@ -3,9 +3,9 @@
 File format (one JSON document per checkpoint, on one line)::
 
     {"payload":{"day":<cursor: first unit of work NOT covered>,
-                "format_version":7,
+                "format_version":8,
                 "kind":"wild" | "honey" | "serve",
-                "state":{...}},   # pipeline-specific state dict
+                "state":{...}},   # each checkpoint root's state
      "sha256":"<hex digest of the canonical payload encoding>"}
 
 The digest is computed over ``json.dumps(payload, sort_keys=True,
@@ -29,15 +29,16 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
+from repro.checkpointed import decode, encode
 from repro.obs import NULL_OBS, Observability, save_snapshot
 from repro.recovery.crash import CrashPlan
 from repro.recovery.wal import WriteAheadLog
 
 #: Bumped whenever a component's state layout changes; ``load``
 #: refuses every other version.
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 #: Name of the recovery-counter export inside the checkpoint directory.
 RECOVERY_METRICS_FILE = "recovery_metrics.json"
@@ -149,6 +150,10 @@ class RecoveryContext:
     reference has no recovery context at all — and the byte-identity
     contract covers the pipeline export.  ``export_metrics`` writes the
     recovery counters next to the checkpoints instead.
+
+    A pipeline hands :meth:`checkpoint` and :meth:`restore` the same
+    mapping of checkpoint roots (see :mod:`repro.checkpointed`).  Only
+    the serve tier keeps a write-ahead log.
     """
 
     store: CheckpointStore
@@ -159,19 +164,29 @@ class RecoveryContext:
 
     @classmethod
     def create(cls, root, kind: str, crash: Optional[CrashPlan] = None,
-               resume: bool = False, with_wal: bool = False,
-               ) -> "RecoveryContext":
+               resume: bool = False) -> "RecoveryContext":
         obs = Observability()
         store = CheckpointStore(root, kind, obs=obs)
         plan = crash or CrashPlan()
         plan.obs = obs
-        wal = WriteAheadLog(store.root / "wal", obs=obs) if with_wal else None
+        wal = (WriteAheadLog(store.root / "wal", obs=obs)
+               if kind == "serve" else None)
         return cls(store=store, crash=plan, obs=obs, resume=resume, wal=wal)
 
     def crash_point(self, stage: str, day: int) -> None:
         self.crash.maybe_crash(stage, day)
 
-    def mark_resumed(self, day: int) -> None:
+    def checkpoint(self, day: int, roots: Mapping[str, object]) -> None:
+        """Persist the roots' state reached *before* unit ``day + 1``,
+        then pass the ``<kind>.checkpoint`` kill point."""
+        self.store.write(day, encode(roots))  # type: ignore[arg-type]
+        self.crash_point(f"{self.store.kind}.checkpoint", day)
+
+    def restore(self, day: int, roots: Mapping[str, object],
+                state: Mapping[str, object]) -> None:
+        """Load checkpoint ``day``'s ``state`` into the roots, in the
+        roots' order, and count the resume."""
+        decode(roots, state)
         self.obs.metrics.inc("recovery.resumes")
         self.obs.metrics.set_gauge("recovery.resume_day", day)
 

@@ -13,8 +13,9 @@ shed — the ``unshed_overflows`` invariant the acceptance criteria gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
+from repro.checkpointed import Checkpointed
 from repro.obs import NULL_OBS, LabelKeys, Observability
 
 #: Admission decisions.
@@ -44,13 +45,18 @@ class AdmissionConfig:
             raise ValueError("max_queue must hold at least one request")
 
 
-class TokenBucket:
+class TokenBucket(Checkpointed):
     """A classic token bucket on an injected clock.
 
     Refill is computed lazily from elapsed virtual time, so the bucket
     is a pure function of the acquisition sequence and the clock — no
-    background refill task, nothing to drift.
+    background refill task, nothing to drift.  Its checkpoint is the
+    fill level and the refill cursor: floats survive a JSON round trip
+    exactly, so refill after a restore matches the uninterrupted run
+    bit for bit.
     """
+
+    _STATE = ("_tokens", "_last_refill")
 
     def __init__(self, rate: float, capacity: float,
                  now: Callable[[], float]) -> None:
@@ -85,29 +91,15 @@ class TokenBucket:
             return True
         return False
 
-    # -- checkpoint/restore ---------------------------------------------------
 
-    def state_dict(self) -> Dict[str, float]:
-        """Bucket fill level and refill cursor.
-
-        Floats survive a JSON round trip exactly (``repr`` emits the
-        shortest string that parses back to the same double), so lazy
-        refill arithmetic after a restore matches the uninterrupted run
-        bit for bit.
-        """
-        return {"tokens": self._tokens, "last_refill": self._last_refill}
-
-    def load_state(self, state: Dict[str, float]) -> None:
-        self._tokens = float(state["tokens"])
-        self._last_refill = float(state["last_refill"])
-
-
-class AdmissionController:
+class AdmissionController(Checkpointed):
     """Decides admit/shed for each offered request.
 
     Queue pressure is checked before the bucket so a saturated service
     sheds without burning tokens that line-rate traffic could use.
     """
+
+    _STATE = ("offered", "admitted", "shed", "unshed_overflows", "bucket")
 
     def __init__(self, config: AdmissionConfig,
                  now: Callable[[], float],
@@ -154,21 +146,3 @@ class AdmissionController:
 
     def accounting_consistent(self) -> bool:
         return self.offered == self.admitted + self.shed
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "unshed_overflows": self.unshed_overflows,
-            "bucket": self.bucket.state_dict(),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.offered = int(state["offered"])    # type: ignore[arg-type]
-        self.admitted = int(state["admitted"])  # type: ignore[arg-type]
-        self.shed = int(state["shed"])          # type: ignore[arg-type]
-        self.unshed_overflows = int(state["unshed_overflows"])  # type: ignore[arg-type]
-        self.bucket.load_state(state["bucket"])  # type: ignore[arg-type]

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Mapping, Optional, Tuple
 
+from repro.checkpointed import Checkpointed
 from repro.obs import NULL_OBS, LabelKeys, Observability
 
 CacheKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -36,8 +37,10 @@ def params_key(params: Mapping[str, object]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in params.items()))
 
 
-class WatermarkCache:
+class WatermarkCache(Checkpointed):
     """Response cache with per-entry invalidation."""
+
+    _STATE = ("hits", "misses", "evictions", "invalidations")
 
     def __init__(self, obs: Optional[Observability] = None) -> None:
         self.obs = obs or NULL_OBS
@@ -95,28 +98,21 @@ class WatermarkCache:
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """Entries in insertion order (FIFO eviction depends on it).
+        """The counters, plus the entries in insertion order (FIFO
+        eviction depends on it).
 
         Bodies are JSON-shaped response dicts; callers never compare
         them structurally after a restore, only replay them, so the
         tuple->list laundering of a JSON round trip is harmless.
         """
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "entries": [
-                [endpoint, [list(pair) for pair in params], token, body]
-                for (endpoint, params), (token, body)
-                in self._entries.items()],
-        }
+        state = super().state_dict()
+        state["entries"] = [
+            [endpoint, [list(pair) for pair in params], token, body]
+            for (endpoint, params), (token, body) in self._entries.items()]
+        return state
 
     def load_state(self, state: Dict[str, object]) -> None:
-        self.hits = int(state["hits"])             # type: ignore[arg-type]
-        self.misses = int(state["misses"])         # type: ignore[arg-type]
-        self.evictions = int(state["evictions"])   # type: ignore[arg-type]
-        self.invalidations = int(state["invalidations"])  # type: ignore[arg-type]
+        super().load_state(state)
         self._entries = OrderedDict()
         for endpoint, params, token, body in state["entries"]:  # type: ignore[union-attr]
             key = (str(endpoint),

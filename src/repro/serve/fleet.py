@@ -38,12 +38,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.checkpointed import Checkpointed
 from repro.detection.events import DeviceInstallEvent
 from repro.net.client import CircuitBreaker, RetryPolicy
 from repro.net.errors import CircuitOpenError, TransientNetworkError
 from repro.obs import NULL_OBS, Observability
 from repro.parallel.hashing import derive_rng
-from repro.recovery.state import dump_rng, load_rng
 from repro.serve.service import DetectionService, ServeRequest, ServeResponse
 from repro.serve.vtime import DAY_SECONDS, VirtualClock
 
@@ -119,8 +119,16 @@ class _Campaign:
         self.farm_devices: List[Tuple[str, str, str]] = []
 
 
-class FleetClient:
-    """One seeded client coroutine."""
+class FleetClient(Checkpointed):
+    """One seeded client coroutine.
+
+    Its checkpoint is everything the arrival schedule and traffic model
+    depend on.  Campaign and pool order are kept exactly: the
+    device-reuse and live-campaign draws index into them by position.
+    """
+
+    _STATE = ("rng", "_wake_at", "_burst_left", "_campaign_seq",
+              "_organic_seq", "stats", "breaker")
 
     def __init__(self, index: int, config: FleetConfig, seed: int,
                  service: DetectionService, vclock: VirtualClock,
@@ -338,38 +346,19 @@ class FleetClient:
     # -- checkpoint/restore ---------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """Everything the arrival schedule and traffic model depend on.
-
-        Campaign and pool order are preserved exactly: the device-reuse
-        and live-campaign draws index into them by position.
-        """
-        return {
-            "rng": dump_rng(self.rng),
-            "wake_at": self._wake_at,
-            "burst_left": self._burst_left,
-            "campaign_seq": self._campaign_seq,
-            "organic_seq": self._organic_seq,
-            "stats": {key: self.stats[key] for key in sorted(self.stats)},
-            "pool": [list(device) for device in self._pool],
-            "campaigns": [
-                {"package": campaign.package,
-                 "waves_left": campaign.waves_left,
-                 "farm": campaign.farm,
-                 "farm_devices": [list(device)
-                                  for device in campaign.farm_devices]}
-                for campaign in self._campaigns],
-            "breaker": self.breaker.state_dict(),
-        }
+        state = super().state_dict()
+        state["pool"] = [list(device) for device in self._pool]
+        state["campaigns"] = [
+            {"package": campaign.package,
+             "waves_left": campaign.waves_left,
+             "farm": campaign.farm,
+             "farm_devices": [list(device)
+                              for device in campaign.farm_devices]}
+            for campaign in self._campaigns]
+        return state
 
     def load_state(self, state: Dict[str, object]) -> None:
-        load_rng(self.rng, state["rng"])  # type: ignore[arg-type]
-        wake_at = state["wake_at"]
-        self._wake_at = None if wake_at is None else float(wake_at)  # type: ignore[arg-type]
-        self._burst_left = int(state["burst_left"])  # type: ignore[arg-type]
-        self._campaign_seq = int(state["campaign_seq"])  # type: ignore[arg-type]
-        self._organic_seq = int(state["organic_seq"])  # type: ignore[arg-type]
-        self.stats = Counter(
-            {str(k): int(v) for k, v in state["stats"].items()})  # type: ignore[union-attr]
+        super().load_state(state)
         self._pool = [(str(d), str(b), str(s))
                       for d, b, s in state["pool"]]  # type: ignore[union-attr]
         self._campaigns = []
@@ -380,11 +369,12 @@ class FleetClient:
             campaign.farm_devices = [(str(d), str(b), str(s))
                                      for d, b, s in data["farm_devices"]]
             self._campaigns.append(campaign)
-        self.breaker.load_state(state["breaker"])  # type: ignore[arg-type]
 
 
-class ClientFleet:
+class ClientFleet(Checkpointed):
     """All clients for one run, launched in index order."""
+
+    _STATE = ("clients",)
 
     def __init__(self, service: DetectionService, vclock: VirtualClock,
                  config: FleetConfig, seed: int,
@@ -427,17 +417,3 @@ class ClientFleet:
         for client in self.clients:
             totals.update(client.stats)
         return {key: totals[key] for key in sorted(totals)}
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        return {"clients": [client.state_dict() for client in self.clients]}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        states = state["clients"]
-        if len(states) != len(self.clients):  # type: ignore[arg-type]
-            raise ValueError(
-                f"checkpoint has {len(states)} fleet clients, "  # type: ignore[arg-type]
-                f"this run has {len(self.clients)}")
-        for client, client_state in zip(self.clients, states):  # type: ignore[arg-type]
-            client.load_state(client_state)

@@ -21,13 +21,14 @@ day's gather completes the admission queue is drained and the workers
 are idle — the checkpoint captures scalar state only, never an
 in-flight request.
 
-A resumed run rebuilds the streaming detection state by replaying the
-write-ahead log through the event bus, restores the scalar service and
-fleet state, and restores the observability snapshot *last* so any
-counters the replay ticked are overwritten with the checkpointed exact
-values.  The loop itself is constructed at the checkpointed virtual
-instant, which makes every post-resume timestamp (arrival times, queue
-waits, latency percentiles) match the uninterrupted run bit for bit.
+The checkpoint roots are the loop's virtual clock, the service, the
+fleet and observability, restored in that order.  The service's
+restore replays the write-ahead log through the event bus to rebuild
+the streaming detection state, and the observability snapshot comes
+*last* so any counters the replay ticked are overwritten with the
+checkpointed exact values.  The restored virtual instant makes every
+post-resume timestamp (arrival times, queue waits, latency
+percentiles) match the uninterrupted run bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.detection.events import DeviceInstallEvent
 from repro.detection.lockstep import LockstepDetector
 from repro.net.chaos import ChaosScenario
 from repro.obs import Observability
@@ -168,17 +168,7 @@ def run_serve(config: ServeRunConfig,
                   else config.seed)
     chaos = ChaosScenario.profile(config.chaos_profile, seed=chaos_seed)
 
-    start_day = 0
-    start_vt = 0.0
-    restored = None
-    if recovery is not None and recovery.resume:
-        loaded = recovery.store.latest()
-        if loaded is not None:
-            cursor, restored = loaded
-            start_day = cursor + 1
-            start_vt = float(restored["virtual_now"])
-
-    loop = VirtualTimeEventLoop(start_time=start_vt)
+    loop = VirtualTimeEventLoop()
     vclock = VirtualClock(loop)
     registry = DatasetRegistry(build_serve_datasets(config.seed,
                                                     scale=config.scale))
@@ -193,27 +183,15 @@ def run_serve(config: ServeRunConfig,
         seed=config.seed,
     )
     fleet = ClientFleet(service, vclock, fleet_config, config.seed, obs=obs)
-    if recovery is not None:
-        service.attach_recovery(recovery)
-
-    if restored is not None:
-        # Rebuild the streaming detection state (install log, online
-        # detector, its cache-freshness version) by replaying every
-        # durably logged ingest event through the bus, capped at the
-        # checkpoint's watermark.
-        service_state = restored["service"]
-        for record in recovery.wal.replay(
-                start_day - 1, limit=int(service_state["watermark"])):
-            event = DeviceInstallEvent.from_dict(record["event"])
-            if record["incentivized"]:
-                service.label_incentivized((event.device_id,))
-            service.bus.publish(event)
-        service.load_state(service_state)
-        fleet.load_state(restored["fleet"])
-        # Observability last: replay double-ticked bus/detector
-        # counters; the snapshot restores the exact barrier values.
-        obs.load_state(restored["obs"])
-        recovery.mark_resumed(start_day - 1)
+    roots = {"loop": loop, "service": service, "fleet": fleet, "obs": obs}
+    service.recovery = recovery
+    start_day = 0
+    loaded = (recovery.store.latest()
+              if recovery is not None and recovery.resume else None)
+    if loaded is not None:
+        cursor, state = loaded
+        start_day = cursor + 1
+        recovery.restore(cursor, roots, state)
 
     async def main() -> None:
         await service.start()
@@ -223,13 +201,7 @@ def run_serve(config: ServeRunConfig,
                 recovery.wal.open_day(day)
             await fleet.run_until((day + 1) * DAY_SECONDS)
             if recovery is not None:
-                recovery.store.write(day, {
-                    "virtual_now": vclock.now(),
-                    "service": service.state_dict(),
-                    "fleet": fleet.state_dict(),
-                    "obs": obs.state_dict(),
-                })
-                recovery.crash_point("serve.checkpoint", day)
+                recovery.checkpoint(day, roots)
         await service.stop()
 
     try:
@@ -246,7 +218,7 @@ def run_serve(config: ServeRunConfig,
             loop.run_until_complete(
                 asyncio.gather(*pending, return_exceptions=True))
         loop.close()
-        if recovery is not None and recovery.wal is not None:
+        if recovery is not None:
             recovery.wal.close()
 
     flagged_online = service.finalize()

@@ -28,11 +28,11 @@ every admitted ingest batch is appended to the context's write-ahead
 log *before* it is published onto the bus, and ``submit`` exposes the
 ``serve.request`` crash point.  The streaming detection state (install
 log, online detector, its ``version`` token, the running scoring fold
-behind ``evaluate_now``) is deliberately *not* checkpointed: a resumed
-run reconstructs it exactly by replaying the WAL through the bus, then
-restores the cheap scalar state (:meth:`DetectionService.load_state`)
-and finally the observability snapshot, which overwrites any counters
-the replay double-ticked.
+behind ``evaluate_now``) is deliberately *not* checkpointed:
+:meth:`DetectionService.load_state` restores the cheap scalar state
+and reconstructs the rest exactly by replaying the WAL through the
+bus; the pipeline then restores the observability snapshot, which
+overwrites any counters the replay double-ticked.
 
 Ingestion-time stamping
 -----------------------
@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set)
 
+from repro.checkpointed import Checkpointed
 from repro.detection.evaluation import DetectionReport
 from repro.detection.events import DeviceInstallEvent, InstallLog
 from repro.detection.lockstep import DetectorConfig
@@ -130,7 +131,7 @@ class ServiceConfig:
             raise ValueError("the service needs at least one worker")
 
 
-class FrontdoorChaos:
+class FrontdoorChaos(Checkpointed):
     """Request-level fault injection mirroring :class:`FaultPlan`.
 
     The fabric's plan keys decisions by host; the service is not behind
@@ -138,8 +139,11 @@ class FrontdoorChaos:
     ``(seed, class, client, day, per-client seq)``.  Connection resets
     surface as :class:`TransientNetworkError` before admission (the
     request never reached the service); HTTP faults return an injected
-    429/503.
+    429/503.  Its checkpoint is the per-client dice sequence numbers:
+    without them a resumed run would re-roll the same injected faults.
     """
+
+    _STATE = ("_seq",)
 
     def __init__(self, scenario: ChaosScenario,
                  obs: Optional[Observability] = None,
@@ -176,33 +180,25 @@ class FrontdoorChaos:
             return status
         return None
 
-    # -- checkpoint/restore ---------------------------------------------------
 
-    def state_dict(self) -> Dict[str, object]:
-        """Per-client fault-dice sequence numbers; without them a
-        resumed run would re-roll the same injected faults."""
-        return {"seq": dict(sorted(self._seq.items()))}
+class DetectionService(Checkpointed):
+    """The long-lived service: state, frontdoor, workers, handlers.
 
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._seq = {str(client): int(seq)
-                     for client, seq in state["seq"].items()}  # type: ignore[union-attr]
+    A checkpoint is taken at a quiescent barrier (queue drained, workers
+    idle), so it holds no in-flight request.
+    """
 
-
-class DetectionService:
-    """The long-lived service: state, frontdoor, workers, handlers."""
-
-    #: Attributes deliberately left out of :meth:`state_dict`, with why.
+    _STATE = ("clock", "watermark", "_label_order", "_started_at",
+              "admission", "cache", "_frontdoor")
     _TRANSIENT = {
+        "_restored": "set by load_state, so that start() keeps the "
+                     "restored start instant",
         **dict.fromkeys(
             ("_fold_devices", "_fold_flagged", "_fold_labels",
              "_seen_incentivized", "_flagged_incentivized"),
             "derived state of the evaluate_now fold: a resume rebuilds "
             "the log and detector by WAL replay and the labels by "
             "load_state, then the fold refills from cursor 0"),
-        **dict.fromkeys(
-            ("_endpoint_keys", "_response_keys"),
-            "metric label keys, a pure function of the label values; "
-            "refilled on first use"),
     }
 
     def __init__(self, vclock: VirtualClock,
@@ -224,7 +220,8 @@ class DetectionService:
         self.bus.subscribe(self.online.ingest)
         self.incentivized: Set[str] = set()
         #: ``incentivized`` in labelling order (append-only); written
-        #: only through :meth:`label_incentivized`.
+        #: only through :meth:`label_incentivized` and restored whole by
+        #: :meth:`load_state`, which rebuilds ``incentivized`` from it.
         self._label_order: List[str] = []
         self._reset_fold()
         #: Count of ingested events: the cache key's freshness axis.
@@ -232,6 +229,8 @@ class DetectionService:
         self.admission = AdmissionController(
             admission or AdmissionConfig(), now=vclock.now, obs=self.obs)
         self.cache = WatermarkCache(obs=self.obs)
+        #: Set by the runner: enables WAL-before-publish on ingest, the
+        #: ``serve.request`` crash point and the WAL replay on restore.
         self.recovery: Optional[RecoveryContext] = None
         self.datasets = datasets or DatasetRegistry(
             build_serve_datasets(seed))
@@ -277,16 +276,6 @@ class DetectionService:
 
     def uptime_vt_seconds(self) -> float:
         return self.vclock.now() - self._started_at
-
-    def attach_recovery(self, recovery: RecoveryContext) -> None:
-        """Enable WAL-before-publish on ingest and the ``serve.request``
-        crash point.  The context's WAL must exist: the serve tier
-        cannot reconstruct its streaming detector without one."""
-        if recovery.wal is None:
-            raise ValueError(
-                "serve recovery requires a write-ahead log "
-                "(RecoveryContext.create(..., with_wal=True))")
-        self.recovery = recovery
 
     # -- frontdoor -----------------------------------------------------------
 
@@ -412,19 +401,17 @@ class DetectionService:
         day, hour = self.vclock.day, self.vclock.hour_of_day
         stamped = [self._stamp(event, day, hour) for event in events]
         self._sync_day()
-        labels: Sequence[str] = params.get("incentivized", ())  # type: ignore[assignment]
-        incentivized = set(labels)
         if self.recovery is not None:
             # Write-ahead: the batch is durable before any detector
             # state changes, so a crash between the two replays it.
+            # Labels need no log: a checkpoint holds every label up to
+            # the watermark the replay stops at.
             for event in stamped:
-                self.recovery.wal.append({
-                    "event": event.to_dict(),
-                    "incentivized": event.device_id in incentivized,
-                })
+                self.recovery.wal.append(event.to_dict())
         self.bus.publish_all(stamped)
         self.watermark += len(stamped)
-        self.label_incentivized(labels)
+        self.label_incentivized(
+            params.get("incentivized", ()))  # type: ignore[arg-type]
         return {"ingested": len(stamped), "watermark": self.watermark}
 
     def _handle_flagged(self, params: Mapping[str, object]) -> Dict[str, object]:
@@ -543,38 +530,19 @@ class DetectionService:
 
     # -- checkpoint/restore --------------------------------------------------
 
-    def state_dict(self) -> Dict[str, object]:
-        """Scalar service state for a day-boundary checkpoint.
-
-        Taken at a quiescent barrier (queue drained, workers idle), so
-        there is no in-flight request state to capture.  The streaming
-        detection state (install log, online detector) is rebuilt from
-        the WAL on resume rather than snapshotted here.
-        """
-        return {
-            "watermark": self.watermark,
-            "incentivized": sorted(self.incentivized),
-            "started_at": self._started_at,
-            "clock_day": self.clock.day,
-            "admission": self.admission.state_dict(),
-            "cache": self.cache.state_dict(),
-            "frontdoor": self._frontdoor.state_dict(),
-        }
-
     def load_state(self, state: Dict[str, object]) -> None:
-        """Restore scalar state; call *after* WAL replay (replay mutates
-        the watermark-adjacent counters via the bus) and *before* the
-        observability snapshot restore that makes the counters exact."""
-        self.watermark = int(state["watermark"])  # type: ignore[arg-type]
-        self.incentivized = set()
-        self._label_order = []
-        self.label_incentivized(state["incentivized"])  # type: ignore[arg-type]
+        """Restore the scalar state, then, with a recovery context
+        attached, rebuild the streaming detection state (install log,
+        online detector, its ``version``) by replaying every durably
+        logged ingest event through the bus, capped at the restored
+        watermark.  The replay ticks bus and detector counters; the
+        pipeline restores its observability snapshot afterwards, which
+        makes them exact."""
+        super().load_state(state)
+        if self.recovery is not None:
+            for record in self.recovery.wal.replay(
+                    self.clock.day, limit=self.watermark):
+                self.bus.publish(DeviceInstallEvent.from_dict(record))
+        self.incentivized = set(self._label_order)
         self._reset_fold()
-        self._started_at = float(state["started_at"])  # type: ignore[arg-type]
         self._restored = True
-        day = int(state["clock_day"])  # type: ignore[arg-type]
-        if day > self.clock.day:
-            self.clock.advance(day - self.clock.day)
-        self.admission.load_state(state["admission"])  # type: ignore[arg-type]
-        self.cache.load_state(state["cache"])          # type: ignore[arg-type]
-        self._frontdoor.load_state(state["frontdoor"])  # type: ignore[arg-type]

@@ -40,6 +40,8 @@ from asyncio.base_events import (
 )
 from typing import Any, Coroutine, TypeVar
 
+from repro.checkpointed import Checkpointed
+
 T = TypeVar("T")
 
 #: Virtual seconds per simulation day (the ``SimulationClock`` unit).
@@ -56,7 +58,7 @@ class VirtualLoopStalled(RuntimeError):
     """
 
 
-class VirtualTimeEventLoop(asyncio.BaseEventLoop):
+class VirtualTimeEventLoop(Checkpointed, asyncio.BaseEventLoop):
     """An event loop whose clock is simulated and that never polls.
 
     ``time()`` returns virtual seconds.  When the ready queue drains,
@@ -66,19 +68,17 @@ class VirtualTimeEventLoop(asyncio.BaseEventLoop):
     taken out: the loop owns no selector, so it offers timers, tasks
     and futures but none of the socket, pipe or signal APIs.
 
-    ``start_time`` seeds the virtual clock: a resumed service run
-    constructs its loop at the checkpointed virtual instant so every
-    timestamp downstream of the barrier matches the uninterrupted run.
+    Virtual time starts at 0.  The checkpoint is the virtual instant: a
+    resumed service run restores it before the loop runs anything, so
+    every timestamp downstream of the barrier matches the uninterrupted
+    run.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        # The base state comes first because BaseEventLoop.__del__
-        # reads it; a rejected start closes the loop before raising.
+    _STATE = ("_virtual_now",)
+
+    def __init__(self) -> None:
         super().__init__()
-        if start_time < 0:
-            self.close()
-            raise ValueError("virtual time cannot start negative")
-        self._virtual_now = float(start_time)
+        self._virtual_now = 0.0
 
     def time(self) -> float:
         return self._virtual_now

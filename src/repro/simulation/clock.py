@@ -7,9 +7,13 @@ Crunchbase snapshot is taken around day 210 (October 2019).
 
 from __future__ import annotations
 
+from repro.checkpointed import Checkpointed
 
-class SimulationClock:
+
+class SimulationClock(Checkpointed):
     """A monotonically advancing day counter."""
+
+    _STATE = ("_day",)
 
     def __init__(self) -> None:
         self._day = 0

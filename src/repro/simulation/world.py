@@ -66,10 +66,11 @@ class World:
         self.money = MoneyLedger()
         self.mediator = AttributionMediator()
         self.platforms = build_platforms(self.money, self.mediator)
-        wall_rng = self.seeds.rng("walls")
+        #: The one handshake RNG every offer wall's server shares.
+        self.wall_rng = self.seeds.rng("walls")
         self.walls: Dict[str, OfferWallServer] = {
             name: OfferWallServer(self.fabric, platform, self.root_ca,
-                                  wall_rng, current_day=self.clock.now)
+                                  self.wall_rng, current_day=self.clock.now)
             for name, platform in self.platforms.items()
         }
         for spec in AFFILIATE_SPECS.values():

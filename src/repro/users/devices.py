@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
+from repro.checkpointed import Checkpointed
 from repro.net.fabric import Endpoint, NetworkFabric
 from repro.net.ip import AsnDatabase, IPv4Address
 from repro.net.tls import TrustStore
@@ -55,8 +56,11 @@ class DeviceProfile:
         return looks_like_emulator(self.build)
 
 
-class Device:
-    """One device attached to the network fabric."""
+class Device(Checkpointed):
+    """One device attached to the network fabric.  A checkpoint holds
+    what moves after construction: the installed packages."""
+
+    _STATE = ("installed_packages",)
 
     def __init__(self, profile: DeviceProfile, address: IPv4Address,
                  trust_store: Optional[TrustStore] = None) -> None:
@@ -113,13 +117,15 @@ class Device:
         return device
 
 
-class DeviceFactory:
+class DeviceFactory(Checkpointed):
     """Builds devices with realistic network attachments.
 
     ``namespace`` scopes the generated device ids (``dev-fyber-000001``)
     so independent factories — one per sharded campaign cell — cannot
     collide without sharing a counter.
     """
+
+    _STATE = ("_counter", "_rng")
 
     def __init__(self, asn_db: AsnDatabase, rng: random.Random,
                  namespace: str = "") -> None:
@@ -133,15 +139,6 @@ class DeviceFactory:
         if self._namespace:
             return f"{prefix}-{self._namespace}-{self._counter:06d}"
         return f"{prefix}-{self._counter:06d}"
-
-    def state_dict(self) -> dict:
-        from repro.recovery.state import dump_rng
-        return {"counter": self._counter, "rng": dump_rng(self._rng)}
-
-    def load_state(self, state: dict) -> None:
-        from repro.recovery.state import load_rng
-        self._counter = int(state["counter"])
-        load_rng(self._rng, state["rng"])
 
     def real_phone(self, country: str,
                    trust_store: Optional[TrustStore] = None) -> Device:

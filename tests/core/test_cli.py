@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import CRASH_EXIT_CODE, build_parser, main
+from repro.recovery import CheckpointStore
 from repro.serve import ServeRunConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -238,6 +239,40 @@ class TestCommands:
         assert completed.returncode == 0, completed.stderr[-2000:]
         assert "Table 3" in completed.stdout
         assert not list(tmp_path.glob("repro-spill-*"))
+
+    def test_streamed_run_resumes_without_a_spill_dir(self, capsys,
+                                                      tmp_path):
+        """With --checkpoint-dir and no --spill-dir the spill files live
+        under the checkpoint directory, so the checkpoints' spill
+        cursors still point at them when the run resumes."""
+        argv = ["wild", "--scale", "0.02", "--days", "3",
+                "--batch-devices", "4", "--checkpoint-dir", str(tmp_path)]
+        assert main(argv + ["--crash-at", "wild.day:2"]) == CRASH_EXIT_CODE
+        assert main(argv + ["--resume"]) == 0
+        assert "Table 3" in capsys.readouterr().out
+        assert (tmp_path / "spill" / "observations.jsonl").stat().st_size
+
+    def test_resume_from_another_pipeline_fails_cleanly(self, capsys,
+                                                        tmp_path):
+        CheckpointStore(tmp_path, "wild").write(0, {})
+        assert main(["honey", "--installs-per-iip", "40",
+                     "--checkpoint-dir", str(tmp_path), "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: checkpoint kind mismatch")
+
+    def test_streamed_checkpoint_resumed_materialised_fails_cleanly(
+            self, capsys, tmp_path):
+        argv = ["wild", "--scale", "0.02", "--days", "2",
+                "--checkpoint-dir", str(tmp_path)]
+        assert main(argv + ["--batch-devices", "4", "--crash-at",
+                            "wild.day:1"]) == CRASH_EXIT_CODE
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: checkpoint was written by a spilling run")
 
     def test_report_missing_file_fails_cleanly(self, capsys, tmp_path):
         assert main(["report", "--offers", str(tmp_path / "nope.json")]) == 2

@@ -21,7 +21,7 @@ from repro import (
     WildScenarioConfig,
     World,
 )
-from repro.recovery.state import split_key
+from repro.checkpointed import split_key
 
 pytestmark = pytest.mark.chaos
 
@@ -88,6 +88,6 @@ class TestFaultPlanState:
         connect = Counter(tuple(split_key(key)[-2:])
                           for key in state["connect_seq"])
         assert connect and max(connect.values()) == 1
-        for table in ("http_seq", "frame_seq"):
+        for table in ("_http_seq", "_frame_seq"):
             per_host = Counter(split_key(key)[-1] for key in state[table])
             assert per_host and max(per_host.values()) == 1

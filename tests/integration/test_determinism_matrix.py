@@ -187,20 +187,17 @@ def run_library(setting: Setting, workdir: Path) -> Dict[str, str]:
     """A plain or recovery-mode run, or a crash at ``setting.kill``
     then a resume from the same checkpoint (and spill) directory."""
     runner = LIBRARY[setting.pipeline]
-    wal = setting.pipeline == "serve"
     root = workdir / "checkpoints"
     if setting.kill is None:
-        recovery = (RecoveryContext.create(root, setting.pipeline,
-                                           with_wal=wal)
+        recovery = (RecoveryContext.create(root, setting.pipeline)
                     if setting.recovery else None)
         return runner(setting, workdir, recovery)
     stage, day, seq = parse_kill_point(setting.kill)
     with pytest.raises(SimulatedCrash):
         runner(setting, workdir, RecoveryContext.create(
-            root, setting.pipeline, crash=CrashPlan.at(stage, day, seq=seq),
-            with_wal=wal))
+            root, setting.pipeline, crash=CrashPlan.at(stage, day, seq=seq)))
     return runner(setting, workdir, RecoveryContext.create(
-        root, setting.pipeline, resume=True, with_wal=wal))
+        root, setting.pipeline, resume=True))
 
 
 # -- CLI runs -----------------------------------------------------------------

@@ -63,11 +63,10 @@ class TestServeResume:
         root = tmp_path / "crash"
         with pytest.raises(SimulatedCrash):
             self.run_once("paper", RecoveryContext.create(
-                root, "serve", crash=CrashPlan.at("serve.request", 1, seq=25),
-                with_wal=True))
+                root, "serve", crash=CrashPlan.at("serve.request", 1, seq=25)))
         del bodies[:]
         resumed = self.run_once("paper", RecoveryContext.create(
-            root, "serve", resume=True, with_wal=True))
+            root, "serve", resume=True))
         assert resumed == base
         assert bodies == [entry for entry in base_bodies if entry[0] >= 1]
         assert any(status == 200 for _, status, _ in bodies)
@@ -77,14 +76,14 @@ class TestServeResume:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             self.run_once("off", RecoveryContext.create(
-                tmp_path, "serve", with_wal=True))
+                tmp_path, "serve"))
             gc.collect()
         assert list((tmp_path / "wal").glob("day_*.jsonl"))
         assert not [w for w in caught if "day_0" in str(w.message)]
 
     def test_recovery_counters_stay_out_of_the_pipeline_export(self,
                                                                tmp_path):
-        recovery = RecoveryContext.create(tmp_path, "serve", with_wal=True)
+        recovery = RecoveryContext.create(tmp_path, "serve")
         report = self.run_once("off", recovery)
         assert "recovery." not in report[2]
         recovery.export_metrics()

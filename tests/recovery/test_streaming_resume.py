@@ -16,12 +16,12 @@ import json
 import pytest
 
 from repro.analysis.streams import SpillError
+from repro.checkpointed import join_key
 from repro.core.honey_experiment import HoneyAppExperiment
 from repro.core.wild_measurement import WildMeasurement, WildMeasurementConfig
 from repro.recovery import (CheckpointStore, CrashPlan, RecoveryContext,
                             SimulatedCrash)
 from repro.recovery.checkpoint import CheckpointMismatch
-from repro.recovery.state import join_key
 from repro.simulation.scenarios import WildScenario, WildScenarioConfig
 from repro.simulation.world import World
 
@@ -109,27 +109,39 @@ class TestProcessBackendResume:
         # Version 4 carried TLS session tables and the crawler's
         # (key, day) memo; it is refused by its version, like 1 and 2.
         root = tmp_path / "ckpt"
-        crash_then_restamp(root, 4, lambda state: state["crawler"].update(
-            profile_cache={}, chart_cache={}))
+        crash_then_restamp(root, 4, lambda state: state["wild"][
+            "crawler"].update(profile_cache={}, chart_cache={}))
         with pytest.raises(CheckpointMismatch, match="version in .*: 4"):
             CheckpointStore(root, "wild").latest()
 
 
     def test_chart_day_checkpoint_refused_by_latest(self, tmp_path):
         # Version 6 wrote every chart day, the detector's fold and the
-        # ledger's balances beside the logs they are computed from; it
-        # is refused by its version, like 1, 2 and 4.
-        root = tmp_path / "ckpt"
-        crash_then_restamp(root, 6, lambda state: state["archive"].update(
-            chart_days={join_key("top_free", "0"): []}))
-        with pytest.raises(CheckpointMismatch, match="version in .*: 6"):
-            CheckpointStore(root, "wild").latest()
+        # ledger's balances beside the logs they are computed from.
+        # Version 7 wrote each pipeline's hand-listed sections under
+        # their own names (the archive and the crawler's client beside
+        # the crawler, serve's ``virtual_now``).  Each is refused by its
+        # version, like 1, 2 and 4.
+        edits = {
+            6: lambda state: state["wild"]["crawler"]["archive"].update(
+                chart_days={join_key("top_free", "0"): []}),
+            7: lambda state: state.update(
+                archive=state["wild"]["crawler"].pop("archive"),
+                crawler_client=state["wild"]["crawler"].pop("_client")),
+        }
+        for version, edit in edits.items():
+            root = tmp_path / f"v{version}"
+            crash_then_restamp(root, version, edit)
+            with pytest.raises(CheckpointMismatch,
+                               match=f"version in .*: {version}"):
+                CheckpointStore(root, "wild").latest()
 
 
 #: Checkpoint keys of state keyed by a day the checkpoint has closed:
-#: TLS session tables and caches, and the crawler's (key, day) memo.
+#: TLS session tables, caches and tickets, and the crawler's (key, day)
+#: memo, under the attribute names a ``_STATE`` entry would write.
 CLOSED_DAY_KEYS = {"sessions", "upstream_sessions", "session_cache",
-                   "profile_cache", "chart_cache"}
+                   "tickets", "_profile_cache", "_chart_cache"}
 
 
 def state_keys(node):
@@ -208,10 +220,11 @@ class TestEachFactOnce:
         states = checkpoints(tmp_path / "ckpt", "wild")
         assert len(states) == DAYS
         for state in states:
-            archive = state["archive"]
+            archive = state["wild"]["crawler"]["archive"]
             assert set(archive) == {"log", "crawl_days"}
             assert set(archive["log"]) == {"spill"}
             assert len(json.dumps(archive, sort_keys=True,
                                   separators=(",", ":"))) < 1024
-        assert states[-1]["archive"]["log"]["spill"]["count"] > \
-            states[0]["archive"]["log"]["spill"]["count"]
+        counts = [state["wild"]["crawler"]["archive"]["log"]["spill"]["count"]
+                  for state in states]
+        assert counts[-1] > counts[0]

@@ -109,7 +109,7 @@ def test_labels_restored_by_load_state_refill_the_fold(service):
     # A checkpoint may carry labels the WAL replay did not produce; the
     # restored label order no longer extends the one the fold has read.
     service.load_state(dict(service.state_dict(),
-                            incentivized=DEVICES[:4] + LABELLABLE[-3:]))
+                            _label_order=DEVICES[:4] + LABELLABLE[-3:]))
     assert service.evaluate_now() == oracle(service) != before
 
 

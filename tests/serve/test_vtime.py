@@ -1,13 +1,11 @@
 """Virtual-time event loop: sleeps cost zero wall time, determinism."""
 
 import asyncio
-import gc
 import os
 import random
 import selectors
 import sys
 import time
-import warnings
 from asyncio.base_events import (
     _MIN_CANCELLED_TIMER_HANDLES_FRACTION,
     _MIN_SCHEDULED_TIMER_HANDLES,
@@ -107,18 +105,6 @@ class TestVirtualTime:
         started = time.monotonic()
         assert run_virtual(main()) == 6.0
         assert time.monotonic() - started < 1.0
-
-    def test_negative_start_time_leaves_no_unclosed_loop(self, monkeypatch):
-        unraisable = []
-        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(ValueError):
-                VirtualTimeEventLoop(start_time=-1.0)
-            gc.collect()
-        assert [w for w in caught
-                if issubclass(w.category, ResourceWarning)] == []
-        assert unraisable == []
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="needs a per-process fd listing")
