@@ -122,17 +122,6 @@ class Connection:
         self.close()
 
 
-@dataclass
-class _Listener:
-    _TRANSIENT = {
-        "connections_accepted": "a diagnostic count no export reads; a "
-                                "resumed run's listener restarts it",
-    }
-
-    factory: HandlerFactory
-    connections_accepted: int = 0
-
-
 class NetworkFabric:
     """The in-process network: DNS, listeners, taps, and fault injection."""
 
@@ -143,7 +132,7 @@ class NetworkFabric:
         #: (servers, clients, proxies) inherit it unless handed their own.
         self.obs = obs or NULL_OBS
         self._dns: Dict[str, IPv4Address] = {}
-        self._listeners: Dict[Tuple[str, int], _Listener] = {}
+        self._listeners: Dict[Tuple[str, int], HandlerFactory] = {}
         self._taps: List[TapCallback] = []
         #: The chaos fault plan.  Always present (inert by default);
         #: ``inject_fault`` and the chaos CLI both schedule through it.
@@ -181,17 +170,10 @@ class NetworkFabric:
         key = (hostname, port)
         if key in self._listeners:
             raise ValueError(f"already listening on {hostname}:{port}")
-        self._listeners[key] = _Listener(factory=factory)
-
-    def unlisten(self, hostname: str, port: int) -> None:
-        self._listeners.pop((hostname, port), None)
+        self._listeners[key] = factory
 
     def is_listening(self, hostname: str, port: int) -> bool:
         return (hostname, port) in self._listeners
-
-    def connections_accepted(self, hostname: str, port: int) -> int:
-        listener = self._listeners.get((hostname, port))
-        return listener.connections_accepted if listener else 0
 
     # -- connections ---------------------------------------------------------
 
@@ -202,8 +184,8 @@ class NetworkFabric:
                                  error=type(fault).__name__)
             raise fault
         self.resolve(hostname)  # raises for unknown hosts
-        listener = self._listeners.get((hostname, port))
-        if listener is None:
+        factory = self._listeners.get((hostname, port))
+        if factory is None:
             self.obs.metrics.inc("net.fabric.refused", host=hostname)
             raise ConnectionRefusedFabricError(f"connection refused: {hostname}:{port}")
         info = ConnectionInfo(
@@ -211,10 +193,9 @@ class NetworkFabric:
             server_host=hostname,
             server_port=port,
         )
-        listener.connections_accepted += 1
         self.obs.metrics.inc_keyed("net.fabric.connections",
                                    self.host_keys[hostname])
-        handler = listener.factory(info)
+        handler = factory(info)
         return Connection(self, handler, info)
 
     # -- observability -------------------------------------------------------

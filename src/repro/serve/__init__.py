@@ -35,7 +35,6 @@ from repro.serve.vtime import (
     VirtualClock,
     VirtualLoopStalled,
     VirtualTimeEventLoop,
-    run_virtual,
 )
 
 __all__ = [
@@ -68,5 +67,4 @@ __all__ = [
     "build_serve_datasets",
     "params_key",
     "run_serve",
-    "run_virtual",
 ]

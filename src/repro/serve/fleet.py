@@ -31,7 +31,6 @@ cache — the bench pins the resulting hit rate.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import random
 from collections import Counter
@@ -380,6 +379,7 @@ class ClientFleet(Checkpointed):
                  config: FleetConfig, seed: int,
                  obs: Optional[Observability] = None) -> None:
         self.config = config
+        self.vclock = vclock
         query_pool = self._build_query_pool(service.datasets.names())
         self.clients = [
             FleetClient(index, config, seed, service, vclock, obs=obs,
@@ -409,8 +409,8 @@ class ClientFleet(Checkpointed):
         tie-breaking among same-instant arrivals is identical across
         segments, across runs, and across a crash/resume boundary.
         """
-        await asyncio.gather(*(asyncio.ensure_future(
-            client.run_until(stop_vt)) for client in self.clients))
+        await self.vclock.gather(*(client.run_until(stop_vt)
+                                   for client in self.clients))
 
     def stats(self) -> Dict[str, int]:
         totals: Counter = Counter()

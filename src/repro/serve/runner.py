@@ -33,7 +33,6 @@ percentiles) match the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 from dataclasses import dataclass
@@ -207,16 +206,8 @@ def run_serve(config: ServeRunConfig,
     try:
         loop.run_until_complete(main())
     finally:
-        # A simulated crash leaves worker tasks (and possibly sibling
-        # client coroutines) pending; cancel them so the loop closes
-        # without "task was destroyed" noise on stderr.
-        pending = [task for task in asyncio.all_tasks(loop)
-                   if not task.done()]
-        for task in pending:
-            task.cancel()
-        if pending:
-            loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True))
+        # After a simulated crash, closing the loop closes the worker
+        # and client coroutines it leaves unfinished.
         loop.close()
         if recovery is not None:
             recovery.wal.close()

@@ -53,7 +53,6 @@ queueing visible in the percentiles.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set)
@@ -70,7 +69,7 @@ from repro.recovery.checkpoint import RecoveryContext
 from repro.serve.admission import ADMIT, AdmissionConfig, AdmissionController
 from repro.serve.cache import WatermarkCache
 from repro.serve.datasets import DatasetRegistry, build_serve_datasets
-from repro.serve.vtime import VirtualClock
+from repro.serve.vtime import QueueFull, Task, VirtualClock
 from repro.simulation.clock import SimulationClock
 
 #: The service's query surface.
@@ -237,9 +236,8 @@ class DetectionService(Checkpointed):
         self.chaos = chaos or ChaosScenario.off()
         self._frontdoor = FrontdoorChaos(self.chaos, obs=self.obs,
                                          day=lambda: self.clock.day)
-        self._queue: "asyncio.Queue" = asyncio.Queue(
-            maxsize=self.admission.config.max_queue)
-        self._workers: List["asyncio.Task"] = []
+        self._queue = vclock.queue(maxsize=self.admission.config.max_queue)
+        self._workers: List[Task] = []
         self._started_at = 0.0
         #: Set by :meth:`load_state`; keeps :meth:`start` from
         #: re-stamping ``_started_at`` (and re-counting
@@ -265,13 +263,13 @@ class DetectionService(Checkpointed):
             self._started_at = self.vclock.now()
             self.obs.metrics.inc("serve.started")
         self._workers = [
-            asyncio.ensure_future(self._worker())
+            self.vclock.create_task(self._worker())
             for _ in range(self.config.workers)]
 
     async def stop(self) -> None:
         for _ in self._workers:
             await self._queue.put(_SHUTDOWN)
-        await asyncio.gather(*self._workers)
+        await self.vclock.gather(*self._workers)
         self._workers = []
 
     def uptime_vt_seconds(self) -> float:
@@ -294,12 +292,12 @@ class DetectionService(Checkpointed):
                                          self._queue.qsize())
         if decision != ADMIT:
             return ServeResponse(429, {"error": "shed", "reason": decision})
-        future = asyncio.get_running_loop().create_future()
+        future = self.vclock.create_future()
         try:
             # Atomic with the admission check above (no await between
             # them), so an admitted request always has queue room.
             self._queue.put_nowait((request, future, self.vclock.now()))
-        except asyncio.QueueFull:  # pragma: no cover - invariant breach
+        except QueueFull:  # pragma: no cover - invariant breach
             self.admission.record_unshed_overflow(request.endpoint)
             return ServeResponse(429, {"error": "shed", "reason": "overflow"})
         self.obs.metrics.set_gauge("serve.queue_depth", self._queue.qsize())
@@ -318,9 +316,7 @@ class DetectionService(Checkpointed):
             if item is _SHUTDOWN:
                 return
             request, future, enqueued_at = item
-            response = await self._process(request, enqueued_at)
-            if not future.cancelled():
-                future.set_result(response)
+            future.set_result(await self._process(request, enqueued_at))
 
     async def _process(self, request: ServeRequest,
                        enqueued_at: float) -> ServeResponse:

@@ -31,6 +31,8 @@ def rig(fabric, root_ca, rng, trust_store):
                                  release_day=0))
     store.record_install_batch("com.app.alpha", 0, InstallSource.ORGANIC, 700)
     clock = {"day": 0}
+    # The fabric's own observability counts the connections it accepts.
+    fabric.obs = Observability()
     PlayStoreFrontend(fabric, store, root_ca, rng,
                       current_day=lambda: clock["day"])
     client = make_client(fabric, trust_store, rng)
@@ -39,7 +41,8 @@ def rig(fabric, root_ca, rng, trust_store):
 
 
 def play_connections(fabric) -> int:
-    return fabric.connections_accepted(PLAY_HOST, HTTPS)
+    return fabric.obs.metrics.counter_value("net.fabric.connections",
+                                            host=PLAY_HOST)
 
 
 class TestProfileCache:

@@ -12,6 +12,7 @@ from repro.net.fabric import (
     PacketCapture,
 )
 from repro.net.ip import IPv4Address
+from repro.obs import Observability
 
 
 class EchoHandler(ConnectionHandler):
@@ -92,16 +93,14 @@ class TestFabric:
             conn.roundtrip(b"late")
 
     def test_connections_accepted_counter(self):
-        assert self.fabric.connections_accepted("srv.example", 443) == 0
+        self.fabric.obs = Observability()
+        metrics = self.fabric.obs.metrics
+        assert metrics.counter_value("net.fabric.connections",
+                                     host="srv.example") == 0
         self.fabric.connect(self.client, "srv.example", 443).close()
         self.fabric.connect(self.client, "srv.example", 443).close()
-        assert self.fabric.connections_accepted("srv.example", 443) == 2
-
-    def test_unlisten(self):
-        self.fabric.unlisten("srv.example", 443)
-        assert not self.fabric.is_listening("srv.example", 443)
-        with pytest.raises(ConnectionRefusedFabricError):
-            self.fabric.connect(self.client, "srv.example", 443)
+        assert metrics.counter_value("net.fabric.connections",
+                                     host="srv.example") == 2
 
 
 class TestTapAndFaults:
