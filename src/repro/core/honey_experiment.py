@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.affiliates.registry import ALL_AFFILIATE_PACKAGES
+from repro.checkpointed import Checkpointed
 from repro.detection.events import DeviceInstallEvent
 from repro.detection.live import LiveDetection, honey_install_event
 from repro.honeyapp.analysis import CampaignWindow, HoneyExperimentAnalysis
@@ -164,9 +165,14 @@ class HoneyExperimentResults:
         return self.analysis.total_installs()
 
 
-class HoneyAppExperiment:
+class HoneyAppExperiment(Checkpointed):
     """Runs the whole Section-3 experiment inside a world."""
 
+    #: The finished campaigns' records, and each campaign's install
+    #: (day, hour) stamps by campaign id.
+    _STATE = ("_records", "_install_days")
+    _records: List[HoneyCampaignRecord]
+    _install_days: Dict[str, List[Tuple[int, float]]]
     _TRANSIENT = {
         "_cells": "a cell is touched only by its own campaign: a "
                   "finished campaign's cell is never read again, and an "
@@ -193,10 +199,8 @@ class HoneyAppExperiment:
         self.detection = detection
         self._cells = {iip_name: _CampaignCell(world, iip_name)
                        for iip_name in _CAMPAIGN_ORDER}
-        #: The finished campaigns' records, and each campaign's install
-        #: (day, hour) stamps by campaign id.
-        self._records: List[HoneyCampaignRecord] = []
-        self._install_days: Dict[str, List[Tuple[int, float]]] = {}
+        self._records = []
+        self._install_days = {}
         declare_stage_histograms(world.obs.metrics, STAGE_HISTOGRAMS)
         self._publish_listing()
 
@@ -330,46 +334,6 @@ class HoneyAppExperiment:
             "detection": self.detection,
             "obs": world.obs,
         }
-
-    def state_dict(self) -> Dict[str, object]:
-        """The finished campaigns' records and install stamps."""
-        return {
-            "records": [
-                {"iip_name": record.iip_name,
-                 "campaign_id": record.campaign_id,
-                 "start_day": record.window.start_day,
-                 "end_day": record.window.end_day,
-                 "purchased": record.purchased,
-                 "delivered": record.delivered,
-                 "completions_paid": record.completions_paid,
-                 "total_cost_usd": record.total_cost_usd}
-                for record in self._records],
-            "install_days": {
-                campaign_id: [[day, hour] for day, hour in timestamps]
-                for campaign_id, timestamps in self._install_days.items()},
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._records = []
-        for data in state["records"]:  # type: ignore[union-attr]
-            window = CampaignWindow(
-                iip_name=str(data["iip_name"]),
-                campaign_id=str(data["campaign_id"]),
-                start_day=int(data["start_day"]),
-                end_day=int(data["end_day"]))
-            self._records.append(HoneyCampaignRecord(
-                iip_name=window.iip_name,
-                campaign_id=window.campaign_id,
-                window=window,
-                purchased=int(data["purchased"]),
-                delivered=int(data["delivered"]),
-                completions_paid=int(data["completions_paid"]),
-                total_cost_usd=float(data["total_cost_usd"])))
-        self._install_days = {
-            str(campaign_id): [(int(day), float(hour))
-                               for day, hour in timestamps]
-            for campaign_id, timestamps in (
-                state["install_days"].items())}  # type: ignore[union-attr]
 
     # ------------------------------------------------------------------
 

@@ -176,6 +176,13 @@ class WildMeasurement(Checkpointed):
     _STATE = ("phone", "_milk_runs", "_milk_errors", "dataset",
               "_observations", "crawler", "cells", "detection",
               "_detection_bridge")
+    #: Live detection hook; when set, each milk day's merged offer
+    #: stream is bridged into install events.  The bridge derives its
+    #: RNG from its own seed stream, so attaching it never perturbs the
+    #: milk/crawl exports.  A resume needs the hook iff the checkpoint
+    #: has one.
+    detection: Optional[LiveDetection]
+    _detection_bridge: Optional[WildEventBridge]
 
     def __init__(self, world: World, scenario: WildScenario,
                  config: Optional[WildMeasurementConfig] = None,
@@ -183,12 +190,8 @@ class WildMeasurement(Checkpointed):
         self.world = world
         self.scenario = scenario
         self.config = config or WildMeasurementConfig()
-        #: Live detection hook; when set, each milk day's merged offer
-        #: stream is bridged into install events.  The bridge derives
-        #: its RNG from its own seed stream, so attaching it never
-        #: perturbs the milk/crawl exports.
         self.detection = detection
-        self._detection_bridge: Optional[WildEventBridge] = None
+        self._detection_bridge = None
         if detection is not None:
             self._detection_bridge = WildEventBridge(
                 world.fabric.asn_db,

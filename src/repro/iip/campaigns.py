@@ -41,10 +41,6 @@ class Campaign:
             raise ValueError("advertiser cost below user payout")
 
     @property
-    def budget_usd(self) -> float:
-        return self.installs_purchased * self.advertiser_cost_per_install_usd
-
-    @property
     def remaining(self) -> int:
         return self.installs_purchased - self.delivered
 

@@ -11,14 +11,14 @@ with $20.
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.checkpointed import Checkpointed
 from repro.iip.accounting import Disbursement, MoneyLedger
 from repro.iip.campaigns import Campaign, CampaignState
 from repro.iip.mediator import FEE_PER_USER_USD, AttributionMediator
-from repro.iip.offers import (ActivityKind, Offer, OfferCategory, TaskKind,
-                              TaskSpec)
+from repro.iip.offers import ActivityKind, Offer, OfferCategory, TaskSpec
 
 
 class VettingError(Exception):
@@ -62,16 +62,22 @@ class IIPConfig:
             raise ValueError("negative markup")
 
 
-class IncentivizedInstallPlatform:
+class IncentivizedInstallPlatform(Checkpointed):
     """One IIP instance operating against a shared money ledger."""
+
+    #: The registered developers, the campaigns with their offers and
+    #: the id counter: what a honey campaign leaves on its IIP.
+    _STATE = ("_next_id", "_developers", "_campaigns")
+    _developers: Dict[str, DeveloperCredentials]
+    _campaigns: Dict[str, Campaign]
 
     def __init__(self, config: IIPConfig, ledger: MoneyLedger,
                  mediator: AttributionMediator) -> None:
         self.config = config
         self.ledger = ledger
         self.mediator = mediator
-        self._developers: Dict[str, DeveloperCredentials] = {}
-        self._campaigns: Dict[str, Campaign] = {}
+        self._developers = {}
+        self._campaigns = {}
         self._next_id = 1
         self.affiliate_ids: List[str] = []
 
@@ -208,30 +214,6 @@ class IncentivizedInstallPlatform:
             offers.append(offer)
         return sorted(offers, key=lambda offer: offer.offer_id)
 
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """The registered developers, the campaigns with their offers
-        and the id counter: what a honey campaign leaves on its IIP."""
-        return {
-            "next_id": self._next_id,
-            "developers": [list(astuple(credentials))
-                           for credentials in self._developers.values()],
-            "campaigns": [_campaign_to_state(campaign)
-                          for campaign in self._campaigns.values()],
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._next_id = int(state["next_id"])  # type: ignore[arg-type]
-        self._developers = {}
-        for values in state["developers"]:  # type: ignore[union-attr]
-            credentials = DeveloperCredentials(*values)
-            self._developers[credentials.developer_id] = credentials
-        self._campaigns = {}
-        for data in state["campaigns"]:  # type: ignore[union-attr]
-            campaign = _campaign_from_state(data)
-            self._campaigns[campaign.campaign_id] = campaign
-
     # -- completion and payout ---------------------------------------------------
 
     def complete_offer(self, offer_id: str, device_id: str, day: int,
@@ -265,43 +247,3 @@ class IncentivizedInstallPlatform:
             affiliate_share=self.config.affiliate_share,
             mediator_fee_usd=FEE_PER_USER_USD,
         )
-
-
-def _campaign_to_state(campaign: Campaign) -> Dict[str, object]:
-    offer = campaign.offer
-    return {
-        "campaign": [campaign.campaign_id, campaign.developer_id,
-                     campaign.installs_purchased,
-                     campaign.advertiser_cost_per_install_usd,
-                     campaign.state.value, campaign.delivered,
-                     campaign.launch_day, campaign.is_chart_boost],
-        "offer": [offer.offer_id, offer.iip_name, offer.package,
-                  offer.app_title, offer.play_store_url, offer.description,
-                  offer.payout_usd, offer.category.value,
-                  None if offer.activity_kind is None
-                  else offer.activity_kind.value,
-                  [[task.kind.value, task.effort_minutes, task.amount]
-                   for task in offer.tasks],
-                  offer.start_day, offer.end_day,
-                  None if offer.target_countries is None
-                  else list(offer.target_countries),
-                  offer.is_arbitrage],
-    }
-
-
-def _campaign_from_state(state: Dict[str, object]) -> Campaign:
-    (offer_id, iip_name, package, title, url, description, payout,
-     category, activity, tasks, start_day, end_day, countries,
-     arbitrage) = state["offer"]  # type: ignore[misc]
-    offer = Offer(offer_id, iip_name, package, title, url, description,
-                  payout, OfferCategory(category),
-                  None if activity is None else ActivityKind(activity),
-                  tuple(TaskSpec(TaskKind(kind), effort, amount)
-                        for kind, effort, amount in tasks),
-                  start_day, end_day,
-                  None if countries is None else tuple(countries), arbitrage)
-    (campaign_id, developer_id, installs, cost, status, delivered,
-     launch_day, chart_boost) = state["campaign"]  # type: ignore[misc]
-    return Campaign(campaign_id, developer_id, offer, installs, cost,
-                    CampaignState(status), delivered, launch_day,
-                    chart_boost)

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 from repro.affiliates.app import AffiliateAppSpec
 from repro.analysis.columnar import ColumnarFrame
 from repro.analysis.streams import fold_distinct, fold_group_min_max
-from repro.checkpointed import join_key
+from repro.checkpointed import Checkpointed
 from repro.obs import NULL_OBS, LabelKeys, Observability
 
 #: The record attributes the dataset's columnar frame carries — what
@@ -91,9 +91,11 @@ def observed_offer_from_state(state: Dict[str, object]) -> ObservedOffer:
     )
 
 
-class OfferDataset:
+class OfferDataset(Checkpointed):
     """Accumulates milk runs into the deduplicated offer corpus."""
 
+    _STATE = ("_records",)
+    _records: Dict[Tuple[str, str], OfferRecord]
     _TRANSIENT = {
         **dict.fromkeys(
             ("_frame", "_windows"),
@@ -105,7 +107,7 @@ class OfferDataset:
                  obs: Optional[Observability] = None,
                  batch_rows: int = 0) -> None:
         self._specs = dict(affiliate_specs)
-        self._records: Dict[Tuple[str, str], OfferRecord] = {}
+        self._records = {}
         self.obs = obs or NULL_OBS
         #: Rows per analysis chunk; 0 materialises the full frame (the
         #: historical behaviour).  With a positive value every aggregate
@@ -163,45 +165,6 @@ class OfferDataset:
         for observation in observations:
             self.ingest(observation)
 
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "records": {
-                join_key(iip, offer_id): {
-                    "iip_name": record.iip_name,
-                    "offer_id": record.offer_id,
-                    "package": record.package,
-                    "app_title": record.app_title,
-                    "description": record.description,
-                    "payout_usd": record.payout_usd,
-                    "first_seen_day": record.first_seen_day,
-                    "last_seen_day": record.last_seen_day,
-                    "countries": sorted(record.countries),
-                    "affiliates": sorted(record.affiliates),
-                }
-                for (iip, offer_id), record in sorted(self._records.items())},
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self._records = {}
-        self._frame = None
-        self._windows = None
-        for data in state["records"].values():  # type: ignore[union-attr]
-            record = OfferRecord(
-                iip_name=str(data["iip_name"]),
-                offer_id=str(data["offer_id"]),
-                package=str(data["package"]),
-                app_title=str(data["app_title"]),
-                description=str(data["description"]),
-                payout_usd=float(data["payout_usd"]),
-                first_seen_day=int(data["first_seen_day"]),
-                last_seen_day=int(data["last_seen_day"]),
-                countries=set(data["countries"]),
-                affiliates=set(data["affiliates"]),
-            )
-            self._records[(record.iip_name, record.offer_id)] = record
-
     # -- queries ------------------------------------------------------------
 
     def frame(self) -> ColumnarFrame:
@@ -240,10 +203,6 @@ class OfferDataset:
 
     def offers(self) -> List[OfferRecord]:
         return [self._records[key] for key in sorted(self._records)]
-
-    def offers_for_iip(self, iip_name: str) -> List[OfferRecord]:
-        return [record for record in self.offers()
-                if record.iip_name == iip_name]
 
     def offer_count(self) -> int:
         return len(self._records)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.checkpointed import Checkpointed, join_key, split_key
+from repro.checkpointed import Checkpointed
 from repro.net.errors import (
     ConnectionRefusedFabricError,
     TransientNetworkError,
@@ -176,7 +176,7 @@ class FaultPlan(Checkpointed):
         self._clock = clock or (lambda: 0)
         self._static: Dict[Tuple[str, int], FaultFactory] = {}
         self._vpn_exits: List[str] = []
-        self._connect_seq: Dict[Tuple[str, int], int] = {}
+        self._connect_seq = {}
         self._http_seq: Dict[str, int] = {}
         self._frame_seq: Dict[str, int] = {}
         #: Decision log totals (deterministic; exposed for reports).
@@ -193,10 +193,6 @@ class FaultPlan(Checkpointed):
     def mark_vpn_exit(self, hostname: str) -> None:
         if hostname not in self._vpn_exits:
             self._vpn_exits.append(hostname)
-
-    @property
-    def vpn_exits(self) -> List[str]:
-        return list(self._vpn_exits)
 
     def adopt(self, other: "FaultPlan") -> None:
         """Carry over registrations when a fabric swaps plans."""
@@ -313,23 +309,11 @@ class FaultPlan(Checkpointed):
     # The plan's only mutable state is the per-host sequence counters
     # (and the decision totals shown in reports).  Restoring them makes
     # the resumed run consult the hashed schedule at exactly the offsets
-    # the uninterrupted run would have reached.  The connect counters
-    # are keyed by (host, port), which the codec leaves to this pair.
+    # the uninterrupted run would have reached.
 
-    _STATE = ("_http_seq", "_frame_seq", "decisions")
+    _STATE = ("_http_seq", "_frame_seq", "decisions", "_connect_seq")
+    _connect_seq: Dict[Tuple[str, int], int]
 
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state["connect_seq"] = {join_key(*key): seq
-                                for key, seq in self._connect_seq.items()}
-        return state
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        super().load_state(state)
-        self._connect_seq = {}
-        for key, seq in state["connect_seq"].items():  # type: ignore[union-attr]
-            hostname, port = split_key(key)
-            self._connect_seq[(hostname, int(port))] = int(seq)
 
 __all__ = [
     "CHAOS_PROFILES",

@@ -35,8 +35,6 @@ from repro.net.tls import (
     TlsClientSession,
     TlsServerHandler,
     TrustStore,
-    identity_from_state,
-    identity_to_state,
     issue_server_identity,
 )
 from repro.obs import LabelKeys, Observability, label_key
@@ -223,7 +221,9 @@ class MitmProxy(Checkpointed):
     the decrypted offer-wall exchanges.
     """
 
-    _STATE = ("_rng", "ca")
+    _STATE = ("_rng", "ca", "_identity_cache")
+    #: The minted impersonation identities, by host.
+    _identity_cache: Dict[str, ServerIdentity]
     _TRANSIENT = {
         "intercepted": "every milk run clears it before driving traffic, "
                        "so at a day barrier it is dead state",
@@ -253,7 +253,7 @@ class MitmProxy(Checkpointed):
         self._current_day = current_day
         self._rng = rng
         self.ca = CertificateAuthority(f"{hostname} mitm CA", rng)
-        self._identity_cache: Dict[str, ServerIdentity] = {}
+        self._identity_cache = {}
         self.upstream_trust = upstream_trust or TrustStore()
         #: When set, outbound connections tunnel through this forward
         #: proxy (e.g. a VPN country exit), so origin servers see the
@@ -283,25 +283,6 @@ class MitmProxy(Checkpointed):
 
     def clear(self) -> None:
         self.intercepted.clear()
-
-    def exchanges_for_host(self, host: str) -> List[InterceptedExchange]:
-        return [e for e in self.intercepted if e.host == host]
-
-    # -- checkpoint/restore --------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """RNG position and CA serial, plus the minted identities."""
-        state = super().state_dict()
-        state["identities"] = {
-            host: identity_to_state(identity)
-            for host, identity in sorted(self._identity_cache.items())}
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self._identity_cache = {
-            str(host): identity_from_state(data)
-            for host, data in state["identities"].items()}
 
     # -- internals ----------------------------------------------------------
 

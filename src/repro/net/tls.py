@@ -184,9 +184,6 @@ class TrustStore:
             raise CertificateVerificationError("root certificate signature invalid")
         self._roots[certificate.subject] = certificate.public_key
 
-    def remove_root(self, name: str) -> None:
-        self._roots.pop(name, None)
-
     def trusts(self, name: str) -> bool:
         return name in self._roots
 
@@ -292,14 +289,6 @@ def _handshake_field(message: Mapping[str, object], name: str,
     except (KeyError, ValueError) as exc:
         raise TlsError(
             f"missing or malformed handshake field {name!r}") from exc
-
-
-def is_handshake_bytes(data: bytes) -> bool:
-    return data[:4] == _HANDSHAKE_MAGIC
-
-
-def is_record_bytes(data: bytes) -> bool:
-    return data[:4] == _RECORD_MAGIC
 
 
 def is_resume_bytes(data: bytes) -> bool:
@@ -506,29 +495,6 @@ def _server_hello_template(identity: ServerIdentity) -> Tuple[str, str]:
     template = (prefix + '"server_random": "', '"' + suffix)
     identity._hello_template = template  # type: ignore[attr-defined]
     return template
-
-
-def identity_to_state(identity: ServerIdentity) -> Dict[str, object]:
-    """JSON form of a minted identity (checkpointing mitm caches)."""
-    key = identity.private_key
-    return {
-        "chain": [cert.to_json() for cert in identity.chain],
-        "private_modulus": f"{key.modulus:x}",
-        "private_exponent": f"{key.exponent:x}",
-        "private_primes": [f"{key.prime_p:x}", f"{key.prime_q:x}"],
-    }
-
-
-def identity_from_state(state: Dict[str, object]) -> ServerIdentity:
-    prime_p, prime_q = state["private_primes"]  # type: ignore[misc]
-    return ServerIdentity(
-        chain=[Certificate.from_json(data)
-               for data in state["chain"]],  # type: ignore[union-attr]
-        private_key=crypto.RsaPrivateKey(
-            modulus=int(str(state["private_modulus"]), 16),
-            exponent=int(str(state["private_exponent"]), 16),
-            prime_p=int(str(prime_p), 16), prime_q=int(str(prime_q), 16)),
-    )
 
 
 def issue_server_identity(

@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.checkpointed import Checkpointed
+
 Number = Union[int, float]
 LabelItems = Tuple[Tuple[str, str], ...]
 
@@ -94,14 +96,17 @@ class LabelKeys(dict):
         return key
 
 
-class OpCounter:
+class OpCounter(Checkpointed):
     """The monotonic operation counter behind every obs timestamp.
 
     One counter is shared by a context's registry and tracer: every
     recorded metric and every span boundary ticks it, so a span's
     ``(end_op - start_op)`` is the number of instrumented operations
     that happened inside it — a deterministic stand-in for duration.
+    A checkpoint restores it in place, under both.
     """
+
+    _STATE = ("_value",)
 
     def __init__(self) -> None:
         self._value = 0
@@ -120,10 +125,6 @@ class OpCounter:
             raise ValueError("cannot advance the op counter backwards")
         self._value += amount
         return self._value
-
-    def reset(self, value: int) -> None:
-        """Set the counter outright (checkpoint restore only)."""
-        self._value = value
 
 
 def render_key(name: str, labels: LabelItems) -> str:
@@ -249,32 +250,29 @@ class HistogramState:
             "max": self.maximum,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "HistogramState":
-        """Invert :meth:`to_dict` (checkpoint restore)."""
-        return cls(
-            bounds=tuple(data["bounds"]),          # type: ignore[arg-type]
-            bucket_counts=list(data["bucket_counts"]),  # type: ignore[arg-type]
-            count=int(data["count"]),              # type: ignore[arg-type]
-            total=float(data["sum"]),              # type: ignore[arg-type]
-            minimum=data["min"],                   # type: ignore[arg-type]
-            maximum=data["max"],                   # type: ignore[arg-type]
-        )
 
-
-class MetricsRegistry:
+class MetricsRegistry(Checkpointed):
     """Labelled counters, gauges, and histograms with sorted exports.
 
     When given an :class:`OpCounter`, every recording call ticks it, so
     trace spans can measure their cost in instrumented operations.
+
+    A checkpoint holds every series under its exact key: ``snapshot``
+    renders label tuples into display strings, which is lossy.
     """
+
+    _STATE = ("_counters", "_gauges", "_histograms", "_histogram_bounds")
+    _counters: Dict[str, Dict[LabelItems, Number]]
+    _gauges: Dict[str, Dict[LabelItems, Number]]
+    _histograms: Dict[str, Dict[LabelItems, HistogramState]]
+    _histogram_bounds: Dict[str, Tuple[float, ...]]
 
     def __init__(self, counter: Optional[OpCounter] = None) -> None:
         self._counter = counter
-        self._counters: Dict[str, Dict[LabelItems, Number]] = {}
-        self._gauges: Dict[str, Dict[LabelItems, Number]] = {}
-        self._histograms: Dict[str, Dict[LabelItems, HistogramState]] = {}
-        self._histogram_bounds: Dict[str, Tuple[float, ...]] = {}
+        self._counters = {}
+        self._gauges = {}
+        self._histograms = {}
+        self._histogram_bounds = {}
 
     @property
     def enabled(self) -> bool:
@@ -400,11 +398,6 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: object) -> Optional[HistogramState]:
         return self._histograms.get(name, {}).get(label_key(labels))
 
-    def top_counters(self, limit: int = 20) -> List[Tuple[str, Number]]:
-        """Counter series sorted by value (desc), then key — for reports."""
-        ranked = sorted(self.counters().items(), key=lambda kv: (-kv[1], kv[0]))
-        return ranked[:limit]
-
     def snapshot(self) -> Dict[str, object]:
         histograms: Dict[str, object] = {}
         for name in sorted(self._histograms):
@@ -416,51 +409,6 @@ class MetricsRegistry:
             "gauges": self.gauges(),
             "histograms": histograms,
         }
-
-    # -- checkpoint/restore ---------------------------------------------------
-    #
-    # ``snapshot`` renders label tuples into display strings, which is
-    # lossy; checkpoints need the exact series keys back, so the state
-    # dict keeps labels structured as ``[[k, v], ...]`` lists.
-
-    def state_dict(self) -> Dict[str, object]:
-        return {
-            "counters": {
-                name: [[list(map(list, key)), value]
-                       for key, value in sorted(series.items())]
-                for name, series in self._counters.items()},
-            "gauges": {
-                name: [[list(map(list, key)), value]
-                       for key, value in sorted(series.items())]
-                for name, series in self._gauges.items()},
-            "histograms": {
-                name: [[list(map(list, key)), state.to_dict()]
-                       for key, state in sorted(series.items())]
-                for name, series in self._histograms.items()},
-            "histogram_bounds": {
-                name: list(bounds)
-                for name, bounds in self._histogram_bounds.items()},
-        }
-
-    @staticmethod
-    def _series_key(raw: List) -> LabelItems:
-        return tuple((str(k), str(v)) for k, v in raw)
-
-    def load_state(self, state: Mapping[str, object]) -> None:
-        """Replace every series with the checkpointed ones."""
-        self._counters = {
-            name: {self._series_key(key): value for key, value in series}
-            for name, series in state["counters"].items()}  # type: ignore[union-attr]
-        self._gauges = {
-            name: {self._series_key(key): value for key, value in series}
-            for name, series in state["gauges"].items()}  # type: ignore[union-attr]
-        self._histograms = {
-            name: {self._series_key(key): HistogramState.from_dict(data)
-                   for key, data in series}
-            for name, series in state["histograms"].items()}  # type: ignore[union-attr]
-        self._histogram_bounds = {
-            name: tuple(bounds)
-            for name, bounds in state["histogram_bounds"].items()}  # type: ignore[union-attr]
 
 
 def declare_stage_histograms(metrics: MetricsRegistry,

@@ -11,12 +11,22 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.checkpointed import Checkpointed
 from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry, OpCounter
 from repro.obs.tracing import Clock, NullTracer, Tracer
 
 
-class Observability:
-    """Shared metrics + tracing for one world (or one test rig)."""
+class Observability(Checkpointed):
+    """Shared metrics + tracing for one world (or one test rig).
+
+    Its checkpoint is the exact recorded state (unlike :meth:`snapshot`,
+    which renders label tuples lossily), the op counter first.  It
+    includes the tracer's active span stack, so a resumed run can
+    re-enter the pipeline span it was checkpointed inside of (see
+    :meth:`Tracer.adopt`).
+    """
+
+    _STATE = ("ops", "metrics", "tracer")
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self.ops = OpCounter()
@@ -61,24 +71,6 @@ class Observability:
             "spans": self.tracer.snapshot(),
             "ops": self.ops.value,
         }
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """The exact recorded state (unlike :meth:`snapshot`, which
-        renders label tuples lossily).  Includes the tracer's active
-        span stack, so a resumed run can re-enter the pipeline span it
-        was checkpointed inside of (see :meth:`Tracer.adopt`)."""
-        return {
-            "ops": self.ops.value,
-            "metrics": self.metrics.state_dict(),
-            "tracer": self.tracer.state_dict(),
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.ops.reset(int(state["ops"]))  # type: ignore[arg-type]
-        self.metrics.load_state(state["metrics"])  # type: ignore[arg-type]
-        self.tracer.load_state(state["tracer"])  # type: ignore[arg-type]
 
 
 class NullObservability(Observability):

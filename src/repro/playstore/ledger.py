@@ -20,9 +20,9 @@ import enum
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import DefaultDict, Dict, Iterable, Optional, Tuple
 
-from repro.checkpointed import join_key, split_key
+from repro.checkpointed import Checkpointed
 from repro.playstore.columns import day_span, extend_to
 
 
@@ -56,16 +56,20 @@ _SOURCES = tuple(InstallSource)
 _NO_INSTALLS = ((),) * len(_SOURCES)
 
 
-class InstallLedger:
+class InstallLedger(Checkpointed):
     """Per-source daily install counts plus enforcement removals."""
 
+    _STATE = ("_installs", "_campaign_totals", "_removed")
+    #: package -> one count column per source, in ``_SOURCES`` order
+    _installs: Dict[str, Tuple[array, ...]]
+    _campaign_totals: DefaultDict[str, int]
+    #: package -> day the removal was applied -> count removed
+    _removed: DefaultDict[str, DefaultDict[int, int]]
+
     def __init__(self) -> None:
-        # package -> one count column per source, in ``_SOURCES`` order
-        self._installs: Dict[str, Tuple[array, ...]] = {}
-        self._campaign_totals: Dict[str, int] = defaultdict(int)
-        # package -> day the removal was applied -> count removed
-        self._removed: Dict[str, Dict[int, int]] = (
-            defaultdict(lambda: defaultdict(int)))
+        self._installs = {}
+        self._campaign_totals = defaultdict(int)
+        self._removed = defaultdict(lambda: defaultdict(int))
 
     # -- recording -----------------------------------------------------------
 
@@ -90,33 +94,6 @@ class InstallLedger:
         if count <= 0:
             raise ValueError("removal count must be positive")
         self._removed[package][day] += count
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """The install columns, the campaign totals and the removals."""
-        return {
-            "installs": {
-                package: {source.value: column.tolist()
-                          for source, column in zip(_SOURCES, columns)}
-                for package, columns in sorted(self._installs.items())},
-            "campaigns": dict(sorted(self._campaign_totals.items())),
-            "removed": {
-                join_key(package, str(day)): count
-                for package, days in sorted(self._removed.items())
-                for day, count in sorted(days.items())},
-        }
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        self.__init__()  # type: ignore[misc]
-        for package, by_source in state["installs"].items():  # type: ignore[union-attr]
-            self._installs[str(package)] = tuple(
-                array("q", by_source[source.value]) for source in _SOURCES)
-        for campaign_id, count in state["campaigns"].items():  # type: ignore[union-attr]
-            self._campaign_totals[str(campaign_id)] = int(count)
-        for key, count in state["removed"].items():  # type: ignore[union-attr]
-            package, day = split_key(key)
-            self._removed[package][int(day)] = int(count)
 
     # -- queries -----------------------------------------------------------
 
@@ -153,5 +130,3 @@ class InstallLedger:
     def packages(self) -> Iterable[str]:
         return sorted(self._installs)
 
-    def removals_for(self, package: str) -> int:
-        return sum(self._removed.get(package, {}).values())

@@ -65,11 +65,12 @@ class EnforcementEngine(Checkpointed):
     #: Extra score for campaigns delivered implausibly fast (<2h).
     BURST_BONUS = 0.005
 
-    _STATE = ("_reviewed",)
+    _STATE = ("_reviewed", "actions")
+    actions: List[EnforcementAction]
 
     def __init__(self, ledger: InstallLedger) -> None:
         self._ledger = ledger
-        self.actions: List[EnforcementAction] = []
+        self.actions = []
         self._reviewed: set = set()
 
     def detection_probability(self, signals: CampaignSignals) -> float:
@@ -103,21 +104,3 @@ class EnforcementEngine(Checkpointed):
 
     def actions_for(self, package: str) -> List[EnforcementAction]:
         return [action for action in self.actions if action.package == package]
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["actions"] = [
-            [action.campaign_id, action.package, action.day,
-             action.installs_removed]
-            for action in self.actions]
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self.actions = [
-            EnforcementAction(campaign_id=str(campaign_id),
-                              package=str(package), day=int(day),
-                              installs_removed=int(removed))
-            for campaign_id, package, day, removed in state["actions"]]

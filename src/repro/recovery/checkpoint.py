@@ -3,7 +3,7 @@
 File format (one JSON document per checkpoint, on one line)::
 
     {"payload":{"day":<cursor: first unit of work NOT covered>,
-                "format_version":8,
+                "format_version":9,
                 "kind":"wild" | "honey" | "serve",
                 "state":{...}},   # each checkpoint root's state
      "sha256":"<hex digest of the canonical payload encoding>"}
@@ -24,6 +24,7 @@ overwrite that directory's checkpoints.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -38,7 +39,7 @@ from repro.recovery.wal import WriteAheadLog
 
 #: Bumped whenever a component's state layout changes; ``load``
 #: refuses every other version.
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 #: Name of the recovery-counter export inside the checkpoint directory.
 RECOVERY_METRICS_FILE = "recovery_metrics.json"
@@ -178,8 +179,20 @@ class RecoveryContext:
 
     def checkpoint(self, day: int, roots: Mapping[str, object]) -> None:
         """Persist the roots' state reached *before* unit ``day + 1``,
-        then pass the ``<kind>.checkpoint`` kill point."""
-        self.store.write(day, encode(roots))  # type: ignore[arg-type]
+        then pass the ``<kind>.checkpoint`` kill point.
+
+        The cyclic garbage collector pauses while the encoding exists:
+        it is acyclic and freed once written, so a collection then could
+        free none of it, and would only walk the world's heap and move
+        the encoding into the oldest generation, where it counts
+        towards the next full collection."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self.store.write(day, encode(roots))  # type: ignore[arg-type]
+        finally:
+            if collecting:
+                gc.enable()
         self.crash_point(f"{self.store.kind}.checkpoint", day)
 
     def restore(self, day: int, roots: Mapping[str, object],

@@ -20,7 +20,7 @@ entry found at lookup is dropped in place and counted in
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.checkpointed import Checkpointed
 from repro.obs import NULL_OBS, LabelKeys, Observability
@@ -40,13 +40,17 @@ def params_key(params: Mapping[str, object]) -> Tuple[Tuple[str, str], ...]:
 class WatermarkCache(Checkpointed):
     """Response cache with per-entry invalidation."""
 
-    _STATE = ("hits", "misses", "evictions", "invalidations")
+    #: The entries go in insertion order (FIFO eviction depends on it).
+    #: Bodies are JSON-shaped response dicts; callers never compare
+    #: them structurally after a restore, only replay them, so the
+    #: tuple->list laundering of a JSON round trip is harmless.
+    _STATE = ("hits", "misses", "evictions", "invalidations", "_entries")
+    #: key -> (freshness token at store time, body).
+    _entries: OrderedDict[CacheKey, Tuple[int, object]]
 
     def __init__(self, obs: Optional[Observability] = None) -> None:
         self.obs = obs or NULL_OBS
-        #: key -> (freshness token at store time, body).
-        self._entries: "OrderedDict[CacheKey, Tuple[int, object]]" = (
-            OrderedDict())
+        self._entries = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -94,27 +98,3 @@ class WatermarkCache(Checkpointed):
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """The counters, plus the entries in insertion order (FIFO
-        eviction depends on it).
-
-        Bodies are JSON-shaped response dicts; callers never compare
-        them structurally after a restore, only replay them, so the
-        tuple->list laundering of a JSON round trip is harmless.
-        """
-        state = super().state_dict()
-        state["entries"] = [
-            [endpoint, [list(pair) for pair in params], token, body]
-            for (endpoint, params), (token, body) in self._entries.items()]
-        return state
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        super().load_state(state)
-        self._entries = OrderedDict()
-        for endpoint, params, token, body in state["entries"]:  # type: ignore[union-attr]
-            key = (str(endpoint),
-                   tuple((str(k), str(v)) for k, v in params))
-            self._entries[key] = (int(token), body)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpointed import Checkpointed
@@ -108,14 +108,14 @@ class FleetConfig:
         return max(8, int(USERS_PER_CLIENT * self.scale))
 
 
+@dataclass
 class _Campaign:
     """One install campaign a client drains in waves."""
 
-    def __init__(self, package: str, waves_left: int, farm: bool) -> None:
-        self.package = package
-        self.waves_left = waves_left
-        self.farm = farm
-        self.farm_devices: List[Tuple[str, str, str]] = []
+    package: str
+    waves_left: int
+    farm: bool
+    farm_devices: List[Tuple[str, str, str]] = field(default_factory=list)
 
 
 class FleetClient(Checkpointed):
@@ -127,7 +127,10 @@ class FleetClient(Checkpointed):
     """
 
     _STATE = ("rng", "_wake_at", "_burst_left", "_campaign_seq",
-              "_organic_seq", "stats", "breaker")
+              "_organic_seq", "stats", "breaker", "_pool", "_campaigns")
+    #: (device_id, ip_slash24, ssid_hash) worker pool, grown lazily.
+    _pool: List[Tuple[str, str, str]]
+    _campaigns: List[_Campaign]
 
     def __init__(self, index: int, config: FleetConfig, seed: int,
                  service: DetectionService, vclock: VirtualClock,
@@ -146,9 +149,8 @@ class FleetClient(Checkpointed):
             op_clock=lambda: self.obs.ops.value, obs=self.obs)
         self.stats: Counter = Counter()
         self._query_pool = list(query_pool)
-        #: (device_id, ip_slash24, ssid_hash) worker pool, grown lazily.
-        self._pool: List[Tuple[str, str, str]] = []
-        self._campaigns: List[_Campaign] = []
+        self._pool = []
+        self._campaigns = []
         self._campaign_seq = 0
         self._organic_seq = 0
         #: Absolute virtual time of the next arrival; None until the
@@ -341,33 +343,6 @@ class FleetClient(Checkpointed):
         self.stats["gave_up"] += 1
         metrics.inc("serve.fleet.gave_up")
         return response
-
-    # -- checkpoint/restore ---------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        state = super().state_dict()
-        state["pool"] = [list(device) for device in self._pool]
-        state["campaigns"] = [
-            {"package": campaign.package,
-             "waves_left": campaign.waves_left,
-             "farm": campaign.farm,
-             "farm_devices": [list(device)
-                              for device in campaign.farm_devices]}
-            for campaign in self._campaigns]
-        return state
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        super().load_state(state)
-        self._pool = [(str(d), str(b), str(s))
-                      for d, b, s in state["pool"]]  # type: ignore[union-attr]
-        self._campaigns = []
-        for data in state["campaigns"]:  # type: ignore[union-attr]
-            campaign = _Campaign(package=str(data["package"]),
-                                 waves_left=int(data["waves_left"]),  # type: ignore[arg-type]
-                                 farm=bool(data["farm"]))
-            campaign.farm_devices = [(str(d), str(b), str(s))
-                                     for d, b, s in data["farm_devices"]]
-            self._campaigns.append(campaign)
 
 
 class ClientFleet(Checkpointed):

@@ -66,10 +66,6 @@ class TestCampaignStateMachine:
         campaign.expire(10)
         assert campaign.state is CampaignState.LIVE
 
-    def test_budget(self):
-        campaign = make_campaign(installs=100, payout=0.10)
-        assert campaign.budget_usd == pytest.approx(100 * 0.15)
-
     def test_cost_below_payout_rejected(self):
         offer = make_offer(payout_usd=1.0)
         with pytest.raises(ValueError, match="below user payout"):
@@ -122,4 +118,3 @@ class TestPurchaseValidation:
         campaign = make_campaign(installs=0)
         campaign.launch(0)
         assert campaign.remaining == 0
-        assert campaign.budget_usd == 0.0

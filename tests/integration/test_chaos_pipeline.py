@@ -85,8 +85,7 @@ class TestFaultPlanState:
         # the host roster however many runs and fetches the days hold.
         world, _ = chaos_run
         state = world.fabric.chaos.state_dict()
-        connect = Counter(tuple(split_key(key)[-2:])
-                          for key in state["connect_seq"])
+        connect = Counter(tuple(key[-2:]) for key, _ in state["_connect_seq"])
         assert connect and max(connect.values()) == 1
         for table in ("_http_seq", "_frame_seq"):
             per_host = Counter(split_key(key)[-1] for key in state[table])

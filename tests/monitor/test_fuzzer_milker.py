@@ -114,7 +114,8 @@ class TestMilker:
         dataset = OfferDataset({spec.package: spec})
         dataset.ingest_all(run.offers)
         assert dataset.offer_count() == 30
-        fyber = dataset.offers_for_iip("Fyber")
+        fyber = [record for record in dataset.offers()
+                 if record.iip_name == "Fyber"]
         assert all(abs(record.payout_usd - 0.19) < 0.001 for record in fyber)
 
     def test_dataset_dedups_across_days_and_tracks_window(self, rig):
@@ -123,7 +124,8 @@ class TestMilker:
         dataset.ingest_all(milker.milk(spec, day=3, country="US").offers)
         dataset.ingest_all(milker.milk(spec, day=5, country="GB").offers)
         assert dataset.offer_count() == 30
-        record = dataset.offers_for_iip("Fyber")[0]
+        record = next(record for record in dataset.offers()
+                      if record.iip_name == "Fyber")
         assert record.first_seen_day == 3
         assert record.last_seen_day == 5
         assert record.countries == {"US", "GB"}

@@ -236,5 +236,5 @@ def test_set_chaos_keeps_existing_static_faults_and_vpn_marks():
                         ConnectionRefusedFabricError("down"))
     fabric.chaos.mark_vpn_exit("exit-de.vpn.example")
     fabric.set_chaos(FaultPlan(ChaosScenario.profile("mild", seed=1)))
-    assert "exit-de.vpn.example" in fabric.chaos.vpn_exits
+    assert "exit-de.vpn.example" in fabric.chaos._vpn_exits
     assert fabric.chaos.connect_fault("dead.example", 443) is not None

@@ -51,13 +51,6 @@ class TestCounters:
         assert registry.counter_total_by_label(
             "serve.responses", "endpoint", "missing") == 0
 
-    def test_top_counters_sorted_by_value_then_key(self):
-        registry = MetricsRegistry()
-        registry.inc("b", 3)
-        registry.inc("a", 3)
-        registry.inc("c", 9)
-        assert registry.top_counters(2) == [("c", 9), ("a", 3)]
-
     def test_render_key_without_labels(self):
         assert render_key("plain", ()) == "plain"
 

@@ -101,7 +101,6 @@ class TestInstallLedger:
         self.ledger.remove_installs("com.a", 10, 400)
         assert self.ledger.total_installs("com.a", through_day=9) == 500
         assert self.ledger.total_installs("com.a", through_day=10) == 100
-        assert self.ledger.removals_for("com.a") == 400
 
     def test_totals_floor_at_zero(self):
         self.ledger.record(InstallBatch("com.a", 0, InstallSource.ORGANIC, 5))

@@ -130,10 +130,6 @@ class DictInstallLedger:
     def packages(self):
         return sorted(self._daily)
 
-    def removals_for(self, package):
-        removals = self._removed_by_package.get(package)
-        return sum(removals.values()) if removals else 0
-
 
 PACKAGES = ("com.a", "com.b", "com.c")
 #: Queried too: a package nothing was recorded for.
@@ -213,7 +209,6 @@ def ledger_answers(ledger, windows):
         answers.append([ledger.installs_in_window(package, start, end)
                         for start, end in windows])
         answers.append(ledger.installs_by_source(package))
-        answers.append(ledger.removals_for(package))
     return exact(answers)
 
 

@@ -1,8 +1,9 @@
-"""Checkpoints a wild resume cannot honour fail loudly.
+"""Checkpoints a resume cannot honour fail loudly.
 
-A streamed checkpoint resumed materialised, or a checkpoint written by
-an earlier format version (such as the removed worker-process
-backend's), must raise rather than corrupt the run.  That a streamed
+A streamed checkpoint resumed materialised, a checkpoint written by an
+earlier format version (such as the removed worker-process backend's),
+or one whose optional components (the detection hook) differ from the
+resuming run's must raise rather than corrupt the run.  That a streamed
 crash + resume replays byte-identically, spill truncation included, is
 a cell of ``test_determinism_matrix.py``.  Checkpoints also hold no
 state keyed by a day they have closed: no later day reads it.  And
@@ -30,14 +31,15 @@ SCALE = 0.04
 SEED = 11
 
 
-def build(batch=0, spill_dir=None):
+def build(batch=0, spill_dir=None, detection=False):
     world = World(seed=SEED)
     scenario = WildScenario(world, WildScenarioConfig(
         scale=SCALE, measurement_days=DAYS))
     scenario.build()
     measurement = WildMeasurement(world, scenario, WildMeasurementConfig(
         measurement_days=DAYS, batch_devices=batch,
-        spill_dir=str(spill_dir) if spill_dir else None))
+        spill_dir=str(spill_dir) if spill_dir else None),
+        detection=world.detection_hook("wild") if detection else None)
     return measurement
 
 
@@ -56,12 +58,44 @@ class TestStreamedResume:
             measurement.run(recovery=resuming)
 
 
-def crash_wild(root):
+def crash_wild(root, detection=False):
     """Crash a wild run on day 2, leaving the checkpoints of days 0-1."""
     crashing = RecoveryContext.create(
         root, "wild", crash=CrashPlan.at("wild.day", 2))
     with pytest.raises(SimulatedCrash):
-        build().run(recovery=crashing)
+        build(detection=detection).run(recovery=crashing)
+
+
+def honey(detection):
+    world = World(seed=SEED)
+    return HoneyAppExperiment(
+        world, installs_per_iip=40,
+        detection=world.detection_hook("honey") if detection else None)
+
+
+class TestOptionalComponents:
+    """A resume must have the detection hook iff its checkpoint does:
+    otherwise the hook's state would land on a run without one, or a
+    run's hook would start empty mid-stream."""
+
+    @pytest.mark.parametrize("checkpointed", [True, False],
+                             ids=["hook-dropped", "hook-added"])
+    def test_wild(self, tmp_path, checkpointed):
+        crash_wild(tmp_path, detection=checkpointed)
+        resuming = RecoveryContext.create(tmp_path, "wild", resume=True)
+        with pytest.raises(ValueError, match="WildMeasurement.detection"):
+            build(detection=not checkpointed).run(recovery=resuming)
+
+    @pytest.mark.parametrize("checkpointed", [True, False],
+                             ids=["hook-dropped", "hook-added"])
+    def test_honey(self, tmp_path, checkpointed):
+        crashing = RecoveryContext.create(
+            tmp_path, "honey", crash=CrashPlan.at("honey.campaign", 2))
+        with pytest.raises(SimulatedCrash):
+            honey(detection=checkpointed).run(recovery=crashing)
+        resuming = RecoveryContext.create(tmp_path, "honey", resume=True)
+        with pytest.raises(ValueError, match=r"roots\['detection'\]"):
+            honey(detection=not checkpointed).run(recovery=resuming)
 
 
 def crash_then_restamp(root, version, edit):
@@ -120,14 +154,18 @@ class TestProcessBackendResume:
         # ledger's balances beside the logs they are computed from.
         # Version 7 wrote each pipeline's hand-listed sections under
         # their own names (the archive and the crawler's client beside
-        # the crawler, serve's ``virtual_now``).  Each is refused by its
-        # version, like 1, 2 and 4.
+        # the crawler, serve's ``virtual_now``).  Version 8 wrote RNG
+        # states as 625 ints and rows and tuple keys in hand-written
+        # layouts (the fault plan's joined ``connect_seq`` keys).  Each
+        # is refused by its version, like 1, 2 and 4.
         edits = {
             6: lambda state: state["wild"]["crawler"]["archive"].update(
                 chart_days={join_key("top_free", "0"): []}),
             7: lambda state: state.update(
                 archive=state["wild"]["crawler"].pop("archive"),
                 crawler_client=state["wild"]["crawler"].pop("_client")),
+            8: lambda state: state["fault_plan"].update(
+                connect_seq={join_key("wall.example", "443"): 1}),
         }
         for version, edit in edits.items():
             root = tmp_path / f"v{version}"
